@@ -3,8 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
 
+#include "runner/runner.h"
+#include "scenario/scenario.h"
 #include "sim/simulator.h"
+
+#ifndef UNICC_SCENARIOS_DIR
+#error "UNICC_SCENARIOS_DIR must point at the shipped scenarios/ directory"
+#endif
 
 namespace unicc {
 namespace {
@@ -99,6 +108,48 @@ TEST(MinStlSelectorTest, EstimatesArePositiveAndFinite) {
       EXPECT_TRUE(std::isfinite(stl.stl_to));
       EXPECT_TRUE(std::isfinite(stl.stl_pa));
     }
+  }
+}
+
+// Pins the min-STL selector's end-to-end decisions: each shipped
+// `kind = minstl` scenario, run at its own seed, must reproduce the
+// per-protocol commit split and the restart counters exactly. The
+// evaluator may change its floating-point summation order, but never a
+// selection.
+struct MinStlPin {
+  const char* file;
+  std::uint64_t committed_by_proto[kNumProtocols];  // 2PL, T/O, PA
+  std::uint64_t reject_restarts;
+  std::uint64_t deadlock_victims;
+  std::uint64_t backoff_rounds;
+};
+
+constexpr MinStlPin kMinStlPins[] = {
+    {"dynamic_selection.ini", {293, 87, 20}, 0, 0, 0},
+    {"phase_shift.ini", {98, 1058, 44}, 139, 4, 1},
+    {"skew_shift.ini", {105, 375, 20}, 39, 0, 0},
+    {"bursty.ini", {20, 440, 20}, 52, 0, 2},
+};
+
+TEST(MinStlSelectorTest, ShippedScenarioDecisionsArePinned) {
+  for (const MinStlPin& pin : kMinStlPins) {
+    SCOPED_TRACE(pin.file);
+    auto spec = ScenarioSpec::LoadFile(std::string(UNICC_SCENARIOS_DIR) +
+                                       "/" + pin.file);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    ASSERT_EQ(spec->policy.kind, ScenarioPolicy::Kind::kMinStl);
+    runner::RunRequest request;
+    request.spec = &*spec;
+    auto session = runner::RunSession::Create(std::move(request));
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    const runner::RunStats st = (*session)->Run().stats;
+    for (int p = 0; p < kNumProtocols; ++p) {
+      EXPECT_EQ(st.committed_by_proto[p], pin.committed_by_proto[p])
+          << ProtocolName(static_cast<Protocol>(p));
+    }
+    EXPECT_EQ(st.reject_restarts, pin.reject_restarts);
+    EXPECT_EQ(st.deadlock_victims, pin.deadlock_victims);
+    EXPECT_EQ(st.backoff_rounds, pin.backoff_rounds);
   }
 }
 
