@@ -1,6 +1,7 @@
 #include "selector/selector.h"
 
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 
@@ -57,8 +58,7 @@ Protocol MinStlSelector::Choose(const TxnSpec& spec) {
       if (stl.stl_pa < best_v) {
         best = Protocol::kPrecedenceAgreement;
       }
-      cache_[key] = {best, i};
-      it = cache_.find(key);
+      it = cache_.insert_or_assign(key, std::make_pair(best, i)).first;
     }
     chosen = it->second.first;
   }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <random>
+#include <vector>
 
 #include "stl/estimators.h"
 #include "stl/evaluator.h"
@@ -95,6 +98,112 @@ TEST(StlEvaluatorTest, SingleRequestTransactionsNeverEscalate) {
   s.k_avg = 1;
   StlEvaluator ev(s);
   EXPECT_NEAR(ev.Evaluate(10, 0.3), 10 * 0.3, 1e-9);
+}
+
+// The direct form of the DP: every level convolves the level above
+// against the first-block density term by term, O(m^2) work and m `exp`
+// calls per level. StlEvaluator::Evaluate sums the same quadrature with
+// running sums; this copy is the oracle it is checked against.
+double DirectEvaluate(const StlEvaluator& ev, int m, double lambda_loss,
+                      double u_seconds) {
+  if (u_seconds == 0) return 0;
+  const double la = ev.params().lambda_a;
+  if (lambda_loss >= la) return la * u_seconds;
+  const double lnew = ev.LambdaNew();
+  int levels = 0;
+  if (lnew > 1e-12) {
+    levels = static_cast<int>(std::ceil((la - lambda_loss) / lnew));
+    levels = std::min(levels, 4096);
+  }
+  const double h = u_seconds / (m - 1);
+  std::vector<double> above(m), cur(m);
+  for (int i = 0; i < m; ++i) above[i] = la * (static_cast<double>(i) * h);
+  for (int n = levels - 1; n >= 0; --n) {
+    const double l = std::min(lambda_loss + n * lnew, la);
+    const double b = ev.LambdaBlock(l);
+    cur[0] = 0;
+    const double ebh = std::exp(-b * h);
+    const double c = b > 1e-12 ? (1 - ebh * (1 + b * h)) / (b * h) : 0.0;
+    for (int i = 1; i < m; ++i) {
+      const double u = static_cast<double>(i) * h;
+      double v = std::exp(-b * u) * l * u;
+      if (b > 1e-12) {
+        double ej = 1.0;
+        for (int j = 0; j < i; ++j) {
+          const double x0 = static_cast<double>(j) * h;
+          const double g0 = l * x0 + above[i - j];
+          const double g1 = l * (x0 + h) + above[i - j - 1];
+          v += g0 * (ej - ej * ebh) + (g1 - g0) * ej * c;
+          ej *= ebh;
+        }
+      }
+      cur[i] = v;
+    }
+    above = cur;
+  }
+  if (levels == 0) return lambda_loss * u_seconds;
+  return above[m - 1];
+}
+
+// Checks Evaluate against the direct sum at one point.
+void ExpectMatchesDirect(const SystemParams& s, int m, double lambda_loss,
+                         double u_seconds) {
+  const StlEvaluator ev(s, m);
+  const double want = DirectEvaluate(ev, m, lambda_loss, u_seconds);
+  const double got = ev.Evaluate(lambda_loss, u_seconds);
+  EXPECT_NEAR(got, want, 1e-9 * std::abs(want))
+      << "m=" << m << " l=" << lambda_loss << " U=" << u_seconds
+      << " la=" << s.lambda_a << " lr=" << s.lambda_r << " lw=" << s.lambda_w
+      << " qr=" << s.q_r << " K=" << s.k_avg;
+}
+
+TEST(StlEvaluatorDifferentialTest, MatchesDirectSumOnRandomGrid) {
+  std::mt19937_64 rng(20260412);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int iter = 0; iter < 1500; ++iter) {
+    SystemParams s;
+    s.lambda_a = 5 + 295 * unit(rng);
+    s.lambda_r = 4 * unit(rng);
+    s.lambda_w = 4 * unit(rng);
+    s.q_r = unit(rng);
+    s.k_avg = 1 + 7 * unit(rng);
+    const int m = 2 + static_cast<int>(rng() % 63);  // 2..64
+    const double lambda_loss = 1.02 * s.lambda_a * unit(rng);
+    const double u_seconds = 0.5 * unit(rng);
+    ExpectMatchesDirect(s, m, lambda_loss, u_seconds);
+  }
+}
+
+TEST(StlEvaluatorDifferentialTest, MatchesDirectSumOnEdgeBranches) {
+  const SystemParams base = DefaultSys();
+  for (int m : {2, 3, 48, 64}) {
+    SCOPED_TRACE(m);
+    // levels == 0: no escalation.
+    SystemParams quiet = base;
+    quiet.lambda_r = 0;
+    quiet.lambda_w = 0;
+    ExpectMatchesDirect(quiet, m, 7, 0.3);
+    // lambda_block just above (and just below) the 1e-12 cutoff: the
+    // initial loss sits a hair under lambda_A.
+    const StlEvaluator ev(base, m);
+    const double near_sat = base.lambda_a - 2e-12;
+    EXPECT_GT(ev.LambdaBlock(near_sat), 1e-12);
+    EXPECT_LT(ev.LambdaBlock(near_sat), 1e-11);
+    ExpectMatchesDirect(base, m, near_sat, 0.2);
+    EXPECT_LT(ev.LambdaBlock(base.lambda_a - 5e-13), 1e-12);
+    ExpectMatchesDirect(base, m, base.lambda_a - 5e-13, 0.2);
+    // The 4096-level clamp: lambda_A / lambda_new is far above 4096.
+    SystemParams wide = base;
+    wide.lambda_a = 1e4;
+    wide.lambda_r = 0.1;
+    wide.lambda_w = 0.1;
+    ASSERT_GT(wide.lambda_a / StlEvaluator(wide, m).LambdaNew(), 4096);
+    ExpectMatchesDirect(wide, m, 1.0, 0.05);
+    // U == 0 and lambda_loss >= lambda_A.
+    ExpectMatchesDirect(base, m, 5, 0);
+    ExpectMatchesDirect(base, m, base.lambda_a, 0.4);
+    ExpectMatchesDirect(base, m, 2 * base.lambda_a, 0.4);
+  }
 }
 
 TEST(EstimatorFormulaTest, LambdaT) {
