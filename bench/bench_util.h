@@ -57,14 +57,20 @@ inline RunStats ExtractStats(Engine& engine, const RunSummary& summary) {
 }
 
 // Runs one session and unwraps; bench callers predate Status plumbing.
-inline RunStats RunRequestOrDie(runner::RunRequest request) {
+inline runner::RunReport RunReportOrDie(runner::RunRequest request) {
   auto session = runner::RunSession::Create(std::move(request));
   UNICC_CHECK_MSG(session.ok(), session.status().message().c_str());
-  return (*session)->Run().stats;
+  return (*session)->Run();
 }
 
-inline RunStats RunOne(const BenchConfig& cfg, PolicyKind policy,
-                       Protocol fixed = Protocol::kTwoPhaseLocking) {
+inline RunStats RunRequestOrDie(runner::RunRequest request) {
+  return RunReportOrDie(std::move(request)).stats;
+}
+
+// One built-in grid cell, with the report's wall-clock phases.
+inline runner::RunReport RunOneReport(
+    const BenchConfig& cfg, PolicyKind policy,
+    Protocol fixed = Protocol::kTwoPhaseLocking) {
   ScenarioSpec spec;
   EngineOptions& eo = spec.engine;
   eo.num_user_sites = cfg.user_sites;
@@ -117,7 +123,12 @@ inline RunStats RunOne(const BenchConfig& cfg, PolicyKind policy,
   runner::RunRequest request;
   request.spec = &spec;
   request.arrivals = &arrivals;
-  return RunRequestOrDie(std::move(request));
+  return RunReportOrDie(std::move(request));
+}
+
+inline RunStats RunOne(const BenchConfig& cfg, PolicyKind policy,
+                       Protocol fixed = Protocol::kTwoPhaseLocking) {
+  return RunOneReport(cfg, policy, fixed).stats;
 }
 
 // Runs one declarative scenario to completion (sweep_runner's --scenario
@@ -136,10 +147,14 @@ inline RunStats RunScenarioWith(
   return RunRequestOrDie(std::move(request));
 }
 
-inline RunStats RunScenario(const ScenarioSpec& spec) {
+inline runner::RunReport RunScenarioReport(const ScenarioSpec& spec) {
   runner::RunRequest request;
   request.spec = &spec;
-  return RunRequestOrDie(std::move(request));
+  return RunReportOrDie(std::move(request));
+}
+
+inline RunStats RunScenario(const ScenarioSpec& spec) {
+  return RunScenarioReport(spec).stats;
 }
 
 inline RunStats RunScenarioOpen(const ScenarioSpec& spec) {

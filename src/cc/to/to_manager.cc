@@ -31,7 +31,8 @@ void BasicToManager::OnRequest(const msg::CcRequest& m) {
   UNICC_CHECK_MSG(m.proto == Protocol::kTimestampOrdering,
                   "pure T/O backend got a non-T/O request");
   UNICC_CHECK_MSG(m.copy.site == site_, "request routed to wrong site");
-  Copy& c = copies_[m.copy];
+  const std::uint32_t copy_index = copies_.IndexOf(m.copy);
+  Copy& c = copies_.At(copy_index).value;
   if (m.op == OpType::kRead) {
     if (m.ts <= c.w_ts) {
       ++rejects_sent_;
@@ -51,6 +52,7 @@ void BasicToManager::OnRequest(const msg::CcRequest& m) {
     }
     if (must_wait) {
       c.waiting.push_back(WaitingRead{m.ts, m.txn, m.attempt, m.reply_to});
+      live_.List(copy_index);
     } else {
       GrantRead(m.copy, m.ts, m.txn, m.attempt, m.reply_to);
     }
@@ -114,9 +116,9 @@ void BasicToManager::Drain(const CopyId& copy, Copy& c) {
 }
 
 void BasicToManager::OnRelease(const msg::Release& m) {
-  auto cit = copies_.find(m.copy);
-  if (cit == copies_.end()) return;
-  Copy& c = cit->second;
+  Copy* cp = copies_.Find(m.copy);
+  if (cp == nullptr) return;
+  Copy& c = *cp;
   if (!m.has_write) return;  // read commit: nothing held at the copy
   for (Prewrite& p : c.prewrites) {
     if (p.txn == m.txn && p.attempt == m.attempt) {
@@ -129,9 +131,9 @@ void BasicToManager::OnRelease(const msg::Release& m) {
 }
 
 void BasicToManager::OnAbort(const msg::AbortTxn& m) {
-  auto cit = copies_.find(m.copy);
-  if (cit == copies_.end()) return;
-  Copy& c = cit->second;
+  Copy* cp = copies_.Find(m.copy);
+  if (cp == nullptr) return;
+  Copy& c = *cp;
   for (auto it = c.prewrites.begin(); it != c.prewrites.end(); ++it) {
     if (it->txn == m.txn && it->attempt == m.attempt) {
       c.prewrites.erase(it);
@@ -158,7 +160,11 @@ void BasicToManager::OnSemiTransform(const msg::SemiTransform&) {
 void BasicToManager::CollectWaitEdges(std::vector<WaitEdge>* out) const {
   // Reads wait only on prewrites with smaller timestamps: the wait graph is
   // acyclic by construction, but edges are still reported for completeness.
-  for (const auto& [copy, c] : copies_) {
+  const auto& live = live_.Live([this](std::uint32_t index) {
+    return copies_.At(index).value.waiting.empty();
+  });
+  for (const std::uint32_t index : live) {
+    const Copy& c = copies_.At(index).value;
     for (const WaitingRead& r : c.waiting) {
       for (const Prewrite& p : c.prewrites) {
         if (p.ts < r.ts) out->push_back(WaitEdge{r.txn, p.txn});

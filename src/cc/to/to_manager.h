@@ -9,10 +9,10 @@
 #ifndef UNICC_CC_TO_TO_MANAGER_H_
 #define UNICC_CC_TO_TO_MANAGER_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "cc/backend.h"
+#include "common/copy_map.h"
 #include "common/types.h"
 
 namespace unicc {
@@ -34,7 +34,6 @@ class BasicToManager : public DataSiteBackend {
   std::uint64_t rejects_sent() const { return rejects_sent_; }
   std::uint64_t grants_sent() const { return grants_sent_; }
 
- private:
   struct Prewrite {
     Timestamp ts = 0;
     TxnId txn = 0;
@@ -55,7 +54,13 @@ class BasicToManager : public DataSiteBackend {
     std::vector<Prewrite> prewrites;    // sorted by ts
     std::vector<WaitingRead> waiting;   // reads blocked on prewrites
   };
+  // Introspection for tests: one copy's state, or nullptr if no request
+  // ever reached it.
+  const Copy* CopyStateOf(const CopyId& copy) const {
+    return copies_.Find(copy);
+  }
 
+ private:
   // Installs committable prewrites and grants unblocked reads.
   void Drain(const CopyId& copy, Copy& c);
   void GrantRead(const CopyId& copy, Timestamp ts, TxnId txn,
@@ -65,7 +70,10 @@ class BasicToManager : public DataSiteBackend {
   CcContext ctx_;
   CcHooks hooks_;
   Store store_;
-  std::unordered_map<CopyId, Copy> copies_;
+  CopyTable<Copy> copies_;
+  // The copies with waiting reads, the only ones that have wait edges
+  // (see UnifiedQueueManager::live_).
+  mutable LiveQueueIndex live_;
   std::uint64_t rejects_sent_ = 0;
   std::uint64_t grants_sent_ = 0;
 };

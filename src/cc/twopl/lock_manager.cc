@@ -16,8 +16,10 @@ void TwoPlLockManager::OnRequest(const msg::CcRequest& m) {
   UNICC_CHECK_MSG(m.proto == Protocol::kTwoPhaseLocking,
                   "pure 2PL backend got a non-2PL request");
   UNICC_CHECK_MSG(m.copy.site == site_, "request routed to wrong site");
-  LockQueue& q = queues_.GetOrCreate(m.copy);
+  const std::uint32_t queue_index = queues_.IndexOf(m.copy);
+  LockQueue& q = queues_.At(queue_index).value;
   q.entries.push_back(Entry{m.txn, m.attempt, m.reply_to, m.op, false});
+  live_.List(queue_index);
   TryGrant(m.copy, q);
 }
 
@@ -105,7 +107,11 @@ std::string TwoPlLockManager::DebugString() const {
 }
 
 void TwoPlLockManager::CollectWaitEdges(std::vector<WaitEdge>* out) const {
-  for (const auto& [copy, q] : queues_) {
+  const auto& live = live_.Live([this](std::uint32_t index) {
+    return queues_.At(index).value.entries.empty();
+  });
+  for (const std::uint32_t index : live) {
+    const LockQueue& q = queues_.At(index).value;
     for (std::size_t i = 0; i < q.entries.size(); ++i) {
       const Entry& e = q.entries[i];
       if (e.granted) continue;
@@ -125,6 +131,13 @@ void TwoPlLockManager::CollectWaitEdges(std::vector<WaitEdge>* out) const {
       }
     }
   }
+}
+
+const std::deque<TwoPlLockManager::Entry>& TwoPlLockManager::QueueOf(
+    const CopyId& copy) const {
+  static const std::deque<Entry> kEmpty;
+  const LockQueue* q = queues_.Find(copy);
+  return q == nullptr ? kEmpty : q->entries;
 }
 
 }  // namespace unicc

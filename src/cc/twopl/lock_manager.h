@@ -32,7 +32,6 @@ class TwoPlLockManager : public DataSiteBackend {
 
   std::uint64_t grants_sent() const { return grants_sent_; }
 
- private:
   struct Entry {
     TxnId txn = 0;
     Attempt attempt = 0;
@@ -40,6 +39,10 @@ class TwoPlLockManager : public DataSiteBackend {
     OpType op = OpType::kRead;
     bool granted = false;
   };
+  // Introspection for tests: the FCFS queue of one copy.
+  const std::deque<Entry>& QueueOf(const CopyId& copy) const;
+
+ private:
   struct LockQueue {
     std::deque<Entry> entries;  // FCFS; granted entries stay until release
   };
@@ -51,6 +54,8 @@ class TwoPlLockManager : public DataSiteBackend {
   CcHooks hooks_;
   Store store_;
   CopyTable<LockQueue> queues_;
+  // The non-empty queues (see UnifiedQueueManager::live_).
+  mutable LiveQueueIndex live_;
   std::uint64_t grants_sent_ = 0;
 };
 

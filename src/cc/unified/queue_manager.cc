@@ -49,7 +49,8 @@ void UnifiedQueueManager::SendToIssuer(SiteId to, Message m) {
 
 void UnifiedQueueManager::OnRequest(const msg::CcRequest& m) {
   UNICC_CHECK_MSG(m.copy.site == site_, "request routed to wrong site");
-  DataQueue& q = QueueFor(m.copy);
+  const std::uint32_t queue_index = queues_.IndexOf(m.copy);
+  DataQueue& q = queues_.At(queue_index).value;
 
   QueueEntry entry;
   entry.txn = m.txn;
@@ -122,6 +123,7 @@ void UnifiedQueueManager::OnRequest(const msg::CcRequest& m) {
       break;
     }
   }
+  live_.List(queue_index);
   TryGrant(m.copy, q);
 }
 
@@ -319,7 +321,11 @@ void UnifiedQueueManager::OnAbort(const msg::AbortTxn& m) {
 }
 
 void UnifiedQueueManager::CollectWaitEdges(std::vector<WaitEdge>* out) const {
-  for (const auto& [copy, q] : queues_) {
+  const auto& live = live_.Live([this](std::uint32_t index) {
+    return queues_.At(index).value.entries.empty();
+  });
+  for (const std::uint32_t index : live) {
+    const DataQueue& q = queues_.At(index).value;
     for (std::size_t i = 0; i < q.entries.size(); ++i) {
       const QueueEntry& e = q.entries[i];
       if (e.granted) {

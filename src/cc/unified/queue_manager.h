@@ -111,6 +111,9 @@ class UnifiedQueueManager : public DataSiteBackend {
   // Open-addressing per-copy queue table; insertion-ordered iteration
   // keeps CollectWaitEdges() and DebugString() deterministic.
   CopyTable<DataQueue> queues_;
+  // The non-empty queues: every OnRequest that inserts lists its queue,
+  // and CollectWaitEdges() (logically const) prunes the emptied ones.
+  mutable LiveQueueIndex live_;
 
   std::uint64_t rejects_sent_ = 0;
   std::uint64_t backoffs_sent_ = 0;

@@ -16,6 +16,7 @@
 #ifndef UNICC_COMMON_COPY_MAP_H_
 #define UNICC_COMMON_COPY_MAP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -39,7 +40,11 @@ class CopyTable {
 
   // Returns the value for `key`, default-constructing it on first use.
   // The reference is stable across later inserts.
-  T& GetOrCreate(const CopyId& key) {
+  T& GetOrCreate(const CopyId& key) { return nodes_[IndexOf(key)].value; }
+
+  // The insertion index of `key`'s node (0 for the first key ever
+  // created), creating the node on first use.
+  std::uint32_t IndexOf(const CopyId& key) {
     if (slots_.empty()) Rehash(kInitialSlots);
     const std::uint64_t packed = Pack(key);
     const std::uint64_t mask = slots_.size() - 1;
@@ -49,17 +54,21 @@ class CopyTable {
       if (s.node == kNone) {
         if ((nodes_.size() + 1) * 4 > slots_.size() * 3) {
           Rehash(slots_.size() * 2);
-          return GetOrCreate(key);  // one level deep: table now has room
+          return IndexOf(key);  // one level deep: table now has room
         }
         s.key = packed;
         s.node = static_cast<std::uint32_t>(nodes_.size());
         nodes_.push_back(Node{key, T{}});
-        return nodes_.back().value;
+        return s.node;
       }
-      if (s.key == packed) return nodes_[s.node].value;
+      if (s.key == packed) return s.node;
       i = (i + 1) & mask;
     }
   }
+
+  // The node at insertion index `index` (< size()).
+  const Node& At(std::uint32_t index) const { return nodes_[index]; }
+  Node& At(std::uint32_t index) { return nodes_[index]; }
 
   const T* Find(const CopyId& key) const {
     if (slots_.empty()) return nullptr;
@@ -121,6 +130,47 @@ class CopyTable {
 
   std::vector<Slot> slots_;  // power-of-two probe array
   std::deque<Node> nodes_;   // stable value storage, insertion order
+};
+
+// The insertion indices of a CopyTable's non-empty queues, so a wait-for
+// snapshot walks the queues that hold entries now instead of every queue
+// ever touched. The owner lists a queue whenever it inserts an entry;
+// Live() unlists the queues that have emptied since and returns the rest
+// in ascending insertion order, the order a full walk of the table visits
+// them in. Edges therefore come out exactly as a full walk emits them.
+//
+// The listed flags live here as a bitmap, not in the queues, so the index
+// adds one bit per queue ever touched plus four bytes per listed queue.
+class LiveQueueIndex {
+ public:
+  // Lists the queue at insertion index `index`; a no-op if it is listed.
+  void List(std::uint32_t index) {
+    if (index >= listed_.size()) listed_.resize(index + 1);
+    if (listed_[index]) return;
+    listed_[index] = true;
+    live_.push_back(index);
+  }
+
+  // Unlists every listed queue for which is_empty(index) holds and returns
+  // the others, ascending. The reference is valid until the next call.
+  template <typename IsEmptyFn>
+  const std::vector<std::uint32_t>& Live(IsEmptyFn&& is_empty) {
+    std::size_t kept = 0;
+    for (const std::uint32_t index : live_) {
+      if (is_empty(index)) {
+        listed_[index] = false;
+      } else {
+        live_[kept++] = index;
+      }
+    }
+    live_.resize(kept);
+    std::sort(live_.begin(), live_.end());
+    return live_;
+  }
+
+ private:
+  std::vector<bool> listed_;          // by insertion index
+  std::vector<std::uint32_t> live_;   // listed indices, unordered
 };
 
 }  // namespace unicc

@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "net/flaky_transport.h"
 #include "net/sharded_transport.h"
+#include "storage/replica_check.h"
 
 namespace unicc {
 
@@ -659,12 +660,16 @@ SerializabilityReport Engine::CheckSerializability() const {
   return ConflictGraphChecker::Check(log_, committed_);
 }
 
-std::uint64_t Engine::ReadCopy(const CopyId& copy) const {
-  const SiteId idx = copy.site - options_.num_user_sites;
+const Store& Engine::StoreAt(SiteId site) const {
+  const SiteId idx = site - options_.num_user_sites;
   UNICC_CHECK(idx < backends_.size());
   UNICC_CHECK_MSG(backends_[idx] != nullptr,
-                  "copy's site owned by another shard");
-  return backends_[idx]->store().Read(copy);
+                  "data site owned by another shard");
+  return backends_[idx]->store();
+}
+
+std::uint64_t Engine::ReadCopy(const CopyId& copy) const {
+  return StoreAt(copy.site).Read(copy);
 }
 
 std::vector<std::uint64_t> Engine::ReadReplicas(ItemId item) const {
@@ -677,13 +682,9 @@ std::vector<std::uint64_t> Engine::ReadReplicas(ItemId item) const {
 }
 
 bool Engine::ReplicasConsistent() const {
-  for (ItemId i = 0; i < options_.num_items; ++i) {
-    const std::uint64_t first = ReadCopy(catalog_->CopyOf(i, 0));
-    for (std::uint32_t k = 1; k < catalog_->replication(); ++k) {
-      if (ReadCopy(catalog_->CopyOf(i, k)) != first) return false;
-    }
-  }
-  return true;
+  return ReplicasAgree(*catalog_, [this](SiteId site) -> const Store& {
+    return StoreAt(site);
+  });
 }
 
 std::string Engine::DebugDump() const {

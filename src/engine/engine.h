@@ -133,6 +133,8 @@ class Engine {
   // Reads the value of every copy of `item`; all replicas must agree at
   // quiescence under read-one/write-all.
   std::vector<std::uint64_t> ReadReplicas(ItemId item) const;
+  // True iff they do for every item. Visits written copies only, so the
+  // cost scales with the data the run wrote, not with the keyspace.
   bool ReplicasConsistent() const;
 
   Simulator& simulator() { return sim_; }
@@ -167,6 +169,8 @@ class Engine {
   // Per-shard summary of a drained run (Run()'s tail, without the event
   // loop).
   RunSummary Summarize() const;
+  // The store of one data site, which must be owned by this shard.
+  const Store& StoreAt(SiteId site) const;
   // Reads one physical copy; the copy's site must be owned by this shard.
   std::uint64_t ReadCopy(const CopyId& copy) const;
   // Non-null iff this engine is a shard (the transport downcast the

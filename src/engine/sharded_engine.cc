@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "net/sharded_transport.h"
+#include "storage/replica_check.h"
 
 namespace unicc {
 
@@ -201,21 +202,10 @@ std::vector<std::uint64_t> ShardedEngine::ReadReplicas(ItemId item) const {
 }
 
 bool ShardedEngine::ReplicasConsistent() const {
-  const Catalog& catalog = engines_[0]->catalog();
-  for (ItemId i = 0; i < options_.num_items; ++i) {
-    std::uint64_t first = 0;
-    for (std::uint32_t k = 0; k < catalog.replication(); ++k) {
-      const CopyId copy = catalog.CopyOf(i, k);
-      const std::uint64_t v =
-          engines_[plan_.OwnerOf(copy.site)]->ReadCopy(copy);
-      if (k == 0) {
-        first = v;
-      } else if (v != first) {
-        return false;
-      }
-    }
-  }
-  return true;
+  return ReplicasAgree(engines_[0]->catalog(),
+                       [this](SiteId site) -> const Store& {
+                         return engines_[plan_.OwnerOf(site)]->StoreAt(site);
+                       });
 }
 
 std::uint64_t ShardedEngine::MessagesOfKind(MessageKind k) const {

@@ -40,6 +40,14 @@ EngineCallbacks EstimatorCallbacks(ParamEstimator* est) {
 
 namespace {
 
+// Seconds since *mark; moves *mark to now.
+double SecondsSince(std::chrono::steady_clock::time_point* mark) {
+  const auto now = std::chrono::steady_clock::now();
+  const double s = std::chrono::duration<double>(now - *mark).count();
+  *mark = now;
+  return s;
+}
+
 template <typename EngineT, typename KindCountFn>
 RunStats ExtractStatsImpl(EngineT& engine, const RunSummary& summary,
                           KindCountFn&& kind_count) {
@@ -97,6 +105,37 @@ RunStats ExtractStats(ShardedEngine& engine, const RunSummary& summary) {
   return ExtractStatsImpl(engine, summary, [&engine](MessageKind k) {
     return engine.MessagesOfKind(k);
   });
+}
+
+Status CheckAccounting(const RunStats& stats, std::uint64_t expired_in_flight,
+                       const TimelineRecorder* timeline) {
+  if (stats.committed + expired_in_flight != stats.admitted) {
+    return Status::FailedPrecondition(
+        "accounting: committed + expired != admitted (" +
+        std::to_string(stats.committed) + " + " +
+        std::to_string(expired_in_flight) + " != " +
+        std::to_string(stats.admitted) + ")");
+  }
+  std::uint64_t by_proto = 0;
+  for (std::uint64_t c : stats.committed_by_proto) by_proto += c;
+  if (by_proto != stats.committed) {
+    return Status::FailedPrecondition(
+        "accounting: per-protocol commits sum to " + std::to_string(by_proto) +
+        ", committed " + std::to_string(stats.committed));
+  }
+  if (timeline != nullptr) {
+    std::uint64_t by_window = 0;
+    for (std::size_t w = 0; w < timeline->NumWindows(); ++w) {
+      by_window += timeline->Window(w).committed;
+    }
+    if (by_window != stats.committed) {
+      return Status::FailedPrecondition(
+          "accounting: per-window commits sum to " +
+          std::to_string(by_window) + ", committed " +
+          std::to_string(stats.committed));
+    }
+  }
+  return Status::OK();
 }
 
 std::uint64_t PeakRssKb() {
@@ -224,6 +263,8 @@ void RunSession::InstallPolicy(std::uint32_t shard, Engine& engine) {
 RunReport RunSession::Run() {
   UNICC_CHECK_MSG(!ran_, "RunSession::Run may only be called once");
   ran_ = true;
+  RunReport report;
+  auto mark = std::chrono::steady_clock::now();
 
   // Resolve the workload (and its forced-protocol set) before any engine
   // exists; workload generation draws from its own rng streams.
@@ -259,13 +300,20 @@ RunReport RunSession::Run() {
       InstallPolicy(s, sharded_engine_->shard(s));
     }
     UNICC_CHECK(sharded_engine_->AddWorkload(*arrivals).ok());
-    const RunSummary summary = sharded_engine_->Run();
-    RunReport report;
-    report.summary = summary;
-    report.stats = ExtractStats(*sharded_engine_, summary);
+    report.setup_s = SecondsSince(&mark);
+    report.summary = sharded_engine_->Run();
+    report.simulate_s = SecondsSince(&mark);
+    report.stats = ExtractStats(*sharded_engine_, report.summary);
+    report.verify_s = SecondsSince(&mark);
     report.stats.peak_rss_kb = PeakRssKb();
     report.events_run = sharded_engine_->TotalEventsRun();
     report.shards = shards_;
+    std::uint64_t expired_in_flight = 0;
+    for (std::uint32_t s = 0; s < shards_; ++s) {
+      expired_in_flight += sharded_engine_->shard(s).expired_count();
+    }
+    report.status = CheckAccounting(report.stats, expired_in_flight,
+                                    sharded_engine_->timeline());
     return report;
   }
 
@@ -279,7 +327,7 @@ RunReport RunSession::Run() {
   if (arrivals != nullptr) {
     UNICC_CHECK(engine_->AddWorkload(*arrivals).ok());
   }
-  RunReport report;
+  report.setup_s = SecondsSince(&mark);
   const EngineOptions::WatchdogControls& wd = spec_.engine.watchdog;
   if (wd.run_deadline != 0 || wd.stall_window != 0) {
     report.status = RunWatched(wd);
@@ -287,10 +335,17 @@ RunReport RunSession::Run() {
   } else {
     report.summary = engine_->Run();
   }
+  report.simulate_s = SecondsSince(&mark);
   report.stats = ExtractStats(*engine_, report.summary);
+  report.verify_s = SecondsSince(&mark);
   report.stats.peak_rss_kb = PeakRssKb();
   report.events_run = engine_->simulator().EventsRun();
   report.shards = 1;
+  // A watchdog-cancelled run is partial: its identities need not hold.
+  if (report.status.ok()) {
+    report.status = CheckAccounting(report.stats, engine_->expired_count(),
+                                    engine_->timeline());
+  }
   return report;
 }
 

@@ -101,7 +101,15 @@ struct RunReport {
   // watchdog cancelled the run (wall-clock run_deadline_ms exceeded, or no
   // commit/expiry progress for a full stall_ms window); the message names
   // the last progress point. Stats/summary then describe the partial run.
+  // FailedPrecondition also when a drained run breaks an accounting
+  // identity (see CheckAccounting); the message names the identity.
   Status status = Status::OK();
+  // Wall-clock seconds per phase of Run(): setup (workload resolution,
+  // engine build, admission), simulate (the event loop) and verify (stats
+  // extraction, including the serializability and replica checks).
+  double setup_s = 0;
+  double simulate_s = 0;
+  double verify_s = 0;
 };
 
 class RunSession {
@@ -162,6 +170,16 @@ EngineCallbacks EstimatorCallbacks(ParamEstimator* est);
 // Extracts the row data from a completed run.
 RunStats ExtractStats(Engine& engine, const RunSummary& summary);
 RunStats ExtractStats(ShardedEngine& engine, const RunSummary& summary);
+
+// The accounting identities every drained run must satisfy:
+//   committed + expired_in_flight == admitted, where expired_in_flight
+//     counts admitted transactions that expired (stats.expired also counts
+//     arrivals that expired while parked at the admission gate);
+//   the per-protocol commits sum to committed;
+//   the per-window commits sum to committed, when `timeline` is non-null.
+// Returns FailedPrecondition naming the first identity that fails.
+Status CheckAccounting(const RunStats& stats, std::uint64_t expired_in_flight,
+                       const TimelineRecorder* timeline);
 
 // The process's peak resident set size in KB (getrusage), 0 if the
 // platform cannot report it.

@@ -76,6 +76,16 @@ class Store {
     return size_ + (escape_set_ ? 1 : 0);
   }
 
+  // Calls fn(copy, value) once per written copy, escape slot included, in
+  // probe-array order. O(capacity), independent of the keyspace.
+  template <typename Fn>
+  void ForEachWritten(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.key != kEmptyKey) fn(Unpack(s.key), s.value);
+    }
+    if (escape_set_) fn(Unpack(kEmptyKey), escape_value_);
+  }
+
  private:
   struct Slot {
     std::uint64_t key = kEmptyKey;
@@ -87,6 +97,10 @@ class Store {
 
   static std::uint64_t Pack(const CopyId& c) {
     return (static_cast<std::uint64_t>(c.item) << 32) | c.site;
+  }
+  static CopyId Unpack(std::uint64_t packed) {
+    return CopyId{static_cast<ItemId>(packed >> 32),
+                  static_cast<SiteId>(packed & 0xffffffffu)};
   }
 
   // splitmix64 finalizer (same dispersion rationale as CopyTable).

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "cc/pa/pa_manager.h"
 #include "cc/to/to_manager.h"
 #include "cc/twopl/lock_manager.h"
+#include "common/rng.h"
 #include "net/transport.h"
 #include "sim/simulator.h"
 #include "storage/log.h"
@@ -246,6 +251,177 @@ TEST(PaQueueManagerTest, BackoffInsteadOfReject) {
     }
   }
   EXPECT_TRUE(backed_off);
+}
+
+// ------------------------------------------------ wait-edge snapshots ----
+
+// Where a (txn, copy) request stands at its copy.
+enum class Held { kGone, kWaiting, kGranted };
+
+// Drives random multi-copy request/release/abort traffic through one pure
+// backend, in bursts that alternate with drains so queues keep emptying and
+// refilling. After every step the backend's CollectWaitEdges(), which walks
+// only its live queues, must return exactly full_walk(backend, touched):
+// the edges of every copy ever touched, in first-touch order.
+template <typename Backend, typename HeldFn, typename FullWalkFn>
+void FuzzWaitEdgeSnapshots(Protocol proto, std::uint64_t seed, HeldFn held,
+                           FullWalkFn full_walk) {
+  Simulator sim;
+  NetworkOptions net;
+  net.base_delay = 1;
+  net.local_delay = 1;
+  SimTransport transport(&sim, net, Rng(1));
+  ImplementationLog log;
+  transport.RegisterSite(kUserSite, [](SiteId, const Message&) {});
+  Backend backend(kDataSite, CcContext{&sim, &transport, &log});
+  transport.RegisterSite(kDataSite, [](SiteId, const Message&) {});
+
+  struct Live {
+    Attempt attempt = 1;
+    OpType op = OpType::kRead;
+  };
+  std::map<std::pair<TxnId, ItemId>, Live> live;
+  std::map<TxnId, Timestamp> ts_of;  // T/O: one timestamp per transaction
+  std::vector<CopyId> touched;
+  Rng rng(seed * 6151 + 29);
+  TxnId next_txn = 1;
+  Timestamp clock = 0;
+  std::uint64_t edge_snapshots = 0;
+
+  for (int step = 0; step < 4000; ++step) {
+    const bool draining = (step / 200) % 2 == 1;
+    if ((!draining && rng.Bernoulli(0.5)) || live.empty()) {
+      TxnId txn = next_txn;
+      if (!live.empty() && rng.Bernoulli(0.4)) {
+        auto it = live.begin();
+        std::advance(it, static_cast<long>(rng.UniformInt(live.size())));
+        txn = it->first.first;
+      }
+      const CopyId copy{static_cast<ItemId>(rng.UniformInt(5)), kDataSite};
+      if (live.count({txn, copy.item}) != 0) continue;
+      if (txn == next_txn) {
+        ++next_txn;
+        clock += 1 + rng.UniformInt(4);
+        ts_of[txn] = clock;
+      }
+      Live l;
+      l.op = rng.Bernoulli(0.5) ? OpType::kRead : OpType::kWrite;
+      msg::CcRequest m;
+      m.txn = txn;
+      m.attempt = l.attempt;
+      m.copy = copy;
+      m.op = l.op;
+      m.proto = proto;
+      m.ts = ts_of[txn];
+      m.reply_to = kUserSite;
+      if (std::find(touched.begin(), touched.end(), copy) == touched.end()) {
+        touched.push_back(copy);
+      }
+      backend.OnRequest(m);
+      if (held(backend, txn, l.attempt, copy) != Held::kGone) {
+        live.emplace(std::make_pair(txn, copy.item), l);
+      }
+    } else {
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.UniformInt(live.size())));
+      const TxnId txn = it->first.first;
+      const CopyId copy{it->first.second, kDataSite};
+      const Live l = it->second;
+      live.erase(it);
+      const Held h = held(backend, txn, l.attempt, copy);
+      if (h == Held::kGranted && rng.Bernoulli(0.6)) {
+        backend.OnRelease(msg::Release{txn, l.attempt, copy,
+                                       l.op == OpType::kWrite, txn});
+      } else if (h != Held::kGone) {
+        backend.OnAbort(msg::AbortTxn{txn, l.attempt, copy});
+      }
+    }
+    sim.RunToCompletion();
+
+    std::vector<WaitEdge> got;
+    backend.CollectWaitEdges(&got);
+    ASSERT_EQ(got, full_walk(backend, touched)) << "step " << step;
+    if (!got.empty()) ++edge_snapshots;
+  }
+  EXPECT_GT(edge_snapshots, 100u);
+}
+
+TEST(TwoPlLockManagerTest, LiveWaitEdgesMatchFullWalk) {
+  auto held = [](const TwoPlLockManager& b, TxnId txn, Attempt attempt,
+                 const CopyId& copy) {
+    for (const auto& e : b.QueueOf(copy)) {
+      if (e.txn == txn && e.attempt == attempt) {
+        return e.granted ? Held::kGranted : Held::kWaiting;
+      }
+    }
+    return Held::kGone;
+  };
+  // The pre-index full walk: every queue, FCFS edge rules.
+  auto full_walk = [](const TwoPlLockManager& b,
+                      const std::vector<CopyId>& touched) {
+    std::vector<WaitEdge> out;
+    for (const CopyId& copy : touched) {
+      const auto& q = b.QueueOf(copy);
+      for (std::size_t i = 0; i < q.size(); ++i) {
+        if (q[i].granted) continue;
+        for (std::size_t j = 0; j < q.size(); ++j) {
+          if (i == j || q[j].txn == q[i].txn) continue;
+          if (q[j].granted) {
+            if (q[i].op == OpType::kWrite || q[j].op == OpType::kWrite) {
+              out.push_back(WaitEdge{q[i].txn, q[j].txn});
+            }
+          } else if (j < i) {
+            out.push_back(WaitEdge{q[i].txn, q[j].txn});
+          }
+        }
+      }
+    }
+    return out;
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    FuzzWaitEdgeSnapshots<TwoPlLockManager>(Protocol::kTwoPhaseLocking, seed,
+                                            held, full_walk);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(BasicToManagerTest, LiveWaitEdgesMatchFullWalk) {
+  // Reads granted on arrival and committed prewrites leave nothing to
+  // release or abort.
+  auto held = [](const BasicToManager& b, TxnId txn, Attempt attempt,
+                 const CopyId& copy) {
+    const BasicToManager::Copy* c = b.CopyStateOf(copy);
+    if (c == nullptr) return Held::kGone;
+    for (const auto& r : c->waiting) {
+      if (r.txn == txn && r.attempt == attempt) return Held::kWaiting;
+    }
+    for (const auto& p : c->prewrites) {
+      if (p.txn == txn && p.attempt == attempt && !p.release_pending) {
+        return Held::kGranted;
+      }
+    }
+    return Held::kGone;
+  };
+  // The pre-index full walk: every copy, reads wait on older prewrites.
+  auto full_walk = [](const BasicToManager& b,
+                      const std::vector<CopyId>& touched) {
+    std::vector<WaitEdge> out;
+    for (const CopyId& copy : touched) {
+      const BasicToManager::Copy* c = b.CopyStateOf(copy);
+      if (c == nullptr) continue;
+      for (const auto& r : c->waiting) {
+        for (const auto& p : c->prewrites) {
+          if (p.ts < r.ts) out.push_back(WaitEdge{r.txn, p.txn});
+        }
+      }
+    }
+    return out;
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    FuzzWaitEdgeSnapshots<BasicToManager>(Protocol::kTimestampOrdering, seed,
+                                          held, full_walk);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

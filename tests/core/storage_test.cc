@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "common/rng.h"
 #include "storage/catalog.h"
 #include "storage/log.h"
+#include "storage/replica_check.h"
 #include "storage/store.h"
 
 namespace unicc {
@@ -139,6 +142,135 @@ TEST(StoreTest, GrowsPastInitialCapacity) {
   for (std::uint32_t i = 0; i < 1000; ++i) {
     EXPECT_EQ(s.Read(CopyId{i, i % 13}), i + 1);
   }
+}
+
+TEST(StoreTest, ForEachWrittenVisitsEachWrittenCopyOnce) {
+  // Enough distinct copies to force several rehashes, overwrites included,
+  // plus the all-ones CopyId that lives in the escape slot.
+  Store s;
+  std::map<std::pair<ItemId, SiteId>, std::uint64_t> want;
+  Rng rng(17);
+  for (int op = 0; op < 5000; ++op) {
+    const CopyId copy{static_cast<ItemId>(rng.UniformInt(3000)),
+                      static_cast<SiteId>(rng.UniformInt(4))};
+    const std::uint64_t v = rng.UniformInt(3);  // zeros are written too
+    s.Write(copy, v);
+    want[{copy.item, copy.site}] = v;
+  }
+  const CopyId sentinel{0xffffffffu, 0xffffffffu};
+  s.Write(sentinel, 9);
+  want[{sentinel.item, sentinel.site}] = 9;
+
+  std::map<std::pair<ItemId, SiteId>, std::uint64_t> seen;
+  std::size_t visits = 0;
+  s.ForEachWritten([&](const CopyId& copy, std::uint64_t value) {
+    ++visits;
+    seen[{copy.item, copy.site}] = value;
+  });
+  EXPECT_EQ(visits, s.WrittenCopies());
+  EXPECT_EQ(seen, want);
+}
+
+TEST(StoreTest, ForEachWrittenOnEmptyStoreVisitsNothing) {
+  Store s;
+  int visits = 0;
+  s.ForEachWritten([&](const CopyId&, std::uint64_t) { ++visits; });
+  EXPECT_EQ(visits, 0);
+}
+
+// Three data sites, replication 2: copy k of item i lives at site
+// 10 + (i + k) % 3.
+class ReplicaCheckTest : public ::testing::Test {
+ protected:
+  static constexpr ItemId kItems = 50;
+  ReplicaCheckTest() : catalog_(Catalog::Make(kItems, {10, 11, 12}, 2).value()) {}
+
+  Store& StoreOf(SiteId site) { return stores_[site - 10]; }
+  void Write(ItemId item, std::uint32_t k, std::uint64_t v) {
+    const CopyId copy = catalog_.CopyOf(item, k);
+    StoreOf(copy.site).Write(copy, v);
+  }
+  bool Agree() {
+    return ReplicasAgree(catalog_, [this](SiteId site) -> const Store& {
+      return StoreOf(site);
+    });
+  }
+  // The check's predecessor: every item x replica of the keyspace.
+  bool FullWalk() {
+    for (ItemId i = 0; i < kItems; ++i) {
+      const CopyId first = catalog_.CopyOf(i, 0);
+      for (std::uint32_t k = 1; k < catalog_.replication(); ++k) {
+        const CopyId copy = catalog_.CopyOf(i, k);
+        if (StoreOf(copy.site).Read(copy) != StoreOf(first.site).Read(first)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+  Catalog catalog_;
+  Store stores_[3];
+};
+
+TEST_F(ReplicaCheckTest, UnwrittenKeyspaceAgrees) { EXPECT_TRUE(Agree()); }
+
+TEST_F(ReplicaCheckTest, WrittenCopyAgainstUnwrittenSibling) {
+  Write(7, 0, 5);
+  EXPECT_FALSE(Agree());
+  Write(7, 1, 5);
+  EXPECT_TRUE(Agree());
+}
+
+TEST_F(ReplicaCheckTest, TwoWrittenReplicasDiffer) {
+  Write(3, 0, 1);
+  Write(3, 1, 2);
+  EXPECT_FALSE(Agree());
+}
+
+TEST_F(ReplicaCheckTest, ZeroWrittenBesideUnwrittenAgrees) {
+  // A written 0 equals the unwritten default.
+  Write(4, 1, 0);
+  EXPECT_TRUE(Agree());
+}
+
+TEST_F(ReplicaCheckTest, DivergenceAtHighestItemIsCaught) {
+  Write(kItems - 1, 1, 8);
+  EXPECT_FALSE(Agree());
+  Write(kItems - 1, 0, 8);
+  EXPECT_TRUE(Agree());
+}
+
+TEST_F(ReplicaCheckTest, MatchesFullWalkOnRandomStores) {
+  Rng rng(23);
+  int disagreements = 0;
+  for (int round = 0; round < 400; ++round) {
+    for (Store& s : stores_) s = Store();
+    // Mostly consistent writes over a few items, then 0-2 stray replica
+    // writes whose value may or may not break agreement.
+    const int writes = static_cast<int>(rng.UniformInt(20));
+    for (int w = 0; w < writes; ++w) {
+      const ItemId item = static_cast<ItemId>(rng.UniformInt(kItems));
+      const std::uint64_t v = rng.UniformInt(4);
+      for (std::uint32_t k = 0; k < catalog_.replication(); ++k) {
+        Write(item, k, v);
+      }
+    }
+    const int strays = static_cast<int>(rng.UniformInt(3));
+    for (int w = 0; w < strays; ++w) {
+      const ItemId item = rng.Bernoulli(0.2)
+                              ? kItems - 1
+                              : static_cast<ItemId>(rng.UniformInt(kItems));
+      Write(item, static_cast<std::uint32_t>(rng.UniformInt(2)),
+            rng.UniformInt(3));
+    }
+    const bool want = FullWalk();
+    ASSERT_EQ(Agree(), want) << "round " << round;
+    if (!want) ++disagreements;
+  }
+  // Both verdicts must have been exercised.
+  EXPECT_GT(disagreements, 50);
+  EXPECT_LT(disagreements, 350);
 }
 
 TEST(LogTest, AppendsInSequenceOrder) {

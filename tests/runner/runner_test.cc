@@ -1,7 +1,8 @@
 // Runner-facade tests: RunRequest validation surfaces Status errors
 // instead of aborting, EngineBuilder validates before construction, the
-// [run] shards scenario key parses and cross-validates, and NegotiateJobs
-// keeps jobs x shards within the machine.
+// [run] shards scenario key parses and cross-validates, NegotiateJobs
+// keeps jobs x shards within the machine, and every drained run is timed
+// by phase and checked against its accounting identities.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -156,6 +157,63 @@ TEST(RunSessionTest, SeedOverrideChangesResults) {
   EXPECT_EQ(rb.stats.committed, 40u);
   EXPECT_NE(ra.stats.makespan, rb.stats.makespan)
       << "different seeds produced identical runs";
+}
+
+TEST(RunSessionTest, DrainedRunsPassAccountingAndReportPhases) {
+  for (std::uint32_t shards : {1u, 2u}) {
+    const ScenarioSpec spec = SmallSpec();
+    RunRequest request;
+    request.spec = &spec;
+    request.shards = shards;
+    request.metrics_window = 100 * kMillisecond;  // per-window identity too
+    auto session = RunSession::Create(std::move(request));
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    const runner::RunReport report = (*session)->Run();
+    EXPECT_TRUE(report.status.ok()) << report.status.ToString();
+    EXPECT_EQ(report.stats.committed, 40u);
+    EXPECT_GE(report.setup_s, 0);
+    EXPECT_GT(report.simulate_s, 0);
+    EXPECT_GE(report.verify_s, 0);
+  }
+}
+
+TEST(CheckAccountingTest, NamesEachBrokenIdentity) {
+  const ScenarioSpec spec = SmallSpec();
+  RunRequest request;
+  request.spec = &spec;
+  request.metrics_window = 100 * kMillisecond;
+  auto session = RunSession::Create(std::move(request));
+  ASSERT_TRUE(session.ok());
+  const runner::RunStats stats = (*session)->Run().stats;
+  const TimelineRecorder* timeline = (*session)->timeline();
+  ASSERT_NE(timeline, nullptr);
+  ASSERT_TRUE(runner::CheckAccounting(stats, 0, timeline).ok());
+
+  runner::RunStats lost = stats;
+  ++lost.admitted;
+  const Status admitted = runner::CheckAccounting(lost, 0, timeline);
+  EXPECT_EQ(admitted.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(admitted.message().find("committed + expired != admitted"),
+            std::string::npos)
+      << admitted.ToString();
+  // Admitted work that expired balances the same books.
+  EXPECT_TRUE(runner::CheckAccounting(lost, 1, nullptr).ok());
+
+  runner::RunStats split = stats;
+  ++split.committed_by_proto[1];
+  const Status by_proto = runner::CheckAccounting(split, 0, timeline);
+  EXPECT_EQ(by_proto.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(by_proto.message().find("per-protocol commits"),
+            std::string::npos)
+      << by_proto.ToString();
+
+  const TimelineRecorder empty(100 * kMillisecond);
+  const Status by_window = runner::CheckAccounting(stats, 0, &empty);
+  EXPECT_EQ(by_window.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(by_window.message().find("per-window commits"), std::string::npos)
+      << by_window.ToString();
+  // Without a timeline the per-window identity is not checked.
+  EXPECT_TRUE(runner::CheckAccounting(stats, 0, nullptr).ok());
 }
 
 TEST(ScenarioShardsKeyTest, ParsesIntoEngineOptions) {

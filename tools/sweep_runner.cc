@@ -188,10 +188,10 @@ Experiment MakeE9(std::uint64_t txns) {
 // simulation per cell via `run_cell`. Cells are claimed from a shared
 // atomic cursor, so long cells do not stall short ones behind a static
 // partition.
-std::vector<RunStats> RunIndexed(
+std::vector<runner::RunReport> RunIndexed(
     std::size_t count, unsigned num_threads,
-    const std::function<RunStats(std::size_t)>& run_cell) {
-  std::vector<RunStats> results(count);
+    const std::function<runner::RunReport(std::size_t)>& run_cell) {
+  std::vector<runner::RunReport> results(count);
   std::atomic<std::size_t> next{0};
 
   auto worker = [&] {
@@ -231,14 +231,15 @@ void WriteJsonString(std::FILE* f, const std::string& s) {
 
 // Writes one experiment's results as BENCH_<id>.json. Schema per cell:
 // the grid parameters plus throughput [tx/s], abort_rate (aborts per
-// admitted attempt), mean/p95 response time [ms] and raw counters. A cell
+// admitted attempt), mean/p95 response time [ms], raw counters and the
+// run's wall-clock phases [s] (setup, simulate, verify). A cell
 // whose scenario failed to load or validate is written as an "error"
 // record (params + message, no stats); `errors` may be empty (no failures
 // possible, e.g. the built-in grids) or one entry per cell with the empty
 // string marking success.
 bool WriteReport(const std::string& id, const std::string& description,
                  const std::vector<std::vector<Param>>& cell_params,
-                 const std::vector<RunStats>& results,
+                 const std::vector<runner::RunReport>& results,
                  const std::string& out_dir, unsigned num_threads,
                  std::uint64_t txns,
                  const std::vector<std::string>& errors = {}) {
@@ -259,7 +260,7 @@ bool WriteReport(const std::string& id, const std::string& description,
                num_threads, static_cast<unsigned long long>(txns));
   for (std::size_t i = 0; i < cell_params.size(); ++i) {
     const std::vector<Param>& params = cell_params[i];
-    const RunStats& s = results[i];
+    const RunStats& s = results[i].stats;
     const double aborts = static_cast<double>(s.deadlock_victims) +
                           static_cast<double>(s.reject_restarts);
     const double attempts = static_cast<double>(s.committed) + aborts;
@@ -310,6 +311,12 @@ bool WriteReport(const std::string& id, const std::string& description,
     // largest run up to and including it (cells run in job order).
     std::fprintf(f, "      \"peak_rss_kb\": %llu,\n",
                  static_cast<unsigned long long>(s.peak_rss_kb));
+    // Wall-clock seconds, machine-dependent like peak_rss_kb.
+    std::fprintf(f,
+                 "      \"setup_s\": %.6f,\n      \"simulate_s\": %.6f,\n"
+                 "      \"verify_s\": %.6f,\n",
+                 results[i].setup_s, results[i].simulate_s,
+                 results[i].verify_s);
     std::fprintf(f, "      \"serializable\": %s\n",
                  s.serializable ? "true" : "false");
     std::fprintf(f, "    }%s\n", i + 1 == cell_params.size() ? "" : ",");
@@ -380,7 +387,8 @@ int RunScenarioSweep(const std::string& scenario_path,
     // Every job failed before it started; still write the report so the
     // failure is visible as data, not just a log line.
     WriteReport(report_id, "scenario sweep over " + scenario_path,
-                std::vector<std::vector<Param>>(1), std::vector<RunStats>(1),
+                std::vector<std::vector<Param>>(1),
+                std::vector<runner::RunReport>(1),
                 out_dir, num_threads, 0, {ini.status().ToString()});
     return 2;
   }
@@ -456,10 +464,12 @@ int RunScenarioSweep(const std::string& scenario_path,
   std::printf("sweep_runner: %zu scenario cells (%zu axes, %zu invalid) on "
               "%u threads\n",
               total, axes.size(), failed, num_threads);
-  const std::vector<RunStats> results =
+  const std::vector<runner::RunReport> results =
       RunIndexed(total, num_threads, [&specs, &errors](std::size_t i) {
-        if (!errors[i].empty()) return RunStats();  // recorded, not run
-        return RunScenario(specs[i]);
+        if (!errors[i].empty()) {
+          return runner::RunReport();  // recorded, not run
+        }
+        return RunScenarioReport(specs[i]);
       });
 
   const ScenarioSpec* base = first_ok < total ? &specs[first_ok] : nullptr;
@@ -603,17 +613,17 @@ int main(int argc, char** argv) {
   std::printf("sweep_runner: %zu cells across %zu experiments on %u threads\n",
               all_cells.size(), experiments.size(), num_threads);
 
-  const std::vector<RunStats> results =
+  const std::vector<runner::RunReport> results =
       RunIndexed(all_cells.size(), num_threads, [&all_cells](std::size_t i) {
-        return RunOne(all_cells[i].cfg, all_cells[i].policy,
-                      all_cells[i].fixed);
+        return RunOneReport(all_cells[i].cfg, all_cells[i].policy,
+                            all_cells[i].fixed);
       });
 
   bool ok = true;
   for (std::size_t e = 0; e < experiments.size(); ++e) {
     const auto [begin, end] = ranges[e];
-    const std::vector<RunStats> slice(results.begin() + begin,
-                                        results.begin() + end);
+    const std::vector<runner::RunReport> slice(results.begin() + begin,
+                                               results.begin() + end);
     std::vector<std::vector<Param>> cell_params;
     cell_params.reserve(end - begin);
     for (std::size_t c = begin; c < end; ++c) {

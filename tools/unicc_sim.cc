@@ -525,9 +525,10 @@ int main(int argc, char** argv) {
   const runner::RunStats& stats = run_report.stats;
 
   if (!run_report.status.ok()) {
-    // The run watchdog cancelled the run; the summary below describes the
-    // partial run up to the cancellation point.
-    std::fprintf(stderr, "watchdog: %s\n",
+    // The run watchdog cancelled the run (the summary below describes the
+    // partial run up to the cancellation point), or a drained run broke an
+    // accounting identity.
+    std::fprintf(stderr, "run status: %s\n",
                  run_report.status.ToString().c_str());
   }
   std::printf("committed          : %llu/%llu\n",
@@ -562,12 +563,16 @@ int main(int argc, char** argv) {
               stats.serializable ? "yes" : "NO");
   std::printf("replicas consistent: %s\n",
               stats.replicas_consistent ? "yes" : "NO");
-  // stderr: the record/replay CI check diffs stdout, and the peak RSS of
-  // two separate processes legitimately differs.
+  // stderr: the record/replay CI check diffs stdout, and the peak RSS and
+  // wall-clock phases of two separate processes legitimately differ.
   if (stats.peak_rss_kb != 0) {
     std::fprintf(stderr, "peak rss           : %llu KB\n",
                  static_cast<unsigned long long>(stats.peak_rss_kb));
   }
+  std::fprintf(stderr,
+               "wall clock         : setup %.3f s, simulate %.3f s, "
+               "verify %.3f s\n",
+               run_report.setup_s, run_report.simulate_s, run_report.verify_s);
 
   if (const TimelineRecorder* tl = session->timeline(); tl != nullptr) {
     if (!flags.timeline_csv.empty()) {
@@ -616,6 +621,6 @@ int main(int argc, char** argv) {
         "lambda_w=%.3f Q_r=%.2f K=%.1f\n",
         sys.lambda_a, sys.lambda_r, sys.lambda_w, sys.q_r, sys.k_avg);
   }
-  if (!run_report.status.ok()) return 3;  // watchdog-cancelled run
+  if (!run_report.status.ok()) return 3;  // cancelled, or accounting broke
   return stats.serializable ? 0 : 1;
 }
