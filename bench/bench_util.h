@@ -134,8 +134,7 @@ inline RunStats RunOne(const BenchConfig& cfg, PolicyKind policy,
 // Runs one declarative scenario to completion (sweep_runner's --scenario
 // mode and scenario-driven benches). The arrivals-override flavour powers
 // the golden determinism suite's record -> replay runs; RunScenario runs
-// the path the scenario asks for (batch or streaming admission), sharded
-// when the scenario sets [run] shards > 1.
+// the path the scenario asks for (batch or streaming admission).
 inline RunStats RunScenarioWith(
     const ScenarioSpec& spec,
     const std::vector<WorkloadGenerator::Arrival>& arrivals,

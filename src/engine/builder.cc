@@ -4,11 +4,6 @@ namespace unicc {
 
 StatusOr<std::unique_ptr<Engine>> EngineBuilder::Build() {
   if (Status s = options_.Validate(); !s.ok()) return s;
-  if (stream_ != nullptr && options_.shards > 1) {
-    return Status::InvalidArgument(
-        "arrival streams are incompatible with sharded runs: streaming "
-        "admission needs a global gate");
-  }
   auto engine = std::make_unique<Engine>(options_, std::move(callbacks_));
   if (policy_) engine->SetProtocolPolicy(std::move(policy_));
   for (auto& [txn, fn] : compute_) engine->SetCompute(txn, std::move(fn));

@@ -15,19 +15,6 @@ Status EngineOptions::Validate() const {
   if (replication == 0 || replication > num_data_sites) {
     return Status::InvalidArgument("replication must be in [1, data sites]");
   }
-  if (shards == 0) {
-    return Status::InvalidArgument("shards must be at least 1");
-  }
-  if (shards > num_user_sites || shards > num_data_sites) {
-    return Status::InvalidArgument(
-        "shards must not exceed min(user sites, data sites): every shard "
-        "needs at least one site of each kind");
-  }
-  if (shards > 1 && fault.MinLinkDelay(network.base_delay) == 0) {
-    return Status::InvalidArgument(
-        "sharded runs need a minimum inter-site delay > 0 (base_delay, or "
-        "lan_ms with a topology): it is the conservative lookahead bound");
-  }
   if (Status s = fault.Validate(num_user_sites + num_data_sites); !s.ok()) {
     return s;
   }

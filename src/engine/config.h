@@ -76,12 +76,6 @@ struct EngineOptions {
 
   std::uint64_t seed = 42;
 
-  // Number of engine shards for the parallel (window-barrier) run mode.
-  // 1 keeps the classic single-threaded engine. N > 1 partitions sites
-  // round-robin across N shards (see engine/shard.h) and requires a
-  // non-zero base_delay, which bounds the conservative lookahead.
-  std::uint32_t shards = 1;
-
   // Open-system run controls. They bound *streaming* admission
   // (Engine::SetArrivalStream); batch admission (AddWorkload /
   // AddTransaction) is unaffected. 0 means "unbounded" for each.
@@ -120,7 +114,7 @@ struct EngineOptions {
   };
   RunControls run;
 
-  // Run-level watchdog (RunSession): both knobs 0 = disabled.
+  // Run-level watchdog (Engine::Run): both knobs 0 = disabled.
   struct WatchdogControls {
     // Wall-clock budget for the whole run; exceeded => the run is
     // cancelled cleanly with a Status naming the last progress point.

@@ -1,6 +1,8 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <chrono>
+#include <string>
 #include <utility>
 #include <variant>
 
@@ -10,25 +12,19 @@
 #include "cc/unified/queue_manager.h"
 #include "common/check.h"
 #include "net/flaky_transport.h"
-#include "net/sharded_transport.h"
 #include "storage/replica_check.h"
 
 namespace unicc {
 
 namespace {
-// Seeds the cross-shard jitter rng independently of root_rng_'s fork
-// sequence, so sharding never perturbs the classic engine's draw order.
-constexpr std::uint64_t kCrossRngSalt = 0xc2b2ae3d27d4eb4full;
-// Re-submission jitter stream; likewise independent of root_rng_, so
-// enabling retries never perturbs existing draw order.
+// Re-submission jitter stream; independent of root_rng_'s fork sequence,
+// so enabling retries never perturbs existing draw order.
 constexpr std::uint64_t kRetrySalt = 0x94d049bb133111ebull;
 }  // namespace
 
-Engine::Engine(EngineOptions options, EngineCallbacks callbacks,
-               ShardContext shard)
+Engine::Engine(EngineOptions options, EngineCallbacks callbacks)
     : options_(std::move(options)),
       callbacks_(std::move(callbacks)),
-      shard_ctx_(shard),
       root_rng_(options_.seed),
       retry_rng_(options_.seed ^ kRetrySalt) {
   UNICC_CHECK_MSG(options_.Validate().ok(), "invalid engine options");
@@ -48,13 +44,11 @@ Engine::~Engine() = default;
 DataSiteBackend* Engine::BackendAt(SiteId site) {
   const SiteId idx = site - options_.num_user_sites;
   UNICC_CHECK(idx < backends_.size());
-  UNICC_CHECK_MSG(backends_[idx] != nullptr, "data site owned by another shard");
   return backends_[idx].get();
 }
 
 RequestIssuer* Engine::IssuerAt(SiteId site) {
   UNICC_CHECK(site < issuers_.size());
-  UNICC_CHECK_MSG(issuers_[site] != nullptr, "user site owned by another shard");
   return issuers_[site].get();
 }
 
@@ -62,19 +56,12 @@ TxnDirectory Engine::MakeDirectory() {
   TxnDirectory directory;
   directory.protocol_of = [this](TxnId t) {
     auto it = txn_meta_.find(t);
-    if (it != txn_meta_.end()) return it->second.protocol;
-    if (shard_ctx_.directory != nullptr) {
-      if (const auto* m = shard_ctx_.directory->Find(t)) return m->protocol;
-    }
-    return Protocol::kTwoPhaseLocking;
+    return it != txn_meta_.end() ? it->second.protocol
+                                 : Protocol::kTwoPhaseLocking;
   };
   directory.home_of = [this](TxnId t) {
     auto it = txn_meta_.find(t);
-    if (it != txn_meta_.end()) return it->second.home;
-    if (shard_ctx_.directory != nullptr) {
-      if (const auto* m = shard_ctx_.directory->Find(t)) return m->home;
-    }
-    return SiteId{0};
+    return it != txn_meta_.end() ? it->second.home : SiteId{0};
   };
   return directory;
 }
@@ -85,9 +72,7 @@ void Engine::BuildSites() {
   detector_site_ = num_user + num_data;
 
   if (options_.fault.Active() || options_.fault.force_flaky) {
-    // ShardedEngine resolves the derived fault seed before shard seeds are
-    // mixed in; a classic engine resolves it here (shard 0 keeps the
-    // original seed, so classic and shards=1 agree either way).
+    // A zero fault seed derives one from the engine seed.
     if (options_.fault.seed == 0) {
       options_.fault.seed = options_.seed ^ kFaultSeedSalt;
     }
@@ -95,16 +80,9 @@ void Engine::BuildSites() {
         options_.fault, options_.network, num_user + num_data + 1);
   }
 
-  // The rng fork position is identical in every branch, so enabling (or
+  // The rng fork position is identical in both branches, so enabling (or
   // force-enabling) the fault layer never perturbs downstream draw order.
-  if (IsShard()) {
-    auto sharded = std::make_unique<ShardedTransport>(
-        &sim_, options_.network, root_rng_.Fork(), shard_ctx_.shard,
-        shard_ctx_.plan->site_shard, shard_ctx_.bus,
-        Rng(options_.seed ^ kCrossRngSalt), fault_model_.get());
-    sharded_transport_ = sharded.get();
-    transport_ = std::move(sharded);
-  } else if (fault_model_ != nullptr) {
+  if (fault_model_ != nullptr) {
     transport_ = std::make_unique<FlakyTransport>(
         &sim_, options_.network, root_rng_.Fork(), fault_model_.get());
   } else {
@@ -137,14 +115,8 @@ void Engine::BuildSites() {
     if (callbacks_.on_backoff_offer) callbacks_.on_backoff_offer(op);
   };
 
-  // Data sites. In a sharded run only owned sites are instantiated; the
-  // vector keeps its full length (nullptr holes) so site -> index
-  // arithmetic is shard-independent.
+  // Data sites.
   for (SiteId s : data_sites) {
-    if (!OwnsSite(s)) {
-      backends_.push_back(nullptr);
-      continue;
-    }
     std::unique_ptr<DataSiteBackend> backend;
     if (options_.backend == BackendKind::kUnified) {
       UnifiedQmOptions qm;
@@ -177,10 +149,6 @@ void Engine::BuildSites() {
       options_.semi_locks && options_.backend == BackendKind::kUnified;
   issuer_options.request_timeout = options_.request_timeout;
   for (std::uint32_t u = 0; u < num_user; ++u) {
-    if (!OwnsSite(u)) {
-      issuers_.push_back(nullptr);
-      continue;
-    }
     if (options_.max_clock_skew > 0) {
       issuer_options.clock_skew =
           root_rng_.UniformInt(options_.max_clock_skew + 1);
@@ -233,35 +201,20 @@ void Engine::BuildSites() {
 
   // Deadlock detection.
   const TxnDirectory directory = MakeDirectory();
-  if (OwnsSite(detector_site_)) {
-    transport_->RegisterSite(detector_site_,
-                             [this](SiteId from, const Message& m) {
-                               RouteToDetectorSite(from, m);
-                             });
-  }
-  if (options_.detector == DetectorKind::kCentral &&
-      OwnsSite(detector_site_)) {
+  transport_->RegisterSite(detector_site_,
+                           [this](SiteId from, const Message& m) {
+                             RouteToDetectorSite(from, m);
+                           });
+  if (options_.detector == DetectorKind::kCentral) {
     central_detector_ = std::make_unique<CentralDeadlockDetector>(
         detector_site_, ctx, options_.central_detector, data_sites,
         directory);
-    // The central detector serves every shard, so in a sharded run its
-    // ticks stop only on the coordinator's global flag, not when this
-    // shard's own transactions happen to be done.
-    central_detector_->SetStopFlag(shard_ctx_.global_stop != nullptr
-                                       ? shard_ctx_.global_stop
-                                       : &stopped_);
+    central_detector_->SetStopFlag(&stopped_);
     central_detector_->Start();
   } else if (options_.detector == DetectorKind::kProbe) {
     for (std::uint32_t u = 0; u < num_user; ++u) {
-      if (!OwnsSite(u)) {
-        probe_detectors_.push_back(nullptr);
-        continue;
-      }
       auto det = std::make_unique<ProbeDeadlockDetector>(
           u, ctx, options_.probe_detector, issuers_[u].get(), directory);
-      // Probe initiation is local: once every transaction homed here has
-      // committed no local issuer waits again, so the shard-local flag is
-      // a safe stop condition even mid-run.
       det->SetStopFlag(&stopped_);
       det->Start();
       probe_detectors_.push_back(std::move(det));
@@ -276,7 +229,7 @@ void Engine::BuildSites() {
   // rest, with issuer timeouts re-covering dropped requests.
   if (fault_model_ != nullptr) {
     for (const CrashEvent& c : options_.fault.crashes) {
-      if (c.site >= num_user || !OwnsSite(c.site)) continue;
+      if (c.site >= num_user) continue;
       const SiteId site = c.site;
       const SimTime recover_at = c.at + c.down;
       sim_.ScheduleAt(c.at, [this, site, recover_at]() {
@@ -300,9 +253,7 @@ void Engine::RouteToUserSite(SiteId site, SiteId from, const Message& m) {
   } else if (const auto* v = std::get_if<msg::Victim>(&m)) {
     issuer->OnVictim(*v);
   } else if (const auto* p = std::get_if<msg::Probe>(&m)) {
-    if (site < probe_detectors_.size() && probe_detectors_[site] != nullptr) {
-      probe_detectors_[site]->OnProbe(*p);
-    }
+    if (site < probe_detectors_.size()) probe_detectors_[site]->OnProbe(*p);
   } else {
     UNICC_CHECK_MSG(false, "unexpected message at user site");
   }
@@ -365,6 +316,7 @@ Status Engine::ValidateSpec(const TxnSpec& spec) const {
 
 Status Engine::AddTransaction(SimTime when, TxnSpec spec) {
   if (Status s = ValidateSpec(spec); !s.ok()) return s;
+  ++offered_;
   ++admitted_;
   stopped_ = false;
   admission_pool_.push_back(std::move(spec));
@@ -413,20 +365,13 @@ void Engine::AdmitSpec(TxnSpec spec, SimTime arrival) {
                     "pure backend cannot mix protocols");
   }
   txn_meta_[spec.id] = TxnMeta{spec.home, spec.protocol};
-  if (shard_ctx_.directory != nullptr) {
-    shard_ctx_.directory->Publish(shard_ctx_.shard, spec.id,
-                                  ShardDirectory::TxnMeta{spec.home,
-                                                          spec.protocol});
-  }
   IssuerAt(spec.home)->Begin(spec, arrival);
 }
 
 void Engine::SetCompute(TxnId txn, ComputeFn fn) {
   // The home issuer is not known until admission, so the function is staged
   // on every issuer; ids are unique, only the home site ever consumes it.
-  for (auto& issuer : issuers_) {
-    if (issuer != nullptr) issuer->SetCompute(txn, fn);
-  }
+  for (auto& issuer : issuers_) issuer->SetCompute(txn, fn);
 }
 
 void Engine::SetProtocolPolicy(ProtocolPolicy policy) {
@@ -460,6 +405,7 @@ void Engine::PullNextArrival() {
   if (stream_ != nullptr && stream_->Next(&a) &&
       (options_.run.time_horizon == 0 ||
        a.when <= options_.run.time_horizon)) {
+    ++offered_;
     next_arrival_ = std::move(a);
     arrival_scheduled_ = true;
     // A deferred arrival is admitted at commit time, which can run past
@@ -623,14 +569,9 @@ void Engine::CloseAdmission() {
   stream_.reset();
 }
 
-void Engine::BeginShardRun() {
-  // With nothing pending the stop flag can never flip on a commit, and the
-  // deadlock detector would re-schedule its tick forever.
-  CheckQuiescent();
-}
-
 RunSummary Engine::Summarize() const {
   RunSummary s;
+  s.offered = offered_;
   s.admitted = admitted_;
   s.committed = committed_count_;
   s.shed = metrics_.shed();
@@ -641,7 +582,6 @@ RunSummary Engine::Summarize() const {
   s.deadlock_victims = deadlock_victim_count();
   s.mean_system_time_ms = metrics_.MeanSystemTimeMs();
   for (const auto& issuer : issuers_) {
-    if (issuer == nullptr) continue;
     s.reject_restarts += issuer->reject_restarts();
     s.backoff_rounds += issuer->backoff_rounds();
   }
@@ -649,11 +589,76 @@ RunSummary Engine::Summarize() const {
 }
 
 RunSummary Engine::Run() {
-  BeginShardRun();
-  sim_.RunToCompletion();
-  UNICC_CHECK_MSG(committed_count_ + expired_count_ == admitted_,
-                  "run drained with uncommitted transactions");
-  return Summarize();
+  // With nothing pending the stop flag can never flip on a commit, and the
+  // deadlock detector would re-schedule its tick forever.
+  CheckQuiescent();
+  const EngineOptions::WatchdogControls& wd = options_.watchdog;
+  Status status;
+  if (wd.run_deadline == 0 && wd.stall_window == 0) {
+    sim_.RunToCompletion();
+    UNICC_CHECK_MSG(committed_count_ + expired_count_ == admitted_,
+                    "run drained with uncommitted transactions");
+  } else {
+    status = RunWatched();
+  }
+  RunSummary summary = Summarize();
+  summary.status = std::move(status);
+  return summary;
+}
+
+// Two tripwires:
+//   - run_deadline: wall-clock budget for the whole run (checked between
+//     slices; the only nondeterministic control, by design);
+//   - stall_window: simulated time without a single commit or expiry. The
+//     loop advances in stall_window-sized slices, so a stall is detected
+//     deterministically after between one and two windows of no progress.
+Status Engine::RunWatched() {
+  const EngineOptions::WatchdogControls& wd = options_.watchdog;
+  // Without stall detection, slice just often enough to check the clock.
+  const Duration slice =
+      wd.stall_window != 0 ? wd.stall_window : 100 * kMillisecond;
+  const auto wall_start = std::chrono::steady_clock::now();
+  // The tail every cancellation message shares.
+  auto counts = [this] {
+    return ", committed " + std::to_string(committed_count_) + ", expired " +
+           std::to_string(expired_count_) + " of " + std::to_string(admitted_) +
+           " admitted)";
+  };
+  std::uint64_t progress = committed_count_ + expired_count_;
+  SimTime cursor = 0;
+  SimTime progress_at = 0;  // slice boundary when progress was last seen
+  while (sim_.NextEventTime() != Simulator::kNoPending) {
+    cursor = std::max(cursor, sim_.NextEventTime()) + slice;
+    sim_.RunUntil(cursor);
+    const std::uint64_t now_progress = committed_count_ + expired_count_;
+    if (now_progress > progress) {
+      progress = now_progress;
+      progress_at = cursor;
+    } else if (wd.stall_window != 0 &&
+               cursor - progress_at >= wd.stall_window) {
+      stopped_ = true;
+      return Status::FailedPrecondition(
+          "run stalled: no commit or expiry for " +
+          std::to_string((cursor - progress_at) / kMillisecond) +
+          " ms of simulated time (last progress: " +
+          std::to_string(last_commit_ / kMillisecond) + " ms" + counts());
+    }
+    if (wd.run_deadline != 0) {
+      const auto elapsed =
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - wall_start);
+      if (static_cast<Duration>(elapsed.count()) >= wd.run_deadline) {
+        stopped_ = true;
+        return Status::FailedPrecondition(
+            "run deadline exceeded: " +
+            std::to_string(wd.run_deadline / kMillisecond) +
+            " ms of wall clock (last progress: " +
+            std::to_string(last_commit_ / kMillisecond) + " ms simulated" +
+            counts());
+      }
+    }
+  }
+  return Status::OK();
 }
 
 SerializabilityReport Engine::CheckSerializability() const {
@@ -663,20 +668,15 @@ SerializabilityReport Engine::CheckSerializability() const {
 const Store& Engine::StoreAt(SiteId site) const {
   const SiteId idx = site - options_.num_user_sites;
   UNICC_CHECK(idx < backends_.size());
-  UNICC_CHECK_MSG(backends_[idx] != nullptr,
-                  "data site owned by another shard");
   return backends_[idx]->store();
-}
-
-std::uint64_t Engine::ReadCopy(const CopyId& copy) const {
-  return StoreAt(copy.site).Read(copy);
 }
 
 std::vector<std::uint64_t> Engine::ReadReplicas(ItemId item) const {
   std::vector<std::uint64_t> out;
   out.reserve(catalog_->replication());
   for (std::uint32_t k = 0; k < catalog_->replication(); ++k) {
-    out.push_back(ReadCopy(catalog_->CopyOf(item, k)));
+    const CopyId copy = catalog_->CopyOf(item, k);
+    out.push_back(StoreAt(copy.site).Read(copy));
   }
   return out;
 }
@@ -698,22 +698,17 @@ std::string Engine::DebugDump() const {
                 sim_.PendingEvents());
   out += buf;
   for (const auto& issuer : issuers_) {
-    if (issuer == nullptr) continue;
     std::snprintf(buf, sizeof(buf), "issuer site %u: %zu active\n",
                   issuer->site(), issuer->ActiveCount());
     out += buf;
   }
-  for (const auto& backend : backends_) {
-    if (backend != nullptr) out += backend->DebugString();
-  }
+  for (const auto& backend : backends_) out += backend->DebugString();
   return out;
 }
 
 std::uint64_t Engine::deadlock_victim_count() const {
   std::uint64_t n = 0;
-  for (const auto& issuer : issuers_) {
-    if (issuer != nullptr) n += issuer->deadlock_restarts();
-  }
+  for (const auto& issuer : issuers_) n += issuer->deadlock_restarts();
   return n;
 }
 

@@ -19,7 +19,6 @@
 #include "common/status.h"
 #include "engine/admission.h"
 #include "engine/config.h"
-#include "engine/shard.h"
 #include "metrics/metrics.h"
 #include "metrics/timeline.h"
 #include "serializability/conflict_graph.h"
@@ -30,24 +29,6 @@
 #include "workload/stream.h"
 
 namespace unicc {
-
-class ShardBus;
-class ShardedTransport;
-
-// Wiring for one shard of a sharded run (owned by ShardedEngine). The
-// default state (plan == nullptr) selects the classic unsharded engine;
-// with a plan installed the engine instantiates only the sites its shard
-// owns and routes cross-shard messages through the bus.
-struct ShardContext {
-  std::uint32_t shard = 0;
-  const ShardPlan* plan = nullptr;
-  ShardBus* bus = nullptr;
-  ShardDirectory* directory = nullptr;
-  // When set, the central detector polls this coordinator-owned flag
-  // instead of the engine-local one: a shard must not silence the global
-  // detector just because its own transactions all committed.
-  const bool* global_stop = nullptr;
-};
 
 // Optional external observers (the STL parameter estimator subscribes).
 struct EngineCallbacks {
@@ -62,6 +43,10 @@ struct EngineCallbacks {
 
 // Summary of a completed run.
 struct RunSummary {
+  // Arrivals offered to the engine: batch admissions plus stream arrivals
+  // accepted inside the time horizon. Under overload control every offer
+  // ends exactly once: committed, expired, or shed without a retry.
+  std::uint64_t offered = 0;
   std::uint64_t admitted = 0;
   std::uint64_t committed = 0;
   // Overload-control outcomes: shed at the admission gate, expired past a
@@ -75,14 +60,17 @@ struct RunSummary {
   std::uint64_t reject_restarts = 0;
   std::uint64_t backoff_rounds = 0;
   double mean_system_time_ms = 0;
+  // OK for a run that drained. FailedPrecondition when the run watchdog
+  // (options().watchdog) cancelled it; the message names the last
+  // progress point and the summary describes the partial run.
+  Status status = Status::OK();
 };
 
 class Engine {
  public:
   // Prefer EngineBuilder (engine/builder.h), which validates the options
   // and returns Status instead of aborting on invalid configurations.
-  explicit Engine(EngineOptions options, EngineCallbacks callbacks = {},
-                  ShardContext shard = {});
+  explicit Engine(EngineOptions options, EngineCallbacks callbacks = {});
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -121,7 +109,10 @@ class Engine {
 
   // Runs the event loop until every admitted transaction committed, the
   // arrival stream (if any) is exhausted or closed by a run control, and
-  // all residual protocol traffic drained. Returns the summary.
+  // all residual protocol traffic drained. Returns the summary. With a
+  // watchdog knob set (options().watchdog) the loop runs in slices and a
+  // wedged or over-budget run is cancelled and reported through the
+  // summary's status instead of spinning.
   RunSummary Run();
 
   // --- post-run inspection --------------------------------------------
@@ -148,34 +139,14 @@ class Engine {
   std::uint64_t deadlock_victim_count() const;
   SiteId detector_site() const { return detector_site_; }
 
-  // --- sharded-run interface (driven by ShardedEngine) ------------------
-  // Mirrors Run()'s head: marks the engine stoppable when nothing is
-  // pending, so detector ticks do not spin an empty shard forever. Call
-  // once before the first RunWindow.
-  void BeginShardRun();
-  // Runs every event with timestamp < end (the conservative window);
-  // returns the number executed.
-  std::uint64_t RunWindow(SimTime end) { return sim_.RunUntil(end - 1); }
-  // Stops detector ticks from rescheduling so the shard can drain.
-  void ForceStop() { stopped_ = true; }
-  SimTime NextEventTime() const { return sim_.NextEventTime(); }
-  std::uint64_t admitted() const { return admitted_; }
-  std::uint64_t committed_count() const { return committed_count_; }
   // Admitted transactions expired past their deadline (overload control);
   // committed + expired == admitted once a run drains.
   std::uint64_t expired_count() const { return expired_count_; }
-  SimTime last_commit() const { return last_commit_; }
-  const CommittedSet& committed_set() const { return committed_; }
-  // Per-shard summary of a drained run (Run()'s tail, without the event
-  // loop).
-  RunSummary Summarize() const;
-  // The store of one data site, which must be owned by this shard.
+  // True once commit_target closed admission. Parked and pulled-ahead
+  // work is then dropped uncounted, so offered arrivals no longer balance.
+  bool admission_closed() const { return admission_closed_; }
+  // The store of one data site.
   const Store& StoreAt(SiteId site) const;
-  // Reads one physical copy; the copy's site must be owned by this shard.
-  std::uint64_t ReadCopy(const CopyId& copy) const;
-  // Non-null iff this engine is a shard (the transport downcast the
-  // coordinator uses to inject drained envelopes).
-  ShardedTransport* sharded_transport() { return sharded_transport_; }
 
   // Human-readable dump of all non-empty data queues and in-flight
   // transactions (debugging/observability).
@@ -183,15 +154,13 @@ class Engine {
 
  private:
   void BuildSites();
-  // True when this engine is one shard of a ShardedEngine run.
-  bool IsShard() const { return shard_ctx_.plan != nullptr; }
-  // True when this engine instantiates `site` (always, unless sharded).
-  bool OwnsSite(SiteId site) const {
-    return !IsShard() || shard_ctx_.plan->Owns(shard_ctx_.shard, site);
-  }
-  // The detectors' txn -> (protocol, home) view: local admissions first,
-  // then the cross-shard directory.
+  // The detectors' txn -> (protocol, home) view.
   TxnDirectory MakeDirectory();
+  // The watchdog's sliced event loop (Run() with a watchdog knob set).
+  // Returns OK if the run drained, or FailedPrecondition naming the last
+  // progress point if it was cancelled.
+  Status RunWatched();
+  RunSummary Summarize() const;
   Status ValidateSpec(const TxnSpec& spec) const;
   // Runs at a transaction's arrival time: applies the protocol policy and
   // hands the pooled spec to its home issuer.
@@ -251,7 +220,6 @@ class Engine {
 
   EngineOptions options_;
   EngineCallbacks callbacks_;
-  ShardContext shard_ctx_;
   Rng root_rng_;
   Simulator sim_;
   // Must outlive transport_, which holds a borrowed pointer to it.
@@ -263,11 +231,8 @@ class Engine {
   std::unique_ptr<TimelineRecorder> timeline_;
 
   SiteId detector_site_ = 0;
-  // Per user/data site; in a sharded engine, unowned sites hold nullptr so
-  // site -> index arithmetic stays shard-independent.
-  std::vector<std::unique_ptr<RequestIssuer>> issuers_;
-  std::vector<std::unique_ptr<DataSiteBackend>> backends_;
-  ShardedTransport* sharded_transport_ = nullptr;  // borrowed, see transport_
+  std::vector<std::unique_ptr<RequestIssuer>> issuers_;  // per user site
+  std::vector<std::unique_ptr<DataSiteBackend>> backends_;  // per data site
   std::unique_ptr<CentralDeadlockDetector> central_detector_;
   std::vector<std::unique_ptr<ProbeDeadlockDetector>> probe_detectors_;
 
@@ -283,6 +248,7 @@ class Engine {
   };
   std::unordered_map<TxnId, TxnMeta> txn_meta_;
   CommittedSet committed_;
+  std::uint64_t offered_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t committed_count_ = 0;
   SimTime last_commit_ = 0;

@@ -93,30 +93,6 @@ void RunMetrics::OnRestart(Protocol proto, TxnOutcome why) {
   }
 }
 
-void RunMetrics::MergeFrom(const RunMetrics& other) {
-  for (std::size_t p = 0; p < kNumProtocols; ++p) {
-    ProtocolStats& dst = per_proto_[p];
-    const ProtocolStats& src = other.per_proto_[p];
-    dst.committed += src.committed;
-    dst.restarts += src.restarts;
-    dst.backoff_rounds += src.backoff_rounds;
-    dst.system_time.Merge(src.system_time);
-  }
-  all_system_time_.Merge(other.all_system_time_);
-  total_committed_ += other.total_committed_;
-  deadlock_restarts_ += other.deadlock_restarts_;
-  reject_restarts_ += other.reject_restarts_;
-  timeout_restarts_ += other.timeout_restarts_;
-  shed_ += other.shed_;
-  expired_ += other.expired_;
-  retried_ += other.retried_;
-  goodput_committed_ += other.goodput_committed_;
-  if (keep_results_) {
-    results_.insert(results_.end(), other.results_.begin(),
-                    other.results_.end());
-  }
-}
-
 double RunMetrics::ThroughputPerSec(SimTime elapsed) const {
   if (elapsed == 0) return 0;
   return static_cast<double>(total_committed_) /

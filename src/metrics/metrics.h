@@ -27,10 +27,10 @@ class DurationStat {
 
   void Add(Duration d);
 
-  // Folds another stat into this one (sharded-run merge). Count, sum and
-  // max stay exact; retained samples are concatenated, so percentiles over
-  // the union keep every sample both sides retained. Merging into a fresh
-  // stat is an exact copy.
+  // Folds another stat into this one (e.g. pooling several runs' system
+  // times). Count, sum and max stay exact; retained samples are
+  // concatenated, so percentiles over the union keep every sample both
+  // sides retained. Merging into a fresh stat is an exact copy.
   void Merge(const DurationStat& other);
 
   std::uint64_t count() const { return count_; }
@@ -67,11 +67,6 @@ class RunMetrics {
   void OnShed() { ++shed_; }
   void OnExpired() { ++expired_; }
   void OnRetried() { ++retried_; }
-
-  // Folds another run's metrics into this one; used to combine per-shard
-  // metrics in stable shard order. keep_results_ rows are appended in call
-  // order, so the merged results() list is deterministic.
-  void MergeFrom(const RunMetrics& other);
 
   const ProtocolStats& ForProtocol(Protocol p) const {
     return per_proto_[static_cast<std::size_t>(p)];

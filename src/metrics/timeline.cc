@@ -41,28 +41,6 @@ void TimelineRecorder::OnShed(SimTime now) { ++At(now).shed; }
 
 void TimelineRecorder::OnExpired(SimTime now) { ++At(now).expired; }
 
-void TimelineRecorder::MergeFrom(const TimelineRecorder& other) {
-  UNICC_CHECK_MSG(window_ == other.window_,
-                  "merging timelines with different window lengths");
-  if (!other.windows_.empty()) {
-    At(other.windows_.back().start);  // grow to cover the other's range
-  }
-  end_ = std::max(end_, other.end_);
-  for (std::size_t i = 0; i < other.windows_.size(); ++i) {
-    WindowStats& dst = windows_[i];
-    const WindowStats& src = other.windows_[i];
-    dst.committed += src.committed;
-    dst.goodput += src.goodput;
-    dst.shed += src.shed;
-    dst.expired += src.expired;
-    for (std::size_t p = 0; p < kNumProtocols; ++p) {
-      dst.committed_by_proto[p] += src.committed_by_proto[p];
-      dst.restarts_by_proto[p] += src.restarts_by_proto[p];
-    }
-    dst.system_time.Merge(src.system_time);
-  }
-}
-
 SimTime TimelineRecorder::WindowEnd(std::size_t i) const {
   const SimTime full = windows_[i].start + window_;
   if (i + 1 < windows_.size()) return full;

@@ -55,11 +55,6 @@ class TimelineRecorder {
     DurationStat system_time;
   };
 
-  // Folds another recorder (same window length) into this one; windows are
-  // summed index-wise. Used to combine per-shard timelines in stable shard
-  // order.
-  void MergeFrom(const TimelineRecorder& other);
-
   Duration window() const { return window_; }
   // Latest event time seen; the recorded end of run. The final window is
   // usually partial, so exports clamp its end (and throughput divisor) to

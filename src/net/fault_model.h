@@ -8,10 +8,10 @@
 // Every decision is *positional*: a pure hash of (fault seed, channel,
 // per-channel sequence number, purpose salt), never a stateful RNG
 // stream. That is what makes fault schedules bit-reproducible under a
-// fixed --fault-seed, independent of shard partitioning (the same
-// (from, to, seq) message gets the same fate wherever its sender runs)
-// and free on the no-fault path (an inactive model draws nothing, so a
-// FlakyTransport without faults is byte-identical to SimTransport).
+// fixed --fault-seed (the same (from, to, seq) message always gets the
+// same fate) and free on the no-fault path (an inactive model draws
+// nothing, so a FlakyTransport without faults is byte-identical to
+// SimTransport).
 //
 // Message-kind semantics (see docs/architecture.md, "Fault model"):
 //   reliable   — {Grant, FinalTs, Release, SemiTransform, AbortTxn} are
@@ -40,8 +40,6 @@
 namespace unicc {
 
 // Mixed into the engine seed to derive a fault seed when none is given.
-// Resolution must happen before per-shard seed mixing (ShardedEngine does
-// it in its constructor) so every shard shares one fault schedule.
 constexpr std::uint64_t kFaultSeedSalt = 0xf4a7c159e3779b97ull;
 
 // One fail-stop site outage: the site is down in [at, at + down). While
@@ -54,9 +52,7 @@ struct CrashEvent {
 };
 
 struct FaultOptions {
-  // Seed of the positional fault hash; 0 derives one from the engine seed
-  // (resolved once, before shard seeds are mixed, so every shard of a
-  // sharded run sees the same fault schedule).
+  // Seed of the positional fault hash; 0 derives one from the engine seed.
   std::uint64_t seed = 0;
 
   // --- topology ([topology] scenario section) -------------------------
@@ -102,12 +98,6 @@ struct FaultOptions {
   // Structural validation; `total_sites` bounds crash site ids (user +
   // data sites; the detector site is not crashable).
   Status Validate(std::uint32_t total_sites) const;
-
-  // The smallest possible inter-site link delay — the sharded engine's
-  // conservative lookahead bound. `base` is NetworkOptions::base_delay.
-  Duration MinLinkDelay(Duration base) const {
-    return regions > 0 ? lan_delay : base;
-  }
 };
 
 class FaultModel {

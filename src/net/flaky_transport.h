@@ -33,9 +33,7 @@ class FlakyTransport : public SimTransport {
   std::uint64_t dropped() const { return dropped_; }
   std::uint64_t duplicated() const { return duplicated_; }
 
- protected:
-  // Shared with ShardedTransport's cross-shard path.
-  const FaultModel* model() const { return model_; }
+ private:
   // Next per-channel ordinal (the fault schedule's position index).
   std::uint64_t NextSeq(SiteId from, SiteId to);
   // Applies the model's crash gating to a delivery at `deliver`: returns
@@ -46,8 +44,6 @@ class FlakyTransport : public SimTransport {
 
   std::uint64_t dropped_ = 0;
   std::uint64_t duplicated_ = 0;
-
- private:
   const FaultModel* model_;
   std::unordered_map<std::uint64_t, std::uint64_t> seq_;
 };

@@ -66,9 +66,8 @@ class SimTransport : public Transport {
 
  protected:
   // Hooks for transports layered on the simulated substrate (see
-  // ShardedTransport, FlakyTransport): counter accounting without
-  // scheduling, and direct scheduling of a delivery whose delay was
-  // computed elsewhere.
+  // FlakyTransport): counter accounting without scheduling, and direct
+  // scheduling of a delivery whose delay was computed elsewhere.
   void Account(const Message& m, bool remote);
   void ScheduleDelivery(SimTime when, SiteId from, SiteId to, Message m);
   // Applies FIFO-per-channel ordering: returns `deliver`, pushed past the
@@ -77,7 +76,6 @@ class SimTransport : public Transport {
   // fifo_per_channel is off.
   SimTime ClampFifo(SiteId from, SiteId to, SimTime deliver);
   Simulator* sim() const { return sim_; }
-  const NetworkOptions& options() const { return options_; }
 
  private:
   Duration DelayFor(SiteId from, SiteId to);

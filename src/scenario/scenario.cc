@@ -600,9 +600,6 @@ Status ParseRunSection(const IniSection& sec, EngineOptions* eo) {
       if (Status s = ParseMs(e, &eo->metrics_window); !s.ok()) return s;
     } else if (e.key == "keep_results") {
       if (Status s = ParseBool(e, &eo->keep_results); !s.ok()) return s;
-    } else if (e.key == "shards") {
-      if (Status s = ParseUint(e, &u); !s.ok()) return s;
-      eo->shards = static_cast<std::uint32_t>(u);
     } else if (e.key == "queue_limit") {
       if (Status s = ParseUint(e, &u); !s.ok()) return s;
       eo->run.queue_limit = static_cast<std::uint32_t>(u);
@@ -824,12 +821,6 @@ Status CrossValidate(const ScenarioSpec& spec) {
     }
   }
   if (Status s = ValidateTimeline(spec); !s.ok()) return s;
-  if (spec.engine.shards > 1 && spec.IsOpenSystem()) {
-    return Status::InvalidArgument(
-        "[run] shards > 1 is batch-only: open-system run controls "
-        "(horizon_ms / commit_target / max_inflight) need a global "
-        "admission gate");
-  }
   if (spec.engine.run.shed_policy == ShedPolicy::kDeadline) {
     const bool any_deadline =
         std::any_of(spec.classes.begin(), spec.classes.end(),
@@ -839,13 +830,6 @@ Status CrossValidate(const ScenarioSpec& spec) {
           "[run] shed_policy = deadline needs at least one class with "
           "deadline_ms");
     }
-  }
-  if (spec.engine.shards > 1 &&
-      (spec.engine.watchdog.run_deadline != 0 ||
-       spec.engine.watchdog.stall_window != 0)) {
-    return Status::InvalidArgument(
-        "[run] run_deadline_ms / stall_ms watch a single-engine run; "
-        "they are incompatible with shards > 1");
   }
   return spec.engine.Validate();
 }

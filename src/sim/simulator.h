@@ -88,9 +88,9 @@ class Simulator {
 
   // Earliest queued event time, or kNoPending when the queue is empty.
   // Cancelled placeholders count: the result is a conservative lower bound
-  // on the next live event, which is what conservative window scheduling
-  // needs (RunUntil frees placeholders at the top, so progress is still
-  // guaranteed).
+  // on the next live event, which is what a sliced run loop (the engine's
+  // watchdog) needs (RunUntil frees placeholders at the top, so progress
+  // is still guaranteed).
   SimTime NextEventTime() const;
 
   // Total events executed so far (cancelled events never count).

@@ -1,7 +1,5 @@
 #include "storage/log.h"
 
-#include <algorithm>
-
 namespace unicc {
 
 const std::vector<LogRecord> ImplementationLog::kEmpty;
@@ -23,20 +21,6 @@ std::vector<CopyId> ImplementationLog::Copies() const {
   out.reserve(logs_.size());
   for (const auto& [copy, log] : logs_) out.push_back(copy);
   return out;
-}
-
-void ImplementationLog::MergeFrom(const ImplementationLog& other) {
-  const std::uint64_t base = next_seq_;
-  std::vector<CopyId> copies = other.Copies();
-  std::sort(copies.begin(), copies.end());
-  for (const CopyId& copy : copies) {
-    std::vector<LogRecord>& dst = logs_[copy];
-    for (LogRecord rec : other.LogOf(copy)) {
-      rec.seq += base;
-      dst.push_back(rec);
-    }
-  }
-  next_seq_ += other.next_seq_;
 }
 
 void ImplementationLog::Clear() {

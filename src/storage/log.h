@@ -45,13 +45,6 @@ class ImplementationLog {
 
   std::uint64_t TotalRecords() const { return next_seq_; }
 
-  // Folds another log into this one. Each copy in a sharded run is written
-  // by exactly one shard, so per-copy record order is preserved verbatim;
-  // the other log's sequence numbers are rebased past this log's so seq
-  // stays strictly increasing within every copy (the checker's invariant).
-  // Copies are merged in sorted CopyId order for determinism.
-  void MergeFrom(const ImplementationLog& other);
-
   void Clear();
 
  private:

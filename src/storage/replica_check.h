@@ -1,6 +1,7 @@
 // Post-run read-one/write-all check: at quiescence every replica of an
-// item must hold the same value. Shared by Engine and ShardedEngine, which
-// differ only in how a data site's store is reached.
+// item must hold the same value. Engine::ReplicasConsistent runs it over
+// its data sites; `store_at` abstracts how a site's store is reached, so
+// the check also runs over bare stores in tests.
 #ifndef UNICC_STORAGE_REPLICA_CHECK_H_
 #define UNICC_STORAGE_REPLICA_CHECK_H_
 

@@ -145,17 +145,6 @@ TEST(TimelineTest, StreamWritersMatchExportWrappers) {
   EXPECT_EQ(json.str(), tl.ExportJson());
 }
 
-TEST(TimelineTest, MergePropagatesTheLatestEnd) {
-  TimelineRecorder a(1000), b(1000);
-  a.OnCommit(At(500, 10));
-  b.OnCommit(At(2500, 10));
-  a.MergeFrom(b);
-  EXPECT_EQ(a.end(), 2500u);
-  ASSERT_EQ(a.NumWindows(), 3u);
-  EXPECT_EQ(a.Window(2).committed, 1u);
-  EXPECT_EQ(a.WindowEnd(2), 2500u);
-}
-
 TEST(TimelineTest, EmptyRecorderExportsHeaderOnly) {
   TimelineRecorder tl(1000);
   EXPECT_EQ(tl.NumWindows(), 0u);

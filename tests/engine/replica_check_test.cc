@@ -1,9 +1,8 @@
-// Engine::ReplicasConsistent and ShardedEngine::ReplicasConsistent visit
-// written copies only. This suite checks them against the walk they
-// replaced — every item x replica of the keyspace, read through
-// ReadReplicas — on real replicated runs, before and after corrupting
-// random copies behind the engine's back (unwritten siblings, written
-// replicas, zeros and the highest item id included).
+// Engine::ReplicasConsistent visits written copies only. This suite checks
+// it against the walk it replaced — every item x replica of the keyspace,
+// read through ReadReplicas — on real replicated runs, before and after
+// corrupting random copies behind the engine's back (unwritten siblings,
+// written replicas, zeros and the highest item id included).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,15 +12,13 @@
 #include "../test_util.h"
 #include "common/rng.h"
 #include "engine/engine.h"
-#include "engine/sharded_engine.h"
 #include "workload/generator.h"
 
 namespace unicc {
 namespace {
 
 // The pre-change check: all replicas of every item read the same value.
-template <typename EngineT>
-bool FullKeyspaceWalk(const EngineT& engine, ItemId num_items) {
+bool FullKeyspaceWalk(const Engine& engine, ItemId num_items) {
   for (ItemId i = 0; i < num_items; ++i) {
     const std::vector<std::uint64_t> values = engine.ReadReplicas(i);
     for (std::uint64_t v : values) {
@@ -31,13 +28,12 @@ bool FullKeyspaceWalk(const EngineT& engine, ItemId num_items) {
   return true;
 }
 
-EngineOptions ReplicatedEngine(std::uint64_t seed, std::uint32_t shards) {
+EngineOptions ReplicatedEngine(std::uint64_t seed) {
   EngineOptions eo = test::SmallEngine(seed);
   eo.num_user_sites = 4;
   eo.num_data_sites = 4;
   eo.num_items = 96;
   eo.replication = 2 + static_cast<std::uint32_t>(seed % 3);
-  eo.shards = shards;
   return eo;
 }
 
@@ -64,7 +60,7 @@ void CorruptOne(const Catalog& catalog, ItemId num_items, Rng* rng,
 TEST(ReplicaCheckTest, EngineMatchesFullWalk) {
   int disagreements = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    const EngineOptions eo = ReplicatedEngine(seed, 1);
+    const EngineOptions eo = ReplicatedEngine(seed);
     Engine engine(eo);
     ASSERT_TRUE(engine.AddWorkload(Workload(eo)).ok());
     engine.Run();
@@ -85,39 +81,6 @@ TEST(ReplicaCheckTest, EngineMatchesFullWalk) {
   }
   EXPECT_GT(disagreements, 6);  // the corruptions do break agreement
 }
-
-class ShardedReplicaCheckTest
-    : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(ShardedReplicaCheckTest, MatchesFullWalk) {
-  const std::uint32_t shards = GetParam();
-  int disagreements = 0;
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    const EngineOptions eo = ReplicatedEngine(seed, shards);
-    ShardedEngine engine(eo);
-    ASSERT_TRUE(engine.AddWorkload(Workload(eo)).ok());
-    engine.Run();
-    ASSERT_TRUE(engine.ReplicasConsistent()) << "seed " << seed;
-    ASSERT_TRUE(FullKeyspaceWalk(engine, eo.num_items)) << "seed " << seed;
-
-    Rng rng(seed * 37 + shards);
-    const int corruptions = 1 + static_cast<int>(rng.UniformInt(2));
-    for (int c = 0; c < corruptions; ++c) {
-      CorruptOne(engine.shard(0).catalog(), eo.num_items, &rng,
-                 [&engine](SiteId site) -> const Store& {
-                   return engine.shard(engine.plan().OwnerOf(site))
-                       .StoreAt(site);
-                 });
-    }
-    const bool want = FullKeyspaceWalk(engine, eo.num_items);
-    EXPECT_EQ(engine.ReplicasConsistent(), want) << "seed " << seed;
-    if (!want) ++disagreements;
-  }
-  EXPECT_GT(disagreements, 3);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ShardedReplicaCheckTest,
-                         ::testing::Values(1u, 2u, 4u));
 
 }  // namespace
 }  // namespace unicc

@@ -2,7 +2,7 @@
 //
 // Each fuzz seed deterministically derives a full run configuration —
 // workload shape, topology tier, protocol policy, message-fault rates,
-// crash schedule, shard count — runs it to completion and checks the
+// crash schedule, overload controls — runs it to completion and checks the
 // safety oracle: the run drains (every admitted transaction commits),
 // the committed history is serializable and all replicas converge. A
 // subset of seeds is run twice and must be byte-identical (faults do not
@@ -155,22 +155,21 @@ ScenarioSpec SpecForSeed(std::uint64_t seed) {
   }
   spec.classes.push_back(cls);
 
-  // A quarter of schedules run on the two-shard parallel engine: the
-  // fault layer must hold through the window barriers too.
-  if (Pick(&s, 4) == 0) eo.shards = 2;
+  // Retired draw: it once picked a shard count. Consuming it keeps every
+  // later positional draw, and so every corpus seed's workload and fault
+  // schedule, in place.
+  (void)Pick(&s, 4);
 
   // Overload-control draws ride along at the END of the positional
   // stream, so every pre-existing corpus schedule is reproduced exactly.
-  // A third of classic-engine schedules engage the bounded admission
-  // gate (sharded runs are batch-only and skip it; the draws are still
-  // consumed to keep positions stable).
+  // A third of schedules engage the bounded admission gate.
   const std::uint64_t overload = Pick(&s, 3);
   const std::uint64_t mpl = 2 + Pick(&s, 6);
   const std::uint64_t qlimit = 2 + Pick(&s, 8);
   const std::uint64_t shed_draw = Pick(&s, 3);
   const std::uint64_t retry_draw = Pick(&s, 2);
   const Duration deadline = (300 + Pick(&s, 500)) * kMillisecond;
-  if (overload == 0 && eo.shards == 1) {
+  if (overload == 0) {
     eo.run.max_inflight = static_cast<std::uint32_t>(mpl);
     eo.run.queue_limit = static_cast<std::uint32_t>(qlimit);
     eo.run.shed_policy = shed_draw == 0   ? ShedPolicy::kDropNewest

@@ -3,10 +3,7 @@
 // The contracts that make fault injection safe to ship:
 //   1. The fault schedule is positional — a pure function of (fault seed,
 //      channel, per-channel sequence number). Two models with the same
-//      options agree on every decision, in any query order. This is also
-//      what makes the schedule independent of shard partitioning: the
-//      sharded cross-shard path asks the same questions about the same
-//      (from, to, seq) triples.
+//      options agree on every decision, in any query order.
 //   2. Reliable kinds (Grant, FinalTs, Release, SemiTransform, AbortTxn)
 //      are never dropped, and only receiver-idempotent kinds are ever
 //      duplicated.

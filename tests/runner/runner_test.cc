@@ -1,8 +1,7 @@
 // Runner-facade tests: RunRequest validation surfaces Status errors
-// instead of aborting, EngineBuilder validates before construction, the
-// [run] shards scenario key parses and cross-validates, NegotiateJobs
-// keeps jobs x shards within the machine, and every drained run is timed
-// by phase and checked against its accounting identities.
+// instead of aborting, EngineBuilder validates before construction, and
+// every drained run is timed by phase and checked against its accounting
+// identities, the open-system offered-arrival identity included.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,7 +15,6 @@
 namespace unicc {
 namespace {
 
-using runner::NegotiateJobs;
 using runner::RunRequest;
 using runner::RunSession;
 
@@ -52,27 +50,6 @@ TEST(RunSessionTest, RejectsForcedSetWithoutArrivals) {
   request.forced = std::make_shared<std::unordered_set<TxnId>>();
   auto session = RunSession::Create(std::move(request));
   EXPECT_FALSE(session.ok());
-}
-
-TEST(RunSessionTest, RejectsShardCountExceedingSites) {
-  const ScenarioSpec spec = SmallSpec();  // 2 user / 2 data sites
-  RunRequest request;
-  request.spec = &spec;
-  request.shards = 4;
-  auto session = RunSession::Create(std::move(request));
-  ASSERT_FALSE(session.ok());
-  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(RunSessionTest, RejectsShardedOpenSystemRun) {
-  const ScenarioSpec spec = SmallSpec("\n[run]\nmax_inflight = 8\n");
-  ASSERT_TRUE(spec.IsOpenSystem());
-  RunRequest request;
-  request.spec = &spec;
-  request.shards = 2;
-  auto session = RunSession::Create(std::move(request));
-  ASSERT_FALSE(session.ok());
-  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(RunSessionTest, RejectsArrivalsAndStreamTogether) {
@@ -119,24 +96,6 @@ TEST(RunSessionTest, StreamReplayMatchesBatchReplay) {
   EXPECT_TRUE(rs.stats.serializable);
 }
 
-TEST(RunSessionTest, ShardedRunDrainsTheReplayStream) {
-  // Sharded runs are batch-only; a replay stream is drained up front and
-  // partitioned like a materialized workload.
-  const ScenarioSpec spec = SmallSpec();
-  const ScenarioSpec::Workload wl = spec.BuildWorkload();
-  RunRequest request;
-  request.spec = &spec;
-  request.shards = 2;
-  request.arrival_stream = MakeVectorStream(wl.arrivals);
-  request.forced = wl.forced;
-  auto session = RunSession::Create(std::move(request));
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  const auto report = (*session)->Run();
-  EXPECT_EQ(report.shards, 2u);
-  EXPECT_EQ(report.stats.committed, 40u);
-  EXPECT_TRUE(report.stats.serializable);
-}
-
 TEST(RunSessionTest, SeedOverrideChangesResults) {
   const ScenarioSpec spec = SmallSpec();
   RunRequest a;
@@ -160,21 +119,65 @@ TEST(RunSessionTest, SeedOverrideChangesResults) {
 }
 
 TEST(RunSessionTest, DrainedRunsPassAccountingAndReportPhases) {
-  for (std::uint32_t shards : {1u, 2u}) {
-    const ScenarioSpec spec = SmallSpec();
-    RunRequest request;
-    request.spec = &spec;
-    request.shards = shards;
-    request.metrics_window = 100 * kMillisecond;  // per-window identity too
-    auto session = RunSession::Create(std::move(request));
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    const runner::RunReport report = (*session)->Run();
-    EXPECT_TRUE(report.status.ok()) << report.status.ToString();
-    EXPECT_EQ(report.stats.committed, 40u);
-    EXPECT_GE(report.setup_s, 0);
-    EXPECT_GT(report.simulate_s, 0);
-    EXPECT_GE(report.verify_s, 0);
-  }
+  const ScenarioSpec spec = SmallSpec();
+  RunRequest request;
+  request.spec = &spec;
+  request.metrics_window = 100 * kMillisecond;  // per-window identity too
+  auto session = RunSession::Create(std::move(request));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const runner::RunReport report = (*session)->Run();
+  EXPECT_TRUE(report.status.ok()) << report.status.ToString();
+  EXPECT_EQ(report.stats.committed, 40u);
+  EXPECT_EQ(report.stats.offered, 40u);
+  EXPECT_GE(report.setup_s, 0);
+  EXPECT_GT(report.simulate_s, 0);
+  EXPECT_GE(report.verify_s, 0);
+}
+
+TEST(RunSessionTest, OverloadedOpenRunBalancesOfferedArrivals) {
+  // 2000/s offered against an MPL of 4 with an 8-deep deadline gate: work
+  // is shed, some of it retried, some of it expires, and the horizon cuts
+  // the stream short. Every arrival offered inside the horizon must still
+  // end exactly once.
+  auto parsed = ScenarioSpec::Parse(R"(
+[engine]
+user_sites = 2
+data_sites = 2
+items = 16
+delay_ms = 2
+jitter_ms = 1
+seed = 9
+
+[class main]
+txns = 600
+rate = 2000
+size = 2..3
+compute_ms = 3
+deadline_ms = 60
+
+[run]
+horizon_ms = 250
+max_inflight = 4
+queue_limit = 8
+shed_policy = deadline
+retry_limit = 1
+retry_ms = 10
+retry_max_ms = 40
+)");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const ScenarioSpec spec = std::move(*parsed);
+  RunRequest request;
+  request.spec = &spec;
+  auto session = RunSession::Create(std::move(request));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const runner::RunReport report = (*session)->Run();
+  EXPECT_TRUE(report.status.ok()) << report.status.ToString();
+  const runner::RunStats& st = report.stats;
+  EXPECT_GT(st.shed, 0u);
+  EXPECT_GT(st.retried, 0u);
+  EXPECT_GT(st.expired, 0u);
+  EXPECT_LT(st.offered, spec.TotalTxns()) << "the horizon cut nothing";
+  EXPECT_EQ(st.committed + st.expired + (st.shed - st.retried), st.offered);
 }
 
 TEST(CheckAccountingTest, NamesEachBrokenIdentity) {
@@ -187,52 +190,44 @@ TEST(CheckAccountingTest, NamesEachBrokenIdentity) {
   const runner::RunStats stats = (*session)->Run().stats;
   const TimelineRecorder* timeline = (*session)->timeline();
   ASSERT_NE(timeline, nullptr);
-  ASSERT_TRUE(runner::CheckAccounting(stats, 0, timeline).ok());
+  ASSERT_TRUE(runner::CheckAccounting(stats, 0, false, timeline).ok());
 
   runner::RunStats lost = stats;
   ++lost.admitted;
-  const Status admitted = runner::CheckAccounting(lost, 0, timeline);
+  const Status admitted = runner::CheckAccounting(lost, 0, false, timeline);
   EXPECT_EQ(admitted.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(admitted.message().find("committed + expired != admitted"),
             std::string::npos)
       << admitted.ToString();
   // Admitted work that expired balances the same books.
-  EXPECT_TRUE(runner::CheckAccounting(lost, 1, nullptr).ok());
+  EXPECT_TRUE(runner::CheckAccounting(lost, 1, false, nullptr).ok());
+
+  runner::RunStats dropped = stats;
+  ++dropped.offered;
+  const Status offered = runner::CheckAccounting(dropped, 0, false, timeline);
+  EXPECT_EQ(offered.code(), StatusCode::kFailedPrecondition);
+  const std::string want = "committed + expired + (shed - retried) != offered";
+  EXPECT_NE(offered.message().find(want), std::string::npos)
+      << offered.ToString();
+  // Admission closed by commit_target drops parked work uncounted, so the
+  // offered identity is not checked then.
+  EXPECT_TRUE(runner::CheckAccounting(dropped, 0, true, timeline).ok());
 
   runner::RunStats split = stats;
   ++split.committed_by_proto[1];
-  const Status by_proto = runner::CheckAccounting(split, 0, timeline);
+  const Status by_proto = runner::CheckAccounting(split, 0, false, timeline);
   EXPECT_EQ(by_proto.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(by_proto.message().find("per-protocol commits"),
             std::string::npos)
       << by_proto.ToString();
 
   const TimelineRecorder empty(100 * kMillisecond);
-  const Status by_window = runner::CheckAccounting(stats, 0, &empty);
+  const Status by_window = runner::CheckAccounting(stats, 0, false, &empty);
   EXPECT_EQ(by_window.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(by_window.message().find("per-window commits"), std::string::npos)
       << by_window.ToString();
   // Without a timeline the per-window identity is not checked.
-  EXPECT_TRUE(runner::CheckAccounting(stats, 0, nullptr).ok());
-}
-
-TEST(ScenarioShardsKeyTest, ParsesIntoEngineOptions) {
-  const ScenarioSpec spec = SmallSpec("\n[run]\nshards = 2\n");
-  EXPECT_EQ(spec.engine.shards, 2u);
-  EXPECT_FALSE(spec.IsOpenSystem()) << "shards must not imply open-system";
-}
-
-TEST(ScenarioShardsKeyTest, RejectsShardedOpenSystemScenario) {
-  auto spec = ScenarioSpec::Parse(std::string(kSmallScenario) +
-                                  "\n[run]\nshards = 2\ncommit_target = 10\n");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ScenarioShardsKeyTest, RejectsZeroShards) {
-  auto spec = ScenarioSpec::Parse(std::string(kSmallScenario) +
-                                  "\n[run]\nshards = 0\n");
-  EXPECT_FALSE(spec.ok());
+  EXPECT_TRUE(runner::CheckAccounting(stats, 0, false, nullptr).ok());
 }
 
 TEST(EngineBuilderTest, ReturnsStatusOnInvalidOptions) {
@@ -263,20 +258,6 @@ TEST(EngineBuilderTest, BuildsRunnableEngine) {
   ASSERT_TRUE(engine.AddTransaction(0, txn).ok());
   const RunSummary summary = engine.Run();
   EXPECT_EQ(summary.committed, 1u);
-}
-
-TEST(NegotiateJobsTest, ProductNeverOversubscribes) {
-  // Plenty of cores: the request passes through.
-  EXPECT_EQ(NegotiateJobs(8, 1, 16), 8u);
-  // 4-shard cells on 16 cores: at most 4 concurrent cells.
-  EXPECT_EQ(NegotiateJobs(8, 4, 16), 4u);
-  // More shards than cores: serialize the outer pool, never zero.
-  EXPECT_EQ(NegotiateJobs(8, 4, 2), 1u);
-  EXPECT_EQ(NegotiateJobs(1, 64, 4), 1u);
-  // Degenerate inputs clamp instead of dividing by zero.
-  EXPECT_EQ(NegotiateJobs(0, 0, 0), 1u);
-  // The cap never raises the request.
-  EXPECT_EQ(NegotiateJobs(2, 1, 64), 2u);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Run watchdog: a wedged run converts into a descriptive Status instead
 // of spinning, a healthy run under the watchdog is byte-identical to an
-// unwatched one, and the watchdog knobs cross-validate against sharding
-// at both the scenario and the runner layer.
+// unwatched one, and Engine::Run() applies the watchdog itself, without
+// RunSession.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
 
+#include "engine/builder.h"
 #include "runner/runner.h"
 #include "scenario/scenario.h"
 
@@ -80,6 +81,31 @@ TEST(WatchdogTest, WedgedRunTripsTheStallDetector) {
   EXPECT_LT(r.stats.committed, 20u);
 }
 
+TEST(WatchdogTest, BareEngineRunTripsTheStallDetector) {
+  // The same wedge, built straight through EngineBuilder: Engine::Run()
+  // reads options().watchdog itself, so it reports the stall through its
+  // summary, with the message RunSession reports, instead of ignoring
+  // stall_ms and running on through the 600 s outage.
+  const ScenarioSpec spec = Spec(
+      "\n[fault]\ncrashes = 2@20+600000, 3@20+600000\n"
+      "\n[run]\nmax_inflight = 2\nstall_ms = 400\n");
+  ASSERT_TRUE(spec.IsOpenSystem());
+  auto built = EngineBuilder(spec.engine)
+                   .WithProtocolPolicy(FixedProtocol(spec.policy.fixed))
+                   .WithArrivalStream(spec.Open().stream)
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const RunSummary summary = (*built)->Run();
+  ASSERT_FALSE(summary.status.ok());
+  EXPECT_EQ(summary.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(summary.status.ToString().find("stalled"), std::string::npos)
+      << summary.status.ToString();
+  EXPECT_NE(summary.status.ToString().find("last progress"), std::string::npos)
+      << summary.status.ToString();
+  EXPECT_LT(summary.committed, 20u);
+  EXPECT_EQ(summary.status.ToString(), RunSpec(spec).status.ToString());
+}
+
 TEST(WatchdogTest, StallDetectionIsDeterministic) {
   const ScenarioSpec spec = Spec(
       "\n[fault]\ncrashes = 2@20+600000, 3@20+600000\n"
@@ -137,23 +163,6 @@ run_deadline_ms = 0.001
   EXPECT_EQ(r.status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(r.status.ToString().find("deadline"), std::string::npos)
       << r.status.ToString();
-}
-
-TEST(WatchdogTest, WatchdogKnobsRejectShardedScenarios) {
-  // Scenario-level: [run] shards > 1 with a watchdog knob fails
-  // cross-validation.
-  auto parsed = ScenarioSpec::Parse(std::string(kSmallScenario) +
-                                    "\n[run]\nshards = 2\nstall_ms = 500\n");
-  EXPECT_FALSE(parsed.ok());
-  // Runner-level: a programmatic request that forces shards onto a
-  // watchdog spec is rejected at Create, not at run time.
-  const ScenarioSpec spec = Spec("\n[run]\nstall_ms = 500\n");
-  RunRequest request;
-  request.spec = &spec;
-  request.shards = 2;
-  auto session = RunSession::Create(std::move(request));
-  ASSERT_FALSE(session.ok());
-  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -17,14 +17,13 @@
 //   stream_admission   the same scenario pulled through the open-system
 //                      arrival stream under an MPL cap (lazy admission
 //                      gate + deferral path)
-//   sharded_run        the partitioned macro scenario on the 4-shard
-//                      parallel window engine (its own exact digest,
-//                      sharded_digest, guards result determinism)
+//   partitioned_run    the 8x8 partitioned macro scenario (its exact
+//                      digest, partitioned_digest, pins the partitioned
+//                      access pattern's results)
 //   faulty_run         the seeded flaky scenario (message loss /
-//                      duplication / reordering + recovery timeouts).
-//                      The wall-clock rate is informational (never
-//                      gated); its exact digest, faulty_digest, pins the
-//                      fault schedule and the recovery machinery
+//                      duplication / reordering + recovery timeouts);
+//                      its exact digest, faulty_digest, pins the fault
+//                      schedule and the recovery machinery
 //   overload_run       the bounded-admission scenario at 2x offered load
 //                      (deadline shedding + retry backoff); its exact
 //                      digest, overload_digest, additionally folds the
@@ -45,8 +44,8 @@
 // Wall-clock rates are machine-dependent, so the gate uses a tolerance
 // band (default: fail below 0.5x baseline) — wide enough for runner
 // variance, tight enough to catch a reintroduced per-event allocation or
-// an accidental O(n^2). Two machine-independent invariants are checked
-// exactly: the scenario result digest (the simulation is deterministic;
+// an accidental O(n^2). Two kinds of machine-independent invariants are
+// checked exactly: the result digests (the simulation is deterministic;
 // any digest change means results changed, not just speed) and the
 // steady-state arena property (the event loop must not grow its slot
 // arena while load is constant). See docs/performance.md for how to
@@ -55,6 +54,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -78,6 +78,16 @@ struct KernelResult {
   std::string name;
   std::string items;  // unit label: "events", "cycles", "txns"
   double items_per_sec = 0;
+};
+
+// One pinned result digest: written to and read from the report as
+// "<key>_digest", measured on `scenario` ("" for the synthetic trace
+// workload). `message` says what a changed value means.
+struct Digest {
+  const char* key;
+  std::string scenario;
+  std::uint64_t value;
+  const char* message;
 };
 
 double NowSeconds() {
@@ -423,7 +433,7 @@ std::uint64_t DigestOverloadStats(const bench::RunStats& s) {
 KernelResult KernelScenarioRun(const char* name, bool stream,
                                const std::string& path, std::uint64_t txns,
                                std::uint64_t* digest, bool* ok,
-                               int shards = -1, bool scale_main = true) {
+                               bool scale_main = true) {
   KernelResult r;
   r.name = name;
   r.items = "txns";
@@ -437,7 +447,6 @@ KernelResult KernelScenarioRun(const char* name, bool stream,
   IniFile scaled = *ini;
   if (scale_main) scaled.Set("class main", "txns", std::to_string(txns));
   if (stream) scaled.Set("run", "max_inflight", "64");
-  if (shards >= 0) scaled.Set("run", "shards", std::to_string(shards));
   auto spec = ScenarioSpec::FromIni(scaled);
   if (!spec.ok()) {
     std::fprintf(stderr, "perf_gate: %s: %s\n", path.c_str(),
@@ -502,15 +511,7 @@ KernelResult KernelOverloadRun(const std::string& path,
 
 void WriteReport(const std::string& path,
                  const std::vector<KernelResult>& kernels,
-                 std::uint64_t digest, std::uint64_t stream_digest,
-                 std::uint64_t sharded_digest, std::uint64_t faulty_digest,
-                 std::uint64_t overload_digest, std::uint64_t macro_digest,
-                 std::uint64_t trace_digest,
-                 const std::string& scenario,
-                 const std::string& sharded_scenario,
-                 const std::string& faulty_scenario,
-                 const std::string& overload_scenario,
-                 const std::string& macro_scenario) {
+                 const std::vector<Digest>& digests) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "perf_gate: cannot open %s\n", path.c_str());
@@ -518,30 +519,16 @@ void WriteReport(const std::string& path,
   }
   std::fprintf(f,
                "{\n  \"suite\": \"core\",\n"
-               "  \"generated_by\": \"perf_gate\",\n"
-               "  \"scenario\": \"%s\",\n"
-               "  \"sharded_scenario\": \"%s\",\n"
-               "  \"faulty_scenario\": \"%s\",\n"
-               "  \"overload_scenario\": \"%s\",\n"
-               "  \"macro_scenario\": \"%s\",\n"
-               "  \"scenario_digest\": \"%016llx\",\n"
-               "  \"stream_digest\": \"%016llx\",\n"
-               "  \"sharded_digest\": \"%016llx\",\n"
-               "  \"faulty_digest\": \"%016llx\",\n"
-               "  \"overload_digest\": \"%016llx\",\n"
-               "  \"macro_digest\": \"%016llx\",\n"
-               "  \"trace_digest\": \"%016llx\",\n"
-               "  \"kernels\": [\n",
-               scenario.c_str(), sharded_scenario.c_str(),
-               faulty_scenario.c_str(), overload_scenario.c_str(),
-               macro_scenario.c_str(),
-               static_cast<unsigned long long>(digest),
-               static_cast<unsigned long long>(stream_digest),
-               static_cast<unsigned long long>(sharded_digest),
-               static_cast<unsigned long long>(faulty_digest),
-               static_cast<unsigned long long>(overload_digest),
-               static_cast<unsigned long long>(macro_digest),
-               static_cast<unsigned long long>(trace_digest));
+               "  \"generated_by\": \"perf_gate\",\n");
+  for (const Digest& d : digests) {
+    std::fprintf(f, "  \"%s_digest\": {\"value\": \"%016llx\"", d.key,
+                 static_cast<unsigned long long>(d.value));
+    if (!d.scenario.empty()) {
+      std::fprintf(f, ", \"scenario\": \"%s\"", d.scenario.c_str());
+    }
+    std::fprintf(f, "},\n");
+  }
+  std::fprintf(f, "  \"kernels\": [\n");
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"items\": \"%s\", "
@@ -556,27 +543,16 @@ void WriteReport(const std::string& path,
 }
 
 // Minimal targeted extraction from a perf_gate-written baseline: kernel
-// (name, items_per_sec) pairs and the scenario digest. Not a general JSON
-// parser; the file format is owned by this tool.
+// (name, items_per_sec) pairs and the value of every digest in `table`
+// the baseline pins. Not a general JSON parser; the file format is owned
+// by this tool.
 struct Baseline {
   std::vector<KernelResult> kernels;
-  std::uint64_t digest = 0;
-  bool has_digest = false;
-  std::uint64_t stream_digest = 0;
-  bool has_stream_digest = false;
-  std::uint64_t sharded_digest = 0;
-  bool has_sharded_digest = false;
-  std::uint64_t faulty_digest = 0;
-  bool has_faulty_digest = false;
-  std::uint64_t overload_digest = 0;
-  bool has_overload_digest = false;
-  std::uint64_t macro_digest = 0;
-  bool has_macro_digest = false;
-  std::uint64_t trace_digest = 0;
-  bool has_trace_digest = false;
+  std::map<std::string, std::uint64_t> digests;  // key -> pinned value
 };
 
-bool LoadBaseline(const std::string& path, Baseline* out) {
+bool LoadBaseline(const std::string& path, const std::vector<Digest>& table,
+                  Baseline* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
   std::string text;
@@ -585,46 +561,13 @@ bool LoadBaseline(const std::string& path, Baseline* out) {
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
   std::fclose(f);
 
-  const std::string dkey = "\"scenario_digest\": \"";
-  if (std::size_t p = text.find(dkey); p != std::string::npos) {
-    out->digest = std::strtoull(text.c_str() + p + dkey.size(), nullptr, 16);
-    out->has_digest = true;
-  }
-  const std::string skey = "\"stream_digest\": \"";
-  if (std::size_t p = text.find(skey); p != std::string::npos) {
-    out->stream_digest =
-        std::strtoull(text.c_str() + p + skey.size(), nullptr, 16);
-    out->has_stream_digest = true;
-  }
-  const std::string hkey = "\"sharded_digest\": \"";
-  if (std::size_t p = text.find(hkey); p != std::string::npos) {
-    out->sharded_digest =
-        std::strtoull(text.c_str() + p + hkey.size(), nullptr, 16);
-    out->has_sharded_digest = true;
-  }
-  const std::string fkey = "\"faulty_digest\": \"";
-  if (std::size_t p = text.find(fkey); p != std::string::npos) {
-    out->faulty_digest =
-        std::strtoull(text.c_str() + p + fkey.size(), nullptr, 16);
-    out->has_faulty_digest = true;
-  }
-  const std::string okey = "\"overload_digest\": \"";
-  if (std::size_t p = text.find(okey); p != std::string::npos) {
-    out->overload_digest =
-        std::strtoull(text.c_str() + p + okey.size(), nullptr, 16);
-    out->has_overload_digest = true;
-  }
-  const std::string mkey = "\"macro_digest\": \"";
-  if (std::size_t p = text.find(mkey); p != std::string::npos) {
-    out->macro_digest =
-        std::strtoull(text.c_str() + p + mkey.size(), nullptr, 16);
-    out->has_macro_digest = true;
-  }
-  const std::string tkey = "\"trace_digest\": \"";
-  if (std::size_t p = text.find(tkey); p != std::string::npos) {
-    out->trace_digest =
-        std::strtoull(text.c_str() + p + tkey.size(), nullptr, 16);
-    out->has_trace_digest = true;
+  for (const Digest& d : table) {
+    char key[64];
+    std::snprintf(key, sizeof(key), "\"%s_digest\": {\"value\": \"", d.key);
+    if (std::size_t p = text.find(key); p != std::string::npos) {
+      out->digests[d.key] =
+          std::strtoull(text.c_str() + p + std::strlen(key), nullptr, 16);
+    }
   }
   const std::string nkey = "\"name\": \"";
   const std::string vkey = "\"items_per_sec\": ";
@@ -655,13 +598,8 @@ void PrintHelp() {
       "(default 0.5)\n"
       "  --scenario=<file>   scenario for the end-to-end kernel\n"
       "                      (default scenarios/quickstart.ini)\n"
-      "  --sharded-scenario=<file>  partitioned scenario for the\n"
-      "                      sharded_run kernel\n"
-      "                      (default scenarios/macro_partitioned.ini)\n"
       "  --txns=<n>          scaled-up transaction count for the scenario\n"
       "                      kernel (default 20000)\n"
-      "  --sharded-txns=<n>  transaction count for the sharded kernel\n"
-      "                      (default 8000)\n"
       "  --faulty-scenario=<file>  seeded flaky scenario for the\n"
       "                      faulty_run kernel\n"
       "                      (default scenarios/flaky_mesh.ini)\n"
@@ -676,10 +614,7 @@ void PrintHelp() {
       "  --trace-roundtrip=<n>  instead of the kernel suite, run a\n"
       "                      bounded-memory generator -> v2 trace file ->\n"
       "                      replay round trip of n transactions and exit\n"
-      "                      (0 on a bit-identical round trip)\n"
-      "  --shard-curve       also run the sharded scenario at 1/2/4/8\n"
-      "                      shards and print the wall-clock scaling curve\n"
-      "                      (not gated; see docs/performance.md)");
+      "                      (0 on a bit-identical round trip)");
 }
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
@@ -697,29 +632,25 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string baseline_path;
   std::string scenario_path = "scenarios/quickstart.ini";
-  std::string sharded_path = "scenarios/macro_partitioned.ini";
+  const std::string partitioned_path = "scenarios/macro_partitioned.ini";
   std::string faulty_path = "scenarios/flaky_mesh.ini";
   std::string overload_path = "scenarios/overload.ini";
   std::string macro_path = "scenarios/macro_ycsb.ini";
   double tolerance = 0.5;
   double min_time = 0.5;
   std::uint64_t txns = 20000;
-  std::uint64_t sharded_txns = 8000;
+  const std::uint64_t partitioned_txns = 8000;
   std::uint64_t faulty_txns = 2000;
   std::uint64_t trace_roundtrip = 0;
-  bool shard_curve = false;
   for (int i = 1; i < argc; ++i) {
     std::string v;
     const char* a = argv[i];
     if (std::strcmp(a, "--help") == 0) {
       PrintHelp();
       return 0;
-    } else if (std::strcmp(a, "--shard-curve") == 0) {
-      shard_curve = true;
     } else if (ParseFlag(a, "--out", &out_path) ||
                ParseFlag(a, "--baseline", &baseline_path) ||
                ParseFlag(a, "--scenario", &scenario_path) ||
-               ParseFlag(a, "--sharded-scenario", &sharded_path) ||
                ParseFlag(a, "--faulty-scenario", &faulty_path) ||
                ParseFlag(a, "--overload-scenario", &overload_path) ||
                ParseFlag(a, "--macro-scenario", &macro_path)) {
@@ -729,8 +660,6 @@ int main(int argc, char** argv) {
       min_time = std::strtod(v.c_str(), nullptr);
     } else if (ParseFlag(a, "--txns", &v)) {
       txns = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--sharded-txns", &v)) {
-      sharded_txns = std::strtoull(v.c_str(), nullptr, 10);
     } else if (ParseFlag(a, "--faulty-txns", &v)) {
       faulty_txns = std::strtoull(v.c_str(), nullptr, 10);
     } else if (ParseFlag(a, "--trace-roundtrip", &v)) {
@@ -756,10 +685,10 @@ int main(int argc, char** argv) {
   kernels.push_back(KernelScenarioRun("stream_admission", /*stream=*/true,
                                       scenario_path, txns, &stream_digest,
                                       &ok));
-  std::uint64_t sharded_digest = 0;
-  kernels.push_back(KernelScenarioRun("sharded_run", /*stream=*/false,
-                                      sharded_path, sharded_txns,
-                                      &sharded_digest, &ok));
+  std::uint64_t partitioned_digest = 0;
+  kernels.push_back(KernelScenarioRun("partitioned_run", /*stream=*/false,
+                                      partitioned_path, partitioned_txns,
+                                      &partitioned_digest, &ok));
   std::uint64_t faulty_digest = 0;
   kernels.push_back(KernelScenarioRun("faulty_run", /*stream=*/false,
                                       faulty_path, faulty_txns,
@@ -774,7 +703,7 @@ int main(int argc, char** argv) {
   std::uint64_t macro_digest = 0;
   kernels.push_back(KernelScenarioRun("macro_run", /*stream=*/false,
                                       macro_path, 0, &macro_digest, &ok,
-                                      /*shards=*/-1, /*scale_main=*/false));
+                                      /*scale_main=*/false));
   std::uint64_t trace_digest = 0;
   {
     const std::vector<Arrival> trace_wl = MakeTraceWorkload(50000);
@@ -791,49 +720,36 @@ int main(int argc, char** argv) {
                                         &trace_digest, &ok));
   }
 
+  const std::vector<Digest> digests = {
+      {"scenario", scenario_path, digest,
+       "simulation results differ from the baseline build"},
+      {"stream", scenario_path, stream_digest,
+       "streaming-admission results differ from the baseline build"},
+      {"partitioned", partitioned_path, partitioned_digest,
+       "partitioned macro-scenario results differ from the baseline build"},
+      {"faulty", faulty_path, faulty_digest,
+       "the seeded fault schedule or the recovery machinery diverged from "
+       "the baseline build"},
+      {"overload", overload_path, overload_digest,
+       "the shed/expire/retry machinery diverged from the baseline build"},
+      {"macro", macro_path, macro_digest,
+       "macro-tier results (table layout, scans, or rejection-inversion "
+       "Zipf draws) differ from the baseline build"},
+      {"trace", "", trace_digest,
+       "the v2 trace codec no longer round-trips the baseline workload "
+       "bit-identically"},
+  };
+
   std::printf("%-18s %14s  %s\n", "kernel", "items/sec", "unit");
   for (const KernelResult& k : kernels) {
     std::printf("%-18s %14.0f  %s\n", k.name.c_str(), k.items_per_sec,
                 k.items.c_str());
   }
-  std::printf("scenario_digest    %016llx\n",
-              static_cast<unsigned long long>(digest));
-  std::printf("stream_digest      %016llx\n",
-              static_cast<unsigned long long>(stream_digest));
-  std::printf("sharded_digest     %016llx\n",
-              static_cast<unsigned long long>(sharded_digest));
-  std::printf("faulty_digest      %016llx\n",
-              static_cast<unsigned long long>(faulty_digest));
-  std::printf("overload_digest    %016llx\n",
-              static_cast<unsigned long long>(overload_digest));
-  std::printf("macro_digest       %016llx\n",
-              static_cast<unsigned long long>(macro_digest));
-  std::printf("trace_digest       %016llx\n",
-              static_cast<unsigned long long>(trace_digest));
-
-  // The 1/2/4/8-shard scaling curve on the partitioned macro scenario.
-  // Informational, never gated: wall-clock speedup depends on the number
-  // of physical cores (see docs/performance.md), while the gated
-  // sharded_digest above is machine-independent.
-  if (shard_curve) {
-    std::printf("\n%-10s %14s %14s  %s\n", "shards", "txns/sec", "speedup",
-                "digest");
-    double base_rate = 0;
-    for (int s : {1, 2, 4, 8}) {
-      std::uint64_t d = 0;
-      bool curve_ok = true;
-      const KernelResult k = KernelScenarioRun(
-          "shard_curve", /*stream=*/false, sharded_path, sharded_txns, &d,
-          &curve_ok, s);
-      if (!curve_ok) {
-        std::printf("%-10d %14s\n", s, "(failed)");
-        continue;
-      }
-      if (s == 1) base_rate = k.items_per_sec;
-      std::printf("%-10d %14.0f %13.2fx  %016llx\n", s, k.items_per_sec,
-                  base_rate > 0 ? k.items_per_sec / base_rate : 0,
-                  static_cast<unsigned long long>(d));
-    }
+  for (const Digest& d : digests) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "%s_digest", d.key);
+    std::printf("%-18s %016llx\n", name,
+                static_cast<unsigned long long>(d.value));
   }
 
   if (!arena_stable) {
@@ -845,7 +761,7 @@ int main(int argc, char** argv) {
 
   if (!baseline_path.empty()) {
     Baseline base;
-    if (!LoadBaseline(baseline_path, &base)) {
+    if (!LoadBaseline(baseline_path, digests, &base)) {
       std::fprintf(stderr, "perf_gate: cannot read baseline %s\n",
                    baseline_path.c_str());
       return 2;
@@ -853,9 +769,6 @@ int main(int argc, char** argv) {
     std::printf("\n%-18s %14s %14s %7s\n", "kernel", "baseline", "current",
                 "ratio");
     for (const KernelResult& k : kernels) {
-      // The faulty kernel's wall-clock rate is informational only; its
-      // results are still pinned exactly by faulty_digest below.
-      if (k.name == "faulty_run") continue;
       for (const KernelResult& b : base.kernels) {
         if (b.name != k.name) continue;
         const double ratio =
@@ -867,80 +780,25 @@ int main(int argc, char** argv) {
         if (!pass) ok = false;
       }
     }
-    if (base.has_digest && base.digest != digest) {
+    for (const Digest& d : digests) {
+      const auto pinned = base.digests.find(d.key);
+      if (pinned == base.digests.end()) {
+        std::printf("perf_gate: baseline pins no %s_digest; not gated\n",
+                    d.key);
+        continue;
+      }
+      if (pinned->second == d.value) continue;
       std::fprintf(stderr,
-                   "perf_gate: FAIL scenario digest changed "
-                   "(%016llx -> %016llx): simulation results differ from "
-                   "the baseline build\n",
-                   static_cast<unsigned long long>(base.digest),
-                   static_cast<unsigned long long>(digest));
-      ok = false;
-    }
-    if (base.has_stream_digest && base.stream_digest != stream_digest) {
-      std::fprintf(stderr,
-                   "perf_gate: FAIL stream digest changed "
-                   "(%016llx -> %016llx): streaming-admission results "
-                   "differ from the baseline build\n",
-                   static_cast<unsigned long long>(base.stream_digest),
-                   static_cast<unsigned long long>(stream_digest));
-      ok = false;
-    }
-    if (base.has_sharded_digest && base.sharded_digest != sharded_digest) {
-      std::fprintf(stderr,
-                   "perf_gate: FAIL sharded digest changed "
-                   "(%016llx -> %016llx): sharded-engine results differ "
-                   "from the baseline build\n",
-                   static_cast<unsigned long long>(base.sharded_digest),
-                   static_cast<unsigned long long>(sharded_digest));
-      ok = false;
-    }
-    if (base.has_faulty_digest && base.faulty_digest != faulty_digest) {
-      std::fprintf(stderr,
-                   "perf_gate: FAIL faulty digest changed "
-                   "(%016llx -> %016llx): the seeded fault schedule or "
-                   "the recovery machinery diverged from the baseline "
-                   "build\n",
-                   static_cast<unsigned long long>(base.faulty_digest),
-                   static_cast<unsigned long long>(faulty_digest));
-      ok = false;
-    }
-    if (base.has_overload_digest && base.overload_digest != overload_digest) {
-      std::fprintf(stderr,
-                   "perf_gate: FAIL overload digest changed "
-                   "(%016llx -> %016llx): the shed/expire/retry machinery "
-                   "diverged from the baseline build\n",
-                   static_cast<unsigned long long>(base.overload_digest),
-                   static_cast<unsigned long long>(overload_digest));
-      ok = false;
-    }
-    if (base.has_macro_digest && base.macro_digest != macro_digest) {
-      std::fprintf(stderr,
-                   "perf_gate: FAIL macro digest changed "
-                   "(%016llx -> %016llx): macro-tier results (table "
-                   "layout, scans, or rejection-inversion Zipf draws) "
-                   "differ from the baseline build\n",
-                   static_cast<unsigned long long>(base.macro_digest),
-                   static_cast<unsigned long long>(macro_digest));
-      ok = false;
-    }
-    if (base.has_trace_digest && base.trace_digest != trace_digest) {
-      std::fprintf(stderr,
-                   "perf_gate: FAIL trace digest changed "
-                   "(%016llx -> %016llx): the v2 trace codec no longer "
-                   "round-trips the baseline workload bit-identically\n",
-                   static_cast<unsigned long long>(base.trace_digest),
-                   static_cast<unsigned long long>(trace_digest));
+                   "perf_gate: FAIL %s digest changed (%016llx -> %016llx): "
+                   "%s\n",
+                   d.key, static_cast<unsigned long long>(pinned->second),
+                   static_cast<unsigned long long>(d.value), d.message);
       ok = false;
     }
   }
 
   // Written even when the gate fails: CI uploads the measured numbers as
   // an artifact precisely so a failing run can be diagnosed.
-  if (!out_path.empty()) {
-    WriteReport(out_path, kernels, digest, stream_digest, sharded_digest,
-                faulty_digest, overload_digest, macro_digest, trace_digest,
-                scenario_path, sharded_path, faulty_path, overload_path,
-                macro_path);
-  }
+  if (!out_path.empty()) WriteReport(out_path, kernels, digests);
   return ok ? 0 : 1;
 }

@@ -445,22 +445,6 @@ int RunScenarioSweep(const std::string& scenario_path,
     }
   }
 
-  // Sharded cells run shards worker threads each; scale the outer pool
-  // down so jobs x shards never oversubscribes the machine.
-  std::uint32_t max_shards = 1;
-  for (const ScenarioSpec& s : specs) {
-    max_shards = std::max(max_shards, s.engine.shards);
-  }
-  const unsigned negotiated = runner::NegotiateJobs(
-      num_threads, max_shards, std::thread::hardware_concurrency());
-  if (negotiated != num_threads) {
-    std::printf(
-        "sweep_runner: scaling %u jobs down to %u (cells run %u-shard "
-        "engines)\n",
-        num_threads, negotiated, max_shards);
-    num_threads = negotiated;
-  }
-
   std::printf("sweep_runner: %zu scenario cells (%zu axes, %zu invalid) on "
               "%u threads\n",
               total, axes.size(), failed, num_threads);

@@ -69,7 +69,6 @@ struct Flags {
   std::string timeline_csv;   // --timeline-csv=FILE
   std::string timeline_json;  // --timeline-json=FILE
   double window_ms = -1;      // --window-ms; <0 keeps the scenario's
-  std::uint32_t shards = 0;   // --shards; 0 keeps the scenario's
 };
 
 void PrintHelp() {
@@ -126,11 +125,6 @@ void PrintHelp() {
       "  --window-ms=<f>     timeline window length; overrides the\n"
       "                      scenario's [run] window_ms (default 1000 when\n"
       "                      a timeline export is requested without one)\n"
-      "  --shards=<n>        partition sites across n shards and run them\n"
-      "                      on parallel worker threads (batch scenarios\n"
-      "                      only); overrides the scenario's [run] shards.\n"
-      "                      Deterministic for a fixed n; n=1 reproduces\n"
-      "                      the single-threaded run exactly\n"
       "  --verbose           print per-protocol metrics and STL estimates");
 }
 
@@ -216,8 +210,6 @@ int main(int argc, char** argv) {
       flags.sets.push_back(v);
     } else if (ParseFlag(a, "--window-ms", &v)) {
       flags.window_ms = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--shards", &v)) {
-      flags.shards = static_cast<std::uint32_t>(std::atoi(v.c_str()));
     } else if (ParseFlag(a, "--lambda", &v)) {
       flags.lambda = std::atof(v.c_str());
     } else if (ParseFlag(a, "--txns", &v)) {
@@ -361,8 +353,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool record_v2 = flags.trace_format == "v2";
-  const std::uint32_t effective_shards =
-      flags.shards != 0 ? flags.shards : eo.shards;
 
   // The workload: replayed from a trace, streamed lazily (a scenario with
   // [run] controls), built by the scenario, or drawn from the
@@ -385,10 +375,10 @@ int main(int argc, char** argv) {
   } else if (!flags.replay_trace.empty()) {
     // A v2 trace replays as a stream feeding admission block-by-block.
     // Materialize only when something needs the whole schedule up front:
-    // re-recording/exporting it, or a sharded (batch-only) run.
-    const bool stream_replay =
-        IsTraceV2File(flags.replay_trace) && flags.record_trace.empty() &&
-        flags.export_csv.empty() && effective_shards <= 1;
+    // re-recording or exporting it.
+    const bool stream_replay = IsTraceV2File(flags.replay_trace) &&
+                               flags.record_trace.empty() &&
+                               flags.export_csv.empty();
     if (stream_replay) {
       auto reader = TraceReader::Open(flags.replay_trace);
       if (!reader.ok()) {
@@ -477,12 +467,10 @@ int main(int argc, char** argv) {
                 flags.export_csv.c_str());
   }
 
-  // Assemble and run through the runner facade (classic engine, or the
-  // sharded window coordinator when shards > 1).
+  // Assemble and run through the runner facade.
   ScenarioSpec run_spec = std::move(scenario);
   run_spec.engine = eo;
   run_spec.policy = policy;
-  if (flags.shards != 0) run_spec.engine.shards = flags.shards;
 
   runner::RunRequest request;
   request.spec = &run_spec;
@@ -509,10 +497,6 @@ int main(int argc, char** argv) {
                 run_spec.description.empty() ? "" : " — ",
                 run_spec.description.c_str());
   }
-  if (session->shards() > 1) {
-    std::printf("shards             : %u\n", session->shards());
-  }
-
   const runner::RunReport run_report = session->Run();
   if (replay_reader != nullptr && !replay_reader->status().ok()) {
     // The stream ends silently on corrupt input; surface the decode error
@@ -609,13 +593,8 @@ int main(int argc, char** argv) {
                   ps.system_time.MeanMs(),
                   static_cast<unsigned long long>(ps.restarts));
     }
-    // Sharded runs report shard 0's estimator at makespan (there is no
-    // single simulator clock to snapshot at).
-    const SimTime now = session->engine() != nullptr
-                            ? session->engine()->simulator().Now()
-                            : summary.makespan;
-    const SystemParams sys =
-        session->estimator(0).Snapshot(now, run_spec.engine.num_items);
+    const SystemParams sys = session->estimator().Snapshot(
+        session->engine()->simulator().Now(), run_spec.engine.num_items);
     std::printf(
         "\nmeasured system parameters: lambda_A=%.1f/s lambda_r=%.3f "
         "lambda_w=%.3f Q_r=%.2f K=%.1f\n",
