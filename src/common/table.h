@@ -1,5 +1,5 @@
-// Minimal aligned-column table printer used by the benchmark harness to emit
-// paper-style result tables on stdout.
+// Minimal aligned-column table printer; sweep_runner prints each
+// experiment's results with it.
 #ifndef UNICC_COMMON_TABLE_H_
 #define UNICC_COMMON_TABLE_H_
 

@@ -1,7 +1,7 @@
 // The run-entrypoint library: one compiled implementation of "take a
 // scenario, assemble the policy stack and engine, run it, extract row
-// data", shared by the benches, the golden tests, unicc_sim, sweep_runner
-// and perf_gate (each used to carry its own inline copy).
+// data", shared by the golden tests, unicc_sim, sweep_runner and
+// perf_gate (each used to carry its own inline copy).
 //
 //   RunRequest  — scenario + overrides (seed, fault seed, timeline
 //                 window) + optional workload replay

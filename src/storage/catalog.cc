@@ -26,30 +26,9 @@ StatusOr<Catalog> Catalog::Make(ItemId num_items,
   return Catalog(num_items, std::move(data_sites), replication);
 }
 
-std::vector<CopyId> Catalog::CopiesOf(ItemId item) const {
-  std::vector<CopyId> copies;
-  copies.reserve(replication_);
-  for (std::uint32_t k = 0; k < replication_; ++k) {
-    copies.push_back(CopyOf(item, k));
-  }
-  return copies;
-}
-
 CopyId Catalog::ReadCopy(ItemId item, std::uint64_t preference) const {
   return CopyOf(item,
                 static_cast<std::uint32_t>(preference % replication_));
-}
-
-std::vector<CopyId> Catalog::CopiesAt(SiteId site) const {
-  std::vector<CopyId> out;
-  for (ItemId i = 0; i < num_items_; ++i) {
-    for (std::uint32_t k = 0; k < replication_; ++k) {
-      if (CopyOf(i, k).site == site) {
-        out.push_back(CopyId{i, site});
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace unicc

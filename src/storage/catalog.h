@@ -24,22 +24,16 @@ class Catalog {
   std::uint32_t replication() const { return replication_; }
   const std::vector<SiteId>& data_sites() const { return data_sites_; }
 
-  // Copy k of `item` (k < replication()). Allocation-free; the hot paths
-  // (issuer request expansion, replica reads) iterate k over this instead
-  // of materializing a vector per item.
+  // Copy k of `item` (k < replication()). Allocation-free; callers that
+  // need every copy (issuer request expansion, the replica check) iterate
+  // k over this.
   CopyId CopyOf(ItemId item, std::uint32_t k) const {
     return CopyId{item, data_sites_[(item + k) % data_sites_.size()]};
   }
 
-  // All physical copies of `item` (size == replication()).
-  std::vector<CopyId> CopiesOf(ItemId item) const;
-
   // The copy a read should use. `preference` picks among replicas (e.g. a
   // random draw or the reader's site hash); reads use exactly one copy.
   CopyId ReadCopy(ItemId item, std::uint64_t preference) const;
-
-  // All copies stored at `site`.
-  std::vector<CopyId> CopiesAt(SiteId site) const;
 
  private:
   Catalog(ItemId num_items, std::vector<SiteId> data_sites,

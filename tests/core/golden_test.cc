@@ -10,10 +10,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
-#include "bench_util.h"
+#include "runner/runner.h"
 #include "scenario/scenario.h"
 #include "workload/trace.h"
 #include "workload/trace_io.h"
@@ -25,7 +28,25 @@
 namespace unicc {
 namespace {
 
-using bench::RunStats;
+using runner::RunStats;
+
+// Runs `spec` through the runner facade: the scenario's own workload, or
+// `arrivals` with their forced-protocol set when given (the replay path).
+RunStats RunScenario(
+    const ScenarioSpec& spec,
+    const std::vector<WorkloadGenerator::Arrival>* arrivals = nullptr,
+    std::shared_ptr<const std::unordered_set<TxnId>> forced = nullptr) {
+  runner::RunRequest request;
+  request.spec = &spec;
+  request.arrivals = arrivals;
+  request.forced = std::move(forced);
+  auto session = runner::RunSession::Create(std::move(request));
+  if (!session.ok()) {
+    ADD_FAILURE() << session.status().ToString();
+    return RunStats();
+  }
+  return (*session)->Run().stats;
+}
 
 // Serializes every deterministic field of a run. Doubles are printed with
 // %.17g: bit-identical runs print identical bytes, and any numeric drift
@@ -86,8 +107,8 @@ TEST_P(GoldenScenarioTest, RepeatedRunsAreByteIdentical) {
   // bounded overload gate) run the path they declare; a pre-materialized
   // batch would bypass the MPL gate and its shed/expire outcomes.
   if (spec->IsOpenSystem()) {
-    const RunStats first = bench::RunScenario(*spec);
-    const RunStats second = bench::RunScenario(*spec);
+    const RunStats first = RunScenario(*spec);
+    const RunStats second = RunScenario(*spec);
     EXPECT_EQ(Snapshot(first), Snapshot(second))
         << GetParam() << ": two identical runs diverged";
     EXPECT_TRUE(first.serializable) << GetParam();
@@ -108,10 +129,8 @@ TEST_P(GoldenScenarioTest, RepeatedRunsAreByteIdentical) {
   }
 
   const ScenarioSpec::Workload wl = spec->BuildWorkload();
-  const RunStats first = bench::RunScenarioWith(*spec, wl.arrivals,
-                                                wl.forced);
-  const RunStats second = bench::RunScenarioWith(*spec, wl.arrivals,
-                                                 wl.forced);
+  const RunStats first = RunScenario(*spec, &wl.arrivals, wl.forced);
+  const RunStats second = RunScenario(*spec, &wl.arrivals, wl.forced);
   EXPECT_EQ(Snapshot(first), Snapshot(second))
       << GetParam() << ": two identical runs diverged";
   EXPECT_TRUE(first.serializable) << GetParam();
@@ -141,15 +160,13 @@ TEST_P(GoldenScenarioTest, RecordReplayRoundTripIsByteIdentical) {
   }
   const ScenarioSpec::Workload wl = spec->BuildWorkload();
 
-  const RunStats direct = bench::RunScenarioWith(*spec, wl.arrivals,
-                                                 wl.forced);
+  const RunStats direct = RunScenario(*spec, &wl.arrivals, wl.forced);
   // Record -> replay through the versioned binary codec, as unicc_sim's
   // --record-trace/--replay-trace do.
   const std::string bytes = WorkloadTrace::SerializeBinary(wl.arrivals);
   auto replayed = WorkloadTrace::ParseBinary(bytes);
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-  const RunStats replay = bench::RunScenarioWith(*spec, *replayed,
-                                                 wl.forced);
+  const RunStats replay = RunScenario(*spec, &*replayed, wl.forced);
   EXPECT_EQ(Snapshot(direct), Snapshot(replay))
       << GetParam() << ": record->replay diverged";
 }

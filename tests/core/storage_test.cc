@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -26,10 +25,9 @@ TEST(CatalogTest, RejectsBadArguments) {
 TEST(CatalogTest, ReplicationPlacesDistinctSites) {
   auto c = Catalog::Make(20, {4, 5, 6}, 3).value();
   for (ItemId i = 0; i < 20; ++i) {
-    auto copies = c.CopiesOf(i);
-    ASSERT_EQ(copies.size(), 3u);
     std::set<SiteId> sites;
-    for (const auto& copy : copies) {
+    for (std::uint32_t k = 0; k < c.replication(); ++k) {
+      const CopyId copy = c.CopyOf(i, k);
       EXPECT_EQ(copy.item, i);
       sites.insert(copy.site);
     }
@@ -40,10 +38,13 @@ TEST(CatalogTest, ReplicationPlacesDistinctSites) {
 TEST(CatalogTest, ReadCopyIsOneOfTheCopies) {
   auto c = Catalog::Make(8, {2, 3}, 2).value();
   for (ItemId i = 0; i < 8; ++i) {
-    auto copies = c.CopiesOf(i);
     for (std::uint64_t pref = 0; pref < 5; ++pref) {
       const CopyId rc = c.ReadCopy(i, pref);
-      EXPECT_NE(std::find(copies.begin(), copies.end(), rc), copies.end());
+      bool found = false;
+      for (std::uint32_t k = 0; k < c.replication(); ++k) {
+        found = found || c.CopyOf(i, k) == rc;
+      }
+      EXPECT_TRUE(found) << "item " << i << " preference " << pref;
     }
   }
 }
@@ -53,10 +54,22 @@ TEST(CatalogTest, SingleReplicaReadsAlwaysSameCopy) {
   EXPECT_EQ(c.ReadCopy(4, 0), c.ReadCopy(4, 99));
 }
 
-TEST(CatalogTest, CopiesAtPartitionsAllCopies) {
+TEST(CatalogTest, CopiesPartitionAcrossDataSites) {
+  // Every copy lives at a data site, and no site holds two copies of one
+  // item, so the per-site copy sets add up to every copy exactly once.
   auto c = Catalog::Make(10, {7, 8, 9}, 2).value();
+  std::map<SiteId, std::set<ItemId>> items_at;
+  for (ItemId i = 0; i < 10; ++i) {
+    for (std::uint32_t k = 0; k < c.replication(); ++k) {
+      const CopyId copy = c.CopyOf(i, k);
+      items_at[copy.site].insert(copy.item);
+    }
+  }
   std::size_t total = 0;
-  for (SiteId s : {7u, 8u, 9u}) total += c.CopiesAt(s).size();
+  for (const auto& [site, items] : items_at) {
+    EXPECT_TRUE(site == 7 || site == 8 || site == 9) << site;
+    total += items.size();
+  }
   EXPECT_EQ(total, 10u * 2u);
 }
 
@@ -74,12 +87,11 @@ TEST(StoreTest, WriteThenRead) {
   EXPECT_EQ(s.WrittenCopies(), 1u);
 }
 
-TEST(CatalogTest, CopyOfMatchesCopiesOf) {
+TEST(CatalogTest, CopyOfFollowsRoundRobinPlacement) {
   auto c = Catalog::Make(24, {4, 5, 6, 7}, 3).value();
   for (ItemId i = 0; i < 24; ++i) {
-    const auto copies = c.CopiesOf(i);
     for (std::uint32_t k = 0; k < c.replication(); ++k) {
-      EXPECT_EQ(c.CopyOf(i, k), copies[k]);
+      EXPECT_EQ(c.CopyOf(i, k), (CopyId{i, c.data_sites()[(i + k) % 4]}));
     }
     for (std::uint64_t pref = 0; pref < 7; ++pref) {
       EXPECT_EQ(c.ReadCopy(i, pref), c.CopyOf(i, pref % c.replication()));
@@ -183,7 +195,8 @@ TEST(StoreTest, ForEachWrittenOnEmptyStoreVisitsNothing) {
 class ReplicaCheckTest : public ::testing::Test {
  protected:
   static constexpr ItemId kItems = 50;
-  ReplicaCheckTest() : catalog_(Catalog::Make(kItems, {10, 11, 12}, 2).value()) {}
+  ReplicaCheckTest()
+      : catalog_(Catalog::Make(kItems, {10, 11, 12}, 2).value()) {}
 
   Store& StoreOf(SiteId site) { return stores_[site - 10]; }
   void Write(ItemId item, std::uint32_t k, std::uint64_t v) {

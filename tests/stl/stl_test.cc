@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "stl/estimators.h"
@@ -87,9 +88,13 @@ TEST(StlEvaluatorTest, LambdaNewFormula) {
 TEST(StlEvaluatorTest, GridRefinementConverges) {
   StlEvaluator coarse(DefaultSys(), 24);
   StlEvaluator fine(DefaultSys(), 96);
-  const double a = coarse.Evaluate(10, 0.2);
-  const double b = fine.Evaluate(10, 0.2);
-  EXPECT_NEAR(a, b, std::max(a, b) * 0.08);
+  for (const auto& [lambda_loss, u_seconds] :
+       {std::pair{10.0, 0.2}, std::pair{40.0, 0.5}}) {
+    const double a = coarse.Evaluate(lambda_loss, u_seconds);
+    const double b = fine.Evaluate(lambda_loss, u_seconds);
+    EXPECT_NEAR(a, b, std::max(a, b) * 0.08)
+        << "STL'(" << lambda_loss << ", " << u_seconds << ")";
+  }
 }
 
 TEST(StlEvaluatorTest, SingleRequestTransactionsNeverEscalate) {
@@ -278,6 +283,55 @@ TEST(EstimatorFormulaTest, StlToVsPaWithSameProbabilities) {
   p.p_reject_read = 0.4;
   p.p_reject_write = 0.4;
   EXPECT_GE(StlTo(ev, {3, 3}, p), StlPa(ev, {3, 3}, p));
+}
+
+// Experiment E8b: as contention grows, the protocol with the lowest STL
+// moves from 2PL to PA. Each row sets 2PL's deadlock probability, the
+// T/O reject and PA back-off probability, and the lock hold time U.
+// Deadlocked 2PL locks are held twice as long; PA's negotiation
+// lengthens its holds by a fifth.
+TEST(EstimatorFormulaTest, LowestStlMovesFromTwoPlToPaWithContention) {
+  struct Row {
+    const char* name;
+    double p_abort;
+    double p_negative;
+    double u;
+    Protocol lowest;
+  };
+  const Row rows[] = {
+      {"idle", 0.0, 0.0, 0.03, Protocol::kTwoPhaseLocking},
+      {"light", 0.01, 0.05, 0.04, Protocol::kTwoPhaseLocking},
+      {"moderate", 0.05, 0.15, 0.06, Protocol::kTwoPhaseLocking},
+      {"heavy", 0.25, 0.35, 0.10, Protocol::kPrecedenceAgreement},
+      {"extreme", 0.50, 0.50, 0.15, Protocol::kPrecedenceAgreement},
+  };
+  StlEvaluator ev(DefaultSys(), 48);
+  const TxnShape shape{2, 2};
+  for (const Row& r : rows) {
+    ProtocolParams p2;
+    p2.u_lock = r.u;
+    p2.u_lock_aborted = r.u * 2;
+    p2.p_abort = r.p_abort;
+    ProtocolParams pto;
+    pto.u_lock = r.u;
+    pto.u_lock_aborted = r.u * 0.5;
+    pto.p_reject_read = r.p_negative;
+    pto.p_reject_write = r.p_negative;
+    ProtocolParams ppa = pto;
+    ppa.u_lock = r.u * 1.2;
+    ppa.u_lock_aborted = r.u * 0.6;
+    const double stl[kNumProtocols] = {Stl2pl(ev, shape, p2),
+                                       StlTo(ev, shape, pto),
+                                       StlPa(ev, shape, ppa)};
+    // Ties go to the earlier protocol, as in MinStlSelector.
+    const auto lowest = static_cast<Protocol>(
+        std::min_element(stl, stl + kNumProtocols) - stl);
+    EXPECT_EQ(lowest, r.lowest) << r.name << ": STL 2PL " << stl[0]
+                                << ", T/O " << stl[1] << ", PA " << stl[2];
+    if (r.p_abort == 0 && r.p_negative == 0) {
+      EXPECT_DOUBLE_EQ(stl[0], stl[1]) << "idle: 2PL and T/O should tie";
+    }
+  }
 }
 
 TEST(ParamEstimatorTest, SnapshotComputesRatesAndMix) {

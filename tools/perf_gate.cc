@@ -57,12 +57,13 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench_util.h"
 #include "cc/unified/queue_manager.h"
 #include "common/rng.h"
 #include "net/transport.h"
+#include "runner/runner.h"
 #include "scenario/ini.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
@@ -388,6 +389,20 @@ int RunTraceRoundTrip(std::uint64_t n) {
   return 0;
 }
 
+// Runs `spec` through the runner facade. A scenario the runner rejects
+// yields empty stats, which fail the calling kernel's checks.
+runner::RunStats RunScenario(const ScenarioSpec& spec) {
+  runner::RunRequest request;
+  request.spec = &spec;
+  auto session = runner::RunSession::Create(std::move(request));
+  if (!session.ok()) {
+    std::fprintf(stderr, "perf_gate: %s\n",
+                 session.status().ToString().c_str());
+    return runner::RunStats();
+  }
+  return (*session)->Run().stats;
+}
+
 // FNV-1a over the deterministic integer outcomes of a run: if this digest
 // moves, the optimization changed simulation results, not just its speed.
 void MixDigest(std::uint64_t* h, std::uint64_t v) {
@@ -397,20 +412,22 @@ void MixDigest(std::uint64_t* h, std::uint64_t v) {
   }
 }
 
-std::uint64_t DigestStats(const bench::RunStats& s) {
+std::uint64_t DigestStats(const runner::RunStats& s) {
   std::uint64_t h = 1469598103934665603ULL;
   MixDigest(&h, s.committed);
   MixDigest(&h, s.deadlock_victims);
   MixDigest(&h, s.reject_restarts);
   MixDigest(&h, s.backoff_rounds);
   MixDigest(&h, s.serializable ? 1 : 0);
-  for (int p = 0; p < kNumProtocols; ++p) MixDigest(&h, s.committed_by_proto[p]);
+  for (int p = 0; p < kNumProtocols; ++p) {
+    MixDigest(&h, s.committed_by_proto[p]);
+  }
   return h;
 }
 
 // The overload kernel's digest additionally folds the overload-control
 // outcome counters, pinning the shed/expire/retry machinery exactly.
-std::uint64_t DigestOverloadStats(const bench::RunStats& s) {
+std::uint64_t DigestOverloadStats(const runner::RunStats& s) {
   std::uint64_t h = DigestStats(s);
   MixDigest(&h, s.admitted);
   MixDigest(&h, s.shed);
@@ -456,7 +473,7 @@ KernelResult KernelScenarioRun(const char* name, bool stream,
   }
   const std::uint64_t expected = spec->TotalTxns();
   const double start = NowSeconds();
-  const bench::RunStats stats = bench::RunScenario(*spec);
+  const runner::RunStats stats = RunScenario(*spec);
   const double elapsed = NowSeconds() - start;
   r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
   *digest = DigestStats(stats);
@@ -490,7 +507,7 @@ KernelResult KernelOverloadRun(const std::string& path,
     return r;
   }
   const double start = NowSeconds();
-  const bench::RunStats stats = bench::RunScenario(*spec);
+  const runner::RunStats stats = RunScenario(*spec);
   const double elapsed = NowSeconds() - start;
   r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
   *digest = DigestOverloadStats(stats);

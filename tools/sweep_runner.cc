@@ -1,10 +1,12 @@
 // sweep_runner: multi-threaded parameter-sweep harness for the paper's
-// experiment grids E1-E9. Each experiment expands to a grid of cells
-// (lambda, transaction size, back-off interval, protocol policy, ...);
-// cells are sharded across a worker pool, each worker runs one full
-// Engine simulation per cell, and results land in machine-readable
-// BENCH_e*.json files so the performance trajectory of the repo can be
-// tracked across PRs.
+// experiments. Each of E1-E7 and E9 is one grid of cells (lambda,
+// transaction size, back-off interval, protocol policy, ...); E8 runs no
+// engine, so its checks live in tests/stl/stl_test.cc. Cells are sharded
+// across a worker pool and each worker runs one full Engine simulation
+// per cell. Every experiment is printed as one table and written to a
+// machine-readable BENCH_e*.json file. The run exits 1 when any cell is
+// not serializable, leaves its replicas inconsistent or breaks an
+// accounting identity (runner::CheckAccounting).
 //
 // Besides the built-in grids, any declarative scenario file can be swept
 // over any of its keys: --scenario=FILE turns the scenario into the base
@@ -24,160 +26,364 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_util.h"
+#include "common/table.h"
+#include "runner/runner.h"
 #include "scenario/scenario.h"
 
 namespace {
 
 using namespace unicc;
-using namespace unicc::bench;
+using runner::RunReport;
 
 // ---------------------------------------------------------------------------
 // Grid definition
 // ---------------------------------------------------------------------------
 
-// One named parameter of a cell, kept as a string/double pair so the JSON
-// writer can emit numbers as numbers and labels as strings.
+// The knobs a built-in grid varies. Every cell runs on 4 user + 4 data
+// sites, one copy per item, 5 ms links with 2 ms mean jitter and uniform
+// item popularity; --txns sets its transaction count.
+struct BenchConfig {
+  ItemId num_items = 60;
+  double lambda = 20;  // arrivals per second
+  std::uint32_t size_min = 4;
+  std::uint32_t size_max = 4;
+  double read_fraction = 0.5;
+  Duration compute_time = 5 * kMillisecond;
+  BackendKind backend = BackendKind::kUnified;
+  bool semi_locks = true;
+  Timestamp backoff_interval = 64;  // PA back-off interval INT
+  std::uint64_t seed = 1234;
+  // A kMix policy keeps the default even weights. On the pure backends,
+  // policy.fixed also picks the backend's protocol.
+  ScenarioPolicy policy;
+};
+
+// One named parameter of a cell. The JSON writer emits a number's value
+// bare and a label's value as a string.
 struct Param {
   std::string key;
-  std::string str_value;  // used when is_number is false
-  double num_value = 0;
+  std::string value;
   bool is_number = false;
 };
 
 Param NumParam(std::string key, double v) {
-  Param p;
-  p.key = std::move(key);
-  p.num_value = v;
-  p.is_number = true;
-  return p;
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  return {std::move(key), buf, true};
 }
 
 Param StrParam(std::string key, std::string v) {
-  Param p;
-  p.key = std::move(key);
-  p.str_value = std::move(v);
-  return p;
+  return {std::move(key), std::move(v), false};
 }
 
-// One point of an experiment grid: the full engine/workload configuration
-// plus the parameter values that identify the point in the report.
+// One point of an experiment grid: its configuration plus the parameter
+// values that identify the point in the report.
 struct Cell {
   std::vector<Param> params;
   BenchConfig cfg;
-  PolicyKind policy = PolicyKind::kFixed;
-  Protocol fixed = Protocol::kTwoPhaseLocking;
 };
 
 struct Experiment {
   std::string id;           // "e1", ... -> BENCH_e1.json
-  std::string description;  // one line, copied into the JSON header
+  std::string description;  // one line: table title and JSON header
+  // The table's metric columns, by their TableColumns header.
+  std::vector<std::string> columns;
   std::vector<Cell> cells;
 };
 
+// Every column an experiment table can print, by header.
+std::map<std::string, std::string> TableColumns(const runner::RunStats& s) {
+  const std::uint64_t* picks = s.committed_by_proto;
+  const int to = static_cast<int>(Protocol::kTimestampOrdering);
+  return {
+      {"S[ms]", Table::Num(s.mean_s_ms)},
+      {"S T/O[ms]", Table::Num(s.mean_s_ms_by_proto[to])},
+      {"p95[ms]", Table::Num(s.p95_s_ms)},
+      {"committed", Table::Int(s.committed)},
+      {"commits 2PL/T-O/PA", Table::Int(picks[0]) + "/" +
+                                 Table::Int(picks[1]) + "/" +
+                                 Table::Int(picks[2])},
+      {"deadlock victims", Table::Int(s.deadlock_victims)},
+      {"restarts", Table::Int(s.reject_restarts)},
+      {"backoff rounds", Table::Int(s.backoff_rounds)},
+      {"cc-msg/txn", Table::Num(s.cc_msgs_per_txn)},
+      {"serializable", s.serializable ? "yes" : "NO"},
+      {"replica-consistent", s.replicas_consistent ? "yes" : "NO"},
+  };
+}
+
 // Appends one cell per protocol for a pure-backend baseline sweep.
-void AddPureProtocolCells(Experiment* exp, const BenchConfig& base,
-                          std::vector<Param> params) {
+void AddPureProtocolCells(Experiment* exp, BenchConfig cfg,
+                          const std::vector<Param>& params) {
+  cfg.backend = BackendKind::kPure;
   for (Protocol p :
        {Protocol::kTwoPhaseLocking, Protocol::kTimestampOrdering,
         Protocol::kPrecedenceAgreement}) {
-    Cell cell;
-    cell.params = params;
-    cell.params.push_back(
+    cfg.policy.fixed = p;
+    std::vector<Param> cell_params = params;
+    cell_params.push_back(
         StrParam("protocol", std::string(ProtocolToken(p))));
-    cell.cfg = base;
-    cell.cfg.backend = BackendKind::kPure;
-    cell.policy = PolicyKind::kFixed;
-    cell.fixed = p;
-    exp->cells.push_back(std::move(cell));
+    exp->cells.push_back({std::move(cell_params), cfg});
   }
 }
 
 // E1: mean system time / throughput vs arrival rate lambda, per protocol.
-Experiment MakeE1(std::uint64_t txns) {
+Experiment MakeE1() {
   Experiment exp;
   exp.id = "e1";
-  exp.description = "system time and throughput vs arrival rate lambda";
+  exp.description =
+      "system time and throughput vs arrival rate lambda "
+      "(pure backends, 60 items, st=4, 50% reads)";
+  exp.columns = {"S[ms]", "deadlock victims", "restarts", "backoff rounds"};
+  BenchConfig cfg;
   for (double lambda : {10.0, 25.0, 50.0, 100.0, 150.0, 200.0, 250.0}) {
-    BenchConfig cfg;
     cfg.lambda = lambda;
-    cfg.num_txns = txns;
     AddPureProtocolCells(&exp, cfg, {NumParam("lambda", lambda)});
   }
   return exp;
 }
 
 // E2: transaction size sweep, per protocol.
-Experiment MakeE2(std::uint64_t txns) {
+Experiment MakeE2() {
   Experiment exp;
   exp.id = "e2";
-  exp.description = "system time vs transaction size st";
+  exp.description =
+      "system time vs transaction size st "
+      "(pure backends, lambda=40, 60 items, 50% reads)";
+  exp.columns = {"S[ms]", "committed", "deadlock victims", "restarts",
+                 "backoff rounds"};
+  BenchConfig cfg;
+  cfg.lambda = 40;
   for (std::uint32_t st : {2u, 4u, 6u, 8u, 12u, 16u}) {
-    BenchConfig cfg;
-    cfg.lambda = 40;
     cfg.size_min = st;
     cfg.size_max = st;
-    cfg.num_txns = txns;
     AddPureProtocolCells(&exp, cfg, {NumParam("txn_size", st)});
   }
   return exp;
 }
 
+// E3: anomaly accounting per protocol under identical load. The table
+// should be diagonal: deadlocks only for 2PL, restarts only for T/O,
+// back-offs only for PA.
+Experiment MakeE3() {
+  Experiment exp;
+  exp.id = "e3";
+  exp.description =
+      "anomalies per protocol "
+      "(pure backends, lambda=150, 40 items, st=3-5, 30% reads)";
+  exp.columns = {"committed", "deadlock victims", "restarts",
+                 "backoff rounds", "S[ms]", "serializable"};
+  BenchConfig cfg;
+  cfg.lambda = 150;
+  cfg.num_items = 40;
+  cfg.size_min = 3;
+  cfg.size_max = 5;
+  cfg.read_fraction = 0.3;
+  AddPureProtocolCells(&exp, cfg, {});
+  return exp;
+}
+
+// E4: concurrency-control messages per committed transaction vs load.
+Experiment MakeE4() {
+  Experiment exp;
+  exp.id = "e4";
+  exp.description =
+      "concurrency-control messages per committed txn vs lambda "
+      "(pure backends, 120 items, st=4, 30% reads)";
+  exp.columns = {"cc-msg/txn", "backoff rounds"};
+  BenchConfig cfg;
+  cfg.num_items = 120;
+  cfg.read_fraction = 0.3;
+  for (double lambda : {10.0, 30.0, 60.0, 100.0, 150.0, 200.0}) {
+    cfg.lambda = lambda;
+    AddPureProtocolCells(&exp, cfg, {NumParam("lambda", lambda)});
+  }
+  return exp;
+}
+
 // E5: dynamic min-STL selection vs the static protocol choices.
-Experiment MakeE5(std::uint64_t txns) {
+Experiment MakeE5() {
   Experiment exp;
   exp.id = "e5";
-  exp.description = "dynamic min-STL selection vs static protocols";
+  exp.description =
+      "dynamic min-STL selection vs static protocols "
+      "(unified backend, 60 items, st=4, 50% reads)";
+  exp.columns = {"S[ms]", "commits 2PL/T-O/PA"};
+  using Kind = ScenarioPolicy::Kind;
   struct PolicyPoint {
     const char* label;
-    PolicyKind kind;
+    Kind kind;
     Protocol fixed;
   };
   const PolicyPoint policies[] = {
-      {"static-2pl", PolicyKind::kFixed, Protocol::kTwoPhaseLocking},
-      {"static-to", PolicyKind::kFixed, Protocol::kTimestampOrdering},
-      {"static-pa", PolicyKind::kFixed, Protocol::kPrecedenceAgreement},
-      {"min-stl", PolicyKind::kMinStl, Protocol::kTwoPhaseLocking},
-      {"min-avg-time", PolicyKind::kMinAvgTime, Protocol::kTwoPhaseLocking},
+      {"static-2pl", Kind::kFixed, Protocol::kTwoPhaseLocking},
+      {"static-to", Kind::kFixed, Protocol::kTimestampOrdering},
+      {"static-pa", Kind::kFixed, Protocol::kPrecedenceAgreement},
+      {"min-stl", Kind::kMinStl, Protocol::kTwoPhaseLocking},
+      {"min-avg-time", Kind::kMinAvgTime, Protocol::kTwoPhaseLocking},
   };
+  BenchConfig cfg;
   for (double lambda : {10.0, 30.0, 75.0, 150.0, 250.0}) {
     for (const PolicyPoint& p : policies) {
-      Cell cell;
-      cell.params = {NumParam("lambda", lambda), StrParam("policy", p.label)};
-      cell.cfg.lambda = lambda;
-      cell.cfg.num_txns = txns;
-      cell.cfg.backend = BackendKind::kUnified;
-      cell.policy = p.kind;
-      cell.fixed = p.fixed;
-      exp.cells.push_back(std::move(cell));
+      cfg.lambda = lambda;
+      cfg.policy.kind = p.kind;
+      cfg.policy.fixed = p.fixed;
+      exp.cells.push_back(
+          {{NumParam("lambda", lambda), StrParam("policy", p.label)}, cfg});
     }
   }
   return exp;
 }
 
-// E9: PA back-off interval INT sweep.
-Experiment MakeE9(std::uint64_t txns) {
+// E6: the semi-lock protocol vs locking every T/O request, on an all-T/O
+// population and an even three-way mix.
+Experiment MakeE6() {
   Experiment exp;
-  exp.id = "e9";
-  exp.description = "PA back-off interval INT sweep";
-  for (Timestamp interval : {1u, 4u, 16u, 64u, 256u, 1024u}) {
-    Cell cell;
-    cell.params = {NumParam("backoff_interval",
-                            static_cast<double>(interval))};
-    cell.cfg.lambda = 120;
-    cell.cfg.num_txns = txns;
-    cell.cfg.backend = BackendKind::kPure;
-    cell.cfg.backoff_interval = interval;
-    cell.policy = PolicyKind::kFixed;
-    cell.fixed = Protocol::kPrecedenceAgreement;
-    cell.params.push_back(StrParam("protocol", "pa"));
-    exp.cells.push_back(std::move(cell));
+  exp.id = "e6";
+  exp.description =
+      "semi-lock ablation "
+      "(unified backend, 30 items, st=4, 60% reads, compute 10 ms)";
+  exp.columns = {"S[ms]", "S T/O[ms]", "restarts"};
+  BenchConfig cfg;
+  cfg.num_items = 30;
+  cfg.read_fraction = 0.6;
+  cfg.compute_time = 10 * kMillisecond;
+  cfg.policy.fixed = Protocol::kTimestampOrdering;
+  for (double lambda : {40.0, 80.0, 120.0}) {
+    for (bool all_to : {true, false}) {
+      for (bool semi : {true, false}) {
+        cfg.lambda = lambda;
+        cfg.policy.kind =
+            all_to ? ScenarioPolicy::Kind::kFixed : ScenarioPolicy::Kind::kMix;
+        cfg.semi_locks = semi;
+        exp.cells.push_back(
+            {{NumParam("lambda", lambda),
+              StrParam("population", all_to ? "all-to" : "mix"),
+              StrParam("variant", semi ? "semi-locks" : "lock-everything")},
+             cfg});
+      }
+    }
   }
   return exp;
+}
+
+// E7: serializability and replica consistency of the unified system over
+// protocol mixes, loads and seeds.
+Experiment MakeE7() {
+  Experiment exp;
+  exp.id = "e7";
+  exp.description =
+      "serializability sweep (unified backend, even 3-way mix, st=4)";
+  exp.columns = {"committed", "serializable", "replica-consistent"};
+  struct Case {
+    const char* name;
+    double lambda;
+    ItemId items;
+    double reads;
+    bool semi;
+  };
+  const Case cases[] = {
+      {"low load, semi-locks", 10, 150, 0.5, true},
+      {"high load, semi-locks", 60, 60, 0.3, true},
+      {"hot items, semi-locks", 40, 24, 0.3, true},
+      {"high load, lock-everything", 60, 60, 0.3, false},
+      {"write-only, hot items", 35, 20, 0.0, true},
+  };
+  BenchConfig cfg;
+  cfg.policy.kind = ScenarioPolicy::Kind::kMix;
+  for (const Case& c : cases) {
+    for (std::uint64_t k = 1; k <= 8; ++k) {
+      cfg.lambda = c.lambda;
+      cfg.num_items = c.items;
+      cfg.read_fraction = c.reads;
+      cfg.semi_locks = c.semi;
+      cfg.seed = k * 7919;
+      exp.cells.push_back(
+          {{StrParam("case", c.name),
+            NumParam("seed", static_cast<double>(cfg.seed))},
+           cfg});
+    }
+  }
+  return exp;
+}
+
+// E9: PA back-off interval INT sweep, from intervals that land just past
+// the conflict to ones that park the transaction far in the future.
+Experiment MakeE9() {
+  Experiment exp;
+  exp.id = "e9";
+  exp.description =
+      "PA back-off interval INT sweep "
+      "(pure PA backend, lambda=80, 30 items, st=4, 30% reads)";
+  exp.columns = {"S[ms]", "p95[ms]", "backoff rounds"};
+  BenchConfig cfg;
+  cfg.lambda = 80;
+  cfg.num_items = 30;
+  cfg.read_fraction = 0.3;
+  cfg.backend = BackendKind::kPure;
+  cfg.policy.fixed = Protocol::kPrecedenceAgreement;
+  cfg.seed = 4242;
+  for (Timestamp interval : {1u, 4u, 16u, 64u, 256u, 1024u, 4096u, 16384u,
+                             65536u, 262144u}) {
+    cfg.backoff_interval = interval;
+    exp.cells.push_back(
+        {{NumParam("backoff_interval", static_cast<double>(interval)),
+          StrParam("protocol", "pa")},
+         cfg});
+  }
+  return exp;
+}
+
+// Runs one request through the runner facade. A request the runner
+// rejects comes back as a report carrying that status.
+RunReport RunSpec(runner::RunRequest request) {
+  auto session = runner::RunSession::Create(std::move(request));
+  if (!session.ok()) {
+    RunReport failed;
+    failed.status = session.status();
+    return failed;
+  }
+  return (*session)->Run();
+}
+
+// Runs one built-in grid cell of `txns` transactions.
+RunReport RunOneReport(const BenchConfig& cfg, std::uint64_t txns) {
+  ScenarioSpec spec;
+  EngineOptions& eo = spec.engine;
+  eo.num_items = cfg.num_items;
+  eo.network.base_delay = 5 * kMillisecond;
+  eo.network.jitter_mean = 2 * kMillisecond;
+  eo.backend = cfg.backend;
+  eo.pure_protocol = cfg.policy.fixed;
+  eo.semi_locks = cfg.semi_locks;
+  eo.default_backoff_interval = cfg.backoff_interval;
+  eo.seed = cfg.seed;
+  if (cfg.backend == BackendKind::kPure &&
+      cfg.policy.fixed == Protocol::kTimestampOrdering) {
+    eo.detector = DetectorKind::kNone;
+  }
+  spec.policy = cfg.policy;
+
+  WorkloadOptions wo;
+  wo.arrival_rate_per_sec = cfg.lambda;
+  wo.num_txns = txns;
+  wo.size_min = cfg.size_min;
+  wo.size_max = cfg.size_max;
+  wo.read_fraction = cfg.read_fraction;
+  wo.compute_time = cfg.compute_time;
+  WorkloadGenerator gen(wo, cfg.num_items, eo.num_user_sites,
+                        Rng(cfg.seed ^ 0x5bd1e995));
+  const std::vector<WorkloadGenerator::Arrival> arrivals = gen.Generate();
+
+  runner::RunRequest request;
+  request.spec = &spec;
+  request.arrivals = &arrivals;
+  return RunSpec(std::move(request));
 }
 
 // ---------------------------------------------------------------------------
@@ -188,10 +394,10 @@ Experiment MakeE9(std::uint64_t txns) {
 // simulation per cell via `run_cell`. Cells are claimed from a shared
 // atomic cursor, so long cells do not stall short ones behind a static
 // partition.
-std::vector<runner::RunReport> RunIndexed(
+std::vector<RunReport> RunIndexed(
     std::size_t count, unsigned num_threads,
-    const std::function<runner::RunReport(std::size_t)>& run_cell) {
-  std::vector<runner::RunReport> results(count);
+    const std::function<RunReport(std::size_t)>& run_cell) {
+  std::vector<RunReport> results(count);
   std::atomic<std::size_t> next{0};
 
   auto worker = [&] {
@@ -231,7 +437,8 @@ void WriteJsonString(std::FILE* f, const std::string& s) {
 
 // Writes one experiment's results as BENCH_<id>.json. Schema per cell:
 // the grid parameters plus throughput [tx/s], abort_rate (aborts per
-// admitted attempt), mean/p95 response time [ms], raw counters and the
+// admitted attempt), mean/p95 response time [ms], raw counters (the
+// per-protocol arrays in 2PL, T/O, PA order), the self-checks and the
 // run's wall-clock phases [s] (setup, simulate, verify). A cell
 // whose scenario failed to load or validate is written as an "error"
 // record (params + message, no stats); `errors` may be empty (no failures
@@ -239,7 +446,7 @@ void WriteJsonString(std::FILE* f, const std::string& s) {
 // string marking success.
 bool WriteReport(const std::string& id, const std::string& description,
                  const std::vector<std::vector<Param>>& cell_params,
-                 const std::vector<runner::RunReport>& results,
+                 const std::vector<RunReport>& results,
                  const std::string& out_dir, unsigned num_threads,
                  std::uint64_t txns,
                  const std::vector<std::string>& errors = {}) {
@@ -260,7 +467,7 @@ bool WriteReport(const std::string& id, const std::string& description,
                num_threads, static_cast<unsigned long long>(txns));
   for (std::size_t i = 0; i < cell_params.size(); ++i) {
     const std::vector<Param>& params = cell_params[i];
-    const RunStats& s = results[i].stats;
+    const runner::RunStats& s = results[i].stats;
     const double aborts = static_cast<double>(s.deadlock_victims) +
                           static_cast<double>(s.reject_restarts);
     const double attempts = static_cast<double>(s.committed) + aborts;
@@ -270,9 +477,9 @@ bool WriteReport(const std::string& id, const std::string& description,
       WriteJsonString(f, params[p].key);
       std::fprintf(f, ": ");
       if (params[p].is_number) {
-        std::fprintf(f, "%g", params[p].num_value);
+        std::fputs(params[p].value.c_str(), f);
       } else {
-        WriteJsonString(f, params[p].str_value);
+        WriteJsonString(f, params[p].value);
       }
     }
     std::fprintf(f, "},\n");
@@ -287,8 +494,17 @@ bool WriteReport(const std::string& id, const std::string& description,
                  attempts == 0 ? 0.0 : aborts / attempts);
     std::fprintf(f, "      \"mean_response_ms\": %.4f,\n", s.mean_s_ms);
     std::fprintf(f, "      \"p95_response_ms\": %.4f,\n", s.p95_s_ms);
+    std::fprintf(f,
+                 "      \"mean_response_ms_by_protocol\": "
+                 "[%.4f, %.4f, %.4f],\n",
+                 s.mean_s_ms_by_proto[0], s.mean_s_ms_by_proto[1],
+                 s.mean_s_ms_by_proto[2]);
     std::fprintf(f, "      \"committed\": %llu,\n",
                  static_cast<unsigned long long>(s.committed));
+    std::fprintf(f, "      \"committed_by_protocol\": [%llu, %llu, %llu],\n",
+                 static_cast<unsigned long long>(s.committed_by_proto[0]),
+                 static_cast<unsigned long long>(s.committed_by_proto[1]),
+                 static_cast<unsigned long long>(s.committed_by_proto[2]));
     std::fprintf(f, "      \"deadlock_victims\": %llu,\n",
                  static_cast<unsigned long long>(s.deadlock_victims));
     std::fprintf(f, "      \"reject_restarts\": %llu,\n",
@@ -296,6 +512,7 @@ bool WriteReport(const std::string& id, const std::string& description,
     std::fprintf(f, "      \"backoff_rounds\": %llu,\n",
                  static_cast<unsigned long long>(s.backoff_rounds));
     std::fprintf(f, "      \"msgs_per_txn\": %.4f,\n", s.msgs_per_txn);
+    std::fprintf(f, "      \"cc_msgs_per_txn\": %.4f,\n", s.cc_msgs_per_txn);
     // Overload-control outcomes (all zero unless the cell's scenario
     // engages the bounded admission gate / deadlines); goodput is the
     // commits-within-deadline count the nightly sweep plots.
@@ -317,8 +534,10 @@ bool WriteReport(const std::string& id, const std::string& description,
                  "      \"verify_s\": %.6f,\n",
                  results[i].setup_s, results[i].simulate_s,
                  results[i].verify_s);
-    std::fprintf(f, "      \"serializable\": %s\n",
+    std::fprintf(f, "      \"serializable\": %s,\n",
                  s.serializable ? "true" : "false");
+    std::fprintf(f, "      \"replicas_consistent\": %s\n",
+                 s.replicas_consistent ? "true" : "false");
     std::fprintf(f, "    }%s\n", i + 1 == cell_params.size() ? "" : ",");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -388,7 +607,7 @@ int RunScenarioSweep(const std::string& scenario_path,
     // failure is visible as data, not just a log line.
     WriteReport(report_id, "scenario sweep over " + scenario_path,
                 std::vector<std::vector<Param>>(1),
-                std::vector<runner::RunReport>(1),
+                std::vector<RunReport>(1),
                 out_dir, num_threads, 0, {ini.status().ToString()});
     return 2;
   }
@@ -448,12 +667,14 @@ int RunScenarioSweep(const std::string& scenario_path,
   std::printf("sweep_runner: %zu scenario cells (%zu axes, %zu invalid) on "
               "%u threads\n",
               total, axes.size(), failed, num_threads);
-  const std::vector<runner::RunReport> results =
+  const std::vector<RunReport> results =
       RunIndexed(total, num_threads, [&specs, &errors](std::size_t i) {
         if (!errors[i].empty()) {
-          return runner::RunReport();  // recorded, not run
+          return RunReport();  // recorded, not run
         }
-        return RunScenarioReport(specs[i]);
+        runner::RunRequest request;
+        request.spec = &specs[i];
+        return RunSpec(std::move(request));
       });
 
   const ScenarioSpec* base = first_ok < total ? &specs[first_ok] : nullptr;
@@ -473,6 +694,47 @@ int RunScenarioSweep(const std::string& scenario_path,
     return 2;
   }
   return wrote ? 0 : 1;
+}
+
+// Prints one experiment as a table and names on stderr each cell that
+// fails its self-checks: serializability, replica consistency and the
+// accounting identities carried in the report's status. Returns false if
+// any cell failed.
+bool PrintAndCheck(const Experiment& exp,
+                   const std::vector<RunReport>& results) {
+  std::vector<std::string> headers;
+  for (const Param& p : exp.cells.front().params) headers.push_back(p.key);
+  headers.insert(headers.end(), exp.columns.begin(), exp.columns.end());
+  Table table(std::move(headers));
+  bool ok = true;
+  for (std::size_t i = 0; i < exp.cells.size(); ++i) {
+    const RunReport& r = results[i];
+    std::vector<std::string> row;
+    std::string where;
+    for (const Param& p : exp.cells[i].params) {
+      row.push_back(p.value);
+      where += " " + p.key + "=" + p.value;
+    }
+    const std::map<std::string, std::string> columns = TableColumns(r.stats);
+    for (const std::string& c : exp.columns) row.push_back(columns.at(c));
+    table.AddRow(std::move(row));
+    std::string failure;
+    if (!r.status.ok()) {
+      failure = r.status.ToString();
+    } else if (!r.stats.serializable) {
+      failure = "not serializable";
+    } else if (!r.stats.replicas_consistent) {
+      failure = "replicas inconsistent";
+    }
+    if (!failure.empty()) {
+      std::fprintf(stderr, "sweep_runner: %s cell%s: %s\n", exp.id.c_str(),
+                   where.c_str(), failure.c_str());
+      ok = false;
+    }
+  }
+  std::printf("\n%s: %s\n\n%s\n", exp.id.c_str(), exp.description.c_str(),
+              table.ToString().c_str());
+  return ok;
 }
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
@@ -500,7 +762,8 @@ void PrintHelp() {
   std::puts(
       "sweep_runner: parallel parameter sweeps over the paper's "
       "experiment grids\n"
-      "  --exp=e1,e2,e5,e9   comma list of experiments (default: all)\n"
+      "  --exp=e1,e2,...     comma list of experiments e1-e7, e9\n"
+      "                      (default: all)\n"
       "  --threads=<n>       worker threads (default: hardware, min 4)\n"
       "  --txns=<n>          transactions per cell (default: 300;\n"
       "                      built-in grids only)\n"
@@ -575,10 +838,11 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Experiment> experiments;
-  if (Selected(exp_list, "e1")) experiments.push_back(MakeE1(txns));
-  if (Selected(exp_list, "e2")) experiments.push_back(MakeE2(txns));
-  if (Selected(exp_list, "e5")) experiments.push_back(MakeE5(txns));
-  if (Selected(exp_list, "e9")) experiments.push_back(MakeE9(txns));
+  for (Experiment (*make)() :
+       {MakeE1, MakeE2, MakeE3, MakeE4, MakeE5, MakeE6, MakeE7, MakeE9}) {
+    Experiment exp = make();
+    if (Selected(exp_list, exp.id)) experiments.push_back(std::move(exp));
+  }
   if (experiments.empty()) {
     std::fprintf(stderr, "no experiments selected from '%s'\n",
                  exp_list.c_str());
@@ -587,34 +851,29 @@ int main(int argc, char** argv) {
 
   // Flatten so one pool serves every experiment; a per-experiment pool
   // would leave workers idle at each experiment boundary.
-  std::vector<Cell> all_cells;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;  // [begin, end)
+  std::vector<const Cell*> all_cells;
   for (const Experiment& exp : experiments) {
-    const std::size_t begin = all_cells.size();
-    all_cells.insert(all_cells.end(), exp.cells.begin(), exp.cells.end());
-    ranges.emplace_back(begin, all_cells.size());
+    for (const Cell& cell : exp.cells) all_cells.push_back(&cell);
   }
   std::printf("sweep_runner: %zu cells across %zu experiments on %u threads\n",
               all_cells.size(), experiments.size(), num_threads);
 
-  const std::vector<runner::RunReport> results =
-      RunIndexed(all_cells.size(), num_threads, [&all_cells](std::size_t i) {
-        return RunOneReport(all_cells[i].cfg, all_cells[i].policy,
-                            all_cells[i].fixed);
+  const std::vector<RunReport> results =
+      RunIndexed(all_cells.size(), num_threads, [&](std::size_t i) {
+        return RunOneReport(all_cells[i]->cfg, txns);
       });
 
   bool ok = true;
-  for (std::size_t e = 0; e < experiments.size(); ++e) {
-    const auto [begin, end] = ranges[e];
-    const std::vector<runner::RunReport> slice(results.begin() + begin,
-                                               results.begin() + end);
+  std::size_t begin = 0;
+  for (const Experiment& exp : experiments) {
+    const std::vector<RunReport> slice(
+        results.begin() + begin, results.begin() + begin + exp.cells.size());
+    begin += exp.cells.size();
     std::vector<std::vector<Param>> cell_params;
-    cell_params.reserve(end - begin);
-    for (std::size_t c = begin; c < end; ++c) {
-      cell_params.push_back(all_cells[c].params);
-    }
-    ok = WriteReport(experiments[e].id, experiments[e].description,
-                     cell_params, slice, out_dir, num_threads, txns) &&
+    for (const Cell& cell : exp.cells) cell_params.push_back(cell.params);
+    ok = PrintAndCheck(exp, slice) && ok;
+    ok = WriteReport(exp.id, exp.description, cell_params, slice, out_dir,
+                     num_threads, txns) &&
          ok;
   }
   return ok ? 0 : 1;
