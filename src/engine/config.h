@@ -131,10 +131,6 @@ struct EngineOptions {
   // the recorder.
   Duration metrics_window = 0;
 
-  // Retain every per-commit TxnResult in RunMetrics::results(). Off by
-  // default: long open-system runs must not grow memory per commit.
-  bool keep_results = false;
-
   Status Validate() const;
 };
 

@@ -28,7 +28,6 @@ Engine::Engine(EngineOptions options, EngineCallbacks callbacks)
       root_rng_(options_.seed),
       retry_rng_(options_.seed ^ kRetrySalt) {
   UNICC_CHECK_MSG(options_.Validate().ok(), "invalid engine options");
-  metrics_.SetKeepResults(options_.keep_results);
   if (options_.metrics_window > 0) {
     timeline_ = std::make_unique<TimelineRecorder>(options_.metrics_window);
   }

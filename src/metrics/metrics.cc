@@ -79,7 +79,6 @@ void RunMetrics::OnCommit(const TxnResult& r) {
   ps.system_time.Add(r.SystemTime());
   ps.backoff_rounds += r.backoffs;
   ps.restarts += r.attempts - 1;
-  if (keep_results_) results_.push_back(r);
 }
 
 void RunMetrics::OnRestart(Protocol proto, TxnOutcome why) {

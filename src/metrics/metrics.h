@@ -56,10 +56,6 @@ struct ProtocolStats {
 
 class RunMetrics {
  public:
-  // Opt in to retaining every TxnResult (results()). Off by default: a
-  // long open-system run would otherwise grow memory per commit.
-  void SetKeepResults(bool keep) { keep_results_ = keep; }
-
   void OnCommit(const TxnResult& r);
   void OnRestart(Protocol proto, TxnOutcome why);
 
@@ -92,10 +88,6 @@ class RunMetrics {
   // Throughput in committed transactions per simulated second.
   double ThroughputPerSec(SimTime elapsed) const;
 
-  // Per-commit rows; empty unless SetKeepResults(true) was called before
-  // the run.
-  const std::vector<TxnResult>& results() const { return results_; }
-
  private:
   std::array<ProtocolStats, kNumProtocols> per_proto_{};
   DurationStat all_system_time_;
@@ -107,8 +99,6 @@ class RunMetrics {
   std::uint64_t expired_ = 0;
   std::uint64_t retried_ = 0;
   std::uint64_t goodput_committed_ = 0;
-  bool keep_results_ = false;
-  std::vector<TxnResult> results_;
 };
 
 }  // namespace unicc

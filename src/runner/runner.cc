@@ -174,6 +174,7 @@ StatusOr<std::unique_ptr<RunSession>> RunSession::Create(RunRequest request) {
   }
   auto session = std::unique_ptr<RunSession>(new RunSession(std::move(request)));
   if (Status s = session->spec_.engine.Validate(); !s.ok()) return s;
+  if (Status s = ValidatePureBackend(session->spec_); !s.ok()) return s;
   return session;
 }
 

@@ -105,8 +105,8 @@ struct RunReport {
 
 class RunSession {
  public:
-  // Validates the request (engine options, replay inputs) and returns a
-  // ready session or the first error.
+  // Validates the request (engine options, the pure backend's protocol
+  // rule, replay inputs) and returns a ready session or the first error.
   static StatusOr<std::unique_ptr<RunSession>> Create(RunRequest request);
 
   ~RunSession();

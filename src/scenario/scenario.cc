@@ -1,12 +1,12 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <utility>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "workload/access.h"
 #include "workload/arrival.h"
 
@@ -26,25 +26,26 @@ Status BadValue(const IniEntry& e, const std::string& what) {
                                  " (got '" + e.value + "')");
 }
 
-Status ParseUint(const IniEntry& e, std::uint64_t* out) {
-  if (e.value.empty()) return BadValue(e, "expected unsigned integer");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(e.value.c_str(), &end, 10);
-  if (end == e.value.c_str() || *end != '\0' || e.value[0] == '-') {
-    return BadValue(e, "expected unsigned integer");
+// An unsigned integer that fits T and is >= min. Every integer key goes
+// through here, so a value never narrows silently into its field.
+template <typename T>
+Status ParseCount(const IniEntry& e, T* out, std::uint64_t min = 0) {
+  T v = 0;
+  if (!ParseNumber(e.value, &v)) {
+    return BadValue(e, "expected an unsigned integer <= " +
+                       std::to_string(std::numeric_limits<T>::max()));
   }
+  if (v < min) return BadValue(e, "must be >= " + std::to_string(min));
   *out = v;
   return Status::OK();
 }
 
+// A finite number: NaN would pass every range check below, and infinity
+// breaks the arrival and access generators.
 Status ParseDouble(const IniEntry& e, double* out) {
-  if (e.value.empty()) return BadValue(e, "expected number");
-  char* end = nullptr;
-  const double v = std::strtod(e.value.c_str(), &end);
-  if (end == e.value.c_str() || *end != '\0') {
-    return BadValue(e, "expected number");
+  if (!ParseNumber(e.value, out)) {
+    return BadValue(e, "expected a finite number");
   }
-  *out = v;
   return Status::OK();
 }
 
@@ -68,10 +69,10 @@ Status ParseProtocol(const IniEntry& e, Protocol* out) {
 
 // Milliseconds (fractional allowed) -> simulated-microsecond Duration.
 Status ParseMs(const IniEntry& e, Duration* out) {
-  double ms = 0;
-  if (Status s = ParseDouble(e, &ms); !s.ok()) return s;
-  if (ms < 0) return BadValue(e, "must be >= 0");
-  *out = static_cast<Duration>(ms * 1000);
+  if (!ParseMillis(e.value, out)) {
+    return BadValue(e, "expected milliseconds >= 0 within the simulated-time "
+                       "range");
+  }
   return Status::OK();
 }
 
@@ -87,17 +88,13 @@ Status ParseSizeRange(const IniEntry& e, std::uint32_t* lo,
   const std::size_t dots = e.value.find("..");
   IniEntry sub = e;
   if (dots == std::string::npos) {
-    std::uint64_t v = 0;
-    if (Status s = ParseUint(e, &v); !s.ok()) return s;
-    *lo = *hi = static_cast<std::uint32_t>(v);
+    if (Status s = ParseCount(e, lo); !s.ok()) return s;
+    *hi = *lo;
   } else {
-    std::uint64_t a = 0, b = 0;
     sub.value = e.value.substr(0, dots);
-    if (Status s = ParseUint(sub, &a); !s.ok()) return s;
+    if (Status s = ParseCount(sub, lo); !s.ok()) return s;
     sub.value = e.value.substr(dots + 2);
-    if (Status s = ParseUint(sub, &b); !s.ok()) return s;
-    *lo = static_cast<std::uint32_t>(a);
-    *hi = static_cast<std::uint32_t>(b);
+    if (Status s = ParseCount(sub, hi); !s.ok()) return s;
   }
   if (*lo < 1 || *lo > *hi) {
     return BadValue(e, "expected size N or LO..HI with 1 <= LO <= HI");
@@ -112,8 +109,7 @@ Status ParseScenarioSection(const IniSection& sec, ScenarioSpec* spec) {
     } else if (e.key == "description") {
       spec->description = e.value;
     } else if (e.key == "scale_factor") {
-      if (Status s = ParseUint(e, &spec->scale_factor); !s.ok()) return s;
-      if (spec->scale_factor == 0) return BadValue(e, "must be >= 1");
+      if (Status s = ParseCount(e, &spec->scale_factor, 1); !s.ok()) return s;
     } else {
       return Status::InvalidArgument(Where(e) + "unknown [scenario] key '" +
                                      e.key + "'");
@@ -125,20 +121,15 @@ Status ParseScenarioSection(const IniSection& sec, ScenarioSpec* spec) {
 Status ParseEngineSection(const IniSection& sec, EngineOptions* eo,
                           bool* saw_items) {
   for (const IniEntry& e : sec.entries) {
-    std::uint64_t u = 0;
     if (e.key == "user_sites") {
-      if (Status s = ParseUint(e, &u); !s.ok()) return s;
-      eo->num_user_sites = static_cast<std::uint32_t>(u);
+      if (Status s = ParseCount(e, &eo->num_user_sites); !s.ok()) return s;
     } else if (e.key == "data_sites") {
-      if (Status s = ParseUint(e, &u); !s.ok()) return s;
-      eo->num_data_sites = static_cast<std::uint32_t>(u);
+      if (Status s = ParseCount(e, &eo->num_data_sites); !s.ok()) return s;
     } else if (e.key == "items") {
-      if (Status s = ParseUint(e, &u); !s.ok()) return s;
-      eo->num_items = static_cast<ItemId>(u);
+      if (Status s = ParseCount(e, &eo->num_items); !s.ok()) return s;
       *saw_items = true;
     } else if (e.key == "replication") {
-      if (Status s = ParseUint(e, &u); !s.ok()) return s;
-      eo->replication = static_cast<std::uint32_t>(u);
+      if (Status s = ParseCount(e, &eo->replication); !s.ok()) return s;
     } else if (e.key == "backend") {
       if (e.value == "unified") {
         eo->backend = BackendKind::kUnified;
@@ -170,13 +161,13 @@ Status ParseEngineSection(const IniSection& sec, EngineOptions* eo,
     } else if (e.key == "restart_delay_ms") {
       if (Status s = ParseMs(e, &eo->restart_delay_mean); !s.ok()) return s;
     } else if (e.key == "backoff_interval") {
-      if (Status s = ParseUint(e, &u); !s.ok()) return s;
-      if (u == 0) return BadValue(e, "must be >= 1");
-      eo->default_backoff_interval = u;
+      if (Status s = ParseCount(e, &eo->default_backoff_interval, 1); !s.ok()) {
+        return s;
+      }
     } else if (e.key == "request_timeout_ms") {
       if (Status s = ParseMs(e, &eo->request_timeout); !s.ok()) return s;
     } else if (e.key == "seed") {
-      if (Status s = ParseUint(e, &eo->seed); !s.ok()) return s;
+      if (Status s = ParseCount(e, &eo->seed); !s.ok()) return s;
     } else {
       return Status::InvalidArgument(Where(e) + "unknown [engine] key '" +
                                      e.key + "'");
@@ -253,11 +244,8 @@ Status ParsePolicySection(const IniSection& sec, ScenarioPolicy* policy,
 
 Status ParseTopologySection(const IniSection& sec, FaultOptions* f) {
   for (const IniEntry& e : sec.entries) {
-    std::uint64_t u = 0;
     if (e.key == "regions") {
-      if (Status s = ParseUint(e, &u); !s.ok()) return s;
-      if (u == 0) return BadValue(e, "must be >= 1");
-      f->regions = static_cast<std::uint32_t>(u);
+      if (Status s = ParseCount(e, &f->regions, 1); !s.ok()) return s;
     } else if (e.key == "placement") {
       if (e.value == "blocked") {
         f->placement = FaultOptions::Placement::kBlocked;
@@ -308,10 +296,8 @@ Status ParseCrashList(const IniEntry& e, std::vector<CrashEvent>* out) {
     }
     IniEntry sub = e;
     CrashEvent c;
-    std::uint64_t site = 0;
     sub.value = tok.substr(0, at);
-    if (Status s = ParseUint(sub, &site); !s.ok()) return s;
-    c.site = static_cast<SiteId>(site);
+    if (Status s = ParseCount(sub, &c.site); !s.ok()) return s;
     Duration at_ms = 0;
     sub.value = tok.substr(at + 1, plus - at - 1);
     if (Status s = ParseMs(sub, &at_ms); !s.ok()) return s;
@@ -331,7 +317,7 @@ Status ParseCrashList(const IniEntry& e, std::vector<CrashEvent>* out) {
 Status ParseFaultSection(const IniSection& sec, FaultOptions* f) {
   for (const IniEntry& e : sec.entries) {
     if (e.key == "seed") {
-      if (Status s = ParseUint(e, &f->seed); !s.ok()) return s;
+      if (Status s = ParseCount(e, &f->seed); !s.ok()) return s;
     } else if (e.key == "loss") {
       if (Status s = ParseFraction(e, &f->loss); !s.ok()) return s;
       if (f->loss >= 1) return BadValue(e, "must be < 1");
@@ -360,8 +346,7 @@ Status ParseTableSection(const IniSection& sec, const std::string& name,
   bool saw_rows = false;
   for (const IniEntry& e : sec.entries) {
     if (e.key == "rows") {
-      if (Status s = ParseUint(e, &t->rows); !s.ok()) return s;
-      if (t->rows == 0) return BadValue(e, "must be >= 1");
+      if (Status s = ParseCount(e, &t->rows, 1); !s.ok()) return s;
       saw_rows = true;
     } else if (e.key == "scale") {
       if (Status s = ParseBool(e, &t->scale); !s.ok()) return s;
@@ -385,7 +370,6 @@ Status ParseTableSection(const IniSection& sec, const std::string& name,
 // exactly the knobs a class section can set.
 Status ParseClassKey(const IniEntry& e, ScenarioClass* c, bool* known) {
   *known = true;
-  std::uint64_t u = 0;
   if (e.key == "arrival") {
     if (e.value == "poisson") {
       c->arrival = ScenarioClass::ArrivalKind::kPoisson;
@@ -413,9 +397,7 @@ Status ParseClassKey(const IniEntry& e, ScenarioClass* c, bool* known) {
   } else if (e.key == "scan_fraction") {
     if (Status s = ParseFraction(e, &c->scan_fraction); !s.ok()) return s;
   } else if (e.key == "scan_max") {
-    if (Status s = ParseUint(e, &u); !s.ok()) return s;
-    if (u == 0) return BadValue(e, "must be >= 1");
-    c->scan_max = static_cast<std::uint32_t>(u);
+    if (Status s = ParseCount(e, &c->scan_max, 1); !s.ok()) return s;
   } else if (e.key == "access") {
     if (e.value == "uniform") {
       c->access = ScenarioClass::AccessKind::kUniform;
@@ -432,24 +414,19 @@ Status ParseClassKey(const IniEntry& e, ScenarioClass* c, bool* known) {
     if (Status s = ParseDouble(e, &c->theta); !s.ok()) return s;
     if (c->theta < 0) return BadValue(e, "must be >= 0");
   } else if (e.key == "hot_items") {
-    if (Status s = ParseUint(e, &u); !s.ok()) return s;
-    if (u == 0) return BadValue(e, "must be >= 1");
-    c->hot_items = static_cast<ItemId>(u);
+    if (Status s = ParseCount(e, &c->hot_items, 1); !s.ok()) return s;
   } else if (e.key == "hot_fraction") {
     if (Status s = ParseFraction(e, &c->hot_fraction); !s.ok()) return s;
   } else if (e.key == "partitions") {
-    if (Status s = ParseUint(e, &u); !s.ok()) return s;
-    if (u == 0) return BadValue(e, "must be >= 1");
-    c->partitions = static_cast<std::uint32_t>(u);
+    if (Status s = ParseCount(e, &c->partitions, 1); !s.ok()) return s;
   } else if (e.key == "cross_fraction") {
     if (Status s = ParseFraction(e, &c->cross_fraction); !s.ok()) return s;
   } else if (e.key == "compute_ms") {
     if (Status s = ParseMs(e, &c->compute_time); !s.ok()) return s;
   } else if (e.key == "backoff_interval") {
-    if (Status s = ParseUint(e, &c->backoff_interval); !s.ok()) return s;
+    if (Status s = ParseCount(e, &c->backoff_interval); !s.ok()) return s;
   } else if (e.key == "priority") {
-    if (Status s = ParseUint(e, &u); !s.ok()) return s;
-    c->priority = static_cast<std::uint32_t>(u);
+    if (Status s = ParseCount(e, &c->priority); !s.ok()) return s;
   } else if (e.key == "deadline_ms") {
     if (Status s = ParseMs(e, &c->deadline); !s.ok()) return s;
     if (c->deadline == 0) return BadValue(e, "must be > 0");
@@ -474,8 +451,7 @@ Status ParseClassSection(const IniSection& sec, const std::string& name,
   bool saw_txns = false, saw_rate = false;
   for (const IniEntry& e : sec.entries) {
     if (e.key == "txns") {
-      if (Status s = ParseUint(e, &c->txns); !s.ok()) return s;
-      if (c->txns == 0) return BadValue(e, "must be >= 1");
+      if (Status s = ParseCount(e, &c->txns, 1); !s.ok()) return s;
       saw_txns = true;
       continue;
     }
@@ -536,11 +512,9 @@ Status ParsePhaseSection(const IniSection& sec, const std::string& name,
         return BadValue(e, "expected SITE+DOWN_MS");
       }
       IniEntry sub = e;
-      std::uint64_t site = 0;
-      sub.value = e.value.substr(0, plus);
-      if (Status s = ParseUint(sub, &site); !s.ok()) return s;
       ScenarioPhase::Crash c;
-      c.site = static_cast<SiteId>(site);
+      sub.value = e.value.substr(0, plus);
+      if (Status s = ParseCount(sub, &c.site); !s.ok()) return s;
       sub.value = e.value.substr(plus + 1);
       if (Status s = ParseMs(sub, &c.down); !s.ok()) return s;
       if (c.down == 0) return BadValue(e, "downtime must be > 0");
@@ -586,30 +560,24 @@ Status ApplyPhaseToClass(const ScenarioPhase& ph, ScenarioClass* c) {
 
 Status ParseRunSection(const IniSection& sec, EngineOptions* eo) {
   for (const IniEntry& e : sec.entries) {
-    std::uint64_t u = 0;
     if (e.key == "horizon_ms") {
       Duration d = 0;
       if (Status s = ParseMs(e, &d); !s.ok()) return s;
       eo->run.time_horizon = d;
     } else if (e.key == "commit_target") {
-      if (Status s = ParseUint(e, &eo->run.commit_target); !s.ok()) return s;
+      if (Status s = ParseCount(e, &eo->run.commit_target); !s.ok()) return s;
     } else if (e.key == "max_inflight") {
-      if (Status s = ParseUint(e, &u); !s.ok()) return s;
-      eo->run.max_inflight = static_cast<std::uint32_t>(u);
+      if (Status s = ParseCount(e, &eo->run.max_inflight); !s.ok()) return s;
     } else if (e.key == "window_ms") {
       if (Status s = ParseMs(e, &eo->metrics_window); !s.ok()) return s;
-    } else if (e.key == "keep_results") {
-      if (Status s = ParseBool(e, &eo->keep_results); !s.ok()) return s;
     } else if (e.key == "queue_limit") {
-      if (Status s = ParseUint(e, &u); !s.ok()) return s;
-      eo->run.queue_limit = static_cast<std::uint32_t>(u);
+      if (Status s = ParseCount(e, &eo->run.queue_limit); !s.ok()) return s;
     } else if (e.key == "shed_policy") {
       if (!ParseShedPolicy(e.value, &eo->run.shed_policy)) {
         return BadValue(e, "expected block/drop_newest/drop_oldest/deadline");
       }
     } else if (e.key == "retry_limit") {
-      if (Status s = ParseUint(e, &u); !s.ok()) return s;
-      eo->run.retry_limit = static_cast<std::uint32_t>(u);
+      if (Status s = ParseCount(e, &eo->run.retry_limit); !s.ok()) return s;
     } else if (e.key == "retry_ms") {
       if (Status s = ParseMs(e, &eo->run.retry_delay); !s.ok()) return s;
     } else if (e.key == "retry_max_ms") {
@@ -807,19 +775,7 @@ Status CrossValidate(const ScenarioSpec& spec) {
       return s;
     }
   }
-  if (spec.engine.backend == BackendKind::kPure) {
-    // Every transaction must be steered to the pure backend's protocol.
-    if (spec.policy.kind != ScenarioPolicy::Kind::kFixed ||
-        spec.policy.fixed != spec.engine.pure_protocol) {
-      return Status::InvalidArgument(
-          "[engine] backend = pure requires [policy] kind = fixed with the "
-          "same protocol");
-    }
-    if (Status s = ValidatePureProtocols(spec.classes, spec.engine, "");
-        !s.ok()) {
-      return s;
-    }
-  }
+  if (Status s = ValidatePureBackend(spec); !s.ok()) return s;
   if (Status s = ValidateTimeline(spec); !s.ok()) return s;
   if (spec.engine.run.shed_policy == ShedPolicy::kDeadline) {
     const bool any_deadline =
@@ -863,6 +819,17 @@ std::unique_ptr<AccessPattern> MakeAccess(const ScenarioClass& c,
 }
 
 }  // namespace
+
+Status ValidatePureBackend(const ScenarioSpec& spec) {
+  if (spec.engine.backend != BackendKind::kPure) return Status::OK();
+  if (spec.policy.kind != ScenarioPolicy::Kind::kFixed ||
+      spec.policy.fixed != spec.engine.pure_protocol) {
+    return Status::InvalidArgument(
+        "[engine] backend = pure requires [policy] kind = fixed with the "
+        "same protocol");
+  }
+  return ValidatePureProtocols(spec.classes, spec.engine, "");
+}
 
 StatusOr<ScenarioSpec> ScenarioSpec::FromIni(const IniFile& ini) {
   ScenarioSpec spec;

@@ -1,12 +1,32 @@
 #include "workload/generator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 
 #include "common/check.h"
 
 namespace unicc {
+
+Status WorkloadOptions::Validate(ItemId num_items,
+                                 std::uint32_t num_user_sites) const {
+  const char* bad = nullptr;
+  if (!(arrival_rate_per_sec > 0) || !std::isfinite(arrival_rate_per_sec)) {
+    bad = "arrival rate must be finite and > 0";
+  } else if (size_min < 1 || size_min > size_max) {
+    bad = "need 1 <= size_min <= size_max";
+  } else if (size_max > num_items) {
+    bad = "size_max exceeds the item count";
+  } else if (!(read_fraction >= 0 && read_fraction <= 1)) {
+    bad = "read fraction must be in [0, 1]";
+  } else if (!(zipf_theta >= 0) || !std::isfinite(zipf_theta)) {
+    bad = "zipf theta must be finite and >= 0";
+  } else if (num_user_sites == 0) {
+    bad = "need at least one user site";
+  }
+  return bad == nullptr ? Status::OK() : Status::InvalidArgument(bad);
+}
 
 ProtocolPolicy FixedProtocol(Protocol p) {
   return [p](const TxnSpec&) { return p; };
@@ -37,13 +57,7 @@ class GeneratorStream final : public ArrivalStream {
         rng_(rng),
         zipf_(num_items, options.zipf_theta),
         mean_gap_us_(1e6 / options.arrival_rate_per_sec) {
-    UNICC_CHECK(options_.arrival_rate_per_sec > 0);
-    UNICC_CHECK(options_.size_min >= 1 &&
-                options_.size_min <= options_.size_max);
-    UNICC_CHECK(options_.size_max <= num_items);
-    UNICC_CHECK(options_.read_fraction >= 0 &&
-                options_.read_fraction <= 1);
-    UNICC_CHECK(num_user_sites_ > 0);
+    UNICC_CHECK(options_.Validate(num_items, num_user_sites).ok());
   }
 
   bool Next(Arrival* out) override {

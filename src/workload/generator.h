@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/types.h"
 #include "txn/transaction.h"
 #include "workload/stream.h"
@@ -37,6 +38,12 @@ struct WorkloadOptions {
   double zipf_theta = 0.0;
   // Local computing phase duration per transaction.
   Duration compute_time = 5 * kMillisecond;
+
+  // The generator's preconditions over `num_items` items and
+  // `num_user_sites` home sites: a positive finite rate, 1 <= size_min <=
+  // size_max <= num_items, read_fraction in [0, 1], zipf_theta >= 0 and at
+  // least one user site. NaN fails every check.
+  Status Validate(ItemId num_items, std::uint32_t num_user_sites) const;
 };
 
 // Decides the protocol of each generated transaction. The dynamic selector

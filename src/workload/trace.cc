@@ -1,62 +1,15 @@
 #include "workload/trace.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <ios>
 #include <sstream>
+#include <string_view>
 
+#include "common/parse.h"
 #include "workload/trace_io.h"
 
 namespace unicc {
-
-namespace {
-
-// The protocol tokens in traces are the shared ProtocolToken /
-// ParseProtocolToken ("2pl"/"to"/"pa") from common/types.h.
-
-// Binary layout: header, then per record a fixed part followed by
-// `num_reads` + `num_writes` 32-bit item ids. All integers little-endian.
-constexpr char kBinaryMagic[4] = {'U', 'C', 'T', 'B'};
-
-void AppendLe(std::string* out, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-// Strict decimal-u32 parse for item-id tokens. std::stoul would accept a
-// leading '-' (wrapping through unsigned long) and values past 2^32-1
-// (silently truncated by the ItemId cast), so a text trace could
-// round-trip *different* items instead of failing.
-bool ParseItemToken(const std::string& token, ItemId* out) {
-  if (token.empty()) return false;
-  std::uint64_t value = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    if (value > 0xffffffffULL) return false;
-  }
-  *out = static_cast<ItemId>(value);
-  return true;
-}
-
-// Reads `bytes` little-endian bytes at *pos, advancing it. Returns false
-// on truncation.
-bool ReadLe(const std::string& in, std::size_t* pos, int bytes,
-            std::uint64_t* v) {
-  if (in.size() - *pos < static_cast<std::size_t>(bytes)) return false;
-  *v = 0;
-  for (int i = 0; i < bytes; ++i) {
-    *v |= static_cast<std::uint64_t>(
-              static_cast<unsigned char>(in[*pos + i]))
-          << (8 * i);
-  }
-  *pos += static_cast<std::size_t>(bytes);
-  return true;
-}
-
-}  // namespace
 
 std::string WorkloadTrace::Serialize(
     const std::vector<WorkloadGenerator::Arrival>& arrivals) {
@@ -132,8 +85,10 @@ StatusOr<std::vector<WorkloadGenerator::Arrival>> WorkloadTrace::Parse(
         in_writes = true;
         continue;
       }
+      // Strict: digits only, and the value must fit ItemId (std::stoul
+      // would take "-1" and silently truncate 2^32 to 0).
       ItemId item = 0;
-      if (!ParseItemToken(token, &item)) {
+      if (!ParseNumber(token, &item)) {
         return Status::InvalidArgument("trace line " +
                                        std::to_string(lineno) +
                                        ": bad item '" + token + "'");
@@ -155,106 +110,6 @@ StatusOr<std::vector<WorkloadGenerator::Arrival>> WorkloadTrace::Parse(
                                      s.message());
     }
     arrivals.push_back(std::move(a));
-  }
-  return arrivals;
-}
-
-std::string WorkloadTrace::SerializeBinary(
-    const std::vector<WorkloadGenerator::Arrival>& arrivals) {
-  std::string out;
-  out.append(kBinaryMagic, sizeof(kBinaryMagic));
-  AppendLe(&out, kBinaryVersion, 2);
-  AppendLe(&out, arrivals.size(), 8);
-  for (const auto& a : arrivals) {
-    AppendLe(&out, a.spec.id, 8);
-    AppendLe(&out, a.when, 8);
-    AppendLe(&out, a.spec.home, 4);
-    AppendLe(&out, static_cast<std::uint64_t>(a.spec.protocol), 1);
-    AppendLe(&out, a.spec.compute_time, 8);
-    AppendLe(&out, a.spec.backoff_interval, 8);
-    AppendLe(&out, a.spec.read_set.size(), 4);
-    AppendLe(&out, a.spec.write_set.size(), 4);
-    for (ItemId item : a.spec.read_set) AppendLe(&out, item, 4);
-    for (ItemId item : a.spec.write_set) AppendLe(&out, item, 4);
-  }
-  return out;
-}
-
-StatusOr<std::vector<WorkloadGenerator::Arrival>> WorkloadTrace::ParseBinary(
-    const std::string& bytes) {
-  std::size_t pos = 0;
-  if (bytes.size() < sizeof(kBinaryMagic) ||
-      std::memcmp(bytes.data(), kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
-    return Status::InvalidArgument("binary trace: bad magic");
-  }
-  pos = sizeof(kBinaryMagic);
-  std::uint64_t version = 0, count = 0;
-  if (!ReadLe(bytes, &pos, 2, &version) || !ReadLe(bytes, &pos, 8, &count)) {
-    return Status::InvalidArgument("binary trace: truncated header");
-  }
-  if (version != kBinaryVersion) {
-    return Status::InvalidArgument("binary trace: unsupported version " +
-                                   std::to_string(version));
-  }
-  // Bound counts against the remaining input before reserving anything:
-  // the fields are untrusted and a corrupt header must fail with a Status,
-  // not a length_error/bad_alloc. Each record's fixed part is 45 bytes.
-  constexpr std::uint64_t kRecordMinBytes = 45;
-  if (count > (bytes.size() - pos) / kRecordMinBytes) {
-    return Status::InvalidArgument(
-        "binary trace: record count exceeds input size");
-  }
-  std::vector<WorkloadGenerator::Arrival> arrivals;
-  arrivals.reserve(count);
-  for (std::uint64_t rec = 0; rec < count; ++rec) {
-    WorkloadGenerator::Arrival a;
-    std::uint64_t home = 0, proto = 0, nr = 0, nw = 0;
-    if (!ReadLe(bytes, &pos, 8, &a.spec.id) ||
-        !ReadLe(bytes, &pos, 8, &a.when) || !ReadLe(bytes, &pos, 4, &home) ||
-        !ReadLe(bytes, &pos, 1, &proto) ||
-        !ReadLe(bytes, &pos, 8, &a.spec.compute_time) ||
-        !ReadLe(bytes, &pos, 8, &a.spec.backoff_interval) ||
-        !ReadLe(bytes, &pos, 4, &nr) || !ReadLe(bytes, &pos, 4, &nw)) {
-      return Status::InvalidArgument("binary trace: truncated record " +
-                                     std::to_string(rec));
-    }
-    a.spec.home = static_cast<SiteId>(home);
-    if (proto >= static_cast<std::uint64_t>(kNumProtocols)) {
-      return Status::InvalidArgument("binary trace: record " +
-                                     std::to_string(rec) +
-                                     ": unknown protocol");
-    }
-    a.spec.protocol = static_cast<Protocol>(proto);
-    if (nr + nw > (bytes.size() - pos) / 4) {
-      return Status::InvalidArgument("binary trace: truncated record " +
-                                     std::to_string(rec));
-    }
-    a.spec.read_set.reserve(nr);
-    a.spec.write_set.reserve(nw);
-    std::uint64_t item = 0;
-    for (std::uint64_t i = 0; i < nr; ++i) {
-      if (!ReadLe(bytes, &pos, 4, &item)) {
-        return Status::InvalidArgument("binary trace: truncated record " +
-                                       std::to_string(rec));
-      }
-      a.spec.read_set.push_back(static_cast<ItemId>(item));
-    }
-    for (std::uint64_t i = 0; i < nw; ++i) {
-      if (!ReadLe(bytes, &pos, 4, &item)) {
-        return Status::InvalidArgument("binary trace: truncated record " +
-                                       std::to_string(rec));
-      }
-      a.spec.write_set.push_back(static_cast<ItemId>(item));
-    }
-    if (Status s = a.spec.Validate(); !s.ok()) {
-      return Status::InvalidArgument("binary trace: record " +
-                                     std::to_string(rec) + ": " +
-                                     s.message());
-    }
-    arrivals.push_back(std::move(a));
-  }
-  if (pos != bytes.size()) {
-    return Status::InvalidArgument("binary trace: trailing bytes");
   }
   return arrivals;
 }
@@ -302,16 +157,6 @@ Status WorkloadTrace::WriteFile(
   return out.good() ? Status::OK() : Status::Internal("write failed");
 }
 
-Status WorkloadTrace::WriteBinaryFile(
-    const std::string& path,
-    const std::vector<WorkloadGenerator::Arrival>& arrivals) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::Internal("cannot open " + path);
-  const std::string bytes = SerializeBinary(arrivals);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return out.good() ? Status::OK() : Status::Internal("write failed");
-}
-
 StatusOr<std::vector<WorkloadGenerator::Arrival>> WorkloadTrace::ReadFile(
     const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -324,9 +169,13 @@ StatusOr<std::vector<WorkloadGenerator::Arrival>> WorkloadTrace::ReadFile(
   if (LooksLikeTraceV2(magic, static_cast<std::size_t>(sniffed))) {
     return ReadTraceV2File(path);
   }
-  // v1/text: read once straight into the parse buffer. The previous
-  // stringstream-then-copy staging held two full copies of the trace at
-  // peak, doubling RSS on large files.
+  if (std::string_view(magic, static_cast<std::size_t>(sniffed)) == "UCTB") {
+    return Status::InvalidArgument(
+        "UCTB v1 binary traces are retired: replay this one with an older "
+        "unicc_sim and record it again (UCTC v2, or text for a .txt name)");
+  }
+  // Text: read once straight into the parse buffer, with no staging copy
+  // that would double peak RSS on large files.
   in.clear();
   in.seekg(0, std::ios::end);
   const std::streamoff size = in.tellg();
@@ -336,10 +185,6 @@ StatusOr<std::vector<WorkloadGenerator::Arrival>> WorkloadTrace::ReadFile(
   content.resize(static_cast<std::size_t>(size));
   in.read(content.data(), size);
   if (in.gcount() != size) return Status::Internal("read failed: " + path);
-  if (content.size() >= sizeof(kBinaryMagic) &&
-      std::memcmp(content.data(), kBinaryMagic, sizeof(kBinaryMagic)) == 0) {
-    return ParseBinary(content);
-  }
   return Parse(content);
 }
 

@@ -2,20 +2,17 @@
 // load it back, so experiments can be re-run on the exact same workload
 // across engine configurations or library versions.
 //
-// Three encodings:
+// Two encodings live here:
 //  - Text (editable, diffable), one record per line:
 //      txn <id> <when_us> <home> <protocol> <compute_us> <backoff_interval>
 //          r <item>... w <item>...
-//  - Binary (compact, versioned): little-endian, magic "UCTB" + format
-//    version + record count, then fixed headers followed by the item ids.
-//    The version field lets future releases evolve the record layout while
-//    still reading old traces.
 //  - CSV export (analysis-friendly, write-only): one row per transaction
 //    with ';'-separated access sets, for spreadsheets/pandas.
 //
-// The streaming columnar "UCTC" v2 format lives in workload/trace_io.h;
-// ReadFile sniffs its magic and routes v2 files through the streaming
-// reader, so all three on-disk encodings load through one entry point.
+// The binary format is the streaming columnar "UCTC" v2 in
+// workload/trace_io.h; ReadFile sniffs its magic and routes v2 files
+// through the streaming reader, so text and v2 load through one entry
+// point.
 #ifndef UNICC_WORKLOAD_TRACE_H_
 #define UNICC_WORKLOAD_TRACE_H_
 
@@ -29,9 +26,6 @@ namespace unicc {
 
 class WorkloadTrace {
  public:
-  // Current binary format version written by SerializeBinary.
-  static constexpr std::uint16_t kBinaryVersion = 1;
-
   // Serializes arrivals to the trace text format.
   static std::string Serialize(
       const std::vector<WorkloadGenerator::Arrival>& arrivals);
@@ -40,28 +34,17 @@ class WorkloadTrace {
   static StatusOr<std::vector<WorkloadGenerator::Arrival>> Parse(
       const std::string& text);
 
-  // Serializes arrivals to the versioned binary format.
-  static std::string SerializeBinary(
-      const std::vector<WorkloadGenerator::Arrival>& arrivals);
-
-  // Parses a binary trace; rejects bad magic, unknown versions and
-  // truncated or trailing bytes.
-  static StatusOr<std::vector<WorkloadGenerator::Arrival>> ParseBinary(
-      const std::string& bytes);
-
   // CSV export with a header row:
   //   txn_id,arrival_us,home,protocol,compute_us,backoff_interval,reads,writes
   // where reads/writes are ';'-joined item ids (empty cell when none).
   static std::string ExportCsv(
       const std::vector<WorkloadGenerator::Arrival>& arrivals);
 
-  // Convenience file helpers. WriteFile emits text; WriteBinaryFile emits
-  // the v1 binary format; ReadFile sniffs the magic and accepts text,
-  // UCTB v1, or UCTC v2 (the latter via the streaming reader).
+  // Convenience file helpers. WriteFile emits text; ReadFile sniffs the
+  // magic and accepts text or UCTC v2 (the latter via the streaming
+  // reader). A retired UCTB v1 file is an InvalidArgument that says how
+  // to convert it.
   static Status WriteFile(
-      const std::string& path,
-      const std::vector<WorkloadGenerator::Arrival>& arrivals);
-  static Status WriteBinaryFile(
       const std::string& path,
       const std::vector<WorkloadGenerator::Arrival>& arrivals);
   static StatusOr<std::vector<WorkloadGenerator::Arrival>> ReadFile(

@@ -1,13 +1,12 @@
 // Streaming columnar trace I/O: the UCTC v2 binary trace format.
 //
-// The v1 `UCTB` codec (workload/trace.h) materializes the whole arrival
-// vector and serializes row at a time, so recording or replaying a
-// billion-event open-system run costs O(run) memory and row-granular I/O.
-// UCTC v2 is the streaming replacement: arrivals are buffered into
+// Recording or replaying a billion-event open-system run must not cost
+// O(run) memory, so UCTC v2 streams: arrivals are buffered into
 // fixed-capacity blocks and each block is written as contiguous
 // little-endian *columns*, so the writer holds at most one block, the
 // reader decodes one block at a time, and a scan touches each column as a
-// straight memcpy-friendly run of bytes.
+// straight memcpy-friendly run of bytes. The editable text format lives
+// in workload/trace.h.
 //
 // File layout (all integers little-endian):
 //

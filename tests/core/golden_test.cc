@@ -145,8 +145,8 @@ TEST_P(GoldenScenarioTest, RebuiltWorkloadIsByteIdentical) {
   // yield the same arrivals (same trace bytes).
   const ScenarioSpec::Workload a = spec->BuildWorkload();
   const ScenarioSpec::Workload b = spec->BuildWorkload();
-  EXPECT_EQ(WorkloadTrace::SerializeBinary(a.arrivals),
-            WorkloadTrace::SerializeBinary(b.arrivals))
+  EXPECT_EQ(WorkloadTrace::Serialize(a.arrivals),
+            WorkloadTrace::Serialize(b.arrivals))
       << GetParam() << ": workload generation diverged";
 }
 
@@ -161,10 +161,12 @@ TEST_P(GoldenScenarioTest, RecordReplayRoundTripIsByteIdentical) {
   const ScenarioSpec::Workload wl = spec->BuildWorkload();
 
   const RunStats direct = RunScenario(*spec, &wl.arrivals, wl.forced);
-  // Record -> replay through the versioned binary codec, as unicc_sim's
-  // --record-trace/--replay-trace do.
-  const std::string bytes = WorkloadTrace::SerializeBinary(wl.arrivals);
-  auto replayed = WorkloadTrace::ParseBinary(bytes);
+  // Record -> replay through UCTC v2, as unicc_sim's --record-trace and
+  // --replay-trace do by default.
+  const std::string path = ::testing::TempDir() + "/golden_record.uctc";
+  ASSERT_TRUE(WriteTraceV2File(path, wl.arrivals).ok());
+  auto replayed = ReadTraceV2File(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
   const RunStats replay = RunScenario(*spec, &*replayed, wl.forced);
   EXPECT_EQ(Snapshot(direct), Snapshot(replay))
@@ -173,8 +175,8 @@ TEST_P(GoldenScenarioTest, RecordReplayRoundTripIsByteIdentical) {
 
 TEST_P(GoldenScenarioTest, TraceV2RoundTripIsByteIdentical) {
   // The streaming columnar codec must preserve every shipped workload
-  // bit-for-bit: write through UCTC v2, read back, and compare via the v1
-  // serialization (which the other golden tests already pin).
+  // bit-for-bit: write through UCTC v2, read back, and compare via the
+  // text serialization (which the other golden tests already pin).
   auto spec = ScenarioSpec::LoadFile(GetParam());
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   const ScenarioSpec::Workload wl = spec->BuildWorkload();
@@ -183,8 +185,8 @@ TEST_P(GoldenScenarioTest, TraceV2RoundTripIsByteIdentical) {
   auto replayed = ReadTraceV2File(path);
   std::remove(path.c_str());
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-  EXPECT_EQ(WorkloadTrace::SerializeBinary(wl.arrivals),
-            WorkloadTrace::SerializeBinary(*replayed))
+  EXPECT_EQ(WorkloadTrace::Serialize(wl.arrivals),
+            WorkloadTrace::Serialize(*replayed))
       << GetParam() << ": UCTC v2 round trip diverged";
 }
 

@@ -75,19 +75,6 @@ TEST(DurationStatTest, ExactBelowTheCap) {
   EXPECT_DOUBLE_EQ(s.PercentileMs(100), 4.0);
 }
 
-TEST(RunMetricsTest, ResultsRetainedOnlyWhenOptedIn) {
-  RunMetrics off;
-  off.OnCommit(MakeResult(1, Protocol::kTwoPhaseLocking, 1000));
-  EXPECT_TRUE(off.results().empty());
-  EXPECT_EQ(off.total_committed(), 1u);  // aggregates unaffected
-
-  RunMetrics on;
-  on.SetKeepResults(true);
-  on.OnCommit(MakeResult(1, Protocol::kTwoPhaseLocking, 1000));
-  ASSERT_EQ(on.results().size(), 1u);
-  EXPECT_EQ(on.results()[0].id, 1u);
-}
-
 TEST(RunMetricsTest, PerProtocolAggregation) {
   RunMetrics m;
   m.OnCommit(MakeResult(1, Protocol::kTwoPhaseLocking, 10000));

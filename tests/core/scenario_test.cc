@@ -186,6 +186,13 @@ TEST(ScenarioSpecTest, RejectsBadValuesAndRanges) {
       ScenarioSpec::Parse(WithLine("[policy]\nweights = 1,1")).ok());
   EXPECT_FALSE(
       ScenarioSpec::Parse(WithLine("[policy]\nweights = 0,0,0")).ok());
+  // Values past their field's type: no silent narrowing, saturation or
+  // out-of-range double conversion.
+  EXPECT_FALSE(ScenarioSpec::Parse(WithLine("items = 4294967356")).ok());
+  EXPECT_FALSE(ScenarioSpec::Parse(WithLine("user_sites = 4294967297")).ok());
+  EXPECT_FALSE(
+      ScenarioSpec::Parse(WithLine("seed = 18446744073709551616")).ok());
+  EXPECT_FALSE(ScenarioSpec::Parse(WithLine("delay_ms = 1e300")).ok());
   // Class-level range errors.
   auto with_class_key = [](const std::string& line) {
     return "[engine]\nitems = 32\n[class c]\ntxns = 5\nrate = 10\n" + line +
@@ -194,6 +201,15 @@ TEST(ScenarioSpecTest, RejectsBadValuesAndRanges) {
   EXPECT_FALSE(ScenarioSpec::Parse(with_class_key("size = 0")).ok());
   EXPECT_FALSE(ScenarioSpec::Parse(with_class_key("size = 6..2")).ok());
   EXPECT_FALSE(ScenarioSpec::Parse(with_class_key("size = 40")).ok());
+  EXPECT_FALSE(ScenarioSpec::Parse(with_class_key("size = 4294967298")).ok());
+  // NaN passes every </> range check, and infinity reaches the generators.
+  EXPECT_FALSE(ScenarioSpec::Parse(with_class_key("read_fraction = nan")).ok());
+  EXPECT_FALSE(ScenarioSpec::Parse(with_class_key("rate = nan")).ok());
+  EXPECT_FALSE(ScenarioSpec::Parse(with_class_key("rate = inf")).ok());
+  EXPECT_FALSE(ScenarioSpec::Parse(
+                   with_class_key("access = hotspot\nhot_items = 2\n"
+                                  "hot_fraction = nan"))
+                   .ok());
   EXPECT_FALSE(
       ScenarioSpec::Parse(with_class_key("read_fraction = 1.5")).ok());
   EXPECT_FALSE(ScenarioSpec::Parse(with_class_key("rate = 0")).ok());
@@ -501,13 +517,11 @@ TEST(ScenarioRunTest, ParsesRunControlsAndOpenSystemFlag) {
   auto spec = ScenarioSpec::Parse(
       "[engine]\nitems = 32\n"
       "[run]\nhorizon_ms = 30000\ncommit_target = 500\nmax_inflight = 16\n"
-      "keep_results = true\n"
       "[class c]\ntxns = 5\nrate = 10\n");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_EQ(spec->engine.run.time_horizon, 30000u * 1000);
   EXPECT_EQ(spec->engine.run.commit_target, 500u);
   EXPECT_EQ(spec->engine.run.max_inflight, 16u);
-  EXPECT_TRUE(spec->engine.keep_results);
   EXPECT_TRUE(spec->IsOpenSystem());
 
   auto closed = ScenarioSpec::Parse(

@@ -93,8 +93,7 @@ TEST(GeneratorStreamTest, MatchesBatchGeneratorDrawForDraw) {
 
   // Byte-compare through the trace codec: times, homes, access sets and
   // ids must all be identical.
-  EXPECT_EQ(WorkloadTrace::SerializeBinary(batch),
-            WorkloadTrace::SerializeBinary(lazy));
+  EXPECT_EQ(WorkloadTrace::Serialize(batch), WorkloadTrace::Serialize(lazy));
 }
 
 TEST(ScenarioStreamTest, OpenMatchesBuildWorkload) {
@@ -109,8 +108,8 @@ TEST(ScenarioStreamTest, OpenMatchesBuildWorkload) {
   ScenarioSpec::OpenWorkload open = spec->Open();
   const std::vector<Arrival> lazy = DrainStream(*open.stream);
 
-  EXPECT_EQ(WorkloadTrace::SerializeBinary(batch.arrivals),
-            WorkloadTrace::SerializeBinary(lazy));
+  EXPECT_EQ(WorkloadTrace::Serialize(batch.arrivals),
+            WorkloadTrace::Serialize(lazy));
   // The forced set fills as the stream emits; after a full drain it must
   // equal the batch set.
   EXPECT_EQ(*batch.forced, *open.forced);

@@ -99,7 +99,7 @@ TEST(TraceV2Test, FileRoundTripThroughConvenienceWrappers) {
 
 TEST(TraceV2Test, ReadFileAutodetectsV2) {
   // WorkloadTrace::ReadFile sniffs the magic and routes UCTC files through
-  // the v2 reader, alongside the UCTB v1 and text autodetection.
+  // the v2 reader, alongside the text autodetection.
   const auto original = SampleArrivals();
   const std::string path = ::testing::TempDir() + "/unicc_autodetect.uctc";
   ASSERT_TRUE(WriteTraceV2File(path, original).ok());

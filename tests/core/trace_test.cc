@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 namespace unicc {
 namespace {
 
@@ -94,74 +97,20 @@ TEST(WorkloadTraceTest, FileRoundTrip) {
   EXPECT_EQ(parsed->size(), original.size());
 }
 
-void ExpectArrivalsEqual(
-    const std::vector<WorkloadGenerator::Arrival>& a,
-    const std::vector<WorkloadGenerator::Arrival>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].when, b[i].when);
-    EXPECT_EQ(a[i].spec.id, b[i].spec.id);
-    EXPECT_EQ(a[i].spec.home, b[i].spec.home);
-    EXPECT_EQ(a[i].spec.protocol, b[i].spec.protocol);
-    EXPECT_EQ(a[i].spec.compute_time, b[i].spec.compute_time);
-    EXPECT_EQ(a[i].spec.backoff_interval, b[i].spec.backoff_interval);
-    EXPECT_EQ(a[i].spec.read_set, b[i].spec.read_set);
-    EXPECT_EQ(a[i].spec.write_set, b[i].spec.write_set);
-  }
-}
-
-TEST(WorkloadTraceBinaryTest, RoundTripPreservesEverything) {
-  const auto original = SampleArrivals();
-  const std::string bytes = WorkloadTrace::SerializeBinary(original);
-  auto parsed = WorkloadTrace::ParseBinary(bytes);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ExpectArrivalsEqual(original, *parsed);
-}
-
-TEST(WorkloadTraceBinaryTest, GoldenHeader) {
-  // The on-disk header is a contract: magic "UCTB", version 1 (LE u16),
-  // record count (LE u64). Breaking this golden test means bumping
-  // kBinaryVersion and keeping a reader for version 1.
-  const std::string bytes = WorkloadTrace::SerializeBinary({});
-  ASSERT_EQ(bytes.size(), 14u);
-  EXPECT_EQ(bytes.substr(0, 4), "UCTB");
-  EXPECT_EQ(bytes[4], 1);  // version lo byte
-  EXPECT_EQ(bytes[5], 0);  // version hi byte
-  for (int i = 6; i < 14; ++i) EXPECT_EQ(bytes[i], 0) << "count byte " << i;
-}
-
-TEST(WorkloadTraceBinaryTest, RejectsCorruptInput) {
-  const auto original = SampleArrivals();
-  const std::string bytes = WorkloadTrace::SerializeBinary(original);
-  EXPECT_FALSE(WorkloadTrace::ParseBinary("XXXX").ok());  // bad magic
-  EXPECT_FALSE(
-      WorkloadTrace::ParseBinary(bytes.substr(0, bytes.size() / 2)).ok());
-  EXPECT_FALSE(WorkloadTrace::ParseBinary(bytes + "junk").ok());
-  std::string bad_version = bytes;
-  bad_version[4] = 99;
-  EXPECT_FALSE(WorkloadTrace::ParseBinary(bad_version).ok());
-  // A bogus record count must come back as a Status, not an allocation
-  // failure: the count is bounded against the input size before reserve.
-  std::string bogus_count = WorkloadTrace::SerializeBinary({});
-  for (int i = 6; i < 14; ++i) bogus_count[i] = '\xff';
-  EXPECT_FALSE(WorkloadTrace::ParseBinary(bogus_count).ok());
-  std::string bad_protocol = WorkloadTrace::SerializeBinary(
-      {original.begin(), original.begin() + 1});
-  bad_protocol[14 + 8 + 8 + 4] = 7;  // protocol byte of record 0
-  EXPECT_FALSE(WorkloadTrace::ParseBinary(bad_protocol).ok());
-}
-
-TEST(WorkloadTraceBinaryTest, ReadFileAutodetectsFormat) {
-  const auto original = SampleArrivals();
-  const std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(
-      WorkloadTrace::WriteBinaryFile(dir + "/trace.bin", original).ok());
-  ASSERT_TRUE(WorkloadTrace::WriteFile(dir + "/trace.txt", original).ok());
-  auto from_bin = WorkloadTrace::ReadFile(dir + "/trace.bin");
-  auto from_txt = WorkloadTrace::ReadFile(dir + "/trace.txt");
-  ASSERT_TRUE(from_bin.ok()) << from_bin.status().ToString();
-  ASSERT_TRUE(from_txt.ok()) << from_txt.status().ToString();
-  ExpectArrivalsEqual(*from_bin, *from_txt);
+TEST(WorkloadTraceTest, ReadFileRejectsRetiredV1WithConversionHint) {
+  // UCTB v1 is retired: its magic must not fall through to the text
+  // parser's "malformed header", but name the format and the way out.
+  const std::string path = ::testing::TempDir() + "/unicc_trace_v1.bin";
+  std::ofstream(path, std::ios::binary) << std::string("UCTB\x01\0", 6);
+  auto parsed = WorkloadTrace::ReadFile(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("UCTB v1 binary traces are "
+                                           "retired: replay this one with "
+                                           "an older unicc_sim"),
+            std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(WorkloadTraceCsvTest, ExportMatchesGolden) {
@@ -185,9 +134,9 @@ TEST(WorkloadTraceCsvTest, ExportMatchesGolden) {
 }
 
 TEST(WorkloadTraceDeterminismTest, SerializationIsStableAcrossSeeds) {
-  // Same seed -> byte-identical trace in both encodings; a different seed
-  // must change the workload. This is what makes recorded traces a sound
-  // cross-version replay contract.
+  // Same seed -> byte-identical trace; a different seed must change the
+  // workload. This is what makes recorded traces a sound cross-version
+  // replay contract.
   WorkloadOptions wo;
   wo.num_txns = 30;
   wo.size_min = 2;
@@ -198,8 +147,6 @@ TEST(WorkloadTraceDeterminismTest, SerializationIsStableAcrossSeeds) {
   };
   EXPECT_EQ(WorkloadTrace::Serialize(generate(1)),
             WorkloadTrace::Serialize(generate(1)));
-  EXPECT_EQ(WorkloadTrace::SerializeBinary(generate(1)),
-            WorkloadTrace::SerializeBinary(generate(1)));
   EXPECT_NE(WorkloadTrace::Serialize(generate(1)),
             WorkloadTrace::Serialize(generate(2)));
 }

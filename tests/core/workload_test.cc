@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "workload/access.h"
@@ -188,6 +190,33 @@ TEST(WorkloadGeneratorTest, DeterministicForSameSeed) {
     EXPECT_EQ(va[i].when, vb[i].when);
     EXPECT_EQ(va[i].spec.read_set, vb[i].spec.read_set);
     EXPECT_EQ(va[i].spec.write_set, vb[i].spec.write_set);
+  }
+}
+
+TEST(WorkloadOptionsTest, ValidateNamesEachGeneratorPrecondition) {
+  const WorkloadOptions good;
+  EXPECT_TRUE(good.Validate(60, 4).ok());
+  EXPECT_NE(good.Validate(60, 0).message().find("user site"),
+            std::string::npos);
+  const struct {
+    void (*mutate)(WorkloadOptions*);
+    const char* message;
+  } cases[] = {
+      {[](WorkloadOptions* w) { w->arrival_rate_per_sec = 0; }, "rate"},
+      {[](WorkloadOptions* w) { w->arrival_rate_per_sec = NAN; }, "rate"},
+      {[](WorkloadOptions* w) { w->size_min = 5; }, "size_min"},
+      {[](WorkloadOptions* w) { w->size_min = 0; }, "size_min"},
+      {[](WorkloadOptions* w) { w->size_max = 100; }, "item count"},
+      {[](WorkloadOptions* w) { w->read_fraction = 2; }, "read fraction"},
+      {[](WorkloadOptions* w) { w->read_fraction = NAN; }, "read fraction"},
+      {[](WorkloadOptions* w) { w->zipf_theta = -1; }, "zipf theta"},
+  };
+  for (const auto& c : cases) {
+    WorkloadOptions wo = good;
+    c.mutate(&wo);
+    const Status s = wo.Validate(60, 4);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << c.message;
+    EXPECT_NE(s.message().find(c.message), std::string::npos) << s.ToString();
   }
 }
 

@@ -628,22 +628,5 @@ TEST(EngineStreamTest, ScenarioOpenRunCommitsEverything) {
   EXPECT_EQ(windowed, 150u);
 }
 
-TEST(EngineTest, ResultRetentionIsOptIn) {
-  EngineOptions eo = SmallEngine(21);
-  {
-    Engine engine(eo);
-    engine.SetProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking));
-    ASSERT_TRUE(engine.AddWorkload(GeneratedArrivals(eo, 30)).ok());
-    engine.Run();
-    EXPECT_TRUE(engine.metrics().results().empty());
-  }
-  eo.keep_results = true;
-  Engine engine(eo);
-  engine.SetProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking));
-  ASSERT_TRUE(engine.AddWorkload(GeneratedArrivals(eo, 30)).ok());
-  engine.Run();
-  EXPECT_EQ(engine.metrics().results().size(), 30u);
-}
-
 }  // namespace
 }  // namespace unicc

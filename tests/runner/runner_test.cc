@@ -65,6 +65,19 @@ TEST(RunSessionTest, RejectsArrivalsAndStreamTogether) {
   EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(RunSessionTest, RejectsPureBackendWithMixPolicy) {
+  // A scenario file cannot express this combination, but a spec assembled
+  // in code (unicc_sim's flags) can; it used to abort mid-run instead.
+  ScenarioSpec spec = SmallSpec();
+  spec.engine.backend = BackendKind::kPure;
+  spec.policy.kind = ScenarioPolicy::Kind::kMix;
+  RunRequest request;
+  request.spec = &spec;
+  auto session = RunSession::Create(std::move(request));
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(RunSessionTest, StreamReplayMatchesBatchReplay) {
   // The UCTC v2 replay path hands the runner an ArrivalStream instead of
   // a materialized vector; the classic engine admits from it streamingly

@@ -62,6 +62,7 @@
 
 #include "cc/unified/queue_manager.h"
 #include "common/rng.h"
+#include "flags.h"
 #include "net/transport.h"
 #include "runner/runner.h"
 #include "scenario/ini.h"
@@ -74,6 +75,8 @@
 namespace {
 
 using namespace unicc;
+using flags::ParseFlag;
+using flags::ParseNumberFlag;
 
 struct KernelResult {
   std::string name;
@@ -634,15 +637,6 @@ void PrintHelp() {
       "                      (0 on a bit-identical round trip)");
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -660,7 +654,6 @@ int main(int argc, char** argv) {
   std::uint64_t faulty_txns = 2000;
   std::uint64_t trace_roundtrip = 0;
   for (int i = 1; i < argc; ++i) {
-    std::string v;
     const char* a = argv[i];
     if (std::strcmp(a, "--help") == 0) {
       PrintHelp();
@@ -670,17 +663,12 @@ int main(int argc, char** argv) {
                ParseFlag(a, "--scenario", &scenario_path) ||
                ParseFlag(a, "--faulty-scenario", &faulty_path) ||
                ParseFlag(a, "--overload-scenario", &overload_path) ||
-               ParseFlag(a, "--macro-scenario", &macro_path)) {
-    } else if (ParseFlag(a, "--tolerance", &v)) {
-      tolerance = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(a, "--min-time", &v)) {
-      min_time = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(a, "--txns", &v)) {
-      txns = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--faulty-txns", &v)) {
-      faulty_txns = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--trace-roundtrip", &v)) {
-      trace_roundtrip = std::strtoull(v.c_str(), nullptr, 10);
+               ParseFlag(a, "--macro-scenario", &macro_path) ||
+               ParseNumberFlag(a, "--tolerance", &tolerance) ||
+               ParseNumberFlag(a, "--min-time", &min_time) ||
+               ParseNumberFlag(a, "--txns", &txns) ||
+               ParseNumberFlag(a, "--faulty-txns", &faulty_txns) ||
+               ParseNumberFlag(a, "--trace-roundtrip", &trace_roundtrip)) {
     } else {
       std::fprintf(stderr, "unknown flag '%s' (try --help)\n", a);
       return 2;

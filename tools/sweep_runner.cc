@@ -4,14 +4,15 @@
 // engine, so its checks live in tests/stl/stl_test.cc. Cells are sharded
 // across a worker pool and each worker runs one full Engine simulation
 // per cell. Every experiment is printed as one table and written to a
-// machine-readable BENCH_e*.json file. The run exits 1 when any cell is
-// not serializable, leaves its replicas inconsistent or breaks an
-// accounting identity (runner::CheckAccounting).
+// machine-readable BENCH_e*.json file. The run exits 1 when any cell that
+// ran fails its self-check: a watchdog cancellation, a broken accounting
+// identity (runner::CheckAccounting), a non-serializable history or
+// inconsistent replicas.
 //
 // Besides the built-in grids, any declarative scenario file can be swept
 // over any of its keys: --scenario=FILE turns the scenario into the base
 // cell and each --sweep=SECTION.KEY=V1,V2,... adds a grid axis (the cross
-// product of all axes is run).
+// product of all axes is run). Scenario cells get the same self-check.
 //
 //   sweep_runner                         # run every experiment
 //   sweep_runner --exp=e1,e5             # just E1 and E5
@@ -22,7 +23,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -32,12 +32,14 @@
 #include <vector>
 
 #include "common/table.h"
+#include "flags.h"
 #include "runner/runner.h"
 #include "scenario/scenario.h"
 
 namespace {
 
 using namespace unicc;
+using flags::ParseFlag;
 using runner::RunReport;
 
 // ---------------------------------------------------------------------------
@@ -386,6 +388,36 @@ RunReport RunOneReport(const BenchConfig& cfg, std::uint64_t txns) {
   return RunSpec(std::move(request));
 }
 
+// Why a cell that ran fails its self-check, or "" when it passes: the
+// report's status (watchdog cancellation, broken accounting identity),
+// then serializability, then replica consistency.
+std::string CellFailure(const RunReport& r) {
+  if (!r.status.ok()) return r.status.ToString();
+  if (!r.stats.serializable) return "not serializable";
+  if (!r.stats.replicas_consistent) return "replicas inconsistent";
+  return "";
+}
+
+// Names on stderr each cell that ran and failed its self-check; a
+// non-empty `errors[i]` marks a cell that failed validation and never ran.
+// Returns true when every cell that ran passed.
+bool CheckCells(const std::string& id,
+                const std::vector<std::vector<Param>>& cell_params,
+                const std::vector<RunReport>& results,
+                const std::vector<std::string>& errors = {}) {
+  bool ok = true;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const std::string failure = CellFailure(results[i]);
+    if (failure.empty() || (!errors.empty() && !errors[i].empty())) continue;
+    std::string where;
+    for (const Param& p : cell_params[i]) where += " " + p.key + "=" + p.value;
+    std::fprintf(stderr, "sweep_runner: %s cell%s: %s\n", id.c_str(),
+                 where.c_str(), failure.c_str());
+    ok = false;
+  }
+  return ok;
+}
+
 // ---------------------------------------------------------------------------
 // Worker pool
 // ---------------------------------------------------------------------------
@@ -439,11 +471,12 @@ void WriteJsonString(std::FILE* f, const std::string& s) {
 // the grid parameters plus throughput [tx/s], abort_rate (aborts per
 // admitted attempt), mean/p95 response time [ms], raw counters (the
 // per-protocol arrays in 2PL, T/O, PA order), the self-checks and the
-// run's wall-clock phases [s] (setup, simulate, verify). A cell
-// whose scenario failed to load or validate is written as an "error"
-// record (params + message, no stats); `errors` may be empty (no failures
-// possible, e.g. the built-in grids) or one entry per cell with the empty
-// string marking success.
+// run's wall-clock phases [s] (setup, simulate, verify). A cell that ran
+// but failed its self-check also carries a "failure" string (CellFailure).
+// A cell whose scenario failed to load or validate is written as an
+// "error" record (params + message, no stats); `errors` may be empty (no
+// failures possible, e.g. the built-in grids) or one entry per cell with
+// the empty string marking success.
 bool WriteReport(const std::string& id, const std::string& description,
                  const std::vector<std::vector<Param>>& cell_params,
                  const std::vector<RunReport>& results,
@@ -488,6 +521,12 @@ bool WriteReport(const std::string& id, const std::string& description,
       WriteJsonString(f, errors[i]);
       std::fprintf(f, "\n    }%s\n", i + 1 == cell_params.size() ? "" : ",");
       continue;
+    }
+    if (const std::string failure = CellFailure(results[i]);
+        !failure.empty()) {
+      std::fprintf(f, "      \"failure\": ");
+      WriteJsonString(f, failure);
+      std::fprintf(f, ",\n");
     }
     std::fprintf(f, "      \"throughput_tx_per_sec\": %.4f,\n", s.throughput);
     std::fprintf(f, "      \"abort_rate\": %.6f,\n",
@@ -583,18 +622,18 @@ bool ParseSweepAxis(const std::string& spec, SweepAxis* axis) {
 }
 
 Param AxisParam(const SweepAxis& axis, const std::string& value) {
-  char* end = nullptr;
-  const double num = std::strtod(value.c_str(), &end);
+  double num = 0;
   const std::string key = axis.section + "." + axis.key;
-  if (end != value.c_str() && *end == '\0') return NumParam(key, num);
+  if (ParseNumber(value, &num)) return NumParam(key, num);
   return StrParam(key, value);
 }
 
 // Expands the cross product of all sweep axes over the base scenario and
 // runs one engine simulation per combination. Every combination must
 // still pass full scenario validation, but a combination that fails is
-// recorded as an "error" cell in the report and the sweep keeps going;
-// the run only exits nonzero when every job failed.
+// recorded as an "error" cell in the report and the sweep keeps going.
+// Exits 2 when every cell failed validation, and 1 when a cell that ran
+// failed its self-check (or the report could not be written).
 int RunScenarioSweep(const std::string& scenario_path,
                      const std::vector<std::string>& sweep_specs,
                      const std::string& report_id, const std::string& out_dir,
@@ -653,16 +692,10 @@ int RunScenarioSweep(const std::string& scenario_path,
     }
     cell_params.push_back(std::move(params));
   }
-  const std::size_t failed = static_cast<std::size_t>(std::count_if(
-      errors.begin(), errors.end(),
-      [](const std::string& e) { return !e.empty(); }));
-  std::size_t first_ok = total;
-  for (std::size_t c = 0; c < total; ++c) {
-    if (errors[c].empty()) {
-      first_ok = c;
-      break;
-    }
-  }
+  const auto valid = std::count(errors.begin(), errors.end(), std::string());
+  const std::size_t failed = total - static_cast<std::size_t>(valid);
+  const std::size_t first_ok = static_cast<std::size_t>(
+      std::find(errors.begin(), errors.end(), std::string()) - errors.begin());
 
   std::printf("sweep_runner: %zu scenario cells (%zu axes, %zu invalid) on "
               "%u threads\n",
@@ -685,6 +718,7 @@ int RunScenarioSweep(const std::string& scenario_path,
   if (base != nullptr && !base->description.empty()) {
     description += ": " + base->description;
   }
+  const bool passed = CheckCells(report_id, cell_params, results, errors);
   const bool wrote =
       WriteReport(report_id, description, cell_params, results, out_dir,
                   num_threads, base != nullptr ? base->TotalTxns() : 0,
@@ -693,57 +727,25 @@ int RunScenarioSweep(const std::string& scenario_path,
     std::fprintf(stderr, "sweep_runner: every cell failed validation\n");
     return 2;
   }
-  return wrote ? 0 : 1;
+  return wrote && passed ? 0 : 1;
 }
 
-// Prints one experiment as a table and names on stderr each cell that
-// fails its self-checks: serializability, replica consistency and the
-// accounting identities carried in the report's status. Returns false if
-// any cell failed.
-bool PrintAndCheck(const Experiment& exp,
-                   const std::vector<RunReport>& results) {
+// Prints one experiment as a table.
+void PrintTable(const Experiment& exp, const std::vector<RunReport>& results) {
   std::vector<std::string> headers;
   for (const Param& p : exp.cells.front().params) headers.push_back(p.key);
   headers.insert(headers.end(), exp.columns.begin(), exp.columns.end());
   Table table(std::move(headers));
-  bool ok = true;
   for (std::size_t i = 0; i < exp.cells.size(); ++i) {
-    const RunReport& r = results[i];
     std::vector<std::string> row;
-    std::string where;
-    for (const Param& p : exp.cells[i].params) {
-      row.push_back(p.value);
-      where += " " + p.key + "=" + p.value;
-    }
-    const std::map<std::string, std::string> columns = TableColumns(r.stats);
+    for (const Param& p : exp.cells[i].params) row.push_back(p.value);
+    const std::map<std::string, std::string> columns =
+        TableColumns(results[i].stats);
     for (const std::string& c : exp.columns) row.push_back(columns.at(c));
     table.AddRow(std::move(row));
-    std::string failure;
-    if (!r.status.ok()) {
-      failure = r.status.ToString();
-    } else if (!r.stats.serializable) {
-      failure = "not serializable";
-    } else if (!r.stats.replicas_consistent) {
-      failure = "replicas inconsistent";
-    }
-    if (!failure.empty()) {
-      std::fprintf(stderr, "sweep_runner: %s cell%s: %s\n", exp.id.c_str(),
-                   where.c_str(), failure.c_str());
-      ok = false;
-    }
   }
   std::printf("\n%s: %s\n\n%s\n", exp.id.c_str(), exp.description.c_str(),
               table.ToString().c_str());
-  return ok;
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
 }
 
 bool Selected(const std::string& list, const std::string& id) {
@@ -802,11 +804,9 @@ int main(int argc, char** argv) {
                ParseFlag(a, "--id", &report_id)) {
     } else if (ParseFlag(a, "--sweep", &v)) {
       sweep_specs.push_back(v);
-    } else if (ParseFlag(a, "--threads", &v)) {
-      const long n = std::strtol(v.c_str(), nullptr, 10);
-      num_threads = n < 1 ? 1u : static_cast<unsigned>(n);
-    } else if (ParseFlag(a, "--txns", &v)) {
-      txns = std::strtoull(v.c_str(), nullptr, 10);
+    } else if (flags::ParseNumberFlag(a, "--threads", &num_threads)) {
+      num_threads = std::max(1u, num_threads);
+    } else if (flags::ParseNumberFlag(a, "--txns", &txns)) {
       txns_set = true;
     } else {
       std::fprintf(stderr, "unknown flag '%s' (try --help)\n", a);
@@ -871,7 +871,8 @@ int main(int argc, char** argv) {
     begin += exp.cells.size();
     std::vector<std::vector<Param>> cell_params;
     for (const Cell& cell : exp.cells) cell_params.push_back(cell.params);
-    ok = PrintAndCheck(exp, slice) && ok;
+    ok = CheckCells(exp.id, cell_params, slice) && ok;
+    PrintTable(exp, slice);
     ok = WriteReport(exp.id, exp.description, cell_params, slice, out_dir,
                      num_threads, txns) &&
          ok;

@@ -14,14 +14,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include <fstream>
-
 #include "engine/engine.h"
+#include "flags.h"
 #include "runner/runner.h"
 #include "scenario/ini.h"
 #include "scenario/scenario.h"
@@ -34,6 +34,9 @@
 namespace {
 
 using namespace unicc;
+using flags::ParseFlag;
+using flags::ParseMsFlag;
+using flags::ParseNumberFlag;
 
 struct Flags {
   std::string policy = "fixed";  // fixed | mix | minstl | minavg | trace
@@ -48,13 +51,12 @@ struct Flags {
   std::uint32_t size_max = 4;
   double read_fraction = 0.5;
   double zipf = 0.0;
-  double delay_ms = 5;
-  double jitter_ms = 2;
-  double compute_ms = 5;
-  double skew_ms = 50;
+  Duration delay = 5 * kMillisecond;
+  Duration jitter = 2 * kMillisecond;
+  Duration compute = 5 * kMillisecond;
+  Duration skew = 50 * kMillisecond;
   std::string detector = "central";  // central | probe | none
   bool semi_locks = true;
-  bool unified = true;
   std::uint64_t seed = 42;
   bool seed_set = false;
   std::uint64_t fault_seed = 0;
@@ -63,12 +65,12 @@ struct Flags {
   std::string scenario;      // --scenario=FILE
   std::string record_trace;  // --record-trace=FILE
   std::string replay_trace;  // --replay-trace=FILE
-  std::string trace_format = "v2";  // --trace-format=v1|v2
   std::string export_csv;    // --export-csv=FILE
   std::vector<std::string> sets;  // --set=SECTION.KEY=VALUE
   std::string timeline_csv;   // --timeline-csv=FILE
   std::string timeline_json;  // --timeline-json=FILE
-  double window_ms = -1;      // --window-ms; <0 keeps the scenario's
+  Duration window = 0;        // --window-ms
+  bool window_set = false;    // unset keeps the scenario's window
 };
 
 void PrintHelp() {
@@ -109,16 +111,13 @@ void PrintHelp() {
       "                      re-derives one from the engine seed). A fixed\n"
       "                      value replays the same loss/duplication/\n"
       "                      reorder schedule bit-for-bit\n"
-      "  --record-trace=<file>  write the workload as a trace; the\n"
-      "                      streaming columnar UCTC v2 format by default\n"
-      "                      (see --trace-format)\n"
+      "  --record-trace=<file>  write the workload as a trace: text when\n"
+      "                      the name ends in .txt, else the streaming\n"
+      "                      columnar UCTC v2 format\n"
       "  --replay-trace=<file>  read the workload from a recorded trace\n"
-      "                      (text, UCTB v1 or UCTC v2, auto-detected)\n"
-      "                      instead of generating it; v2 traces stream\n"
+      "                      (text or UCTC v2, auto-detected) instead of\n"
+      "                      generating it; v2 traces stream\n"
       "                      block-by-block into admission\n"
-      "  --trace-format=v1|v2   format written by --record-trace (v2).\n"
-      "                      v1 keeps the legacy behavior: binary UCTB\n"
-      "                      when the name ends in .bin, else text\n"
       "  --export-csv=<file>    write the workload as CSV for analysis\n"
       "  --timeline-csv=<file>  write windowed time-series metrics as CSV\n"
       "  --timeline-json=<file> write windowed time-series metrics as JSON\n"
@@ -128,25 +127,11 @@ void PrintHelp() {
       "  --verbose           print per-protocol metrics and STL estimates");
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
 Protocol ParseProtocol(const std::string& s) {
   Protocol p;
   if (ParseProtocolToken(s, &p)) return p;
   std::fprintf(stderr, "unknown protocol '%s'\n", s.c_str());
   std::exit(2);
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 // Streams a timeline export straight to `path` (no whole-document string).
@@ -170,14 +155,15 @@ bool WriteTimeline(const std::string& path, const TimelineRecorder& tl,
   return true;
 }
 
-// True when `path` starts with the UCTC v2 magic.
-bool IsTraceV2File(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[4] = {};
-  in.read(magic, sizeof(magic));
-  return in.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
-         LooksLikeTraceV2(magic, sizeof(magic));
-}
+// Forwards to a stream the caller keeps alive.
+class BorrowedStream final : public ArrivalStream {
+ public:
+  explicit BorrowedStream(ArrivalStream& inner) : inner_(inner) {}
+  bool Next(Arrival* out) override { return inner_.Next(out); }
+
+ private:
+  ArrivalStream& inner_;
+};
 
 }  // namespace
 
@@ -202,47 +188,30 @@ int main(int argc, char** argv) {
                ParseFlag(a, "--scenario", &flags.scenario) ||
                ParseFlag(a, "--record-trace", &flags.record_trace) ||
                ParseFlag(a, "--replay-trace", &flags.replay_trace) ||
-               ParseFlag(a, "--trace-format", &flags.trace_format) ||
                ParseFlag(a, "--export-csv", &flags.export_csv) ||
                ParseFlag(a, "--timeline-csv", &flags.timeline_csv) ||
-               ParseFlag(a, "--timeline-json", &flags.timeline_json)) {
+               ParseFlag(a, "--timeline-json", &flags.timeline_json) ||
+               ParseNumberFlag(a, "--lambda", &flags.lambda) ||
+               ParseNumberFlag(a, "--txns", &flags.txns) ||
+               ParseNumberFlag(a, "--items", &flags.items) ||
+               ParseNumberFlag(a, "--user-sites", &flags.user_sites) ||
+               ParseNumberFlag(a, "--data-sites", &flags.data_sites) ||
+               ParseNumberFlag(a, "--replication", &flags.replication) ||
+               ParseNumberFlag(a, "--size-min", &flags.size_min) ||
+               ParseNumberFlag(a, "--size-max", &flags.size_max) ||
+               ParseNumberFlag(a, "--read-fraction", &flags.read_fraction) ||
+               ParseNumberFlag(a, "--zipf", &flags.zipf) ||
+               ParseMsFlag(a, "--delay-ms", &flags.delay) ||
+               ParseMsFlag(a, "--jitter-ms", &flags.jitter) ||
+               ParseMsFlag(a, "--compute-ms", &flags.compute) ||
+               ParseMsFlag(a, "--skew-ms", &flags.skew)) {
     } else if (ParseFlag(a, "--set", &v)) {
       flags.sets.push_back(v);
-    } else if (ParseFlag(a, "--window-ms", &v)) {
-      flags.window_ms = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--lambda", &v)) {
-      flags.lambda = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--txns", &v)) {
-      flags.txns = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--items", &v)) {
-      flags.items = static_cast<ItemId>(std::atoi(v.c_str()));
-    } else if (ParseFlag(a, "--user-sites", &v)) {
-      flags.user_sites = static_cast<std::uint32_t>(std::atoi(v.c_str()));
-    } else if (ParseFlag(a, "--data-sites", &v)) {
-      flags.data_sites = static_cast<std::uint32_t>(std::atoi(v.c_str()));
-    } else if (ParseFlag(a, "--replication", &v)) {
-      flags.replication = static_cast<std::uint32_t>(std::atoi(v.c_str()));
-    } else if (ParseFlag(a, "--size-min", &v)) {
-      flags.size_min = static_cast<std::uint32_t>(std::atoi(v.c_str()));
-    } else if (ParseFlag(a, "--size-max", &v)) {
-      flags.size_max = static_cast<std::uint32_t>(std::atoi(v.c_str()));
-    } else if (ParseFlag(a, "--read-fraction", &v)) {
-      flags.read_fraction = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--zipf", &v)) {
-      flags.zipf = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--delay-ms", &v)) {
-      flags.delay_ms = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--jitter-ms", &v)) {
-      flags.jitter_ms = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--compute-ms", &v)) {
-      flags.compute_ms = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--skew-ms", &v)) {
-      flags.skew_ms = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--seed", &v)) {
-      flags.seed = std::strtoull(v.c_str(), nullptr, 10);
+    } else if (ParseMsFlag(a, "--window-ms", &flags.window)) {
+      flags.window_set = true;
+    } else if (ParseNumberFlag(a, "--seed", &flags.seed)) {
       flags.seed_set = true;
-    } else if (ParseFlag(a, "--fault-seed", &v)) {
-      flags.fault_seed = std::strtoull(v.c_str(), nullptr, 10);
+    } else if (ParseNumberFlag(a, "--fault-seed", &flags.fault_seed)) {
       flags.fault_seed_set = true;
     } else {
       std::fprintf(stderr, "unknown flag '%s' (try --help)\n", a);
@@ -300,9 +269,9 @@ int main(int argc, char** argv) {
     eo.num_data_sites = flags.data_sites;
     eo.num_items = flags.items;
     eo.replication = flags.replication;
-    eo.network.base_delay = static_cast<Duration>(flags.delay_ms * 1000);
-    eo.network.jitter_mean = static_cast<Duration>(flags.jitter_ms * 1000);
-    eo.max_clock_skew = static_cast<Duration>(flags.skew_ms * 1000);
+    eo.network.base_delay = flags.delay;
+    eo.network.jitter_mean = flags.jitter;
+    eo.max_clock_skew = flags.skew;
     eo.semi_locks = flags.semi_locks;
     eo.seed = flags.seed;
     eo.backend = pure ? BackendKind::kPure : BackendKind::kUnified;
@@ -311,8 +280,11 @@ int main(int argc, char** argv) {
       eo.detector = DetectorKind::kNone;
     } else if (flags.detector == "probe") {
       eo.detector = DetectorKind::kProbe;
-    } else {
+    } else if (flags.detector == "central") {
       eo.detector = DetectorKind::kCentral;
+    } else {
+      std::fprintf(stderr, "unknown detector '%s'\n", flags.detector.c_str());
+      return 2;
     }
     if (flags.policy == "fixed") {
       policy.kind = ScenarioPolicy::Kind::kFixed;
@@ -333,9 +305,7 @@ int main(int argc, char** argv) {
   if (flags.fault_seed_set) eo.fault.seed = flags.fault_seed;
   // Timeline export: --window-ms overrides the scenario's [run] window;
   // requesting an export without any window defaults to 1s windows.
-  if (flags.window_ms >= 0) {
-    eo.metrics_window = static_cast<Duration>(flags.window_ms * 1000);
-  }
+  if (flags.window_set) eo.metrics_window = flags.window;
   const bool want_timeline =
       !flags.timeline_csv.empty() || !flags.timeline_json.empty();
   if (want_timeline && eo.metrics_window == 0) {
@@ -347,47 +317,37 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (flags.trace_format != "v1" && flags.trace_format != "v2") {
-    std::fprintf(stderr, "unknown --trace-format '%s' (v1 or v2)\n",
-                 flags.trace_format.c_str());
-    return 2;
-  }
-  const bool record_v2 = flags.trace_format == "v2";
+  // The trace format follows from the file name: .txt records text,
+  // anything else UCTC v2.
+  const bool record_text = flags.record_trace.ends_with(".txt");
 
   // The workload: replayed from a trace, streamed lazily (a scenario with
   // [run] controls), built by the scenario, or drawn from the
   // flag-configured generator.
   std::vector<WorkloadGenerator::Arrival> arrivals;
   std::shared_ptr<std::unordered_set<TxnId>> forced;
-  std::unique_ptr<ArrivalStream> replay_stream;
-  TraceReader* replay_reader = nullptr;  // decode-status check post-run
+  // Owned here, not by the engine, which drops its stream once drained:
+  // the decode status is read after the run.
+  std::unique_ptr<TraceReader> replay_reader;
   const bool open_run =
       from_scenario && scenario.IsOpenSystem() && flags.replay_trace.empty();
   if (open_run) {
-    // The session streams the workload itself. CSV export (and a v1
+    // The session streams the workload itself. CSV export (and a text
     // recording) describe the workload definition, which the run controls
     // may only partially admit; those still materialize it. A v2
     // recording streams generator -> writer below without materializing.
     if (!flags.export_csv.empty() ||
-        (!flags.record_trace.empty() && !record_v2)) {
+        (!flags.record_trace.empty() && record_text)) {
       arrivals = scenario.BuildWorkload().arrivals;
     }
   } else if (!flags.replay_trace.empty()) {
     // A v2 trace replays as a stream feeding admission block-by-block.
-    // Materialize only when something needs the whole schedule up front:
-    // re-recording or exporting it.
-    const bool stream_replay = IsTraceV2File(flags.replay_trace) &&
-                               flags.record_trace.empty() &&
-                               flags.export_csv.empty();
-    if (stream_replay) {
-      auto reader = TraceReader::Open(flags.replay_trace);
-      if (!reader.ok()) {
-        std::fprintf(stderr, "%s: %s\n", flags.replay_trace.c_str(),
-                     reader.status().ToString().c_str());
-        return 2;
-      }
-      replay_reader = reader->get();
-      replay_stream = std::move(reader).value();
+    // Materialize only when something needs the whole schedule up front
+    // (re-recording or exporting it) or the file is not v2: ReadFile takes
+    // text too, and says why a file is neither.
+    auto reader = TraceReader::Open(flags.replay_trace);
+    if (reader.ok() && flags.record_trace.empty() && flags.export_csv.empty()) {
+      replay_reader = std::move(reader).value();
     } else {
       auto loaded = WorkloadTrace::ReadFile(flags.replay_trace);
       if (!loaded.ok()) {
@@ -416,7 +376,11 @@ int main(int argc, char** argv) {
     wo.size_max = flags.size_max;
     wo.read_fraction = flags.read_fraction;
     wo.zipf_theta = flags.zipf;
-    wo.compute_time = static_cast<Duration>(flags.compute_ms * 1000);
+    wo.compute_time = flags.compute;
+    if (Status s = wo.Validate(flags.items, flags.user_sites); !s.ok()) {
+      std::fprintf(stderr, "invalid workload: %s\n", s.ToString().c_str());
+      return 2;
+    }
     WorkloadGenerator gen(wo, flags.items, flags.user_sites,
                           Rng(eo.seed ^ 0x5bd1e995));
     arrivals = gen.Generate();
@@ -425,7 +389,9 @@ int main(int argc, char** argv) {
   if (!flags.record_trace.empty()) {
     Status s;
     std::uint64_t recorded = arrivals.size();
-    if (record_v2 && open_run && flags.export_csv.empty()) {
+    if (record_text) {
+      s = WorkloadTrace::WriteFile(flags.record_trace, arrivals);
+    } else if (open_run && flags.export_csv.empty()) {
       // Open-system v2 recording: stream the scenario's workload
       // definition straight into the block writer, O(one block) memory.
       auto writer = TraceWriter::Open(flags.record_trace);
@@ -438,12 +404,8 @@ int main(int argc, char** argv) {
         });
         if (s.ok()) s = (*writer)->Finish();
       }
-    } else if (record_v2) {
-      s = WriteTraceV2File(flags.record_trace, arrivals);
     } else {
-      s = EndsWith(flags.record_trace, ".bin")
-              ? WorkloadTrace::WriteBinaryFile(flags.record_trace, arrivals)
-              : WorkloadTrace::WriteFile(flags.record_trace, arrivals);
+      s = WriteTraceV2File(flags.record_trace, arrivals);
     }
     if (!s.ok()) {
       std::fprintf(stderr, "record-trace: %s\n", s.ToString().c_str());
@@ -474,9 +436,9 @@ int main(int argc, char** argv) {
 
   runner::RunRequest request;
   request.spec = &run_spec;
-  if (replay_stream != nullptr) {
+  if (replay_reader != nullptr) {
     // Streaming v2 replay: the session pulls arrivals block-by-block.
-    request.arrival_stream = std::move(replay_stream);
+    request.arrival_stream = std::make_unique<BorrowedStream>(*replay_reader);
     request.forced = forced;
   } else if (!open_run) {
     // The workload was already materialized above (replay, recording or
