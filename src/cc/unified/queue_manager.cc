@@ -61,7 +61,6 @@ void UnifiedQueueManager::OnRequest(const msg::CcRequest& m) {
 
   switch (m.proto) {
     case Protocol::kTwoPhaseLocking: {
-      UNICC_CHECK_MSG(options_.allow_2pl, "2PL request on restricted QM");
       // Section 4.1: the 2PL precedence is the biggest timestamp ever seen
       // in this queue, with 2PL ranked above every site id and FCFS
       // tie-break by arrival order.
@@ -71,7 +70,6 @@ void UnifiedQueueManager::OnRequest(const msg::CcRequest& m) {
       break;
     }
     case Protocol::kTimestampOrdering: {
-      UNICC_CHECK_MSG(options_.allow_to, "T/O request on restricted QM");
       const bool ok = (m.op == OpType::kRead)
                           ? m.ts > q.w_ts
                           : (m.ts > q.w_ts && m.ts > q.r_ts);
@@ -89,7 +87,6 @@ void UnifiedQueueManager::OnRequest(const msg::CcRequest& m) {
       break;
     }
     case Protocol::kPrecedenceAgreement: {
-      UNICC_CHECK_MSG(options_.allow_pa, "PA request on restricted QM");
       const Timestamp bound =
           (m.op == OpType::kRead) ? q.w_ts : std::max(q.w_ts, q.r_ts);
       if (m.ts > bound) {

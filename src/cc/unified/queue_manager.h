@@ -14,6 +14,12 @@
 // With `semi_locks = false` the manager degrades to the paper's "lock
 // everything" alternative: T/O entries use the 2PL/PA rules (i)-(ii); this
 // is the E6 ablation.
+//
+// With every transaction on one protocol the manager is that pure
+// protocol, so it also serves the pure 2PL and pure PA backends: 2PL-only
+// precedences stay (0, arrival order), which is FCFS shared/exclusive
+// locking, and PA-only queues run PA exactly (the paper proves PA correct
+// this way, Corollary 1).
 #ifndef UNICC_CC_UNIFIED_QUEUE_MANAGER_H_
 #define UNICC_CC_UNIFIED_QUEUE_MANAGER_H_
 
@@ -31,10 +37,6 @@ struct UnifiedQmOptions {
   // False selects the lock-everything ablation (Section 4.2's "one
   // solution", sacrificing T/O concurrency).
   bool semi_locks = true;
-  // Which protocols the manager accepts; pure-PA deployments restrict this.
-  bool allow_2pl = true;
-  bool allow_to = true;
-  bool allow_pa = true;
 };
 
 class UnifiedQueueManager : public DataSiteBackend {

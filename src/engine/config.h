@@ -22,8 +22,10 @@ namespace unicc {
 
 // Which queue-manager stack serves the data sites.
 enum class BackendKind : std::uint8_t {
-  // Independent per-protocol implementation; the whole workload must use
-  // `pure_protocol`. Used for the baseline curves.
+  // Single-protocol baseline; the whole workload must use `pure_protocol`.
+  // Pure T/O runs Basic T/O; pure 2PL and pure PA run the unified queue
+  // manager, which is exactly that protocol when every transaction uses
+  // it. Used for the baseline curves.
   kPure = 0,
   // The paper's unified system: any per-transaction protocol mix.
   kUnified = 1,

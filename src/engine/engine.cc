@@ -6,9 +6,7 @@
 #include <utility>
 #include <variant>
 
-#include "cc/pa/pa_manager.h"
 #include "cc/to/to_manager.h"
-#include "cc/twopl/lock_manager.h"
 #include "cc/unified/queue_manager.h"
 #include "common/check.h"
 #include "net/flaky_transport.h"
@@ -114,25 +112,18 @@ void Engine::BuildSites() {
     if (callbacks_.on_backoff_offer) callbacks_.on_backoff_offer(op);
   };
 
-  // Data sites.
+  // Data sites. Pure T/O runs Basic T/O; every other run, pure 2PL and
+  // pure PA included, runs the unified queue manager, which reduces to the
+  // pure protocol when every transaction uses it.
   for (SiteId s : data_sites) {
     std::unique_ptr<DataSiteBackend> backend;
-    if (options_.backend == BackendKind::kUnified) {
+    if (options_.backend == BackendKind::kPure &&
+        options_.pure_protocol == Protocol::kTimestampOrdering) {
+      backend = std::make_unique<BasicToManager>(s, ctx, qm_hooks);
+    } else {
       UnifiedQmOptions qm;
       qm.semi_locks = options_.semi_locks;
       backend = std::make_unique<UnifiedQueueManager>(s, ctx, qm, qm_hooks);
-    } else {
-      switch (options_.pure_protocol) {
-        case Protocol::kTwoPhaseLocking:
-          backend = std::make_unique<TwoPlLockManager>(s, ctx, qm_hooks);
-          break;
-        case Protocol::kTimestampOrdering:
-          backend = std::make_unique<BasicToManager>(s, ctx, qm_hooks);
-          break;
-        case Protocol::kPrecedenceAgreement:
-          backend = std::make_unique<PaQueueManager>(s, ctx, qm_hooks);
-          break;
-      }
     }
     backends_.push_back(std::move(backend));
     transport_->RegisterSite(s, [this, s](SiteId from, const Message& m) {

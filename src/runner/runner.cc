@@ -236,6 +236,12 @@ RunReport RunSession::Run() {
     stream = std::move(request_.arrival_stream);
   } else if (arrivals != nullptr) {
     forced_ = request_.forced;
+    // An open system admits replayed arrivals through its [run] controls,
+    // as it does a stream; a batch would bypass them.
+    if (spec_.IsOpenSystem()) {
+      stream = MakeVectorStream(*arrivals);
+      arrivals = nullptr;
+    }
   } else if (spec_.IsOpenSystem()) {
     ScenarioSpec::OpenWorkload ow = spec_.Open();
     stream = std::move(ow.stream);

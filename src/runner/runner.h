@@ -73,8 +73,10 @@ struct RunRequest {
   std::optional<Duration> metrics_window;  // timeline window; 0 disables
 
   // Workload replay: run these arrivals instead of spec->BuildWorkload()
-  // (the golden suite's record -> replay path). `forced` carries the
-  // matching forced-protocol set.
+  // (the golden suite's record -> replay path). An open-system spec
+  // admits them through its [run] controls, like a stream; a closed one
+  // admits them as a batch. `forced` carries the matching forced-protocol
+  // set.
   const std::vector<WorkloadGenerator::Arrival>* arrivals = nullptr;
   // Streaming replay: pull arrivals from this stream instead (the UCTC v2
   // trace-replay path — feeds streaming admission without materializing

@@ -1,3 +1,5 @@
+// Basic T/O, the one pure backend with an implementation of its own: pure
+// 2PL and pure PA run the unified queue manager (unified_qm_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,9 +10,7 @@
 #include <variant>
 #include <vector>
 
-#include "cc/pa/pa_manager.h"
 #include "cc/to/to_manager.h"
-#include "cc/twopl/lock_manager.h"
 #include "common/rng.h"
 #include "net/transport.h"
 #include "sim/simulator.h"
@@ -23,8 +23,7 @@ constexpr SiteId kUserSite = 0;
 constexpr SiteId kDataSite = 1;
 const CopyId kX{0, kDataSite};
 
-// Minimal harness around any DataSiteBackend.
-template <typename Backend>
+// Minimal harness around one BasicToManager.
 class Harness {
  public:
   Harness() {
@@ -36,20 +35,18 @@ class Harness {
       inbox_.push_back(m);
     });
     CcContext ctx{&sim_, transport_.get(), &log_};
-    backend_ = std::make_unique<Backend>(kDataSite, ctx);
+    backend_ = std::make_unique<BasicToManager>(kDataSite, ctx);
     transport_->RegisterSite(kDataSite, [](SiteId, const Message&) {});
   }
 
-  void Request(TxnId txn, Attempt attempt, OpType op, Protocol proto,
-               Timestamp ts) {
+  void Request(TxnId txn, Attempt attempt, OpType op, Timestamp ts) {
     msg::CcRequest m;
     m.txn = txn;
     m.attempt = attempt;
     m.copy = kX;
     m.op = op;
-    m.proto = proto;
+    m.proto = Protocol::kTimestampOrdering;
     m.ts = ts;
-    m.backoff_interval = 4;
     m.reply_to = kUserSite;
     backend_->OnRequest(m);
     sim_.RunToCompletion();
@@ -85,81 +82,16 @@ class Harness {
   Simulator sim_;
   std::unique_ptr<SimTransport> transport_;
   ImplementationLog log_;
-  std::unique_ptr<Backend> backend_;
+  std::unique_ptr<BasicToManager> backend_;
   std::vector<Message> inbox_;
 };
 
-// ---------------------------------------------------------------- 2PL ----
-
-TEST(TwoPlLockManagerTest, FcfsWriteExclusive) {
-  Harness<TwoPlLockManager> h;
-  h.Request(1, 1, OpType::kWrite, Protocol::kTwoPhaseLocking, 0);
-  h.Request(2, 1, OpType::kWrite, Protocol::kTwoPhaseLocking, 0);
-  EXPECT_EQ(h.Grants(1), 1);
-  EXPECT_EQ(h.Grants(2), 0);
-  h.Release(1, 1, true, 5);
-  EXPECT_EQ(h.Grants(2), 1);
-  EXPECT_EQ(h.backend_->store().Read(kX), 5u);
-}
-
-TEST(TwoPlLockManagerTest, SharedReads) {
-  Harness<TwoPlLockManager> h;
-  h.Request(1, 1, OpType::kRead, Protocol::kTwoPhaseLocking, 0);
-  h.Request(2, 1, OpType::kRead, Protocol::kTwoPhaseLocking, 0);
-  EXPECT_EQ(h.Grants(1), 1);
-  EXPECT_EQ(h.Grants(2), 1);
-}
-
-TEST(TwoPlLockManagerTest, StrictFcfsWriterNotStarved) {
-  Harness<TwoPlLockManager> h;
-  h.Request(1, 1, OpType::kRead, Protocol::kTwoPhaseLocking, 0);
-  h.Request(2, 1, OpType::kWrite, Protocol::kTwoPhaseLocking, 0);
-  h.Request(3, 1, OpType::kRead, Protocol::kTwoPhaseLocking, 0);
-  // Reader 3 queues behind writer 2 (strict FCFS, no starvation).
-  EXPECT_EQ(h.Grants(3), 0);
-  h.Release(1, 1);
-  EXPECT_EQ(h.Grants(2), 1);
-  h.Release(2, 1);
-  EXPECT_EQ(h.Grants(3), 1);
-}
-
-TEST(TwoPlLockManagerTest, AbortWaiterAndHolder) {
-  Harness<TwoPlLockManager> h;
-  h.Request(1, 1, OpType::kWrite, Protocol::kTwoPhaseLocking, 0);
-  h.Request(2, 1, OpType::kWrite, Protocol::kTwoPhaseLocking, 0);
-  h.Abort(2, 1);  // waiter disappears
-  h.Abort(1, 1);  // holder aborts -> nothing left
-  h.Request(3, 1, OpType::kWrite, Protocol::kTwoPhaseLocking, 0);
-  EXPECT_EQ(h.Grants(3), 1);
-}
-
-TEST(TwoPlLockManagerTest, WaitEdges) {
-  Harness<TwoPlLockManager> h;
-  h.Request(1, 1, OpType::kWrite, Protocol::kTwoPhaseLocking, 0);
-  h.Request(2, 1, OpType::kWrite, Protocol::kTwoPhaseLocking, 0);
-  std::vector<WaitEdge> edges;
-  h.backend_->CollectWaitEdges(&edges);
-  ASSERT_EQ(edges.size(), 1u);
-  EXPECT_EQ(edges[0].waiter, 2u);
-  EXPECT_EQ(edges[0].holder, 1u);
-}
-
-TEST(TwoPlLockManagerTest, LogsAtRelease) {
-  Harness<TwoPlLockManager> h;
-  h.Request(1, 1, OpType::kWrite, Protocol::kTwoPhaseLocking, 0);
-  EXPECT_EQ(h.log_.TotalRecords(), 0u);
-  h.Release(1, 1, true, 9);
-  EXPECT_EQ(h.log_.TotalRecords(), 1u);
-}
-
-// ---------------------------------------------------------------- T/O ----
-
 TEST(BasicToManagerTest, GrantsInTimestampOrder) {
-  Harness<BasicToManager> h;
-  h.Request(1, 1, OpType::kWrite, Protocol::kTimestampOrdering, 10);
+  Harness h;
+  h.Request(1, 1, OpType::kWrite, 10);
   EXPECT_EQ(h.Grants(1), 1);  // prewrite accepted immediately
   // A read with a bigger timestamp must wait for the prewrite to commit.
-  h.Request(2, 1, OpType::kRead, Protocol::kTimestampOrdering, 20);
+  h.Request(2, 1, OpType::kRead, 20);
   EXPECT_EQ(h.Grants(2), 0);
   h.Release(1, 1, true, 77);
   EXPECT_EQ(h.Grants(2), 1);
@@ -167,34 +99,34 @@ TEST(BasicToManagerTest, GrantsInTimestampOrder) {
 }
 
 TEST(BasicToManagerTest, RejectsStaleRead) {
-  Harness<BasicToManager> h;
-  h.Request(1, 1, OpType::kWrite, Protocol::kTimestampOrdering, 10);
-  h.Request(2, 1, OpType::kRead, Protocol::kTimestampOrdering, 5);
+  Harness h;
+  h.Request(1, 1, OpType::kWrite, 10);
+  h.Request(2, 1, OpType::kRead, 5);
   EXPECT_TRUE(h.Rejected(2));
 }
 
 TEST(BasicToManagerTest, RejectsStaleWriteAgainstReadTs) {
-  Harness<BasicToManager> h;
-  h.Request(1, 1, OpType::kRead, Protocol::kTimestampOrdering, 30);
+  Harness h;
+  h.Request(1, 1, OpType::kRead, 30);
   EXPECT_EQ(h.Grants(1), 1);
-  h.Request(2, 1, OpType::kWrite, Protocol::kTimestampOrdering, 20);
+  h.Request(2, 1, OpType::kWrite, 20);
   EXPECT_TRUE(h.Rejected(2));
 }
 
 TEST(BasicToManagerTest, ReadBelowPendingPrewriteIsRejected) {
-  Harness<BasicToManager> h;
-  h.Request(1, 1, OpType::kWrite, Protocol::kTimestampOrdering, 50);
+  Harness h;
+  h.Request(1, 1, OpType::kWrite, 50);
   // W-TS advanced to 50 at prewrite acceptance; a read at ts 40 is stale
   // (Basic T/O keeps a single version) and must be rejected.
-  h.Request(2, 1, OpType::kRead, Protocol::kTimestampOrdering, 40);
+  h.Request(2, 1, OpType::kRead, 40);
   EXPECT_TRUE(h.Rejected(2));
   EXPECT_EQ(h.Grants(2), 0);
 }
 
 TEST(BasicToManagerTest, WritesInstallInTimestampOrder) {
-  Harness<BasicToManager> h;
-  h.Request(1, 1, OpType::kWrite, Protocol::kTimestampOrdering, 10);
-  h.Request(2, 1, OpType::kWrite, Protocol::kTimestampOrdering, 20);
+  Harness h;
+  h.Request(1, 1, OpType::kWrite, 10);
+  h.Request(2, 1, OpType::kWrite, 20);
   // Commit the later write first: installation must wait for txn 1.
   h.Release(2, 1, true, 200);
   EXPECT_EQ(h.backend_->store().Read(kX), 0u);
@@ -208,9 +140,9 @@ TEST(BasicToManagerTest, WritesInstallInTimestampOrder) {
 }
 
 TEST(BasicToManagerTest, AbortUnblocksWaitingRead) {
-  Harness<BasicToManager> h;
-  h.Request(1, 1, OpType::kWrite, Protocol::kTimestampOrdering, 10);
-  h.Request(2, 1, OpType::kRead, Protocol::kTimestampOrdering, 20);
+  Harness h;
+  h.Request(1, 1, OpType::kWrite, 10);
+  h.Request(2, 1, OpType::kRead, 20);
   EXPECT_EQ(h.Grants(2), 0);
   h.Abort(1, 1);
   EXPECT_EQ(h.Grants(2), 1);
@@ -218,9 +150,9 @@ TEST(BasicToManagerTest, AbortUnblocksWaitingRead) {
 
 TEST(BasicToManagerTest, NoDeadlockEdgesCycle) {
   // Wait edges always point to smaller timestamps: acyclic by design.
-  Harness<BasicToManager> h;
-  h.Request(1, 1, OpType::kWrite, Protocol::kTimestampOrdering, 10);
-  h.Request(2, 1, OpType::kRead, Protocol::kTimestampOrdering, 20);
+  Harness h;
+  h.Request(1, 1, OpType::kWrite, 10);
+  h.Request(2, 1, OpType::kRead, 20);
   std::vector<WaitEdge> edges;
   h.backend_->CollectWaitEdges(&edges);
   ASSERT_EQ(edges.size(), 1u);
@@ -228,44 +160,49 @@ TEST(BasicToManagerTest, NoDeadlockEdgesCycle) {
   EXPECT_EQ(edges[0].holder, 1u);
 }
 
-// ----------------------------------------------------------------- PA ----
-
-TEST(PaQueueManagerTest, SingleRequestFlow) {
-  Harness<PaQueueManager> h;
-  h.Request(1, 1, OpType::kWrite, Protocol::kPrecedenceAgreement, 10);
-  EXPECT_EQ(h.Grants(1), 1);
-  h.Release(1, 1, true, 3);
-  EXPECT_EQ(h.backend_->store().Read(kX), 3u);
-  EXPECT_EQ(h.log_.TotalRecords(), 1u);
-}
-
-TEST(PaQueueManagerTest, BackoffInsteadOfReject) {
-  Harness<PaQueueManager> h;
-  h.Request(1, 1, OpType::kWrite, Protocol::kPrecedenceAgreement, 10);
-  h.Request(2, 1, OpType::kWrite, Protocol::kPrecedenceAgreement, 5);
-  EXPECT_FALSE(h.Rejected(2));
-  bool backed_off = false;
-  for (const auto& m : h.inbox_) {
-    if (const auto* b = std::get_if<msg::Backoff>(&m)) {
-      if (b->txn == 2) backed_off = true;
-    }
-  }
-  EXPECT_TRUE(backed_off);
-}
-
 // ------------------------------------------------ wait-edge snapshots ----
 
-// Where a (txn, copy) request stands at its copy.
+// Where a (txn, copy) request stands at its copy. Reads granted on arrival
+// and committed prewrites leave nothing to release or abort.
 enum class Held { kGone, kWaiting, kGranted };
 
-// Drives random multi-copy request/release/abort traffic through one pure
-// backend, in bursts that alternate with drains so queues keep emptying and
-// refilling. After every step the backend's CollectWaitEdges(), which walks
-// only its live queues, must return exactly full_walk(backend, touched):
+Held HeldAt(const BasicToManager& b, TxnId txn, Attempt attempt,
+            const CopyId& copy) {
+  const BasicToManager::Copy* c = b.CopyStateOf(copy);
+  if (c == nullptr) return Held::kGone;
+  for (const auto& r : c->waiting) {
+    if (r.txn == txn && r.attempt == attempt) return Held::kWaiting;
+  }
+  for (const auto& p : c->prewrites) {
+    if (p.txn == txn && p.attempt == attempt && !p.release_pending) {
+      return Held::kGranted;
+    }
+  }
+  return Held::kGone;
+}
+
+// The pre-index full walk: every copy, reads wait on older prewrites.
+std::vector<WaitEdge> FullWalk(const BasicToManager& b,
+                               const std::vector<CopyId>& touched) {
+  std::vector<WaitEdge> out;
+  for (const CopyId& copy : touched) {
+    const BasicToManager::Copy* c = b.CopyStateOf(copy);
+    if (c == nullptr) continue;
+    for (const auto& r : c->waiting) {
+      for (const auto& p : c->prewrites) {
+        if (p.ts < r.ts) out.push_back(WaitEdge{r.txn, p.txn});
+      }
+    }
+  }
+  return out;
+}
+
+// Drives random multi-copy request/release/abort traffic through one
+// BasicToManager, in bursts that alternate with drains so queues keep
+// emptying and refilling. After every step CollectWaitEdges(), which walks
+// only the live queues, must return exactly FullWalk(backend, touched):
 // the edges of every copy ever touched, in first-touch order.
-template <typename Backend, typename HeldFn, typename FullWalkFn>
-void FuzzWaitEdgeSnapshots(Protocol proto, std::uint64_t seed, HeldFn held,
-                           FullWalkFn full_walk) {
+void FuzzWaitEdgeSnapshots(std::uint64_t seed) {
   Simulator sim;
   NetworkOptions net;
   net.base_delay = 1;
@@ -273,7 +210,7 @@ void FuzzWaitEdgeSnapshots(Protocol proto, std::uint64_t seed, HeldFn held,
   SimTransport transport(&sim, net, Rng(1));
   ImplementationLog log;
   transport.RegisterSite(kUserSite, [](SiteId, const Message&) {});
-  Backend backend(kDataSite, CcContext{&sim, &transport, &log});
+  BasicToManager backend(kDataSite, CcContext{&sim, &transport, &log});
   transport.RegisterSite(kDataSite, [](SiteId, const Message&) {});
 
   struct Live {
@@ -281,7 +218,7 @@ void FuzzWaitEdgeSnapshots(Protocol proto, std::uint64_t seed, HeldFn held,
     OpType op = OpType::kRead;
   };
   std::map<std::pair<TxnId, ItemId>, Live> live;
-  std::map<TxnId, Timestamp> ts_of;  // T/O: one timestamp per transaction
+  std::map<TxnId, Timestamp> ts_of;  // one timestamp per transaction
   std::vector<CopyId> touched;
   Rng rng(seed * 6151 + 29);
   TxnId next_txn = 1;
@@ -311,14 +248,14 @@ void FuzzWaitEdgeSnapshots(Protocol proto, std::uint64_t seed, HeldFn held,
       m.attempt = l.attempt;
       m.copy = copy;
       m.op = l.op;
-      m.proto = proto;
+      m.proto = Protocol::kTimestampOrdering;
       m.ts = ts_of[txn];
       m.reply_to = kUserSite;
       if (std::find(touched.begin(), touched.end(), copy) == touched.end()) {
         touched.push_back(copy);
       }
       backend.OnRequest(m);
-      if (held(backend, txn, l.attempt, copy) != Held::kGone) {
+      if (HeldAt(backend, txn, l.attempt, copy) != Held::kGone) {
         live.emplace(std::make_pair(txn, copy.item), l);
       }
     } else {
@@ -328,7 +265,7 @@ void FuzzWaitEdgeSnapshots(Protocol proto, std::uint64_t seed, HeldFn held,
       const CopyId copy{it->first.second, kDataSite};
       const Live l = it->second;
       live.erase(it);
-      const Held h = held(backend, txn, l.attempt, copy);
+      const Held h = HeldAt(backend, txn, l.attempt, copy);
       if (h == Held::kGranted && rng.Bernoulli(0.6)) {
         backend.OnRelease(msg::Release{txn, l.attempt, copy,
                                        l.op == OpType::kWrite, txn});
@@ -340,86 +277,15 @@ void FuzzWaitEdgeSnapshots(Protocol proto, std::uint64_t seed, HeldFn held,
 
     std::vector<WaitEdge> got;
     backend.CollectWaitEdges(&got);
-    ASSERT_EQ(got, full_walk(backend, touched)) << "step " << step;
+    ASSERT_EQ(got, FullWalk(backend, touched)) << "step " << step;
     if (!got.empty()) ++edge_snapshots;
   }
   EXPECT_GT(edge_snapshots, 100u);
 }
 
-TEST(TwoPlLockManagerTest, LiveWaitEdgesMatchFullWalk) {
-  auto held = [](const TwoPlLockManager& b, TxnId txn, Attempt attempt,
-                 const CopyId& copy) {
-    for (const auto& e : b.QueueOf(copy)) {
-      if (e.txn == txn && e.attempt == attempt) {
-        return e.granted ? Held::kGranted : Held::kWaiting;
-      }
-    }
-    return Held::kGone;
-  };
-  // The pre-index full walk: every queue, FCFS edge rules.
-  auto full_walk = [](const TwoPlLockManager& b,
-                      const std::vector<CopyId>& touched) {
-    std::vector<WaitEdge> out;
-    for (const CopyId& copy : touched) {
-      const auto& q = b.QueueOf(copy);
-      for (std::size_t i = 0; i < q.size(); ++i) {
-        if (q[i].granted) continue;
-        for (std::size_t j = 0; j < q.size(); ++j) {
-          if (i == j || q[j].txn == q[i].txn) continue;
-          if (q[j].granted) {
-            if (q[i].op == OpType::kWrite || q[j].op == OpType::kWrite) {
-              out.push_back(WaitEdge{q[i].txn, q[j].txn});
-            }
-          } else if (j < i) {
-            out.push_back(WaitEdge{q[i].txn, q[j].txn});
-          }
-        }
-      }
-    }
-    return out;
-  };
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    FuzzWaitEdgeSnapshots<TwoPlLockManager>(Protocol::kTwoPhaseLocking, seed,
-                                            held, full_walk);
-    if (HasFatalFailure()) return;
-  }
-}
-
 TEST(BasicToManagerTest, LiveWaitEdgesMatchFullWalk) {
-  // Reads granted on arrival and committed prewrites leave nothing to
-  // release or abort.
-  auto held = [](const BasicToManager& b, TxnId txn, Attempt attempt,
-                 const CopyId& copy) {
-    const BasicToManager::Copy* c = b.CopyStateOf(copy);
-    if (c == nullptr) return Held::kGone;
-    for (const auto& r : c->waiting) {
-      if (r.txn == txn && r.attempt == attempt) return Held::kWaiting;
-    }
-    for (const auto& p : c->prewrites) {
-      if (p.txn == txn && p.attempt == attempt && !p.release_pending) {
-        return Held::kGranted;
-      }
-    }
-    return Held::kGone;
-  };
-  // The pre-index full walk: every copy, reads wait on older prewrites.
-  auto full_walk = [](const BasicToManager& b,
-                      const std::vector<CopyId>& touched) {
-    std::vector<WaitEdge> out;
-    for (const CopyId& copy : touched) {
-      const BasicToManager::Copy* c = b.CopyStateOf(copy);
-      if (c == nullptr) continue;
-      for (const auto& r : c->waiting) {
-        for (const auto& p : c->prewrites) {
-          if (p.ts < r.ts) out.push_back(WaitEdge{r.txn, p.txn});
-        }
-      }
-    }
-    return out;
-  };
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    FuzzWaitEdgeSnapshots<BasicToManager>(Protocol::kTimestampOrdering, seed,
-                                          held, full_walk);
+    FuzzWaitEdgeSnapshots(seed);
     if (HasFatalFailure()) return;
   }
 }

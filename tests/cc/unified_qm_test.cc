@@ -158,6 +158,21 @@ TEST(UnifiedQmTest, WriterWaitsForReaders) {
   EXPECT_EQ(h.GrantsFor(2).size(), 1u);
 }
 
+TEST(UnifiedQmTest, StrictFcfsWriterNotStarved) {
+  // Reader 3 is compatible with holder 1 but queues behind waiting writer
+  // 2: a stream of readers cannot starve a writer.
+  QmHarness h;
+  h.Request(1, OpType::kRead, Protocol::kTwoPhaseLocking, 0);
+  h.Request(2, OpType::kWrite, Protocol::kTwoPhaseLocking, 0);
+  h.Request(3, OpType::kRead, Protocol::kTwoPhaseLocking, 0);
+  EXPECT_TRUE(h.GrantsFor(3).empty());
+  h.Release(1);
+  EXPECT_EQ(h.GrantsFor(2).size(), 1u);
+  EXPECT_TRUE(h.GrantsFor(3).empty());
+  h.Release(2);
+  EXPECT_EQ(h.GrantsFor(3).size(), 1u);
+}
+
 TEST(UnifiedQmTest, ToReadRejectedBehindBiggerWriteTs) {
   QmHarness h;
   h.Request(1, OpType::kWrite, Protocol::kTimestampOrdering, 100);

@@ -103,9 +103,9 @@ TEST_P(GoldenScenarioTest, RepeatedRunsAreByteIdentical) {
   auto spec = ScenarioSpec::LoadFile(GetParam());
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
 
-  // Open-system scenarios (streaming admission, possibly through the
-  // bounded overload gate) run the path they declare; a pre-materialized
-  // batch would bypass the MPL gate and its shed/expire outcomes.
+  // Open-system scenarios stream their workload through the MPL cap and
+  // possibly the bounded overload gate, so shed and expired transactions
+  // join the accounting.
   if (spec->IsOpenSystem()) {
     const RunStats first = RunScenario(*spec);
     const RunStats second = RunScenario(*spec);
@@ -154,9 +154,8 @@ TEST_P(GoldenScenarioTest, RecordReplayRoundTripIsByteIdentical) {
   auto spec = ScenarioSpec::LoadFile(GetParam());
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   if (spec->IsOpenSystem()) {
-    GTEST_SKIP() << "replaying a pre-materialized trace bypasses streaming "
-                    "admission (and the trace codec does not carry per-txn "
-                    "deadlines), so a round trip cannot match the live run";
+    GTEST_SKIP() << "the trace codec does not carry per-txn deadlines or "
+                    "priorities, so a round trip cannot match the live run";
   }
   const ScenarioSpec::Workload wl = spec->BuildWorkload();
 

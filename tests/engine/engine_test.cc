@@ -98,6 +98,40 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+TEST(EngineTest, PureTwoPlAndPaMatchUnifiedUnderFixedPolicy) {
+  // With every transaction on one protocol the unified queue manager is
+  // that protocol, so `backend = pure` and a unified run with the same
+  // fixed policy are one run. The pure backend also switches the issuer's
+  // semi-lock path off, which 2PL and PA transactions never take.
+  for (const Protocol p :
+       {Protocol::kTwoPhaseLocking, Protocol::kPrecedenceAgreement}) {
+    SCOPED_TRACE(ProtocolName(p));
+    EngineOptions eo = SmallEngine(31);
+    eo.num_items = 8;
+    eo.network.jitter_mean = 2 * kMillisecond;
+    eo.max_clock_skew = 80 * kMillisecond;
+    WorkloadOptions wo = SmallWorkload(150);
+    wo.arrival_rate_per_sec = 120;
+    wo.size_min = 3;
+    wo.size_max = 5;
+    eo.backend = BackendKind::kPure;
+    eo.pure_protocol = p;
+    const RunSummary pure = RunWorkload(eo, wo, FixedProtocol(p)).summary;
+    eo.backend = BackendKind::kUnified;
+    const RunSummary unified = RunWorkload(eo, wo, FixedProtocol(p)).summary;
+    EXPECT_EQ(pure.committed, 150u);
+    EXPECT_EQ(pure.makespan, unified.makespan);
+    EXPECT_EQ(pure.total_messages, unified.total_messages);
+    EXPECT_EQ(pure.mean_system_time_ms, unified.mean_system_time_ms);
+    EXPECT_EQ(pure.deadlock_victims, unified.deadlock_victims);
+    EXPECT_EQ(pure.backoff_rounds, unified.backoff_rounds);
+    // Contended enough to exercise each protocol's anomaly path.
+    EXPECT_GT(p == Protocol::kTwoPhaseLocking ? pure.deadlock_victims
+                                              : pure.backoff_rounds,
+              0u);
+  }
+}
+
 TEST(EngineTest, UnifiedMixedWorkloadSerializable) {
   EngineOptions eo = SmallEngine(13);
   auto run = RunWorkload(eo, SmallWorkload(150),

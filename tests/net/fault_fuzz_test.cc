@@ -209,8 +209,8 @@ std::string Snapshot(const runner::RunStats& st) {
 // string on success, else the failure description.
 std::string CheckSeed(std::uint64_t seed, bool run_twice) {
   const ScenarioSpec spec = SpecForSeed(seed);
-  // Overload schedules must run open-system (streaming admission through
-  // the gate); a pre-materialized batch bypasses the MPL gate entirely.
+  // Overload schedules stream the scenario's workload through the gate, as
+  // unicc_sim does; closed ones are built up front and admitted as a batch.
   const bool open = spec.IsOpenSystem();
   ScenarioSpec::Workload wl;
   if (!open) wl = spec.BuildWorkload();

@@ -79,34 +79,38 @@ TEST(RunSessionTest, RejectsPureBackendWithMixPolicy) {
 }
 
 TEST(RunSessionTest, StreamReplayMatchesBatchReplay) {
-  // The UCTC v2 replay path hands the runner an ArrivalStream instead of
-  // a materialized vector; the classic engine admits from it streamingly
-  // and must land on the exact same run.
-  const ScenarioSpec spec = SmallSpec();
-  const ScenarioSpec::Workload wl = spec.BuildWorkload();
+  // The UCTC v2 replay path hands the runner an ArrivalStream, the text
+  // path a materialized vector. Both must land on the exact same run: in
+  // a closed system, and in an open one whose [run] controls bound the
+  // replayed vector as they bound the stream.
+  for (const char* extra : {"", "[run]\nmax_inflight = 2\n"}) {
+    SCOPED_TRACE(extra);
+    const ScenarioSpec spec = SmallSpec(extra);
+    const ScenarioSpec::Workload wl = spec.BuildWorkload();
 
-  RunRequest batch;
-  batch.spec = &spec;
-  batch.arrivals = &wl.arrivals;
-  batch.forced = wl.forced;
-  auto sb = RunSession::Create(std::move(batch));
-  ASSERT_TRUE(sb.ok()) << sb.status().ToString();
-  const auto rb = (*sb)->Run();
+    RunRequest batch;
+    batch.spec = &spec;
+    batch.arrivals = &wl.arrivals;
+    batch.forced = wl.forced;
+    auto sb = RunSession::Create(std::move(batch));
+    ASSERT_TRUE(sb.ok()) << sb.status().ToString();
+    const auto rb = (*sb)->Run();
 
-  RunRequest stream;
-  stream.spec = &spec;
-  stream.arrival_stream = MakeVectorStream(wl.arrivals);
-  stream.forced = wl.forced;
-  auto ss = RunSession::Create(std::move(stream));
-  ASSERT_TRUE(ss.ok()) << ss.status().ToString();
-  const auto rs = (*ss)->Run();
+    RunRequest stream;
+    stream.spec = &spec;
+    stream.arrival_stream = MakeVectorStream(wl.arrivals);
+    stream.forced = wl.forced;
+    auto ss = RunSession::Create(std::move(stream));
+    ASSERT_TRUE(ss.ok()) << ss.status().ToString();
+    const auto rs = (*ss)->Run();
 
-  EXPECT_EQ(rb.stats.committed, rs.stats.committed);
-  EXPECT_EQ(rb.stats.admitted, rs.stats.admitted);
-  EXPECT_EQ(rb.stats.makespan, rs.stats.makespan);
-  EXPECT_EQ(rb.stats.total_messages, rs.stats.total_messages);
-  EXPECT_EQ(rb.events_run, rs.events_run);
-  EXPECT_TRUE(rs.stats.serializable);
+    EXPECT_EQ(rb.stats.committed, rs.stats.committed);
+    EXPECT_EQ(rb.stats.admitted, rs.stats.admitted);
+    EXPECT_EQ(rb.stats.makespan, rs.stats.makespan);
+    EXPECT_EQ(rb.stats.total_messages, rs.stats.total_messages);
+    EXPECT_EQ(rb.events_run, rs.events_run);
+    EXPECT_TRUE(rs.stats.serializable);
+  }
 }
 
 TEST(RunSessionTest, SeedOverrideChangesResults) {

@@ -748,16 +748,17 @@ void PrintTable(const Experiment& exp, const std::vector<RunReport>& results) {
               table.ToString().c_str());
 }
 
-bool Selected(const std::string& list, const std::string& id) {
-  if (list.empty()) return true;
+// The non-empty ids of a comma list.
+std::vector<std::string> SplitIds(const std::string& list) {
+  std::vector<std::string> ids;
   std::size_t pos = 0;
   while (pos < list.size()) {
     std::size_t comma = list.find(',', pos);
     if (comma == std::string::npos) comma = list.size();
-    if (list.substr(pos, comma - pos) == id) return true;
+    if (comma > pos) ids.push_back(list.substr(pos, comma - pos));
     pos = comma + 1;
   }
-  return false;
+  return ids;
 }
 
 void PrintHelp() {
@@ -837,11 +838,25 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const std::vector<std::string> wanted = SplitIds(exp_list);
   std::vector<Experiment> experiments;
+  std::string valid;
   for (Experiment (*make)() :
        {MakeE1, MakeE2, MakeE3, MakeE4, MakeE5, MakeE6, MakeE7, MakeE9}) {
     Experiment exp = make();
-    if (Selected(exp_list, exp.id)) experiments.push_back(std::move(exp));
+    valid += (valid.empty() ? "" : ", ") + exp.id;
+    if (exp_list.empty() ||
+        std::find(wanted.begin(), wanted.end(), exp.id) != wanted.end()) {
+      experiments.push_back(std::move(exp));
+    }
+  }
+  for (const std::string& id : wanted) {
+    if (std::none_of(experiments.begin(), experiments.end(),
+                     [&](const Experiment& e) { return e.id == id; })) {
+      std::fprintf(stderr, "unknown experiment '%s' in --exp (valid: %s)\n",
+                   id.c_str(), valid.c_str());
+      return 2;
+    }
   }
   if (experiments.empty()) {
     std::fprintf(stderr, "no experiments selected from '%s'\n",
