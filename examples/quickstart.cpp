@@ -74,13 +74,12 @@ int main() {
               static_cast<unsigned long long>(summary.total_messages),
               static_cast<unsigned long long>(summary.remote_messages));
 
+  // The engine checks serializability online, as operations are
+  // implemented, and keeps only transactions that could still join a
+  // conflict cycle; so it reports a verdict, not a witness order.
   const SerializabilityReport report = engine.CheckSerializability();
   std::printf("serializable     : %s\n", report.serializable ? "yes" : "NO");
-  std::printf("witness order    : ");
-  for (TxnId t : report.order) {
-    std::printf("t%llu ", static_cast<unsigned long long>(t));
-  }
-  std::printf("\n");
+  std::printf("txns checked     : %zu\n", report.num_txns);
   for (ItemId item : {0u, 2u, 3u, 4u}) {
     std::printf("item %u final value: %llu\n", item,
                 static_cast<unsigned long long>(

@@ -23,7 +23,7 @@ namespace unicc {
 struct CcContext {
   Simulator* sim = nullptr;
   Transport* transport = nullptr;
-  ImplementationLog* log = nullptr;
+  LogSink* log = nullptr;
 };
 
 // Hooks the engine installs to observe protocol events (metrics and the STL

@@ -407,6 +407,7 @@ void RequestIssuer::AbortAndRestart(ActiveTxn& t, TxnOutcome why,
       break;
   }
   if (events_.on_restart) events_.on_restart(t.spec.protocol, why);
+  if (events_.on_abort) events_.on_abort(t.spec.id, t.attempt);
   ++t.attempt;  // stale messages of the old incarnation are now dropped
   ++t.attempts_total;
   t.executing = false;
@@ -437,6 +438,7 @@ bool RequestIssuer::Expire(TxnId txn) {
     ctx_.transport->Send(site_, r.copy.site,
                          msg::AbortTxn{t.spec.id, t.attempt, r.copy});
   }
+  if (events_.on_abort) events_.on_abort(txn, t.attempt);
   Recycle(txn);
   return true;
 }
@@ -459,6 +461,11 @@ void RequestIssuer::OnCrash(SimTime recover_at) {
 }
 
 bool RequestIssuer::IsActive(TxnId txn) const { return active_.contains(txn); }
+
+bool RequestIssuer::IsRunning(TxnId txn, Attempt attempt) const {
+  auto it = active_.find(txn);
+  return it != active_.end() && it->second.attempt == attempt;
+}
 
 std::vector<RequestIssuer::WaitingTxn> RequestIssuer::LongWaiting(
     Protocol proto, Duration min_wait) const {

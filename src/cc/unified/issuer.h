@@ -68,6 +68,9 @@ struct IssuerEvents {
   std::function<void(Protocol, OpType)> on_request_sent;
   // An incarnation aborted (reject or deadlock victim).
   std::function<void(Protocol, TxnOutcome)> on_restart;
+  // Incarnation `attempt` of `txn` aborted: restarted for any reason, or
+  // expired. Its records (early T/O reads) no longer count.
+  std::function<void(TxnId txn, Attempt attempt)> on_abort;
   // Lock-time sample: grant-to-release (committed) or grant-to-abort
   // (aborted) for one request.
   std::function<void(Protocol, Duration, bool aborted)> on_lock_hold;
@@ -110,6 +113,9 @@ class RequestIssuer : public Issuer {
   bool Expire(TxnId txn);
 
   bool IsActive(TxnId txn) const override;
+  // True while `attempt` is `txn`'s current incarnation and it has not
+  // committed.
+  bool IsRunning(TxnId txn, Attempt attempt) const;
   std::size_t ActiveCount() const override { return active_.size(); }
 
   // Copies at which `txn` has sent requests that are not yet granted; used

@@ -24,6 +24,11 @@ Engine::Engine(EngineOptions options, EngineCallbacks callbacks)
     : options_(std::move(options)),
       callbacks_(std::move(callbacks)),
       root_rng_(options_.seed),
+      checker_([this](TxnId txn, std::uint32_t attempt) {
+        auto it = txn_meta_.find(txn);
+        return it != txn_meta_.end() &&
+               IssuerAt(it->second.home)->IsRunning(txn, attempt);
+      }),
       retry_rng_(options_.seed ^ kRetrySalt) {
   UNICC_CHECK_MSG(options_.Validate().ok(), "invalid engine options");
   if (options_.metrics_window > 0) {
@@ -99,7 +104,7 @@ void Engine::BuildSites() {
   CcContext ctx;
   ctx.sim = &sim_;
   ctx.transport = transport_.get();
-  ctx.log = &log_;
+  ctx.log = &checker_;
 
   CcHooks qm_hooks;
   qm_hooks.on_grant = [this](const CopyId& c, OpType op, Protocol p) {
@@ -147,7 +152,7 @@ void Engine::BuildSites() {
     events.on_commit = [this](const TxnResult& r) {
       metrics_.OnCommit(r);
       if (timeline_ != nullptr) timeline_->OnCommit(r);
-      committed_[r.id] = r.attempts;
+      checker_.OnCommit(r.id, r.attempts, r.num_requests);
       ++committed_count_;
       last_commit_ = sim_.Now();
       if (!txn_deadline_events_.empty()) {
@@ -181,6 +186,9 @@ void Engine::BuildSites() {
       metrics_.OnRestart(p, why);
       if (timeline_ != nullptr) timeline_->OnRestart(sim_.Now(), p);
       if (callbacks_.on_restart) callbacks_.on_restart(p, why);
+    };
+    events.on_abort = [this](TxnId txn, Attempt attempt) {
+      checker_.OnAbort(txn, attempt);
     };
     issuers_.push_back(std::make_unique<RequestIssuer>(
         u, ctx, catalog_.get(), issuer_options, root_rng_.Fork(), events));
@@ -270,7 +278,7 @@ void Engine::RouteToDataSite(SiteId site, SiteId from, const Message& m) {
     CcContext ctx;
     ctx.sim = &sim_;
     ctx.transport = transport_.get();
-    ctx.log = &log_;
+    ctx.log = &checker_;
     HandleProbeQuery(site, ctx, *backend, MakeDirectory(), *pq);
   } else {
     UNICC_CHECK_MSG(false, "unexpected message at data site");
@@ -531,7 +539,6 @@ void Engine::OnGateDeadline(std::uint64_t seq) {
 
 void Engine::OnTxnDeadline(TxnId id, SiteId home) {
   txn_deadline_events_.erase(id);
-  if (committed_.find(id) != committed_.end()) return;  // met it
   // Executing transactions are allowed to finish (mirrors the crash rule:
   // completing fully granted work cannot violate serializability).
   if (!IssuerAt(home)->Expire(id)) return;
@@ -652,7 +659,7 @@ Status Engine::RunWatched() {
 }
 
 SerializabilityReport Engine::CheckSerializability() const {
-  return ConflictGraphChecker::Check(log_, committed_);
+  return checker_.Check();
 }
 
 const Store& Engine::StoreAt(SiteId site) const {

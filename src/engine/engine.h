@@ -21,10 +21,9 @@
 #include "engine/config.h"
 #include "metrics/metrics.h"
 #include "metrics/timeline.h"
-#include "serializability/conflict_graph.h"
+#include "serializability/online_checker.h"
 #include "sim/simulator.h"
 #include "storage/catalog.h"
-#include "storage/log.h"
 #include "workload/generator.h"
 #include "workload/stream.h"
 
@@ -119,7 +118,12 @@ class Engine {
   const RunMetrics& metrics() const { return metrics_; }
   // Windowed time-series, or nullptr when options().metrics_window is 0.
   const TimelineRecorder* timeline() const { return timeline_.get(); }
-  const ImplementationLog& log() const { return log_; }
+  // The online serializability checker the data sites log into; it keeps
+  // only transactions that can still join a conflict cycle, and counts
+  // every implemented operation (TotalRecords()).
+  const OnlineChecker& log() const { return checker_; }
+  // The checker's verdict on the run so far (serializable, cycle,
+  // num_txns); cheap after a drained run, which leaves nothing held.
   SerializabilityReport CheckSerializability() const;
   // Reads the value of every copy of `item`; all replicas must agree at
   // quiescence under read-one/write-all.
@@ -226,7 +230,7 @@ class Engine {
   std::unique_ptr<FaultModel> fault_model_;
   std::unique_ptr<SimTransport> transport_;
   std::unique_ptr<Catalog> catalog_;
-  ImplementationLog log_;
+  OnlineChecker checker_;
   RunMetrics metrics_;
   std::unique_ptr<TimelineRecorder> timeline_;
 
@@ -247,7 +251,6 @@ class Engine {
     Protocol protocol;
   };
   std::unordered_map<TxnId, TxnMeta> txn_meta_;
-  CommittedSet committed_;
   std::uint64_t offered_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t committed_count_ = 0;

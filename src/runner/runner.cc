@@ -80,7 +80,10 @@ RunStats ExtractStats(Engine& engine, const RunSummary& summary) {
                             : static_cast<double>(cc_msgs) /
                                   static_cast<double>(summary.committed);
   out.throughput = engine.metrics().ThroughputPerSec(summary.makespan);
-  out.serializable = engine.CheckSerializability().serializable;
+  const SerializabilityReport ser = engine.CheckSerializability();
+  out.serializable = ser.serializable;
+  out.checked_txns = ser.num_txns;
+  out.held_txns = engine.log().Held();
   out.shed = engine.metrics().shed();
   out.expired = engine.metrics().expired();
   out.retried = engine.metrics().retried();
@@ -128,6 +131,16 @@ Status CheckAccounting(const RunStats& stats, std::uint64_t expired_in_flight,
           std::to_string(by_window) + ", committed " +
           std::to_string(stats.committed));
     }
+  }
+  if (stats.checked_txns != stats.committed) {
+    return Status::FailedPrecondition(
+        "serializability: checked " + std::to_string(stats.checked_txns) +
+        " transactions, committed " + std::to_string(stats.committed));
+  }
+  if (stats.serializable && stats.held_txns != 0) {
+    return Status::FailedPrecondition(
+        "serializability: a serializable history left " +
+        std::to_string(stats.held_txns) + " transactions held");
   }
   return Status::OK();
 }

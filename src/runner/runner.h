@@ -46,6 +46,11 @@ struct RunStats {
                                // (excludes deadlock-detector traffic)
   double throughput = 0;       // committed per simulated second
   bool serializable = false;
+  // Transactions the online serializability checker examined (those with
+  // an implemented operation: every committed one), and those it still
+  // holds after the run (none after a drained serializable run).
+  std::uint64_t checked_txns = 0;
+  std::uint64_t held_txns = 0;
   // Overload-control outcomes (zero unless the scenario engages the
   // bounded admission gate / deadlines).
   std::uint64_t shed = 0;      // dropped at the admission gate
@@ -98,8 +103,9 @@ struct RunReport {
   // identity (see CheckAccounting); the message names the identity.
   Status status = Status::OK();
   // Wall-clock seconds per phase of Run(): setup (workload resolution,
-  // engine build, admission), simulate (the event loop) and verify (stats
-  // extraction, including the serializability and replica checks).
+  // engine build, admission), simulate (the event loop, which also feeds
+  // the online serializability checker) and verify (stats extraction: the
+  // replica check, plus the checker's verdict over what it still holds).
   double setup_s = 0;
   double simulate_s = 0;
   double verify_s = 0;
@@ -161,7 +167,10 @@ RunStats ExtractStats(Engine& engine, const RunSummary& summary);
 //     when `admission_closed` (commit_target closed admission and dropped
 //     parked work uncounted);
 //   the per-protocol commits sum to committed;
-//   the per-window commits sum to committed, when `timeline` is non-null.
+//   the per-window commits sum to committed, when `timeline` is non-null;
+//   the serializability checker examined exactly the committed
+//     transactions, and holds none when it reports the history
+//     serializable (a missed abort or a lost record would leave some held).
 // Returns FailedPrecondition naming the first identity that fails.
 Status CheckAccounting(const RunStats& stats, std::uint64_t expired_in_flight,
                        bool admission_closed,

@@ -15,14 +15,22 @@
 
 namespace unicc {
 
+// The verdict of a serializability check. ConflictGraphChecker fills every
+// field; OnlineChecker (serializability/online_checker.h), which keeps no
+// graph of the transactions it dropped, fills `serializable`, `cycle` and
+// `num_txns` and leaves `order` empty and `num_edges` 0.
 struct SerializabilityReport {
   bool serializable = false;
   // Witness serialization order (committed transactions, topologically
-  // sorted) when serializable.
+  // sorted) when serializable. ConflictGraphChecker only.
   std::vector<TxnId> order;
-  // A cycle in the conflict graph when not serializable.
+  // A cycle in the conflict graph when not serializable, each transaction
+  // followed by one it precedes. Both checkers.
   std::vector<TxnId> cycle;
+  // Committed transactions with at least one implemented operation. Both
+  // checkers.
   std::size_t num_txns = 0;
+  // Edges of the compressed conflict graph. ConflictGraphChecker only.
   std::size_t num_edges = 0;
 };
 

@@ -1,6 +1,8 @@
 // Per-copy implementation logs (the paper's "logs", Section 2): the order in
-// which physical operations were implemented on each copy. The
-// serializability checker builds the conflict graph from these logs.
+// which physical operations were implemented on each copy. The data sites
+// report each implemented operation to a LogSink: the engine's online
+// serializability checker consumes them as they happen, and an
+// ImplementationLog keeps them all for ConflictGraphChecker.
 //
 // Implementation points follow Section 4.3: a 2PL/PA operation is
 // implemented when its lock is released; a T/O operation when its lock turns
@@ -30,12 +32,23 @@ struct LogRecord {
   std::uint64_t seq = 0;
 };
 
+// Receives implemented operations, in implementation order across all
+// copies.
+class LogSink {
+ public:
+  virtual ~LogSink() = default;
+
+  // Incarnation `attempt` of `txn` implemented `op` on `copy` at `when`.
+  virtual void Append(const CopyId& copy, TxnId txn, std::uint32_t attempt,
+                      OpType op, SimTime when) = 0;
+};
+
 // Collects the logs of every physical copy in a run.
-class ImplementationLog {
+class ImplementationLog : public LogSink {
  public:
   // Appends an implemented operation on `copy`.
   void Append(const CopyId& copy, TxnId txn, std::uint32_t attempt, OpType op,
-              SimTime when);
+              SimTime when) override;
 
   // The log of one copy, in implementation order.
   const std::vector<LogRecord>& LogOf(const CopyId& copy) const;

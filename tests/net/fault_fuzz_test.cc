@@ -4,7 +4,8 @@
 // workload shape, topology tier, protocol policy, message-fault rates,
 // crash schedule, overload controls — runs it to completion and checks the
 // safety oracle: the run drains (every admitted transaction commits),
-// the committed history is serializable and all replicas converge. A
+// the committed history is serializable, all replicas converge and the
+// run passes its own accounting checks. A
 // subset of seeds is run twice and must be byte-identical (faults do not
 // weaken the determinism contract).
 //
@@ -247,6 +248,9 @@ std::string CheckSeed(std::uint64_t seed, bool run_twice) {
   }
   if (!report.stats.serializable) why += " history not serializable";
   if (!report.stats.replicas_consistent) why += " replicas diverged";
+  // The run's own checks: accounting identities and the serializability
+  // checker's books (RunSession's CheckAccounting).
+  if (!report.status.ok()) why += " " + report.status.ToString();
   if (run_twice && why.empty()) {
     const RunReport again = run();
     if (Snapshot(report.stats) != Snapshot(again.stats)) {

@@ -1,7 +1,8 @@
 // Runner-facade tests: RunRequest validation surfaces Status errors
 // instead of aborting, EngineBuilder validates before construction, and
 // every drained run is timed by phase and checked against its accounting
-// identities, the open-system offered-arrival identity included.
+// identities, the open-system offered-arrival identity and the
+// serializability checker's own books included.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -245,6 +246,42 @@ TEST(CheckAccountingTest, NamesEachBrokenIdentity) {
       << by_window.ToString();
   // Without a timeline the per-window identity is not checked.
   EXPECT_TRUE(runner::CheckAccounting(stats, 0, false, nullptr).ok());
+}
+
+TEST(CheckAccountingTest, NamesEachSerializabilityCheckerLeak) {
+  const ScenarioSpec spec = SmallSpec();
+  RunRequest request;
+  request.spec = &spec;
+  auto session = RunSession::Create(std::move(request));
+  ASSERT_TRUE(session.ok());
+  const runner::RunStats stats = (*session)->Run().stats;
+  ASSERT_TRUE(stats.serializable);
+  EXPECT_EQ(stats.checked_txns, stats.committed);
+  EXPECT_EQ(stats.held_txns, 0u);
+  ASSERT_TRUE(runner::CheckAccounting(stats, 0, false, nullptr).ok());
+
+  // The checker must examine every committed transaction, no more.
+  runner::RunStats missed = stats;
+  --missed.checked_txns;
+  const Status checked = runner::CheckAccounting(missed, 0, false, nullptr);
+  EXPECT_EQ(checked.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(checked.message().find("serializability: checked 39 "
+                                   "transactions, committed 40"),
+            std::string::npos)
+      << checked.ToString();
+
+  // A serializable verdict leaves nothing held; a missed abort or a lost
+  // record would.
+  runner::RunStats leaked = stats;
+  leaked.held_txns = 3;
+  const Status held = runner::CheckAccounting(leaked, 0, false, nullptr);
+  EXPECT_EQ(held.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(held.message().find("left 3 transactions held"),
+            std::string::npos)
+      << held.ToString();
+  // A cycle's transactions stay held: that is the verdict, not a leak.
+  leaked.serializable = false;
+  EXPECT_TRUE(runner::CheckAccounting(leaked, 0, false, nullptr).ok());
 }
 
 TEST(EngineBuilderTest, ReturnsStatusOnInvalidOptions) {
