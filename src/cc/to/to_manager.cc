@@ -167,7 +167,10 @@ void BasicToManager::CollectWaitEdges(std::vector<WaitEdge>* out) const {
     const Copy& c = copies_.At(index).value;
     for (const WaitingRead& r : c.waiting) {
       for (const Prewrite& p : c.prewrites) {
-        if (p.ts < r.ts) out->push_back(WaitEdge{r.txn, p.txn});
+        if (p.ts < r.ts) {
+          out->push_back(WaitEdge{r.txn, p.txn, p.reply_to,
+                                  Protocol::kTimestampOrdering});
+        }
       }
     }
   }

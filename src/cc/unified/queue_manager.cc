@@ -318,6 +318,11 @@ void UnifiedQueueManager::OnAbort(const msg::AbortTxn& m) {
 }
 
 void UnifiedQueueManager::CollectWaitEdges(std::vector<WaitEdge>* out) const {
+  // `waiter` waits on `holder`'s transaction, whose home and protocol the
+  // holder entry names.
+  auto wait_on = [out](TxnId waiter, const QueueEntry& holder) {
+    out->push_back(WaitEdge{waiter, holder.txn, holder.reply_to, holder.proto});
+  };
   const auto& live = live_.Live([this](std::uint32_t index) {
     return queues_.At(index).value.entries.empty();
   });
@@ -331,13 +336,13 @@ void UnifiedQueueManager::CollectWaitEdges(std::vector<WaitEdge>* out) const {
         // part of the wait-for graph too. Without these edges a cycle
         // through a lingering T/O transaction is invisible to the
         // detector (a genuine deadlock the paper's Section 4.2 does not
-        // discuss; see DESIGN.md).
+        // discuss; see docs/architecture.md, "Deadlock detection").
         if (!e.normal) {
           for (const QueueEntry& g : q.entries) {
             if (&g == &e || !g.granted) continue;
             if (g.grant_seq < e.grant_seq &&
                 LocksConflict(g.lock, e.lock) && g.txn != e.txn) {
-              out->push_back(WaitEdge{e.txn, g.txn});
+              wait_on(e.txn, g);
             }
           }
         }
@@ -370,11 +375,11 @@ void UnifiedQueueManager::CollectWaitEdges(std::vector<WaitEdge>* out) const {
                             other.lock == LockKind::kSemiWriteLock)
                          : true;
           }
-          if (blocks) out->push_back(WaitEdge{e.txn, other.txn});
+          if (blocks) wait_on(e.txn, other);
         } else if (other.prec < e.prec) {
           // Queue-order wait: HD discipline grants strictly in precedence
           // order, so e also waits on every earlier waiter.
-          out->push_back(WaitEdge{e.txn, other.txn});
+          wait_on(e.txn, other);
         }
       }
     }

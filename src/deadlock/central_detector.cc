@@ -1,6 +1,6 @@
 #include "deadlock/central_detector.h"
 
-#include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -9,14 +9,12 @@ namespace unicc {
 
 CentralDeadlockDetector::CentralDeadlockDetector(
     SiteId site, CcContext ctx, CentralDetectorOptions options,
-    std::vector<SiteId> data_sites, TxnDirectory directory)
+    std::vector<SiteId> data_sites)
     : site_(site),
       ctx_(ctx),
       options_(options),
-      data_sites_(std::move(data_sites)),
-      directory_(std::move(directory)) {
+      data_sites_(std::move(data_sites)) {
   UNICC_CHECK(ctx_.sim != nullptr && ctx_.transport != nullptr);
-  UNICC_CHECK(directory_.protocol_of && directory_.home_of);
 }
 
 void CentralDeadlockDetector::Start() {
@@ -57,9 +55,15 @@ void CentralDeadlockDetector::OnSnapshotReply(const msg::WfgSnapshotReply& m) {
 void CentralDeadlockDetector::Analyze() {
   WaitForGraph graph;
   graph.AddEdges(collected_);
+  // Every cycle member holds an edge of its cycle, and each edge names its
+  // holder's protocol and home. Indexed on the round's first cycle.
+  std::unordered_map<TxnId, const WaitEdge*> held;
   for (;;) {
     std::vector<TxnId> cycle = graph.FindCycle();
     if (cycle.empty()) break;
+    if (held.empty()) {
+      for (const WaitEdge& e : collected_) held.emplace(e.holder, &e);
+    }
     // Prefer the youngest (largest id) 2PL member; Corollary 2 guarantees
     // one exists in any genuine deadlock.
     TxnId victim = 0;
@@ -67,7 +71,7 @@ void CentralDeadlockDetector::Analyze() {
     TxnId to_fallback = 0;
     bool found_to = false;
     for (TxnId t : cycle) {
-      switch (directory_.protocol_of(t)) {
+      switch (held.at(t)->holder_proto) {
         case Protocol::kTwoPhaseLocking:
           if (!found_2pl || t > victim) victim = t;
           found_2pl = true;
@@ -91,7 +95,7 @@ void CentralDeadlockDetector::Analyze() {
       continue;
     }
     ++victims_selected_;
-    ctx_.transport->Send(site_, directory_.home_of(victim),
+    ctx_.transport->Send(site_, held.at(victim)->holder_home,
                          msg::Victim{victim});
     graph.RemoveNode(victim);
   }

@@ -7,11 +7,11 @@
 // Corollary 2), so the detector prefers the youngest 2PL member; if a
 // transient snapshot shows a cycle without one (in-flight PA negotiation),
 // it falls back to a T/O member and otherwise skips the cycle until the
-// next round.
+// next round. Each member holds an edge of its cycle, and that edge names
+// the member's protocol and home site (WaitEdge::holder_proto/_home).
 #ifndef UNICC_DEADLOCK_CENTRAL_DETECTOR_H_
 #define UNICC_DEADLOCK_CENTRAL_DETECTOR_H_
 
-#include <functional>
 #include <vector>
 
 #include "cc/backend.h"
@@ -19,12 +19,6 @@
 #include "deadlock/wfg.h"
 
 namespace unicc {
-
-// Engine-provided metadata about live transactions.
-struct TxnDirectory {
-  std::function<Protocol(TxnId)> protocol_of;
-  std::function<SiteId(TxnId)> home_of;
-};
 
 struct CentralDetectorOptions {
   Duration interval = 50 * kMillisecond;
@@ -39,8 +33,7 @@ class CentralDeadlockDetector {
  public:
   CentralDeadlockDetector(SiteId site, CcContext ctx,
                           CentralDetectorOptions options,
-                          std::vector<SiteId> data_sites,
-                          TxnDirectory directory);
+                          std::vector<SiteId> data_sites);
 
   // Schedules the periodic snapshot rounds.
   void Start();
@@ -66,7 +59,6 @@ class CentralDeadlockDetector {
   CcContext ctx_;
   CentralDetectorOptions options_;
   std::vector<SiteId> data_sites_;
-  TxnDirectory directory_;
 
   const bool* stop_ = nullptr;
   std::uint64_t round_ = 0;

@@ -1,20 +1,13 @@
 #include "deadlock/probe_detector.h"
 
-#include <utility>
-
 #include "common/check.h"
 
 namespace unicc {
 
 ProbeDeadlockDetector::ProbeDeadlockDetector(SiteId site, CcContext ctx,
                                              ProbeDetectorOptions options,
-                                             RequestIssuer* issuer,
-                                             TxnDirectory directory)
-    : site_(site),
-      ctx_(ctx),
-      options_(options),
-      issuer_(issuer),
-      directory_(std::move(directory)) {
+                                             RequestIssuer* issuer)
+    : site_(site), ctx_(ctx), options_(options), issuer_(issuer) {
   UNICC_CHECK(issuer_ != nullptr);
 }
 
@@ -67,13 +60,12 @@ void ProbeDeadlockDetector::ForwardFor(TxnId txn, const msg::Probe& m) {
 
 void HandleProbeQuery(SiteId site, const CcContext& ctx,
                       const DataSiteBackend& backend,
-                      const TxnDirectory& directory,
                       const msg::ProbeQuery& m) {
   std::vector<WaitEdge> edges;
   backend.CollectWaitEdges(&edges);
   for (const WaitEdge& e : edges) {
     if (e.waiter != m.target) continue;
-    ctx.transport->Send(site, directory.home_of(e.holder),
+    ctx.transport->Send(site, e.holder_home,
                         msg::Probe{m.initiator, m.initiator_attempt,
                                    e.holder, m.hops + 1});
   }

@@ -17,7 +17,6 @@
 #include "cc/backend.h"
 #include "cc/unified/issuer.h"
 #include "common/types.h"
-#include "deadlock/central_detector.h"  // TxnDirectory
 
 namespace unicc {
 
@@ -34,8 +33,7 @@ struct ProbeDetectorOptions {
 class ProbeDeadlockDetector {
  public:
   ProbeDeadlockDetector(SiteId site, CcContext ctx,
-                        ProbeDetectorOptions options, RequestIssuer* issuer,
-                        TxnDirectory directory);
+                        ProbeDetectorOptions options, RequestIssuer* issuer);
 
   void Start();
 
@@ -57,7 +55,6 @@ class ProbeDeadlockDetector {
   CcContext ctx_;
   ProbeDetectorOptions options_;
   RequestIssuer* issuer_;
-  TxnDirectory directory_;
 
   const bool* stop_ = nullptr;
   // Dedup of (initiator, initiator_attempt, target) to bound traffic.
@@ -68,10 +65,12 @@ class ProbeDeadlockDetector {
 };
 
 // The data-site half: answers a ProbeQuery by forwarding probes to the
-// blockers of `target` according to the backend's local wait edges.
+// blockers of `target` according to the backend's local wait edges, each
+// to the home site its edge names. A blocker that committed but whose
+// Release is still in flight keeps its entry, and so its edge, until the
+// Release arrives.
 void HandleProbeQuery(SiteId site, const CcContext& ctx,
                       const DataSiteBackend& backend,
-                      const TxnDirectory& directory,
                       const msg::ProbeQuery& m);
 
 }  // namespace unicc

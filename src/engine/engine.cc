@@ -24,10 +24,13 @@ Engine::Engine(EngineOptions options, EngineCallbacks callbacks)
     : options_(std::move(options)),
       callbacks_(std::move(callbacks)),
       root_rng_(options_.seed),
+      // Ids are unique, so only the home issuer can say yes. Asked only
+      // for early T/O reads and records of dead incarnations.
       checker_([this](TxnId txn, std::uint32_t attempt) {
-        auto it = txn_meta_.find(txn);
-        return it != txn_meta_.end() &&
-               IssuerAt(it->second.home)->IsRunning(txn, attempt);
+        return std::any_of(issuers_.begin(), issuers_.end(),
+                           [&](const std::unique_ptr<RequestIssuer>& i) {
+                             return i->IsRunning(txn, attempt);
+                           });
       }),
       retry_rng_(options_.seed ^ kRetrySalt) {
   UNICC_CHECK_MSG(options_.Validate().ok(), "invalid engine options");
@@ -52,20 +55,6 @@ DataSiteBackend* Engine::BackendAt(SiteId site) {
 RequestIssuer* Engine::IssuerAt(SiteId site) {
   UNICC_CHECK(site < issuers_.size());
   return issuers_[site].get();
-}
-
-TxnDirectory Engine::MakeDirectory() {
-  TxnDirectory directory;
-  directory.protocol_of = [this](TxnId t) {
-    auto it = txn_meta_.find(t);
-    return it != txn_meta_.end() ? it->second.protocol
-                                 : Protocol::kTwoPhaseLocking;
-  };
-  directory.home_of = [this](TxnId t) {
-    auto it = txn_meta_.find(t);
-    return it != txn_meta_.end() ? it->second.home : SiteId{0};
-  };
-  return directory;
 }
 
 void Engine::BuildSites() {
@@ -198,21 +187,19 @@ void Engine::BuildSites() {
   }
 
   // Deadlock detection.
-  const TxnDirectory directory = MakeDirectory();
   transport_->RegisterSite(detector_site_,
                            [this](SiteId from, const Message& m) {
                              RouteToDetectorSite(from, m);
                            });
   if (options_.detector == DetectorKind::kCentral) {
     central_detector_ = std::make_unique<CentralDeadlockDetector>(
-        detector_site_, ctx, options_.central_detector, data_sites,
-        directory);
+        detector_site_, ctx, options_.central_detector, data_sites);
     central_detector_->SetStopFlag(&stopped_);
     central_detector_->Start();
   } else if (options_.detector == DetectorKind::kProbe) {
     for (std::uint32_t u = 0; u < num_user; ++u) {
       auto det = std::make_unique<ProbeDeadlockDetector>(
-          u, ctx, options_.probe_detector, issuers_[u].get(), directory);
+          u, ctx, options_.probe_detector, issuers_[u].get());
       det->SetStopFlag(&stopped_);
       det->Start();
       probe_detectors_.push_back(std::move(det));
@@ -275,11 +262,8 @@ void Engine::RouteToDataSite(SiteId site, SiteId from, const Message& m) {
     backend->CollectWaitEdges(&reply.edges);
     transport_->Send(site, from, reply);
   } else if (const auto* pq = std::get_if<msg::ProbeQuery>(&m)) {
-    CcContext ctx;
-    ctx.sim = &sim_;
-    ctx.transport = transport_.get();
-    ctx.log = &checker_;
-    HandleProbeQuery(site, ctx, *backend, MakeDirectory(), *pq);
+    HandleProbeQuery(site, CcContext{&sim_, transport_.get(), &checker_},
+                     *backend, *pq);
   } else {
     UNICC_CHECK_MSG(false, "unexpected message at data site");
   }
@@ -317,18 +301,23 @@ Status Engine::AddTransaction(SimTime when, TxnSpec spec) {
   ++offered_;
   ++admitted_;
   stopped_ = false;
-  admission_pool_.push_back(std::move(spec));
-  const std::size_t idx = admission_pool_.size() - 1;
-  sim_.ScheduleAt(when, [this, idx]() { Admit(idx); });
+  admission_pool_.emplace_back(std::move(spec));
+  const std::uint64_t seq = pool_front_seq_ + admission_pool_.size() - 1;
+  sim_.ScheduleAt(when, [this, seq]() { Admit(seq); });
   return Status::OK();
 }
 
-void Engine::Admit(std::size_t pool_index) {
-  // Move the spec out so its read/write-set buffers are freed once the
-  // admission completes. The moved-out shells (a few dozen bytes each)
-  // stay in the deque until the engine dies; only the heap payload is
-  // bounded by peak in-flight admissions.
-  AdmitSpec(std::move(admission_pool_[pool_index]), sim_.Now());
+void Engine::Admit(std::uint64_t seq) {
+  // Take the spec, then pop every admitted spec off the front, so the pool
+  // holds only specs still waiting for admission (and those admitted out
+  // of order behind the oldest one still waiting).
+  TxnSpec spec =
+      *std::exchange(admission_pool_[seq - pool_front_seq_], std::nullopt);
+  while (!admission_pool_.empty() && !admission_pool_.front().has_value()) {
+    admission_pool_.pop_front();
+    ++pool_front_seq_;
+  }
+  AdmitSpec(std::move(spec), sim_.Now());
 }
 
 void Engine::AdmitSpec(TxnSpec spec, SimTime arrival) {
@@ -362,7 +351,6 @@ void Engine::AdmitSpec(TxnSpec spec, SimTime arrival) {
     UNICC_CHECK_MSG(spec.protocol == options_.pure_protocol,
                     "pure backend cannot mix protocols");
   }
-  txn_meta_[spec.id] = TxnMeta{spec.home, spec.protocol};
   IssuerAt(spec.home)->Begin(spec, arrival);
 }
 

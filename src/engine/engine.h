@@ -10,6 +10,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -158,18 +159,16 @@ class Engine {
 
  private:
   void BuildSites();
-  // The detectors' txn -> (protocol, home) view.
-  TxnDirectory MakeDirectory();
   // The watchdog's sliced event loop (Run() with a watchdog knob set).
   // Returns OK if the run drained, or FailedPrecondition naming the last
   // progress point if it was cancelled.
   Status RunWatched();
   RunSummary Summarize() const;
   Status ValidateSpec(const TxnSpec& spec) const;
-  // Runs at a transaction's arrival time: applies the protocol policy and
-  // hands the pooled spec to its home issuer.
-  void Admit(std::size_t pool_index);
-  // Shared admission tail (policy application, directory entry, Begin).
+  // Runs at a batch transaction's arrival time: takes pooled spec `seq`
+  // out of the pool and admits it.
+  void Admit(std::uint64_t seq);
+  // Shared admission tail (deadline, policy application, Begin).
   // `arrival` (<= now) is the timestamp system time is measured from; it
   // predates now only for arrivals the MPL cap parked at the gate.
   void AdmitSpec(TxnSpec spec, SimTime arrival);
@@ -241,16 +240,12 @@ class Engine {
   std::vector<std::unique_ptr<ProbeDeadlockDetector>> probe_detectors_;
 
   ProtocolPolicy policy_;
-  // Admitted specs, batched here so each admission event captures only an
-  // index (inline in its event slot) instead of a spec copy; a deque keeps
-  // references stable while admissions are still being scheduled.
-  std::deque<TxnSpec> admission_pool_;
-  // txn -> (home site, protocol): the directory used by detectors.
-  struct TxnMeta {
-    SiteId home;
-    Protocol protocol;
-  };
-  std::unordered_map<TxnId, TxnMeta> txn_meta_;
+  // Batch specs awaiting admission, pooled so each admission event
+  // captures only a sequence number (inline in its event slot) instead of
+  // a spec copy. Admitted specs are popped off the front; pool_front_seq_
+  // is the sequence number of the front slot.
+  std::deque<std::optional<TxnSpec>> admission_pool_;
+  std::uint64_t pool_front_seq_ = 0;
   std::uint64_t offered_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t committed_count_ = 0;

@@ -20,9 +20,14 @@ namespace unicc {
 using Attempt = std::uint32_t;
 
 // A directed wait-for edge: `waiter` cannot proceed until `holder` releases.
+// `holder_home` and `holder_proto` are copied from the holder's queue
+// entry: the detectors send victims and probes to the home site and apply
+// the victim rule to the protocol.
 struct WaitEdge {
   TxnId waiter = 0;
   TxnId holder = 0;
+  SiteId holder_home = 0;
+  Protocol holder_proto = Protocol::kTwoPhaseLocking;
 
   friend bool operator==(const WaitEdge&, const WaitEdge&) = default;
 };

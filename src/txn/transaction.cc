@@ -1,8 +1,29 @@
 #include "txn/transaction.h"
 
 #include <algorithm>
+#include <array>
 
 namespace unicc {
+
+namespace {
+
+// True iff `items` holds some item twice. Sets of up to kStackItems items
+// are sorted in a stack copy, so validating a typical transaction does not
+// allocate; larger ones sort a heap copy.
+bool HasDuplicate(const std::vector<ItemId>& items) {
+  constexpr std::size_t kStackItems = 64;
+  if (items.size() <= kStackItems) {
+    std::array<ItemId, kStackItems> buf{};
+    const auto end = std::copy(items.begin(), items.end(), buf.begin());
+    std::sort(buf.begin(), end);
+    return std::adjacent_find(buf.begin(), end) != end;
+  }
+  std::vector<ItemId> v = items;
+  std::sort(v.begin(), v.end());
+  return std::adjacent_find(v.begin(), v.end()) != v.end();
+}
+
+}  // namespace
 
 Status TxnSpec::Validate() const {
   if (read_set.empty() && write_set.empty()) {
@@ -16,11 +37,7 @@ Status TxnSpec::Validate() const {
           "belongs in write_set only)");
     }
   }
-  auto has_dup = [](std::vector<ItemId> v) {
-    std::sort(v.begin(), v.end());
-    return std::adjacent_find(v.begin(), v.end()) != v.end();
-  };
-  if (has_dup(read_set) || has_dup(write_set)) {
+  if (HasDuplicate(read_set) || HasDuplicate(write_set)) {
     return Status::InvalidArgument("duplicate item in access set");
   }
   return Status::OK();

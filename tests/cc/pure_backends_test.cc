@@ -190,12 +190,20 @@ std::vector<WaitEdge> FullWalk(const BasicToManager& b,
     if (c == nullptr) continue;
     for (const auto& r : c->waiting) {
       for (const auto& p : c->prewrites) {
-        if (p.ts < r.ts) out.push_back(WaitEdge{r.txn, p.txn});
+        if (p.ts < r.ts) {
+          out.push_back(WaitEdge{r.txn, p.txn, p.reply_to,
+                                 Protocol::kTimestampOrdering});
+        }
       }
     }
   }
   return out;
 }
+
+// Odd transactions are homed at a second user site, so edges must name
+// each holder's own home.
+constexpr SiteId kUserSiteB = 2;
+SiteId HomeOf(TxnId txn) { return txn % 2 == 0 ? kUserSite : kUserSiteB; }
 
 // Drives random multi-copy request/release/abort traffic through one
 // BasicToManager, in bursts that alternate with drains so queues keep
@@ -210,6 +218,7 @@ void FuzzWaitEdgeSnapshots(std::uint64_t seed) {
   SimTransport transport(&sim, net, Rng(1));
   ImplementationLog log;
   transport.RegisterSite(kUserSite, [](SiteId, const Message&) {});
+  transport.RegisterSite(kUserSiteB, [](SiteId, const Message&) {});
   BasicToManager backend(kDataSite, CcContext{&sim, &transport, &log});
   transport.RegisterSite(kDataSite, [](SiteId, const Message&) {});
 
@@ -250,7 +259,7 @@ void FuzzWaitEdgeSnapshots(std::uint64_t seed) {
       m.op = l.op;
       m.proto = Protocol::kTimestampOrdering;
       m.ts = ts_of[txn];
-      m.reply_to = kUserSite;
+      m.reply_to = HomeOf(txn);
       if (std::find(touched.begin(), touched.end(), copy) == touched.end()) {
         touched.push_back(copy);
       }
@@ -278,6 +287,9 @@ void FuzzWaitEdgeSnapshots(std::uint64_t seed) {
     std::vector<WaitEdge> got;
     backend.CollectWaitEdges(&got);
     ASSERT_EQ(got, FullWalk(backend, touched)) << "step " << step;
+    for (const WaitEdge& e : got) {
+      ASSERT_EQ(e.holder_home, HomeOf(e.holder)) << "step " << step;
+    }
     if (!got.empty()) ++edge_snapshots;
   }
   EXPECT_GT(edge_snapshots, 100u);

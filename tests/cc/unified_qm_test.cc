@@ -361,8 +361,9 @@ TEST(UnifiedQmTest, WaitEdgesUnderSemiLocks) {
   h.SemiTransform(1, true, 1);
   // T/O read is granted pre-scheduled over the SWL: it can execute, but
   // its *upgrade* (and hence its release) waits on txn 1 — that residual
-  // wait must appear as an edge (DESIGN.md 7b), while grant-blocking
-  // edges must not (it is not blocked from executing).
+  // wait must appear as an edge (docs/architecture.md, "Deadlock
+  // detection"), while grant-blocking edges must not (it is not blocked
+  // from executing).
   h.Request(2, OpType::kRead, Protocol::kTimestampOrdering, 20);
   // 2PL read waits on the SWL for its grant.
   h.Request(3, OpType::kRead, Protocol::kTwoPhaseLocking, 0);

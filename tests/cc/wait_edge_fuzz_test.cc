@@ -25,7 +25,12 @@ namespace {
 
 constexpr SiteId kUserSite = 0;
 constexpr SiteId kDataSite = 1;
+constexpr SiteId kUserSiteB = 2;
 constexpr ItemId kCopies = 6;
+
+// Odd transactions are homed at a second user site, so edges must name
+// each holder's own home.
+SiteId HomeOf(TxnId txn) { return txn % 2 == 0 ? kUserSite : kUserSiteB; }
 
 // The full-walk edges of one queue: a copy of the manager's per-queue edge
 // rules, applied to QueueOf().
@@ -39,7 +44,7 @@ void AppendQueueEdges(const std::vector<QueueEntry>& q, bool semi_locks,
           if (&g == &e || !g.granted) continue;
           if (g.grant_seq < e.grant_seq && LocksConflict(g.lock, e.lock) &&
               g.txn != e.txn) {
-            out->push_back(WaitEdge{e.txn, g.txn});
+            out->push_back(WaitEdge{e.txn, g.txn, g.reply_to, g.proto});
           }
         }
       }
@@ -65,9 +70,13 @@ void AppendQueueEdges(const std::vector<QueueEntry>& q, bool semi_locks,
                           other.lock == LockKind::kSemiWriteLock)
                        : true;
         }
-        if (blocks) out->push_back(WaitEdge{e.txn, other.txn});
+        if (blocks) {
+          out->push_back(
+              WaitEdge{e.txn, other.txn, other.reply_to, other.proto});
+        }
       } else if (other.prec < e.prec) {
-        out->push_back(WaitEdge{e.txn, other.txn});
+        out->push_back(
+            WaitEdge{e.txn, other.txn, other.reply_to, other.proto});
       }
     }
   }
@@ -89,6 +98,7 @@ TEST_P(WaitEdgeFuzzTest, LiveSnapshotMatchesFullWalk) {
   SimTransport transport(&sim, net, Rng(1));
   ImplementationLog log;
   transport.RegisterSite(kUserSite, [](SiteId, const Message&) {});
+  transport.RegisterSite(kUserSiteB, [](SiteId, const Message&) {});
   CcContext ctx{&sim, &transport, &log};
   UnifiedQmOptions options;
   options.semi_locks = c.semi_locks;
@@ -132,7 +142,7 @@ TEST_P(WaitEdgeFuzzTest, LiveSnapshotMatchesFullWalk) {
     m.ts = tsgen.Next(sim.Now()) + rng.UniformInt(3000);
     m.backoff_interval = 1 + rng.UniformInt(64);
     m.txn_requests = l.multi ? 2 : 1;
-    m.reply_to = kUserSite;
+    m.reply_to = HomeOf(txn);
     touch(copy);
     qm.OnRequest(m);
   };
@@ -217,6 +227,9 @@ TEST_P(WaitEdgeFuzzTest, LiveSnapshotMatchesFullWalk) {
     std::vector<WaitEdge> got;
     qm.CollectWaitEdges(&got);
     ASSERT_EQ(got, want) << "step " << step;
+    for (const WaitEdge& e : got) {
+      ASSERT_EQ(e.holder_home, HomeOf(e.holder)) << "step " << step;
+    }
     if (!got.empty()) ++nonempty_snapshots;
     for (ItemId i = 0; i < kCopies; ++i) {
       const bool empty = qm.QueueOf(CopyId{i, kDataSite}).empty();

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "txn/timestamp.h"
 #include "txn/transaction.h"
 
@@ -33,6 +39,67 @@ TEST(TxnSpecTest, RejectsDuplicates) {
   TxnSpec u;
   u.write_set = {2, 2};
   EXPECT_FALSE(u.Validate().ok());
+}
+
+// The duplicate check Validate used before it sorted small sets on the
+// stack: sort a heap copy.
+bool SortedCopyHasDuplicate(std::vector<ItemId> v) {
+  std::sort(v.begin(), v.end());
+  return std::adjacent_find(v.begin(), v.end()) != v.end();
+}
+
+// Validate's verdict on `items` as a read set and as a write set; both
+// must agree.
+bool ValidateFindsDuplicate(const std::vector<ItemId>& items) {
+  TxnSpec r;
+  r.read_set = items;
+  TxnSpec w;
+  w.write_set = items;
+  const Status rs = r.Validate();
+  const Status ws = w.Validate();
+  EXPECT_EQ(rs.ok(), ws.ok());
+  if (!rs.ok()) {
+    EXPECT_EQ(rs.message(), "duplicate item in access set");
+  }
+  return !rs.ok();
+}
+
+TEST(TxnSpecTest, DuplicateCheckMatchesSortedCopy) {
+  Rng rng(20);
+  int with_dup[2] = {0, 0};  // [small, large] sets with a duplicate
+  int without[2] = {0, 0};
+  for (int iter = 0; iter < 4000; ++iter) {
+    const std::size_t n = 1 + rng.UniformInt(200);
+    // Distinct items in random order; half the sets then copy one item
+    // over another (possibly itself).
+    std::vector<ItemId> items(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      items[i] = static_cast<ItemId>(3 * i + rng.UniformInt(3));
+    }
+    for (std::size_t i = n; i > 1; --i) {
+      std::swap(items[i - 1], items[rng.UniformInt(i)]);
+    }
+    if (rng.Bernoulli(0.5)) {
+      items[rng.UniformInt(n)] = items[rng.UniformInt(n)];
+    }
+    const bool want = SortedCopyHasDuplicate(items);
+    ASSERT_EQ(ValidateFindsDuplicate(items), want) << "n=" << n;
+    ++(want ? with_dup : without)[n > 64 ? 1 : 0];
+  }
+  for (int large : {0, 1}) {
+    EXPECT_GT(with_dup[large], 300);
+    EXPECT_GT(without[large], 300);
+  }
+}
+
+TEST(TxnSpecTest, DuplicateAtBothEndsOfAScan) {
+  for (std::size_t n : {2, 40, 64, 65, 200}) {
+    std::vector<ItemId> scan(n);
+    std::iota(scan.begin(), scan.end(), ItemId{100});
+    EXPECT_FALSE(ValidateFindsDuplicate(scan)) << "n=" << n;
+    scan.back() = scan.front();
+    EXPECT_TRUE(ValidateFindsDuplicate(scan)) << "n=" << n;
+  }
 }
 
 TEST(TimestampGeneratorTest, StrictlyIncreasing) {
