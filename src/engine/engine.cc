@@ -301,23 +301,12 @@ Status Engine::AddTransaction(SimTime when, TxnSpec spec) {
   ++offered_;
   ++admitted_;
   stopped_ = false;
-  admission_pool_.emplace_back(std::move(spec));
-  const std::uint64_t seq = pool_front_seq_ + admission_pool_.size() - 1;
-  sim_.ScheduleAt(when, [this, seq]() { Admit(seq); });
+  // The admission event owns its spec (on the heap: a spec overflows the
+  // event's inline buffer), so the spec is freed once it is admitted.
+  sim_.ScheduleAt(when, [this, spec = std::move(spec)]() mutable {
+    AdmitSpec(std::move(spec), sim_.Now());
+  });
   return Status::OK();
-}
-
-void Engine::Admit(std::uint64_t seq) {
-  // Take the spec, then pop every admitted spec off the front, so the pool
-  // holds only specs still waiting for admission (and those admitted out
-  // of order behind the oldest one still waiting).
-  TxnSpec spec =
-      *std::exchange(admission_pool_[seq - pool_front_seq_], std::nullopt);
-  while (!admission_pool_.empty() && !admission_pool_.front().has_value()) {
-    admission_pool_.pop_front();
-    ++pool_front_seq_;
-  }
-  AdmitSpec(std::move(spec), sim_.Now());
 }
 
 void Engine::AdmitSpec(TxnSpec spec, SimTime arrival) {

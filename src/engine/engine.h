@@ -7,10 +7,8 @@
 #ifndef UNICC_ENGINE_ENGINE_H_
 #define UNICC_ENGINE_ENGINE_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -165,9 +163,6 @@ class Engine {
   Status RunWatched();
   RunSummary Summarize() const;
   Status ValidateSpec(const TxnSpec& spec) const;
-  // Runs at a batch transaction's arrival time: takes pooled spec `seq`
-  // out of the pool and admits it.
-  void Admit(std::uint64_t seq);
   // Shared admission tail (deadline, policy application, Begin).
   // `arrival` (<= now) is the timestamp system time is measured from; it
   // predates now only for arrivals the MPL cap parked at the gate.
@@ -240,12 +235,6 @@ class Engine {
   std::vector<std::unique_ptr<ProbeDeadlockDetector>> probe_detectors_;
 
   ProtocolPolicy policy_;
-  // Batch specs awaiting admission, pooled so each admission event
-  // captures only a sequence number (inline in its event slot) instead of
-  // a spec copy. Admitted specs are popped off the front; pool_front_seq_
-  // is the sequence number of the front slot.
-  std::deque<std::optional<TxnSpec>> admission_pool_;
-  std::uint64_t pool_front_seq_ = 0;
   std::uint64_t offered_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t committed_count_ = 0;

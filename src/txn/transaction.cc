@@ -1,29 +1,8 @@
 #include "txn/transaction.h"
 
 #include <algorithm>
-#include <array>
 
 namespace unicc {
-
-namespace {
-
-// True iff `items` holds some item twice. Sets of up to kStackItems items
-// are sorted in a stack copy, so validating a typical transaction does not
-// allocate; larger ones sort a heap copy.
-bool HasDuplicate(const std::vector<ItemId>& items) {
-  constexpr std::size_t kStackItems = 64;
-  if (items.size() <= kStackItems) {
-    std::array<ItemId, kStackItems> buf{};
-    const auto end = std::copy(items.begin(), items.end(), buf.begin());
-    std::sort(buf.begin(), end);
-    return std::adjacent_find(buf.begin(), end) != end;
-  }
-  std::vector<ItemId> v = items;
-  std::sort(v.begin(), v.end());
-  return std::adjacent_find(v.begin(), v.end()) != v.end();
-}
-
-}  // namespace
 
 Status TxnSpec::Validate() const {
   if (read_set.empty() && write_set.empty()) {
@@ -37,7 +16,14 @@ Status TxnSpec::Validate() const {
           "belongs in write_set only)");
     }
   }
-  if (HasDuplicate(read_set) || HasDuplicate(write_set)) {
+  auto has_dup = [](const std::vector<ItemId>& items) {
+    // Sorts a per-thread scratch copy: once warm, no allocation.
+    thread_local std::vector<ItemId> v;
+    v.assign(items.begin(), items.end());
+    std::sort(v.begin(), v.end());
+    return std::adjacent_find(v.begin(), v.end()) != v.end();
+  };
+  if (has_dup(read_set) || has_dup(write_set)) {
     return Status::InvalidArgument("duplicate item in access set");
   }
   return Status::OK();

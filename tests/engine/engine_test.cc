@@ -57,9 +57,9 @@ TEST(EngineTest, SingleTransactionCommits) {
   EXPECT_TRUE(engine.CheckSerializability().serializable);
 }
 
-// Batch specs added out of arrival order. The admission pool frees a spec
-// only once every spec added before it has been admitted, so here nothing
-// is freed until the last admission; each must still commit exactly once.
+// Batch specs added out of arrival order: each admission event owns its
+// spec, so they are admitted in the reverse of the order they were added,
+// and each must still commit exactly once.
 TEST(EngineTest, BatchAddedInDecreasingTimeOrderCommitsEachOnce) {
   const EngineOptions eo = SmallEngine(29);
   std::map<TxnId, int> commits;
