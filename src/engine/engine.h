@@ -7,6 +7,7 @@
 #ifndef UNICC_ENGINE_ENGINE_H_
 #define UNICC_ENGINE_ENGINE_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -89,8 +90,13 @@ class Engine {
   // mutator: prefer EngineBuilder::WithProtocolPolicy.
   void SetProtocolPolicy(ProtocolPolicy policy);
 
-  // Convenience: admit a whole generated workload (closed-batch mode:
-  // every arrival is scheduled up front).
+  // Convenience: admit a whole generated workload (closed-batch mode).
+  // Every spec is validated first, so an invalid one admits none of the
+  // batch. Arrivals in nondecreasing time order wait in one FIFO whose
+  // front alone is a simulator event, so queued arrivals cost no event
+  // slots; an arrival earlier than the FIFO's tail gets its own event.
+  // Either way each arrival is admitted exactly where an event scheduled
+  // at this call would have run, ties included.
   Status AddWorkload(const std::vector<WorkloadGenerator::Arrival>& arrivals);
 
   // Open-system mode: the engine pulls arrivals from `stream` lazily, one
@@ -152,7 +158,9 @@ class Engine {
   const Store& StoreAt(SiteId site) const;
 
   // Human-readable dump of all non-empty data queues and in-flight
-  // transactions (debugging/observability).
+  // transactions (debugging/observability). Its first line counts pending
+  // simulator events and, apart from them, the batch arrivals still
+  // waiting for admission (the FIFO's front is both).
   std::string DebugDump() const;
 
  private:
@@ -163,6 +171,12 @@ class Engine {
   Status RunWatched();
   RunSummary Summarize() const;
   Status ValidateSpec(const TxnSpec& spec) const;
+  // --- closed-batch admission ------------------------------------------
+  // Queues a validated batch arrival (AddTransaction, AddWorkload).
+  void QueueBatchArrival(SimTime when, TxnSpec spec);
+  // Schedules the FIFO front's admission event under its reserved number;
+  // the event pops the front, schedules the next one and admits the spec.
+  void ScheduleBatchFront();
   // Shared admission tail (deadline, policy application, Begin).
   // `arrival` (<= now) is the timestamp system time is measured from; it
   // predates now only for arrivals the MPL cap parked at the gate.
@@ -235,6 +249,15 @@ class Engine {
   std::vector<std::unique_ptr<ProbeDeadlockDetector>> probe_detectors_;
 
   ProtocolPolicy policy_;
+  // Batch arrivals in nondecreasing time order, each holding the simulator
+  // sequence number it reserved when it was added. Only the front has an
+  // event; admitted entries are freed as the run proceeds.
+  struct BatchArrival {
+    SimTime when;
+    std::uint64_t seq;
+    TxnSpec spec;
+  };
+  std::deque<BatchArrival> batch_;
   std::uint64_t offered_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t committed_count_ = 0;

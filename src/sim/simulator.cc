@@ -31,12 +31,16 @@ void Simulator::ReleaseSlot(std::uint32_t idx) {
   free_head_ = idx;
 }
 
-std::uint64_t Simulator::FinishSchedule(SimTime when, std::uint32_t idx) {
+void Simulator::CheckReserved(SimTime when, std::uint64_t seq) const {
+  UNICC_CHECK_MSG(seq < next_seq_, "sequence number was never reserved");
+  UNICC_CHECK_MSG(events_run_ == 0 || KeyOf(when, seq) > running_key_,
+                  "reserved key sorts before the running event");
+}
+
+std::uint64_t Simulator::FinishSchedule(SimTime when, std::uint64_t seq,
+                                        std::uint32_t idx) {
   UNICC_CHECK(when >= now_);
-  const std::uint64_t seq = next_seq_++;
-  UNICC_CHECK_MSG(seq < (1ULL << (64 - kSlotBits)), "sequence space exhausted");
-  const HeapEntry entry{(static_cast<unsigned __int128>(when) << 64) |
-                        (seq << kSlotBits) | idx};
+  const HeapEntry entry{KeyOf(when, seq) | idx};
   if (entry.key < horizon_) {
     HeapPush(entry);
   } else {
@@ -145,6 +149,7 @@ bool Simulator::Step(SimTime until) {
     if (when > until) return false;
     EventFn fn = std::move(s.fn);
     now_ = when;
+    running_key_ = top.key & ~static_cast<unsigned __int128>(kSlotMask);
     HeapPopRoot();
     ReleaseSlot(idx);
     --live_;

@@ -1,6 +1,8 @@
 // Deterministic discrete-event simulator. Components schedule closures at
 // future simulated times; the run loop pops them in (time, sequence) order so
-// ties resolve by scheduling order and runs are reproducible.
+// ties resolve by scheduling order, or by reservation order for events
+// scheduled under a reserved sequence number (ReserveSeq), and runs are
+// reproducible.
 //
 // Hot-path design (see docs/performance.md): events live in a free-listed
 // slot arena and are ordered by a banded 8-ary heap of 16-byte
@@ -54,13 +56,35 @@ class Simulator {
   std::uint64_t ScheduleAt(SimTime when, F&& fn) {
     const std::uint32_t idx = AcquireSlot();
     slots_[idx].fn.Emplace(std::forward<F>(fn));
-    return FinishSchedule(when, idx);
+    return FinishSchedule(when, ReserveSeq(), idx);
   }
   std::uint64_t ScheduleAt(SimTime when, EventFn fn) {
     UNICC_CHECK_MSG(static_cast<bool>(fn), "scheduling an empty EventFn");
     const std::uint32_t idx = AcquireSlot();
     slots_[idx].fn = std::move(fn);
-    return FinishSchedule(when, idx);
+    return FinishSchedule(when, ReserveSeq(), idx);
+  }
+
+  // Takes the sequence number an event scheduled now would get, so that
+  // event can be scheduled later (ScheduleReserved) and still break ties
+  // exactly where it would have had it been scheduled now.
+  std::uint64_t ReserveSeq() {
+    UNICC_CHECK_MSG(next_seq_ < kSeqLimit, "sequence space exhausted");
+    return next_seq_++;
+  }
+
+  // Schedules `fn` at `when` under `seq`, a number ReserveSeq() returned
+  // that no event used yet. The key (when, seq) must not sort before the
+  // event now running (or the last one run), since the queue never pops
+  // backwards.
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, EventFn> &&
+             std::is_invocable_r_v<void, std::decay_t<F>&>)
+  std::uint64_t ScheduleReserved(SimTime when, std::uint64_t seq, F&& fn) {
+    CheckReserved(when, seq);
+    const std::uint32_t idx = AcquireSlot();
+    slots_[idx].fn.Emplace(std::forward<F>(fn));
+    return FinishSchedule(when, seq, idx);
   }
 
   // Cancels a pending event in O(1). Returns false if it already ran or
@@ -109,10 +133,11 @@ class Simulator {
   };
 
   // 16-byte heap entries: one 128-bit key packing (when << 64) |
-  // (seq << kSlotBits) | slot. seq is globally unique and monotone, so
-  // comparing keys compares (when, seq) — the slot bits can never decide —
-  // a total order: runs are bit-reproducible. A single wide compare keeps
-  // the sift loops branch-cheap.
+  // (seq << kSlotBits) | slot. Every seq is drawn once from one counter
+  // (ScheduleAt draws it, ReserveSeq hands it out), so comparing keys
+  // compares (when, seq) — the slot bits can never decide — a total order:
+  // runs are bit-reproducible. A single wide compare keeps the sift loops
+  // branch-cheap.
   struct HeapEntry {
     unsigned __int128 key;
 
@@ -120,13 +145,20 @@ class Simulator {
       return static_cast<SimTime>(key >> 64);
     }
     std::uint32_t Slot() const {
-      return static_cast<std::uint32_t>(key) & ((1u << kSlotBits) - 1);
+      return static_cast<std::uint32_t>(key) & kSlotMask;
     }
     bool Before(const HeapEntry& o) const { return key < o.key; }
   };
 
   static constexpr std::uint32_t kSlotBits = 24;  // 16M concurrent events
+  static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
+  static constexpr std::uint64_t kSeqLimit = 1ULL << (64 - kSlotBits);
   static constexpr std::uint32_t kNilIndex = 0xffffffffu;
+
+  // (when, seq) as a heap key with empty slot bits.
+  static unsigned __int128 KeyOf(SimTime when, std::uint64_t seq) {
+    return (static_cast<unsigned __int128>(when) << 64) | (seq << kSlotBits);
+  }
 
   // Executes the top live event if due at/before `until`; returns false
   // when no live event is due. Cancelled placeholders encountered at the
@@ -135,7 +167,10 @@ class Simulator {
 
   std::uint32_t AcquireSlot();
   void ReleaseSlot(std::uint32_t idx);
-  std::uint64_t FinishSchedule(SimTime when, std::uint32_t idx);
+  // ScheduleReserved's preconditions; aborts when one fails.
+  void CheckReserved(SimTime when, std::uint64_t seq) const;
+  std::uint64_t FinishSchedule(SimTime when, std::uint64_t seq,
+                               std::uint32_t idx);
   void HeapPush(HeapEntry entry);
   void HeapPopRoot();
   // Shared sift-down of `moved` from hole `i` (pop path and Floyd
@@ -149,6 +184,9 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_run_ = 0;
+  // KeyOf(when, seq) of the event now running, or of the last one run;
+  // meaningful once events_run_ > 0.
+  unsigned __int128 running_key_ = 0;
   std::size_t live_ = 0;
   std::vector<Slot> slots_;  // slot arena, grows to peak load
   // Two-band event queue: events below `horizon_` live in the near

@@ -216,9 +216,60 @@ TEST(SimulatorTest, ArenaSlotsStaySteadyUnderConstantLoad) {
   EXPECT_EQ(sim.ArenaSlots(), warm);
 }
 
-// Model-based check of the banded event queue: random schedule / cancel /
-// run interleavings must execute events in exactly the (time, seq) order a
-// naive reference queue produces.
+TEST(SimulatorTest, ReservedEventBreaksTiesByReservationOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.Schedule(10, [&] { order.push_back(1); });  // before the reservation
+  const std::uint64_t seq = sim.ReserveSeq();
+  sim.Schedule(10, [&] { order.push_back(3); });  // after the reservation
+  sim.ScheduleReserved(10, seq, [&] { order.push_back(2); });
+  sim.RunToCompletion();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SimulatorTest, ReservedEventScheduledFromAnEventKeepsItsPlace) {
+  // The engine's batch FIFO pattern: each reserved event schedules the
+  // next under its own earlier reservation, ahead of an event scheduled
+  // between the reservations and the run.
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint64_t first = sim.ReserveSeq();
+  const std::uint64_t second = sim.ReserveSeq();
+  sim.Schedule(10, [&] { order.push_back(3); });
+  sim.ScheduleReserved(10, first, [&] {
+    order.push_back(1);
+    sim.ScheduleReserved(10, second, [&] { order.push_back(2); });
+  });
+  sim.RunToCompletion();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SimulatorDeathTest, ScheduleReservedRejectsUnreservedNumber) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto unreserved = [] {
+    Simulator sim;
+    sim.Schedule(5, [] {});  // draws 0; 1 is still unreserved
+    sim.ScheduleReserved(10, 1, [] {});
+  };
+  EXPECT_DEATH(unreserved(), "never reserved");
+}
+
+TEST(SimulatorDeathTest, ScheduleReservedRejectsKeyBeforeRunningEvent) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto backwards = [] {
+    Simulator sim;
+    const std::uint64_t seq = sim.ReserveSeq();
+    // The running event is (10, seq + 1); (10, seq) would pop behind it.
+    sim.Schedule(10, [&sim, seq] { sim.ScheduleReserved(10, seq, [] {}); });
+    sim.RunToCompletion();
+  };
+  EXPECT_DEATH(backwards(), "sorts before the running event");
+}
+
+// Model-based check of the banded event queue: random schedule / reserve /
+// cancel / run interleavings must execute events in exactly the (time, seq)
+// order a naive reference queue produces. A reserved event is keyed by the
+// number it reserved, not by when it was scheduled.
 TEST(SimulatorTest, RandomOpsMatchReferenceModel) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Simulator sim;
@@ -226,18 +277,41 @@ TEST(SimulatorTest, RandomOpsMatchReferenceModel) {
     std::vector<int> got;
     std::vector<int> want;
     // Reference: ordered map keyed by (when, insertion seq) -> tag.
-    std::map<std::pair<SimTime, std::uint64_t>, int> model;
+    using Key = std::pair<SimTime, std::uint64_t>;
+    std::map<Key, int> model;
     std::map<int, std::uint64_t> ids;  // tag -> simulator event id
     std::uint64_t seq = 0;
     int next_tag = 0;
+    // Reservations not yet used: (simulator number, model seq).
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> reserved;
+    Key last_run{0, 0};  // key of the last event the model ran
+    auto run_model_front = [&] {
+      last_run = model.begin()->first;
+      want.push_back(model.begin()->second);
+      model.erase(model.begin());
+    };
 
     for (int step = 0; step < 3000; ++step) {
       const int action = static_cast<int>(rng.UniformInt(100));
-      if (action < 55) {
+      if (action < 45) {
         const Duration delay = rng.UniformInt(500);
         const int tag = next_tag++;
         ids[tag] = sim.Schedule(delay, [&got, tag] { got.push_back(tag); });
-        model.emplace(std::make_pair(sim.Now() + delay, seq++), tag);
+        model.emplace(Key{sim.Now() + delay, seq++}, tag);
+      } else if (action < 50) {
+        reserved.emplace_back(sim.ReserveSeq(), seq++);
+      } else if (action < 55 && !reserved.empty()) {
+        // Schedule under a random earlier reservation, never behind the
+        // event the simulator ran last.
+        const std::size_t pick = rng.UniformInt(reserved.size());
+        const auto [number, model_seq] = reserved[pick];
+        reserved.erase(reserved.begin() + static_cast<long>(pick));
+        SimTime when = sim.Now() + rng.UniformInt(500);
+        if (Key{when, model_seq} < last_run) ++when;
+        const int tag = next_tag++;
+        ids[tag] = sim.ScheduleReserved(when, number,
+                                        [&got, tag] { got.push_back(tag); });
+        model.emplace(Key{when, model_seq}, tag);
       } else if (action < 70 && !model.empty()) {
         // Cancel a random pending event.
         auto it = model.begin();
@@ -249,13 +323,11 @@ TEST(SimulatorTest, RandomOpsMatchReferenceModel) {
         const SimTime until = sim.Now() + rng.UniformInt(300);
         sim.RunUntil(until);
         while (!model.empty() && model.begin()->first.first <= until) {
-          want.push_back(model.begin()->second);
-          model.erase(model.begin());
+          run_model_front();
         }
       } else {
         sim.RunToCompletion();
-        for (const auto& [key, tag] : model) want.push_back(tag);
-        model.clear();
+        while (!model.empty()) run_model_front();
       }
       ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
       ASSERT_EQ(sim.PendingEvents(), model.size());

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "../test_util.h"
 #include "scenario/scenario.h"
@@ -57,7 +60,8 @@ TEST(EngineTest, SingleTransactionCommits) {
   EXPECT_TRUE(engine.CheckSerializability().serializable);
 }
 
-// Batch specs added out of arrival order: each admission event owns its
+// Batch specs added out of arrival order: each arrival earlier than the
+// batch FIFO's tail gets an admission event of its own, which owns its
 // spec, so they are admitted in the reverse of the order they were added,
 // and each must still commit exactly once.
 TEST(EngineTest, BatchAddedInDecreasingTimeOrderCommitsEachOnce) {
@@ -70,18 +74,100 @@ TEST(EngineTest, BatchAddedInDecreasingTimeOrderCommitsEachOnce) {
   WorkloadGenerator gen(SmallWorkload(120), eo.num_items, eo.num_user_sites,
                         Rng(37));
   const std::vector<WorkloadGenerator::Arrival> arrivals = gen.Generate();
+  const std::size_t events_before = engine.simulator().PendingEvents();
   for (auto it = arrivals.rbegin(); it != arrivals.rend(); ++it) {
     if (it != arrivals.rbegin()) {
       ASSERT_LT(it->when, std::prev(it)->when);
     }
     ASSERT_TRUE(engine.AddTransaction(it->when, it->spec).ok());
   }
+  EXPECT_EQ(engine.simulator().PendingEvents(), events_before + 120);
   const RunSummary s = engine.Run();
   EXPECT_EQ(s.committed, 120u);
   EXPECT_EQ(commits.size(), 120u);
   for (const auto& [id, n] : commits) EXPECT_EQ(n, 1) << "txn " << id;
   EXPECT_TRUE(engine.CheckSerializability().serializable);
   EXPECT_TRUE(engine.ReplicasConsistent());
+}
+
+// Time-ordered batch arrivals wait in the engine's FIFO: only its front
+// is a simulator event, so the queue and the event arena stay flat.
+TEST(EngineTest, TimeOrderedBatchQueuesOneEvent) {
+  const EngineOptions eo = SmallEngine(23);
+  Engine engine(eo);
+  WorkloadGenerator gen(SmallWorkload(200), eo.num_items, eo.num_user_sites,
+                        Rng(41));
+  const std::vector<WorkloadGenerator::Arrival> arrivals = gen.Generate();
+  const std::size_t events_before = engine.simulator().PendingEvents();
+  const std::size_t slots_before = engine.simulator().ArenaSlots();
+  ASSERT_TRUE(engine.AddWorkload(arrivals).ok());
+  EXPECT_EQ(engine.simulator().PendingEvents(), events_before + 1);
+  EXPECT_LE(engine.simulator().ArenaSlots(), slots_before + 1);
+  const RunSummary s = engine.Run();
+  EXPECT_EQ(s.offered, 200u);
+  EXPECT_EQ(s.committed, 200u);
+  EXPECT_TRUE(engine.CheckSerializability().serializable);
+}
+
+TEST(EngineTest, AddWorkloadAdmitsAllOrNothing) {
+  Engine engine(SmallEngine());
+  std::vector<WorkloadGenerator::Arrival> arrivals(5);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    arrivals[i].when = i * kMillisecond;
+    arrivals[i].spec.id = i + 1;
+    arrivals[i].spec.read_set = {static_cast<ItemId>(i)};
+  }
+  arrivals[2].spec.read_set = {10'000};  // out of range
+  const std::size_t events_before = engine.simulator().PendingEvents();
+  EXPECT_FALSE(engine.AddWorkload(arrivals).ok());
+  EXPECT_EQ(engine.simulator().PendingEvents(), events_before);
+  const RunSummary s = engine.Run();
+  EXPECT_EQ(s.offered, 0u);
+  EXPECT_EQ(s.admitted, 0u);
+  EXPECT_EQ(s.committed, 0u);
+}
+
+// Batch arrivals are admitted in (time, call order) whether they join the
+// FIFO or, being earlier than its tail, get events of their own.
+TEST(EngineTest, BatchTiesAdmitInTimeThenCallOrder) {
+  Engine engine(SmallEngine(13));
+  std::vector<TxnId> admitted;
+  engine.SetProtocolPolicy([&admitted](const TxnSpec& spec) {
+    admitted.push_back(spec.id);
+    return spec.protocol;
+  });
+  // (when in ms, id) in call order: in-order runs, out-of-order adds and
+  // several arrivals at one microsecond.
+  const std::vector<std::pair<SimTime, TxnId>> calls = {
+      {10, 1}, {20, 2}, {20, 3},  {15, 4},  {20, 5},  {20, 6},
+      {5, 7},  {30, 8}, {20, 9},  {30, 10}, {15, 11}, {30, 12}};
+  auto spec_for = [](TxnId id) {
+    TxnSpec spec;
+    spec.id = id;
+    spec.home = static_cast<SiteId>(id % 3);
+    spec.read_set = {static_cast<ItemId>(id)};
+    return spec;
+  };
+  for (std::size_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(engine
+                    .AddTransaction(calls[i].first * kMillisecond,
+                                    spec_for(calls[i].second))
+                    .ok());
+  }
+  std::vector<WorkloadGenerator::Arrival> rest;
+  for (std::size_t i = 8; i < calls.size(); ++i) {
+    rest.push_back({calls[i].first * kMillisecond, spec_for(calls[i].second)});
+  }
+  ASSERT_TRUE(engine.AddWorkload(rest).ok());
+  std::vector<std::pair<SimTime, TxnId>> want = calls;
+  std::stable_sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  std::vector<TxnId> want_ids;
+  for (const auto& [when, id] : want) want_ids.push_back(id);
+  const RunSummary s = engine.Run();
+  EXPECT_EQ(s.committed, calls.size());
+  EXPECT_EQ(admitted, want_ids);
 }
 
 struct BackendCase {
@@ -484,12 +570,22 @@ TEST(EngineTest, DebugDumpShowsState) {
   t.home = 0;
   t.write_set = {2};
   ASSERT_TRUE(engine.AddTransaction(0, t).ok());
+  // Two later batch arrivals still wait for admission at the dump.
+  for (TxnId id : {2, 3}) {
+    TxnSpec later;
+    later.id = id;
+    later.home = 1;
+    later.read_set = {static_cast<ItemId>(id + 10)};
+    ASSERT_TRUE(engine.AddTransaction(id * kSecond, later).ok());
+  }
   // Run just past the request arrival so a queue entry exists.
   engine.simulator().RunUntil(6 * kMillisecond);
   const std::string dump = engine.DebugDump();
-  EXPECT_NE(dump.find("admitted=1"), std::string::npos);
+  EXPECT_NE(dump.find("admitted=3"), std::string::npos);
+  EXPECT_NE(dump.find("batch_waiting=2"), std::string::npos);
   EXPECT_NE(dump.find("txn=1"), std::string::npos);
   engine.Run();
+  EXPECT_NE(engine.DebugDump().find("batch_waiting=0"), std::string::npos);
 }
 
 TEST(EngineTest, DeterministicAcrossIdenticalRuns) {
