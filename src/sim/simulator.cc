@@ -32,7 +32,7 @@ void Simulator::ReleaseSlot(std::uint32_t idx) {
 }
 
 void Simulator::CheckReserved(SimTime when, std::uint64_t seq) const {
-  UNICC_CHECK_MSG(seq < next_seq_, "sequence number was never reserved");
+  UNICC_CHECK_MSG(seq < next_seq_, "sequence number was never drawn");
   UNICC_CHECK_MSG(events_run_ == 0 || KeyOf(when, seq) > running_key_,
                   "reserved key sorts before the running event");
 }

@@ -73,10 +73,13 @@ class Simulator {
     return next_seq_++;
   }
 
-  // Schedules `fn` at `when` under `seq`, a number ReserveSeq() returned
-  // that no event used yet. The key (when, seq) must not sort before the
-  // event now running (or the last one run), since the queue never pops
-  // backwards.
+  // Schedules `fn` at `when` under `seq`, a number ReserveSeq() returned.
+  // Contract: the caller uses each reserved number for at most one event
+  // (the engine's batch FIFO does so by construction); nothing checks it,
+  // and two events sharing (when, seq) would be ordered by their slots.
+  // Checked in every build: `seq` was drawn (seq < the next number), and
+  // the key (when, seq) does not sort before the event now running (or the
+  // last one run), since the queue never pops backwards.
   template <typename F>
     requires(!std::is_same_v<std::decay_t<F>, EventFn> &&
              std::is_invocable_r_v<void, std::decay_t<F>&>)
@@ -133,11 +136,12 @@ class Simulator {
   };
 
   // 16-byte heap entries: one 128-bit key packing (when << 64) |
-  // (seq << kSlotBits) | slot. Every seq is drawn once from one counter
-  // (ScheduleAt draws it, ReserveSeq hands it out), so comparing keys
-  // compares (when, seq) — the slot bits can never decide — a total order:
-  // runs are bit-reproducible. A single wide compare keeps the sift loops
-  // branch-cheap.
+  // (seq << kSlotBits) | slot. Every seq comes from one counter
+  // (ScheduleAt draws it, ReserveSeq hands it out) and ScheduleAt uses it
+  // once; as long as ScheduleReserved callers keep their once-only
+  // contract, comparing keys compares (when, seq) — the slot bits never
+  // decide — a total order: runs are bit-reproducible. A single wide
+  // compare keeps the sift loops branch-cheap.
   struct HeapEntry {
     unsigned __int128 key;
 
@@ -167,7 +171,7 @@ class Simulator {
 
   std::uint32_t AcquireSlot();
   void ReleaseSlot(std::uint32_t idx);
-  // ScheduleReserved's preconditions; aborts when one fails.
+  // ScheduleReserved's checked preconditions; aborts when one fails.
   void CheckReserved(SimTime when, std::uint64_t seq) const;
   std::uint64_t FinishSchedule(SimTime when, std::uint64_t seq,
                                std::uint32_t idx);

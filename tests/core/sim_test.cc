@@ -244,14 +244,16 @@ TEST(SimulatorTest, ReservedEventScheduledFromAnEventKeepsItsPlace) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(SimulatorDeathTest, ScheduleReservedRejectsUnreservedNumber) {
+TEST(SimulatorDeathTest, ScheduleReservedRejectsNeverDrawnNumber) {
+  // Only numbers not drawn yet are caught; reusing a drawn number is the
+  // caller's contract (see ScheduleReserved) and is not checked.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  auto unreserved = [] {
+  auto never_drawn = [] {
     Simulator sim;
-    sim.Schedule(5, [] {});  // draws 0; 1 is still unreserved
+    sim.Schedule(5, [] {});  // draws 0; 1 is not drawn yet
     sim.ScheduleReserved(10, 1, [] {});
   };
-  EXPECT_DEATH(unreserved(), "never reserved");
+  EXPECT_DEATH(never_drawn(), "never drawn");
 }
 
 TEST(SimulatorDeathTest, ScheduleReservedRejectsKeyBeforeRunningEvent) {
