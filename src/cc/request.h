@@ -28,10 +28,11 @@ struct QueueEntry {
   Protocol proto = Protocol::kTwoPhaseLocking;
   Precedence prec;
   EntryMark mark = EntryMark::kAccepted;
-  // PA grant confirmation (DESIGN.md): a PA entry of a multi-request
-  // transaction is grantable only after its final timestamp is confirmed
-  // with FinalTs; granting earlier can deadlock two PA transactions when a
-  // back-off elsewhere raises an already-granted request over a waiter.
+  // PA grant confirmation (docs/architecture.md): a PA entry of a
+  // multi-request transaction is grantable only after its final timestamp
+  // is confirmed with FinalTs; granting earlier can deadlock two PA
+  // transactions when a back-off elsewhere raises an already-granted
+  // request over a waiter.
   // Non-PA entries and single-request PA transactions are born confirmed.
   bool confirmed = true;
 

@@ -199,7 +199,8 @@ void RequestIssuer::CheckProgress(ActiveTxn& t) {
   // back-off offer), fix TS'_i = max(TS_i, max_j TS'_ij) and confirm it at
   // every queue. Queues grant multi-request PA entries only after this
   // confirmation, which keeps every grant consistent with the final
-  // timestamp order and hence deadlock-free (see DESIGN.md).
+  // timestamp order and hence deadlock-free (see docs/architecture.md,
+  // "PA grant confirmation").
   if (t.spec.protocol == Protocol::kPrecedenceAgreement && !t.negotiated &&
       t.responses == t.reqs.size() && t.grants < t.reqs.size()) {
     Timestamp max_offer = 0;

@@ -49,7 +49,8 @@ struct CcRequest {
   // Total physical requests of this transaction. PA requests of
   // single-request transactions may be granted before timestamp
   // confirmation (they cannot deadlock); all others await the FinalTs
-  // confirmation round (see DESIGN.md, "PA grant confirmation").
+  // confirmation round (see docs/architecture.md, "PA grant
+  // confirmation").
   std::uint32_t txn_requests = 1;
   SiteId reply_to = 0;
 };
@@ -78,7 +79,7 @@ struct Backoff {
 // QM -> RI: a PA request was accepted at its proposed timestamp; the
 // request issuer counts these toward negotiation completion and then
 // confirms with FinalTs. (Soundness addition over the paper's step 2(c);
-// see DESIGN.md.)
+// see docs/architecture.md, "PA grant confirmation".)
 struct PaAccept {
   TxnId txn = 0;
   Attempt attempt = 0;

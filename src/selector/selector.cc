@@ -23,17 +23,13 @@ std::uint64_t MinStlSelector::ClassKey(TxnShape shape) {
          static_cast<std::uint64_t>(shape.n);
 }
 
-MinStlSelector::ClassStl MinStlSelector::EstimateFor(TxnShape shape) const {
-  const SystemParams sys = estimator_->Snapshot(sim_->Now(), num_queues_);
-  StlEvaluator ev(sys, options_.grid_points);
-  ClassStl out;
-  out.stl_2pl =
-      Stl2pl(ev, shape, estimator_->For(Protocol::kTwoPhaseLocking));
-  out.stl_to =
-      StlTo(ev, shape, estimator_->For(Protocol::kTimestampOrdering));
-  out.stl_pa =
-      StlPa(ev, shape, estimator_->For(Protocol::kPrecedenceAgreement));
-  return out;
+ClassStl MinStlSelector::EstimateFor(TxnShape shape) const {
+  const StlEvaluator ev(estimator_->Snapshot(sim_->Now(), num_queues_),
+                        kStlGridPoints);
+  return EstimateStl(ev, shape,
+                     {estimator_->For(Protocol::kTwoPhaseLocking),
+                      estimator_->For(Protocol::kTimestampOrdering),
+                      estimator_->For(Protocol::kPrecedenceAgreement)});
 }
 
 Protocol MinStlSelector::Choose(const TxnSpec& spec) {

@@ -24,12 +24,13 @@ struct SelectorOptions {
   std::uint64_t warmup_txns = 60;
   // Cached class STL values are recomputed after this many selections.
   std::uint64_t refresh_every = 50;
-  // DP grid resolution for STL'.
-  int grid_points = 32;
 };
 
 class MinStlSelector {
  public:
+  // DP grid resolution of every STL' evaluation.
+  static constexpr int kStlGridPoints = 32;
+
   // `sim` provides elapsed time for throughput snapshots; `estimator` must
   // outlive the selector; `num_queues` is the number of physical copies.
   MinStlSelector(const Simulator* sim, const ParamEstimator* estimator,
@@ -46,12 +47,8 @@ class MinStlSelector {
     return selections_[static_cast<std::size_t>(p)];
   }
 
-  // Most recent STL estimates for a class (diagnostics / tests).
-  struct ClassStl {
-    double stl_2pl = 0;
-    double stl_to = 0;
-    double stl_pa = 0;
-  };
+  // Current STL estimates for a class: one EstimateStl call, as a cache
+  // refresh makes (diagnostics / tests).
   ClassStl EstimateFor(TxnShape shape) const;
 
  private:

@@ -19,59 +19,61 @@ double LambdaT(const SystemParams& sys, TxnShape shape) {
          shape.n * (sys.lambda_w + sys.lambda_r);
 }
 
-double Stl2pl(const StlEvaluator& ev, TxnShape shape,
-              const ProtocolParams& p) {
-  const double lt = LambdaT(ev.params(), shape);
-  const double pa = ClampProb(p.p_abort);
+ClassStl EstimateStl(const StlEvaluator& ev, TxnShape shape,
+                     const std::array<ProtocolParams, kNumProtocols>& params) {
+  const SystemParams& sys = ev.params();
+  const double lt = LambdaT(sys, shape);
+  const ProtocolParams& twopl =
+      params[static_cast<std::size_t>(Protocol::kTwoPhaseLocking)];
+  const ProtocolParams& to =
+      params[static_cast<std::size_t>(Protocol::kTimestampOrdering)];
+  const ProtocolParams& pa =
+      params[static_cast<std::size_t>(Protocol::kPrecedenceAgreement)];
+  // T/O and PA: ps, the probability that no request meets a reject
+  // (back-off), and the loss of the attempt that met one, Λ*_t (Λ†_t)
+  // from the balance equation: the expected per-request loss equals the
+  // mixture over the rejected/accepted outcomes.
+  struct Negative {
+    double ps;
+    double loss;
+  };
+  auto negative = [&](const ProtocolParams& p) {
+    const double pr = ClampProb(p.p_reject_read);
+    const double pw = ClampProb(p.p_reject_write);
+    const double ps = std::pow(1 - pr, shape.m) * std::pow(1 - pw, shape.n);
+    const double expected = shape.m * (1 - pr) * sys.lambda_w +
+                            shape.n * (1 - pw) *
+                                (sys.lambda_w + sys.lambda_r);
+    double loss = lt;
+    if (1 - ps > 1e-9) {
+      loss = (expected - ps * lt) / (1 - ps);
+      loss = std::clamp(loss, 0.0, sys.lambda_a);
+    }
+    return Negative{ps, loss};
+  };
+  const Negative to_neg = negative(to);
+  const Negative pa_neg = negative(pa);
+  const std::array<StlTerm, 6> terms = {{
+      {lt, twopl.u_lock},
+      {lt, twopl.u_lock_aborted},
+      {lt, to.u_lock},
+      {to_neg.loss, to.u_lock_aborted},
+      {lt, pa.u_lock},
+      {pa_neg.loss, pa.u_lock_aborted},
+  }};
+  std::array<double, 6> stl{};
+  ev.Sweep(terms, stl);
+
+  ClassStl out;
   // STL = (1-PA)·STL'(Λt,U) + PA·(STL + STL'(Λt,U')); solve for STL.
-  const double success = ev.Evaluate(lt, p.u_lock);
-  const double aborted = ev.Evaluate(lt, p.u_lock_aborted);
-  return ((1 - pa) * success + pa * aborted) / (1 - pa);
-}
-
-double StlTo(const StlEvaluator& ev, TxnShape shape,
-             const ProtocolParams& p) {
-  const SystemParams& sys = ev.params();
-  const double lt = LambdaT(sys, shape);
-  const double pr = ClampProb(p.p_reject_read);
-  const double pw = ClampProb(p.p_reject_write);
-  const double ps = std::pow(1 - pr, shape.m) * std::pow(1 - pw, shape.n);
-  // Λ*_t from the balance equation: the expected per-request loss equals
-  // the mixture over the rejected/accepted outcomes.
-  const double expected = shape.m * (1 - pr) * sys.lambda_w +
-                          shape.n * (1 - pw) *
-                              (sys.lambda_w + sys.lambda_r);
-  double lt_star = lt;
-  if (1 - ps > 1e-9) {
-    lt_star = (expected - ps * lt) / (1 - ps);
-    lt_star = std::clamp(lt_star, 0.0, sys.lambda_a);
-  }
-  const double ps_safe = std::max(ps, 0.05);
-  const double success = ev.Evaluate(lt, p.u_lock);
-  const double rejected = ev.Evaluate(lt_star, p.u_lock_aborted);
+  const double p_abort = ClampProb(twopl.p_abort);
+  out.stl_2pl = ((1 - p_abort) * stl[0] + p_abort * stl[1]) / (1 - p_abort);
   // STL = ps·S'(Λt,U) + (1-ps)(S'(Λ*,U') + STL); solve for STL.
-  return (ps_safe * success + (1 - ps_safe) * rejected) / ps_safe;
-}
-
-double StlPa(const StlEvaluator& ev, TxnShape shape,
-             const ProtocolParams& p) {
-  const SystemParams& sys = ev.params();
-  const double lt = LambdaT(sys, shape);
-  const double pb = ClampProb(p.p_reject_read);
-  const double pbw = ClampProb(p.p_reject_write);
-  const double ps = std::pow(1 - pb, shape.m) * std::pow(1 - pbw, shape.n);
-  const double expected = shape.m * (1 - pb) * sys.lambda_w +
-                          shape.n * (1 - pbw) *
-                              (sys.lambda_w + sys.lambda_r);
-  double lt_dag = lt;
-  if (1 - ps > 1e-9) {
-    lt_dag = (expected - ps * lt) / (1 - ps);
-    lt_dag = std::clamp(lt_dag, 0.0, sys.lambda_a);
-  }
-  const double success = ev.Evaluate(lt, p.u_lock);
-  const double backed_off = ev.Evaluate(lt_dag, p.u_lock_aborted);
+  const double ps_safe = std::max(to_neg.ps, 0.05);
+  out.stl_to = (ps_safe * stl[2] + (1 - ps_safe) * stl[3]) / ps_safe;
   // PA backs off at most once (Lemma 1): non-recursive mixture.
-  return ps * success + (1 - ps) * (backed_off + success);
+  out.stl_pa = pa_neg.ps * stl[4] + (1 - pa_neg.ps) * (stl[5] + stl[4]);
+  return out;
 }
 
 void ParamEstimator::OnRequestSent(Protocol proto, OpType op) {

@@ -37,18 +37,22 @@ struct TxnShape {
 // Σ reads λ_w + Σ writes (λ_w + λ_r), using per-queue averages.
 double LambdaT(const SystemParams& sys, TxnShape shape);
 
-// STL_2PL(t): geometric retry over deadlock aborts.
-double Stl2pl(const StlEvaluator& ev, TxnShape shape,
-              const ProtocolParams& p);
+// Estimated STL of one transaction class under each protocol.
+struct ClassStl {
+  double stl_2pl = 0;
+  double stl_to = 0;
+  double stl_pa = 0;
+};
 
-// STL_T/O(t): geometric retry over rejects, with the conditional loss Λ*_t
-// solved from the balance equation in Section 5.2.
-double StlTo(const StlEvaluator& ev, TxnShape shape,
-             const ProtocolParams& p);
-
-// STL_PA(t): at most one back-off (Lemma 1), hence non-recursive.
-double StlPa(const StlEvaluator& ev, TxnShape shape,
-             const ProtocolParams& p);
+// The three per-protocol estimators of Section 5.2, from one Sweep of
+// their six STL' terms (a success and a failure term per protocol);
+// `params` is indexed by Protocol.
+//   2PL: geometric retry over deadlock aborts.
+//   T/O: geometric retry over rejects, with the conditional loss Λ*_t
+//        solved from the balance equation.
+//   PA : at most one back-off (Lemma 1), hence non-recursive.
+ClassStl EstimateStl(const StlEvaluator& ev, TxnShape shape,
+                     const std::array<ProtocolParams, kNumProtocols>& params);
 
 // Online measurement of SystemParams and ProtocolParams. Wire its On*
 // methods into EngineCallbacks; snapshots are cheap.

@@ -24,16 +24,47 @@
 //     P_i = above[i] + r·P_{i−1},
 //     T_i = T_{i−1} + lh·r^{i−1}·(w·(i−1) + c),
 // with P_0 = T_0 = 0 (above[0] is 0 at every level). A level costs one
-// `exp`, one `pow` and O(m) flops, so Evaluate is O(levels·m) with levels
+// `exp`, one `pow` and O(m) flops, so a term is O(levels·m) with levels
 // capped at 4096. This is the term-by-term O(m²) quadrature summed in a
 // different order: results agree with it to within 1e-12 relative, not
 // bit for bit (tests/stl/stl_test.cc checks it against a copy of the
 // direct sum).
+//
+// Lockstep sweep. `Sweep` evaluates up to six (λ_loss, U) terms — a
+// selector refresh's success and failure term per protocol — in one pass.
+// Term k runs in lane k, packed two to a 16-byte vector (lanes 2j and
+// 2j+1 in vector j, three vectors). Each lane has its own level count L_k
+// and joins the downward sweep at its own top level: at sweep level n
+// every lane with L_k > n computes its level n, so all lanes reach level
+// 0 together. Lanes with the same start loss have the same l at every
+// level and share one LambdaBlock (`pow`); each lane computes its own
+// r = e^{−b·h}, since h depends on its U. The grid recurrences of the
+// three vectors advance side by side, one grid point at a time, so the
+// loop is bound by arithmetic throughput rather than by the latency of
+// the P_i chain; a lone term costs about what six do. A lane that has
+// not joined yet, or has no term to sweep (fewer than six terms, or an
+// early exit: U = 0, λ_loss ≥ λ_A, no levels), runs the saturated
+// level's fixed point (l = λ_A, b = 0, hence r = 1), which reproduces
+// λ_A·x_i exactly. A lane whose b is at most 1e-12 runs with w, c and lh
+// zeroed, so the convolution term it adds is exactly +0.
+//
+// Bit-identity condition: every lane performs the scalar recurrence's
+// operations above in the same order and association, each lane-wise
+// vector operation is the IEEE operation on that lane, and nothing is
+// contracted into a fused multiply-add. The build sets no `-march`, and
+// baseline x86-64 has no FMA instruction to contract into; a target that
+// has one would need -ffp-contract=off for the guarantee. Under that
+// condition a lane's result equals the one-term scalar DP bit for bit,
+// whichever lanes share its sweep, so every STL value, selection and
+// digest is what the scalar DP gave; tests/stl/stl_test.cc checks it
+// against a frozen copy of that DP. λ_loss must be non-negative, which
+// keeps the no-block value r^i·l·x_i from being −0, so adding +0 to it
+// changes no bit.
 #ifndef UNICC_STL_EVALUATOR_H_
 #define UNICC_STL_EVALUATOR_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace unicc {
 
@@ -46,16 +77,28 @@ struct SystemParams {
   double k_avg = 4.0;       // mean requests per transaction K
 };
 
+// One STL'(λ_loss, U) term: the loss caused over a lock hold of
+// `u_seconds` starting from initial loss `lambda_loss` (per second).
+struct StlTerm {
+  double lambda_loss = 0;
+  double u_seconds = 0;
+};
+
 class StlEvaluator {
  public:
-  // `grid_points` controls DP resolution (>= 2).
-  explicit StlEvaluator(SystemParams params, int grid_points = 48);
+  // Terms one Sweep evaluates side by side.
+  static constexpr int kMaxLanes = 6;
 
-  // STL'(λ_loss, U): expected throughput loss caused over a lock-hold of
-  // `u_seconds` starting from initial loss `lambda_loss` (per-second rate).
-  // Returns loss in units of (throughput · seconds), i.e. expected number
-  // of lost grants.
+  // `grid_points` controls DP resolution (>= 2).
+  StlEvaluator(SystemParams params, int grid_points);
+
+  // STL'(λ_loss, U) for one term: a one-lane Sweep. Returns loss in units
+  // of (throughput · seconds), i.e. expected number of lost grants.
   double Evaluate(double lambda_loss, double u_seconds) const;
+
+  // Evaluates up to kMaxLanes terms in one lockstep sweep (see above);
+  // out[k] = STL'(terms[k]). `out` must have one slot per term.
+  void Sweep(std::span<const StlTerm> terms, std::span<double> out) const;
 
   // λ_new = λ_w + (1 − Q_r)·λ_r (the expected extra loss per new block).
   double LambdaNew() const;

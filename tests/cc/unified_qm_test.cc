@@ -210,8 +210,8 @@ TEST(UnifiedQmTest, PaBackoffOfferUsesIntervalFormula) {
 TEST(UnifiedQmTest, MultiRequestPaAwaitsConfirmationBeforeGrant) {
   QmHarness h;
   // A PA request belonging to a 2-request transaction is accepted but must
-  // not be granted until its final timestamp is confirmed (the DESIGN.md
-  // PA-deadlock fix).
+  // not be granted until its final timestamp is confirmed ("PA grant
+  // confirmation" in docs/architecture.md).
   h.Request(1, OpType::kWrite, Protocol::kPrecedenceAgreement, 10,
             /*interval=*/4, /*txn_requests=*/2);
   EXPECT_TRUE(h.PaAccepted(1));

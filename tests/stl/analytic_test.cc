@@ -86,13 +86,10 @@ TEST(AnalyticTest, FeedsTheStlEvaluator) {
   // by the selector, producing finite, ordered results.
   const auto est = EstimateAnalytically(Base());
   StlEvaluator ev(est.system, 32);
-  const TxnShape shape{2, 2};
-  const double s2 = Stl2pl(ev, shape, est.twopl);
-  const double st = StlTo(ev, shape, est.to);
-  const double sp = StlPa(ev, shape, est.pa);
-  EXPECT_GT(s2, 0);
-  EXPECT_GT(st, 0);
-  EXPECT_GT(sp, 0);
+  const ClassStl stl = EstimateStl(ev, {2, 2}, {est.twopl, est.to, est.pa});
+  EXPECT_GT(stl.stl_2pl, 0);
+  EXPECT_GT(stl.stl_to, 0);
+  EXPECT_GT(stl.stl_pa, 0);
 }
 
 TEST(AnalyticTest, AnalyticVsMeasuredSameOrderOfMagnitude) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,18 +27,18 @@ SystemParams DefaultSys() {
 }
 
 TEST(StlEvaluatorTest, ZeroDurationZeroLoss) {
-  StlEvaluator ev(DefaultSys());
+  StlEvaluator ev(DefaultSys(), 48);
   EXPECT_EQ(ev.Evaluate(5, 0), 0);
 }
 
 TEST(StlEvaluatorTest, SaturatedLossIsLambdaAU) {
-  StlEvaluator ev(DefaultSys());
+  StlEvaluator ev(DefaultSys(), 48);
   EXPECT_DOUBLE_EQ(ev.Evaluate(100, 0.5), 100 * 0.5);
   EXPECT_DOUBLE_EQ(ev.Evaluate(150, 0.5), 100 * 0.5);
 }
 
 TEST(StlEvaluatorTest, BoundedByLambdaAU) {
-  StlEvaluator ev(DefaultSys());
+  StlEvaluator ev(DefaultSys(), 48);
   for (double l : {0.5, 2.0, 10.0, 50.0}) {
     for (double u : {0.01, 0.1, 1.0}) {
       const double v = ev.Evaluate(l, u);
@@ -45,7 +49,7 @@ TEST(StlEvaluatorTest, BoundedByLambdaAU) {
 }
 
 TEST(StlEvaluatorTest, MonotoneInInitialLoss) {
-  StlEvaluator ev(DefaultSys());
+  StlEvaluator ev(DefaultSys(), 48);
   double prev = 0;
   for (double l : {1.0, 5.0, 20.0, 60.0, 90.0}) {
     const double v = ev.Evaluate(l, 0.2);
@@ -55,7 +59,7 @@ TEST(StlEvaluatorTest, MonotoneInInitialLoss) {
 }
 
 TEST(StlEvaluatorTest, MonotoneInDuration) {
-  StlEvaluator ev(DefaultSys());
+  StlEvaluator ev(DefaultSys(), 48);
   double prev = 0;
   for (double u : {0.05, 0.1, 0.2, 0.5, 1.0}) {
     const double v = ev.Evaluate(10, u);
@@ -68,19 +72,19 @@ TEST(StlEvaluatorTest, NoEscalationWhenLambdaNewZero) {
   SystemParams s = DefaultSys();
   s.lambda_r = 0;
   s.lambda_w = 0;
-  StlEvaluator ev(s);
+  StlEvaluator ev(s, 48);
   EXPECT_DOUBLE_EQ(ev.Evaluate(7, 0.3), 7 * 0.3);
 }
 
 TEST(StlEvaluatorTest, LambdaBlockEdgeCases) {
-  StlEvaluator ev(DefaultSys());
+  StlEvaluator ev(DefaultSys(), 48);
   EXPECT_DOUBLE_EQ(ev.LambdaBlock(0), 0);    // no loss, nothing blocks
   EXPECT_DOUBLE_EQ(ev.LambdaBlock(100), 0);  // no free throughput left
   EXPECT_GT(ev.LambdaBlock(50), 0);
 }
 
 TEST(StlEvaluatorTest, LambdaNewFormula) {
-  StlEvaluator ev(DefaultSys());
+  StlEvaluator ev(DefaultSys(), 48);
   // λ_w + (1 − Q_r)·λ_r = 0.6 + 0.5*0.4.
   EXPECT_DOUBLE_EQ(ev.LambdaNew(), 0.6 + 0.5 * 0.4);
 }
@@ -101,7 +105,7 @@ TEST(StlEvaluatorTest, SingleRequestTransactionsNeverEscalate) {
   // K = 1: a granted request's transaction has no other requests to block.
   SystemParams s = DefaultSys();
   s.k_avg = 1;
-  StlEvaluator ev(s);
+  StlEvaluator ev(s, 48);
   EXPECT_NEAR(ev.Evaluate(10, 0.3), 10 * 0.3, 1e-9);
 }
 
@@ -211,6 +215,247 @@ TEST(StlEvaluatorDifferentialTest, MatchesDirectSumOnEdgeBranches) {
   }
 }
 
+// The scalar one-term DP and the three per-protocol formulas as they were
+// before Sweep ran terms in lockstep, kept frozen: Sweep and EstimateStl
+// must match them bit for bit, so that no selection and no digest moves.
+namespace frozen {
+
+double LambdaBlock(const SystemParams& s, double lambda_loss) {
+  const double la = s.lambda_a;
+  if (lambda_loss >= la) return 0;
+  const double p_block = std::clamp(lambda_loss / la, 0.0, 1.0);
+  return (la - lambda_loss) * (1 - std::pow(1 - p_block, s.k_avg - 1));
+}
+
+double Evaluate(const SystemParams& s, int m, double lambda_loss,
+                double u_seconds) {
+  if (u_seconds == 0) return 0;
+  const double la = s.lambda_a;
+  if (lambda_loss >= la) return la * u_seconds;
+  const double lnew = s.lambda_w + (1 - s.q_r) * s.lambda_r;
+  int levels = 0;
+  if (lnew > 1e-12) {
+    levels = static_cast<int>(std::min(std::ceil((la - lambda_loss) / lnew),
+                                       4096.0));
+  }
+  if (levels == 0) return lambda_loss * u_seconds;
+  const double h = u_seconds / (m - 1);
+  std::vector<double> above(m), cur(m);
+  for (int i = 0; i < m; ++i) {
+    above[i] = la * (static_cast<double>(i) * h);
+  }
+  for (int n = levels - 1; n >= 0; --n) {
+    const double l = std::min(lambda_loss + n * lnew, la);
+    const double b = LambdaBlock(s, l);
+    const double r = std::exp(-b * h);
+    const double w = 1 - r;
+    const double c = b > 1e-12 ? (1 - r * (1 + b * h)) / (b * h) : 0.0;
+    const double lh = l * h;
+    double r_pow = 1;
+    double p = 0;
+    double t = 0;
+    cur[0] = 0;
+    for (int i = 1; i < m; ++i) {
+      t += lh * r_pow * (w * (i - 1) + c);
+      const double p_i = above[i] + r * p;
+      r_pow *= r;
+      double v = r_pow * l * (static_cast<double>(i) * h);
+      if (b > 1e-12) v += t + (w - c) * p_i + c * p;
+      cur[i] = v;
+      p = p_i;
+    }
+    std::swap(above, cur);
+  }
+  return above[m - 1];
+}
+
+double ClampProb(double p) { return std::clamp(p, 0.0, 0.95); }
+
+double Stl2pl(const SystemParams& sys, int m, TxnShape shape,
+              const ProtocolParams& p) {
+  const double lt = LambdaT(sys, shape);
+  const double pa = ClampProb(p.p_abort);
+  const double success = Evaluate(sys, m, lt, p.u_lock);
+  const double aborted = Evaluate(sys, m, lt, p.u_lock_aborted);
+  return ((1 - pa) * success + pa * aborted) / (1 - pa);
+}
+
+double StlTo(const SystemParams& sys, int m, TxnShape shape,
+             const ProtocolParams& p) {
+  const double lt = LambdaT(sys, shape);
+  const double pr = ClampProb(p.p_reject_read);
+  const double pw = ClampProb(p.p_reject_write);
+  const double ps = std::pow(1 - pr, shape.m) * std::pow(1 - pw, shape.n);
+  const double expected = shape.m * (1 - pr) * sys.lambda_w +
+                          shape.n * (1 - pw) *
+                              (sys.lambda_w + sys.lambda_r);
+  double lt_star = lt;
+  if (1 - ps > 1e-9) {
+    lt_star = (expected - ps * lt) / (1 - ps);
+    lt_star = std::clamp(lt_star, 0.0, sys.lambda_a);
+  }
+  const double ps_safe = std::max(ps, 0.05);
+  const double success = Evaluate(sys, m, lt, p.u_lock);
+  const double rejected = Evaluate(sys, m, lt_star, p.u_lock_aborted);
+  return (ps_safe * success + (1 - ps_safe) * rejected) / ps_safe;
+}
+
+double StlPa(const SystemParams& sys, int m, TxnShape shape,
+             const ProtocolParams& p) {
+  const double lt = LambdaT(sys, shape);
+  const double pb = ClampProb(p.p_reject_read);
+  const double pbw = ClampProb(p.p_reject_write);
+  const double ps = std::pow(1 - pb, shape.m) * std::pow(1 - pbw, shape.n);
+  const double expected = shape.m * (1 - pb) * sys.lambda_w +
+                          shape.n * (1 - pbw) *
+                              (sys.lambda_w + sys.lambda_r);
+  double lt_dag = lt;
+  if (1 - ps > 1e-9) {
+    lt_dag = (expected - ps * lt) / (1 - ps);
+    lt_dag = std::clamp(lt_dag, 0.0, sys.lambda_a);
+  }
+  const double success = Evaluate(sys, m, lt, p.u_lock);
+  const double backed_off = Evaluate(sys, m, lt_dag, p.u_lock_aborted);
+  return ps * success + (1 - ps) * (backed_off + success);
+}
+
+}  // namespace frozen
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Sweeps `terms` in one batch and checks every lane against the frozen
+// scalar DP, bit for bit.
+void ExpectSweepMatchesScalar(const SystemParams& s, int m,
+                              std::span<const StlTerm> terms) {
+  const StlEvaluator ev(s, m);
+  std::vector<double> got(terms.size());
+  ev.Sweep(terms, got);
+  for (std::size_t k = 0; k < terms.size(); ++k) {
+    const double want =
+        frozen::Evaluate(s, m, terms[k].lambda_loss, terms[k].u_seconds);
+    EXPECT_EQ(Bits(got[k]), Bits(want))
+        << "lane " << k << " of " << terms.size() << ": got " << got[k]
+        << " want " << want << "; m=" << m << " l=" << terms[k].lambda_loss
+        << " U=" << terms[k].u_seconds << " la=" << s.lambda_a
+        << " lr=" << s.lambda_r << " lw=" << s.lambda_w << " qr=" << s.q_r
+        << " K=" << s.k_avg;
+  }
+}
+
+SystemParams RandomSys(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  SystemParams s;
+  s.lambda_a = 5 + 295 * unit(rng);
+  s.lambda_r = 4 * unit(rng);
+  s.lambda_w = 4 * unit(rng);
+  s.q_r = unit(rng);
+  s.k_avg = 1 + 7 * unit(rng);
+  return s;
+}
+
+TEST(StlSweepTest, RandomSixLaneBatchesMatchScalarDpBitForBit) {
+  std::mt19937_64 rng(20261017);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const SystemParams s = RandomSys(rng);
+    const int m = 2 + static_cast<int>(rng() % 63);  // 2..64
+    std::array<StlTerm, 6> terms;
+    for (std::size_t k = 0; k < terms.size(); ++k) {
+      terms[k].lambda_loss = 1.02 * s.lambda_a * unit(rng);
+      terms[k].u_seconds = rng() % 16 == 0 ? 0.0 : 0.5 * unit(rng);
+      // Half the lanes share an earlier lane's start loss (and with it
+      // that lane's LambdaBlock at every level), as a refresh's do.
+      if (k > 0 && rng() % 2 == 0) {
+        terms[k].lambda_loss = terms[rng() % k].lambda_loss;
+      }
+    }
+    ExpectSweepMatchesScalar(s, m, terms);
+    // A shorter batch: its prefix, down to the one-lane Evaluate.
+    const std::size_t n = 1 + static_cast<std::size_t>(iter % 5);
+    ExpectSweepMatchesScalar(s, m, std::span(terms).first(n));
+    const StlEvaluator ev(s, m);
+    EXPECT_EQ(Bits(ev.Evaluate(terms[0].lambda_loss, terms[0].u_seconds)),
+              Bits(frozen::Evaluate(s, m, terms[0].lambda_loss,
+                                    terms[0].u_seconds)));
+  }
+}
+
+TEST(StlSweepTest, EdgeLanesMatchScalarDpBitForBit) {
+  const SystemParams base = DefaultSys();
+  const double la = base.lambda_a;
+  for (int m : {2, 3, 32, 48, 64}) {
+    SCOPED_TRACE(m);
+    // Every early exit (U == 0, lambda_loss >= lambda_A) beside lanes that
+    // join at the bottom level with lambda_block just above and just
+    // below the 1e-12 cutoff, and a lane that sweeps every level and
+    // reaches b = 0 at lambda_loss = 0.
+    const StlEvaluator ev(base, m);
+    const double above_cutoff = la - 2e-12;
+    const double below_cutoff = la - 5e-13;
+    ASSERT_GT(ev.LambdaBlock(above_cutoff), 1e-12);
+    ASSERT_LT(ev.LambdaBlock(below_cutoff), 1e-12);
+    const std::array<StlTerm, 6> exits = {{{5, 0},
+                                           {la, 0.4},
+                                           {2 * la, 0.4},
+                                           {above_cutoff, 0.2},
+                                           {below_cutoff, 0.2},
+                                           {0, 0.3}}};
+    ExpectSweepMatchesScalar(base, m, exits);
+    // Zero levels: no escalation, whatever the start loss.
+    SystemParams quiet = base;
+    quiet.lambda_r = 0;
+    quiet.lambda_w = 0;
+    const std::array<StlTerm, 4> still = {{{7, 0.3}, {0, 0.3}, {7, 0},
+                                           {la, 0.1}}};
+    ExpectSweepMatchesScalar(quiet, m, still);
+    // K == 1: lambda_block is 0 at every level of every lane.
+    SystemParams single = base;
+    single.k_avg = 1;
+    const std::array<StlTerm, 3> never = {{{10, 0.3}, {10, 0.1}, {50, 0.2}}};
+    ExpectSweepMatchesScalar(single, m, never);
+    // The 4096-level clamp: lambda_A / lambda_new is far above 4096. Two
+    // lanes share the clamped count, the others join lower down.
+    SystemParams wide = base;
+    wide.lambda_a = 1e4;
+    wide.lambda_r = 0.1;
+    wide.lambda_w = 0.1;
+    ASSERT_GT(wide.lambda_a / StlEvaluator(wide, m).LambdaNew(), 4096);
+    const std::array<StlTerm, 5> clamped = {{{1.0, 0.05},
+                                             {1.0, 0.01},
+                                             {2.0, 0.05},
+                                             {9900, 0.02},
+                                             {9999.95, 0.3}}};
+    ExpectSweepMatchesScalar(wide, m, clamped);
+  }
+}
+
+TEST(StlSweepTest, EstimateStlMatchesScalarFormulasBitForBit) {
+  std::mt19937_64 rng(20261018);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  // A probability that is 0 a quarter of the time, so that T/O's and
+  // PA's failure terms often share the success terms' start loss.
+  auto prob = [&] { return rng() % 4 == 0 ? 0.0 : unit(rng); };
+  for (int iter = 0; iter < 2000; ++iter) {
+    const SystemParams s = RandomSys(rng);
+    const int m = 2 + static_cast<int>(rng() % 63);
+    const TxnShape shape{static_cast<int>(rng() % 7),
+                         static_cast<int>(rng() % 7)};
+    std::array<ProtocolParams, kNumProtocols> p;
+    for (ProtocolParams& q : p) {
+      q.u_lock = 0.5 * unit(rng);
+      q.u_lock_aborted = 0.5 * unit(rng);
+      q.p_abort = prob();
+      q.p_reject_read = prob();
+      q.p_reject_write = prob();
+    }
+    const StlEvaluator ev(s, m);
+    const ClassStl got = EstimateStl(ev, shape, p);
+    EXPECT_EQ(Bits(got.stl_2pl), Bits(frozen::Stl2pl(s, m, shape, p[0])));
+    EXPECT_EQ(Bits(got.stl_to), Bits(frozen::StlTo(s, m, shape, p[1])));
+    EXPECT_EQ(Bits(got.stl_pa), Bits(frozen::StlPa(s, m, shape, p[2])));
+  }
+}
+
 TEST(EstimatorFormulaTest, LambdaT) {
   const SystemParams s = DefaultSys();
   // m=2 reads, n=3 writes: 2·λw + 3·(λw + λr).
@@ -218,17 +463,17 @@ TEST(EstimatorFormulaTest, LambdaT) {
 }
 
 TEST(EstimatorFormulaTest, Stl2plNoAbortsEqualsPlainStl) {
-  StlEvaluator ev(DefaultSys());
+  StlEvaluator ev(DefaultSys(), 48);
   ProtocolParams p;
   p.u_lock = 0.05;
   p.p_abort = 0;
   const TxnShape shape{2, 2};
-  EXPECT_DOUBLE_EQ(Stl2pl(ev, shape, p),
+  EXPECT_DOUBLE_EQ(EstimateStl(ev, shape, {p, p, p}).stl_2pl,
                    ev.Evaluate(LambdaT(ev.params(), shape), 0.05));
 }
 
 TEST(EstimatorFormulaTest, Stl2plIncreasesWithAbortProbability) {
-  StlEvaluator ev(DefaultSys());
+  StlEvaluator ev(DefaultSys(), 48);
   ProtocolParams p;
   p.u_lock = 0.05;
   p.u_lock_aborted = 0.03;
@@ -236,14 +481,14 @@ TEST(EstimatorFormulaTest, Stl2plIncreasesWithAbortProbability) {
   double prev = 0;
   for (double pa : {0.0, 0.1, 0.3, 0.6}) {
     p.p_abort = pa;
-    const double v = Stl2pl(ev, shape, p);
+    const double v = EstimateStl(ev, shape, {p, p, p}).stl_2pl;
     EXPECT_GE(v, prev);
     prev = v;
   }
 }
 
 TEST(EstimatorFormulaTest, StlToIncreasesWithRejectProbability) {
-  StlEvaluator ev(DefaultSys());
+  StlEvaluator ev(DefaultSys(), 48);
   ProtocolParams p;
   p.u_lock = 0.05;
   p.u_lock_aborted = 0.03;
@@ -252,14 +497,14 @@ TEST(EstimatorFormulaTest, StlToIncreasesWithRejectProbability) {
   for (double pr : {0.0, 0.1, 0.3, 0.5}) {
     p.p_reject_read = pr;
     p.p_reject_write = pr;
-    const double v = StlTo(ev, shape, p);
+    const double v = EstimateStl(ev, shape, {p, p, p}).stl_to;
     EXPECT_GT(v, prev * 0.999);
     prev = v;
   }
 }
 
 TEST(EstimatorFormulaTest, StlPaAtMostOneBackoff) {
-  StlEvaluator ev(DefaultSys());
+  StlEvaluator ev(DefaultSys(), 48);
   ProtocolParams p;
   p.u_lock = 0.05;
   p.u_lock_aborted = 0.05;
@@ -269,20 +514,21 @@ TEST(EstimatorFormulaTest, StlPaAtMostOneBackoff) {
   p.p_reject_write = 0.95;
   const double lt = LambdaT(ev.params(), shape);
   const double one = ev.Evaluate(lt, 0.05);
-  const double v = StlPa(ev, shape, p);
+  const double v = EstimateStl(ev, shape, {p, p, p}).stl_pa;
   EXPECT_LE(v, 3.0 * one + 1e-9);
 }
 
 TEST(EstimatorFormulaTest, StlToVsPaWithSameProbabilities) {
   // With identical negative-response probabilities, T/O (geometric retry)
   // must cost at least as much as PA (single back-off).
-  StlEvaluator ev(DefaultSys());
+  StlEvaluator ev(DefaultSys(), 48);
   ProtocolParams p;
   p.u_lock = 0.05;
   p.u_lock_aborted = 0.05;
   p.p_reject_read = 0.4;
   p.p_reject_write = 0.4;
-  EXPECT_GE(StlTo(ev, {3, 3}, p), StlPa(ev, {3, 3}, p));
+  const ClassStl stl = EstimateStl(ev, {3, 3}, {p, p, p});
+  EXPECT_GE(stl.stl_to, stl.stl_pa);
 }
 
 // Experiment E8b: as contention grows, the protocol with the lowest STL
@@ -320,9 +566,8 @@ TEST(EstimatorFormulaTest, LowestStlMovesFromTwoPlToPaWithContention) {
     ProtocolParams ppa = pto;
     ppa.u_lock = r.u * 1.2;
     ppa.u_lock_aborted = r.u * 0.6;
-    const double stl[kNumProtocols] = {Stl2pl(ev, shape, p2),
-                                       StlTo(ev, shape, pto),
-                                       StlPa(ev, shape, ppa)};
+    const ClassStl c = EstimateStl(ev, shape, {p2, pto, ppa});
+    const double stl[kNumProtocols] = {c.stl_2pl, c.stl_to, c.stl_pa};
     // Ties go to the earlier protocol, as in MinStlSelector.
     const auto lowest = static_cast<Protocol>(
         std::min_element(stl, stl + kNumProtocols) - stl);
