@@ -20,8 +20,9 @@ class EventFn {
  public:
   // Sized for the engine's real captures: a this-pointer plus a couple of
   // ids (the transport delivers messages by pooled index, not by value).
-  // 24 bytes keeps the simulator's Slot at 48 bytes, so the arena stays
-  // cache-resident under load.
+  // 24 bytes keeps the simulator's Slot (callback, queue key and links)
+  // at one 64-byte cache line, so the arena stays cache-resident under
+  // load.
   static constexpr std::size_t kInlineSize = 24;
 
   EventFn() noexcept = default;

@@ -1,5 +1,7 @@
 #include "engine/admission.h"
 
+#include <utility>
+
 namespace unicc {
 
 const char* ShedPolicyToken(ShedPolicy p) {
@@ -31,19 +33,17 @@ bool ParseShedPolicy(const std::string& token, ShedPolicy* out) {
   return true;
 }
 
-bool AdmissionGate::Offer(Entry e, Entry* shed) {
+AdmissionGate::Offered AdmissionGate::Offer(Entry e, Entry* shed) {
   if (entries_.size() < limit_) {
     entries_.push_back(std::move(e));
-    return true;
+    return {&entries_.back(), false};
   }
   switch (policy_) {
     case ShedPolicy::kBlock:
       // The gate is never engaged under kBlock; treat a misuse as
       // drop-newest so behavior stays defined.
-    case ShedPolicy::kDropNewest: {
-      *shed = std::move(e);
-      return false;
-    }
+    case ShedPolicy::kDropNewest:
+      break;
     case ShedPolicy::kDropOldest: {
       // Evict the oldest entry among the lowest priority present; the
       // incoming arrival takes its place (even if it is itself low
@@ -59,7 +59,7 @@ bool AdmissionGate::Offer(Entry e, Entry* shed) {
       }
       *shed = std::move(entries_[victim]);
       entries_[victim] = std::move(e);
-      return false;
+      return {&entries_[victim], true};
     }
     case ShedPolicy::kDeadline: {
       // Shed the entry with the earliest absolute deadline — the work
@@ -85,17 +85,14 @@ bool AdmissionGate::Offer(Entry e, Entry* shed) {
           best_seq = entries_[i].seq;
         }
       }
-      if (victim == entries_.size()) {
-        *shed = std::move(e);
-        return false;
-      }
+      if (victim == entries_.size()) break;
       *shed = std::move(entries_[victim]);
       entries_[victim] = std::move(e);
-      return false;
+      return {&entries_[victim], true};
     }
   }
   *shed = std::move(e);
-  return false;
+  return {nullptr, true};
 }
 
 std::size_t AdmissionGate::BestIndex() const {
@@ -111,28 +108,27 @@ std::size_t AdmissionGate::BestIndex() const {
   return best;
 }
 
-AdmissionGate::Entry AdmissionGate::PopBest() {
-  const std::size_t i = BestIndex();
+AdmissionGate::Entry AdmissionGate::TakeAt(std::size_t i) {
   Entry out = std::move(entries_[i]);
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+  if (i + 1 != entries_.size()) entries_[i] = std::move(entries_.back());
+  entries_.pop_back();
   return out;
 }
+
+AdmissionGate::Entry AdmissionGate::PopBest() { return TakeAt(BestIndex()); }
 
 bool AdmissionGate::Remove(std::uint64_t seq, Entry* out) {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     if (entries_[i].seq == seq) {
-      *out = std::move(entries_[i]);
-      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+      *out = TakeAt(i);
       return true;
     }
   }
   return false;
 }
 
-std::size_t AdmissionGate::Clear() {
-  const std::size_t n = entries_.size();
-  entries_.clear();
-  return n;
+std::vector<AdmissionGate::Entry> AdmissionGate::Drain() {
+  return std::exchange(entries_, {});
 }
 
 }  // namespace unicc

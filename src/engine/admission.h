@@ -44,7 +44,9 @@ bool ParseShedPolicy(const std::string& token, ShedPolicy* out);
 // A bounded priority queue of parked arrivals. Pop order: highest
 // priority first, FIFO (admission sequence) within a priority. Linear
 // scans are fine: queue_limit is small (tens), and the gate is exercised
-// only under overload.
+// only under overload. Every choice is by (priority, seq), (deadline,
+// seq) or seq, a total order, so where an entry sits never matters and
+// removal swaps the last entry into the hole.
 class AdmissionGate {
  public:
   struct Entry {
@@ -54,9 +56,21 @@ class AdmissionGate {
     SimTime deadline = 0;
     // How many times this transaction has been shed and re-submitted.
     std::uint32_t resubmits = 0;
-    // Caller-assigned monotone sequence number; the FIFO tie-breaker and
+    // Caller-assigned unique sequence number; the FIFO tie-breaker and
     // the handle for Remove() (the caller keys expiry timers on it).
     std::uint64_t seq = 0;
+    // The caller's expiry event for this entry (0 = none). The gate only
+    // carries it, so the caller can disarm it when the entry leaves.
+    std::uint64_t timer = 0;
+  };
+
+  // Where an Offer() left things.
+  struct Offered {
+    // Where the offered entry now sits, or nullptr when it was shed
+    // itself. Valid until the gate next changes.
+    Entry* parked = nullptr;
+    // True when a victim (possibly the offered entry) went to `*shed`.
+    bool shed = false;
   };
 
   AdmissionGate(std::uint32_t queue_limit, ShedPolicy policy)
@@ -65,12 +79,10 @@ class AdmissionGate {
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
 
-  // Parks `e` (whose seq the caller has assigned, strictly increasing
-  // across offers). If the gate is full, applies the shed policy: returns
-  // false and writes the victim to `*shed` (which may be `e` itself under
-  // kDropNewest/kDeadline). Returns true when `e` was parked without
-  // shedding anyone.
-  bool Offer(Entry e, Entry* shed);
+  // Parks `e` (whose seq the caller has assigned, unique across offers).
+  // If the gate is full, applies the shed policy and moves the victim to
+  // `*shed` (which may be `e` itself under kDropNewest/kDeadline).
+  Offered Offer(Entry e, Entry* shed);
 
   // Removes and returns the best entry (highest priority, then lowest
   // seq). Pre: !empty().
@@ -80,11 +92,13 @@ class AdmissionGate {
   // Returns true and writes it to `*out` if present.
   bool Remove(std::uint64_t seq, Entry* out);
 
-  // Drops every parked entry (admission closed); returns how many.
-  std::size_t Clear();
+  // Removes and returns every parked entry (admission closed).
+  std::vector<Entry> Drain();
 
  private:
   std::size_t BestIndex() const;
+  // Moves entry `i` out, filling its place with the last entry.
+  Entry TakeAt(std::size_t i);
 
   std::uint32_t limit_;
   ShedPolicy policy_;

@@ -469,24 +469,26 @@ void Engine::OfferToGate(Arrival arrival, std::uint32_t resubmits) {
   const std::uint64_t seq = e.seq;
   const SimTime deadline = e.deadline;
   AdmissionGate::Entry shed;
-  if (gate_->Offer(std::move(e), &shed)) {
-    if (deadline != 0) {
-      sim_.ScheduleAt(deadline, [this, seq] { OnGateDeadline(seq); });
-    }
-    return;
+  const AdmissionGate::Offered offered = gate_->Offer(std::move(e), &shed);
+  if (offered.parked != nullptr && deadline != 0) {
+    offered.parked->timer =
+        sim_.ScheduleAt(deadline, [this, seq] { OnGateDeadline(seq); });
   }
-  // Gate full: someone was shed. If the survivor is the incoming entry
-  // (drop_oldest, or deadline evicting a parked victim), arm its timer;
-  // the victim's own pending timer, if any, becomes a no-op.
-  if (shed.seq != seq && deadline != 0) {
-    sim_.ScheduleAt(deadline, [this, seq] { OnGateDeadline(seq); });
+  if (offered.shed) {
+    DisarmGateTimer(shed);
+    HandleShed(std::move(shed));
   }
-  HandleShed(std::move(shed));
+}
+
+void Engine::DisarmGateTimer(const AdmissionGate::Entry& e) {
+  if (e.timer != 0) sim_.Cancel(e.timer);
 }
 
 void Engine::AdmitFromGate() {
   while (gate_ != nullptr && !gate_->empty() && !InflightAtCap()) {
-    AdmitArrival(std::move(gate_->PopBest().arrival));
+    AdmissionGate::Entry e = gate_->PopBest();
+    DisarmGateTimer(e);
+    AdmitArrival(std::move(e.arrival));
   }
 }
 
@@ -528,8 +530,9 @@ void Engine::HandleShed(AdmissionGate::Entry shed) {
 }
 
 void Engine::OnGateDeadline(std::uint64_t seq) {
+  // An entry's timer leaves the queue with it, so the entry is parked.
   AdmissionGate::Entry e;
-  if (gate_ == nullptr || !gate_->Remove(seq, &e)) return;  // gone already
+  UNICC_CHECK(gate_->Remove(seq, &e));
   // Never admitted: counts as expired work in the metrics but not against
   // the drain invariant.
   metrics_.OnExpired();
@@ -562,7 +565,9 @@ void Engine::CloseAdmission() {
   admission_closed_ = true;
   // Parked work is dropped silently, like the deferred arrival: past the
   // commit target it would never be admitted anyway.
-  if (gate_ != nullptr) gate_->Clear();
+  if (gate_ != nullptr) {
+    for (const AdmissionGate::Entry& e : gate_->Drain()) DisarmGateTimer(e);
+  }
   stream_.reset();
 }
 

@@ -207,6 +207,8 @@ class Engine {
   void OfferToGate(Arrival arrival, std::uint32_t resubmits);
   // Pops parked arrivals into freed MPL slots (best-first).
   void AdmitFromGate();
+  // Cancels the expiry event of an entry leaving the gate unexpired.
+  void DisarmGateTimer(const AdmissionGate::Entry& e);
   // A shed victim: count it and schedule a re-submission when configured.
   void HandleShed(AdmissionGate::Entry shed);
   // Expiry of a *parked* entry (never admitted: counts expired in metrics

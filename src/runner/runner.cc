@@ -247,6 +247,15 @@ RunReport RunSession::Run() {
   if (request_.arrival_stream != nullptr) {
     forced_ = request_.forced;
     stream = std::move(request_.arrival_stream);
+    // A closed system admits a replay as the live run admits its workload:
+    // as a batch, where each arrival reserves its sequence number when it
+    // is queued. Streamed, each would draw one when pulled, after events
+    // scheduled in between, and ties would break differently.
+    if (!spec_.IsOpenSystem()) {
+      built.arrivals = DrainStream(*stream);
+      arrivals = &built.arrivals;
+      stream.reset();
+    }
   } else if (arrivals != nullptr) {
     forced_ = request_.forced;
     // An open system admits replayed arrivals through its [run] controls,

@@ -84,9 +84,10 @@ struct RunRequest {
   // set.
   const std::vector<WorkloadGenerator::Arrival>* arrivals = nullptr;
   // Streaming replay: pull arrivals from this stream instead (the UCTC v2
-  // trace-replay path — feeds streaming admission without materializing
-  // the run). Mutually exclusive with `arrivals`; `forced` applies to
-  // either.
+  // trace-replay path). An open-system spec feeds it to streaming
+  // admission without materializing the run; a closed one drains it into
+  // a batch, like `arrivals`. Mutually exclusive with `arrivals`; `forced`
+  // applies to either.
   std::unique_ptr<ArrivalStream> arrival_stream;
   std::shared_ptr<const std::unordered_set<TxnId>> forced;
 };

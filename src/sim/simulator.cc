@@ -6,16 +6,10 @@
 
 namespace unicc {
 
-namespace {
-// 8-ary heap: shallower than binary for the same size, so the pop path
-// touches fewer cache lines; children of i are [8i+1, 8i+8].
-constexpr std::size_t kArity = 8;
-}  // namespace
-
 std::uint32_t Simulator::AcquireSlot() {
   if (free_head_ != kNilIndex) {
     const std::uint32_t idx = free_head_;
-    free_head_ = slots_[idx].next_free;
+    free_head_ = slots_[idx].next;
     return idx;
   }
   UNICC_CHECK_MSG(slots_.size() < (1u << kSlotBits),
@@ -27,97 +21,44 @@ std::uint32_t Simulator::AcquireSlot() {
 void Simulator::ReleaseSlot(std::uint32_t idx) {
   Slot& s = slots_[idx];
   ++s.gen;  // stale ids held by callers can no longer reach this slot
-  s.next_free = free_head_;
+  s.next = free_head_;
   free_head_ = idx;
 }
 
 void Simulator::CheckReserved(SimTime when, std::uint64_t seq) const {
   UNICC_CHECK_MSG(seq < next_seq_, "sequence number was never drawn");
-  UNICC_CHECK_MSG(events_run_ == 0 || KeyOf(when, seq) > running_key_,
+  UNICC_CHECK_MSG(events_run_ == 0 || KeyOf(when, seq) > base_,
                   "reserved key sorts before the running event");
 }
 
 std::uint64_t Simulator::FinishSchedule(SimTime when, std::uint64_t seq,
                                         std::uint32_t idx) {
   UNICC_CHECK(when >= now_);
-  const HeapEntry entry{KeyOf(when, seq) | idx};
-  if (entry.key < horizon_) {
-    HeapPush(entry);
-  } else {
-    far_.push_back(entry);
-  }
+  slots_[idx].key = KeyOf(when, seq) | idx;
+  Link(idx);
   ++live_;
   return (static_cast<std::uint64_t>(slots_[idx].gen) << 32) | idx;
 }
 
-void Simulator::HeapPush(HeapEntry entry) {
-  // Hole insertion: shift losing parents down instead of swapping, so each
-  // level moves one entry, not three.
-  std::size_t i = near_.size();
-  near_.push_back(entry);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kArity;
-    if (!entry.Before(near_[parent])) break;
-    near_[i] = near_[parent];
-    i = parent;
-  }
-  near_[i] = entry;
+void Simulator::Link(std::uint32_t idx) {
+  Slot& s = slots_[idx];
+  const Key diff = s.key ^ base_;
+  const auto hi = static_cast<std::uint64_t>(diff >> 64);
+  const auto lo = static_cast<std::uint64_t>(diff);
+  // 1 + the index of the highest differing bit; 0 when there is none.
+  const int b = hi != 0   ? 128 - __builtin_clzll(hi)
+                : lo != 0 ? 64 - __builtin_clzll(lo)
+                          : 0;
+  s.next = head_[b];
+  head_[b] = idx;
+  mask_[b / 64] |= 1ULL << (b % 64);
 }
 
-void Simulator::SiftDown(std::size_t i, HeapEntry moved) {
-  const std::size_t n = near_.size();
-  const HeapEntry* h = near_.data();
-  for (;;) {
-    const std::size_t first = kArity * i + 1;
-    if (first >= n) break;
-    const std::size_t last = std::min(first + kArity, n);
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (h[c].Before(h[best])) best = c;
-    }
-    if (!h[best].Before(moved)) break;
-    near_[i] = near_[best];
-    i = best;
+int Simulator::LowestBucket() const {
+  for (int w = 0; w < (kBuckets + 63) / 64; ++w) {
+    if (mask_[w] != 0) return 64 * w + __builtin_ctzll(mask_[w]);
   }
-  near_[i] = moved;
-}
-
-void Simulator::HeapPopRoot() {
-  const HeapEntry moved = near_.back();
-  near_.pop_back();
-  if (near_.empty()) return;
-  SiftDown(0, moved);
-}
-
-void Simulator::MigrateBand() {
-  // Pick the next band: an eighth of the far pool's time span past its
-  // minimum (at least one tick), so roughly an eighth of far_ migrates per
-  // call and a far event is rescanned a bounded number of times.
-  SimTime lo = static_cast<SimTime>(far_[0].key >> 64);
-  SimTime hi = lo;
-  for (const HeapEntry& e : far_) {
-    const SimTime w = static_cast<SimTime>(e.key >> 64);
-    lo = std::min(lo, w);
-    hi = std::max(hi, w);
-  }
-  const SimTime band = std::max<SimTime>((hi - lo) / 8, 1);
-  if (lo > std::numeric_limits<SimTime>::max() - band) {
-    // Band reaches the end of the time axis: take everything. No real key
-    // reaches all-ones (seq is capped well below 2^40).
-    horizon_ = ~static_cast<unsigned __int128>(0);
-  } else {
-    horizon_ = static_cast<unsigned __int128>(lo + band) << 64;
-  }
-  auto mid = std::partition(far_.begin(), far_.end(), [this](
-                                const HeapEntry& e) {
-    return e.key < horizon_;
-  });
-  near_.assign(far_.begin(), mid);
-  far_.erase(far_.begin(), mid);
-  // Floyd heapify: cheaper than pushing one by one.
-  for (std::size_t i = near_.size(); i-- > 0;) {
-    SiftDown(i, near_[i]);
-  }
+  return -1;
 }
 
 bool Simulator::Cancel(std::uint64_t event_id) {
@@ -128,35 +69,58 @@ bool Simulator::Cancel(std::uint64_t event_id) {
   // An empty fn with a matching generation means the event already ran, was
   // cancelled, or is executing right now; all three refuse the cancel.
   if (s.gen != gen || !s.fn) return false;
-  s.fn.Reset();  // release captures now, not when the placeholder pops
+  s.fn.Reset();  // release captures now, not when the placeholder is freed
   --live_;
   return true;
 }
 
 bool Simulator::Step(SimTime until) {
-  while (!near_.empty() || !far_.empty()) {
-    if (near_.empty()) MigrateBand();
-    const HeapEntry top = near_[0];
-    const std::uint32_t idx = top.Slot();
-    Slot& s = slots_[idx];
-    if (!s.fn) {
-      // Cancelled placeholder: free it whenever it surfaces.
-      HeapPopRoot();
-      ReleaseSlot(idx);
+  for (int b = LowestBucket(); b >= 0; b = LowestBucket()) {
+    // One pass over the lowest bucket, which holds the smallest keys:
+    // free its cancelled placeholders and find its minimum.
+    std::uint32_t* link = &head_[b];
+    std::uint32_t* min_link = nullptr;
+    Key min_key = ~Key{0};  // above every real key: seq < kSeqLimit
+    while (*link != kNilIndex) {
+      const std::uint32_t idx = *link;
+      Slot& s = slots_[idx];
+      if (!s.fn) {
+        *link = s.next;
+        ReleaseSlot(idx);
+        continue;
+      }
+      if (s.key < min_key) {
+        min_key = s.key;
+        min_link = link;
+      }
+      link = &s.next;
+    }
+    if (min_link == nullptr) {  // only placeholders: the bucket is empty
+      mask_[b / 64] &= ~(1ULL << (b % 64));
       continue;
     }
-    const SimTime when = top.When();
+    const std::uint32_t idx = *min_link;
+    Slot& s = slots_[idx];
+    const SimTime when = static_cast<SimTime>(s.key >> 64);
+    // Not due: it stays queued, and the base stays where it was, so later
+    // events may still be scheduled before it.
     if (when > until) return false;
+    *min_link = s.next;
+    base_ = s.key & ~static_cast<Key>(kSlotMask);
+    // Relative to the new base, the rest of the bucket lands lower down.
+    std::uint32_t rest = head_[b];
+    head_[b] = kNilIndex;
+    mask_[b / 64] &= ~(1ULL << (b % 64));
+    while (rest != kNilIndex) {
+      const std::uint32_t next = slots_[rest].next;
+      Link(rest);
+      rest = next;
+    }
     EventFn fn = std::move(s.fn);
     now_ = when;
-    running_key_ = top.key & ~static_cast<unsigned __int128>(kSlotMask);
-    HeapPopRoot();
     ReleaseSlot(idx);
     --live_;
     ++events_run_;
-    // The next pop's slot is known now; overlap its (random-access) load
-    // with the callback's work.
-    if (!near_.empty()) __builtin_prefetch(&slots_[near_[0].Slot()]);
     fn();
     return true;
   }
@@ -174,15 +138,14 @@ std::uint64_t Simulator::RunUntil(SimTime until) {
 }
 
 SimTime Simulator::NextEventTime() const {
-  if (!near_.empty()) return near_.front().When();
-  if (far_.empty()) return kNoPending;
-  // The far pool is unsorted; a window boundary only needs the minimum, and
-  // hitting this path at all means the near band drained, which is rare.
-  SimTime best = far_.front().When();
-  for (std::size_t i = 1; i < far_.size(); ++i) {
-    best = std::min(best, far_[i].When());
+  const int b = LowestBucket();
+  if (b < 0) return kNoPending;
+  Key min = slots_[head_[b]].key;
+  for (std::uint32_t i = slots_[head_[b]].next; i != kNilIndex;
+       i = slots_[i].next) {
+    min = std::min(min, slots_[i].key);
   }
-  return best;
+  return static_cast<SimTime>(min >> 64);
 }
 
 std::uint64_t Simulator::RunToCompletion(std::uint64_t max_events) {

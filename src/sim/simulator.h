@@ -5,18 +5,20 @@
 // reproducible.
 //
 // Hot-path design (see docs/performance.md): events live in a free-listed
-// slot arena and are ordered by a banded 8-ary heap of 16-byte
-// (time, seq|slot) entries, so the steady-state schedule/run cycle
-// recycles slots and performs no heap allocation — callbacks are stored
-// in place via a small-buffer-optimized EventFn, constructed directly in
-// their slot.
+// slot arena and are ordered by a monotone radix heap over their 128-bit
+// (time, seq, slot) keys, threaded through the arena — each pending slot
+// holds its key and the link to the next slot of its bucket — so the
+// steady-state schedule/run cycle recycles slots and performs no heap
+// allocation. Callbacks are stored in place via a small-buffer-optimized
+// EventFn, constructed directly in their slot.
 // Cancel() is an O(1) slot disarm: the callback is destroyed immediately
-// and only an inert placeholder stays in the heap until popped, so
-// PendingEvents() never counts cancelled events. Event ids carry a
+// and only an inert placeholder stays queued until a pop scans its bucket,
+// so PendingEvents() never counts cancelled events. Event ids carry a
 // generation tag, so a stale id can never cancel the slot's next tenant.
 #ifndef UNICC_SIM_SIMULATOR_H_
 #define UNICC_SIM_SIMULATOR_H_
 
+#include <array>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -29,7 +31,7 @@ namespace unicc {
 
 class Simulator {
  public:
-  Simulator() = default;
+  Simulator() { head_.fill(kNilIndex); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -92,7 +94,8 @@ class Simulator {
 
   // Cancels a pending event in O(1). Returns false if it already ran or
   // was cancelled. The callback is destroyed immediately (its captures are
-  // released); only an inert placeholder stays in the heap until popped.
+  // released); only an inert placeholder stays queued until a pop scans
+  // its bucket and frees it.
   bool Cancel(std::uint64_t event_id);
 
   // Runs events until no live event remains at or before `until`. Events
@@ -116,8 +119,8 @@ class Simulator {
   // Earliest queued event time, or kNoPending when the queue is empty.
   // Cancelled placeholders count: the result is a conservative lower bound
   // on the next live event, which is what a sliced run loop (the engine's
-  // watchdog) needs (RunUntil frees placeholders at the top, so progress
-  // is still guaranteed).
+  // watchdog) needs (RunUntil frees the placeholders it meets, so progress
+  // is still guaranteed). Only reads: the queue is left as it was.
   SimTime NextEventTime() const;
 
   // Total events executed so far (cancelled events never count).
@@ -129,44 +132,36 @@ class Simulator {
   std::size_t ArenaSlots() const { return slots_.size(); }
 
  private:
-  struct Slot {
-    EventFn fn;                   // non-empty iff the event is pending
-    std::uint32_t gen = 1;        // generation tag in the event id
-    std::uint32_t next_free = 0;  // free-list link (valid when free)
-  };
+  // Keys pack (when << 64) | (seq << kSlotBits) | slot. Every seq comes
+  // from one counter (ScheduleAt draws it, ReserveSeq hands it out) and
+  // ScheduleAt uses it once; as long as ScheduleReserved callers keep
+  // their once-only contract, comparing keys compares (when, seq) — the
+  // slot bits never decide — a total order: runs are bit-reproducible.
+  using Key = unsigned __int128;
 
-  // 16-byte heap entries: one 128-bit key packing (when << 64) |
-  // (seq << kSlotBits) | slot. Every seq comes from one counter
-  // (ScheduleAt draws it, ReserveSeq hands it out) and ScheduleAt uses it
-  // once; as long as ScheduleReserved callers keep their once-only
-  // contract, comparing keys compares (when, seq) — the slot bits never
-  // decide — a total order: runs are bit-reproducible. A single wide
-  // compare keeps the sift loops branch-cheap.
-  struct HeapEntry {
-    unsigned __int128 key;
-
-    SimTime When() const {
-      return static_cast<SimTime>(key >> 64);
-    }
-    std::uint32_t Slot() const {
-      return static_cast<std::uint32_t>(key) & kSlotMask;
-    }
-    bool Before(const HeapEntry& o) const { return key < o.key; }
+  struct alignas(64) Slot {
+    EventFn fn;                      // non-empty iff the event is pending
+    Key key = 0;                     // valid while queued
+    std::uint32_t gen = 1;           // generation tag in the event id
+    std::uint32_t next = kNilIndex;  // bucket link while queued, free-list
+                                     // link while free
   };
+  static_assert(sizeof(Slot) == 64, "a slot should fill one cache line");
 
   static constexpr std::uint32_t kSlotBits = 24;  // 16M concurrent events
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
   static constexpr std::uint64_t kSeqLimit = 1ULL << (64 - kSlotBits);
   static constexpr std::uint32_t kNilIndex = 0xffffffffu;
+  static constexpr int kBuckets = 129;
 
-  // (when, seq) as a heap key with empty slot bits.
-  static unsigned __int128 KeyOf(SimTime when, std::uint64_t seq) {
-    return (static_cast<unsigned __int128>(when) << 64) | (seq << kSlotBits);
+  // (when, seq) as a key with empty slot bits.
+  static Key KeyOf(SimTime when, std::uint64_t seq) {
+    return (static_cast<Key>(when) << 64) | (seq << kSlotBits);
   }
 
-  // Executes the top live event if due at/before `until`; returns false
-  // when no live event is due. Cancelled placeholders encountered at the
-  // top are freed along the way regardless of their timestamp.
+  // Runs the earliest live event if due at/before `until`; returns false
+  // when no live event is due. Cancelled placeholders in the scanned
+  // bucket are freed along the way regardless of their timestamp.
   bool Step(SimTime until);
 
   std::uint32_t AcquireSlot();
@@ -175,34 +170,28 @@ class Simulator {
   void CheckReserved(SimTime when, std::uint64_t seq) const;
   std::uint64_t FinishSchedule(SimTime when, std::uint64_t seq,
                                std::uint32_t idx);
-  void HeapPush(HeapEntry entry);
-  void HeapPopRoot();
-  // Shared sift-down of `moved` from hole `i` (pop path and Floyd
-  // heapify in MigrateBand).
-  void SiftDown(std::size_t i, HeapEntry moved);
-  // Refills the near heap from the far pool: picks the next time band,
-  // partitions far_ by it and heapifies the near side. Requires far_
-  // non-empty; guarantees near_ non-empty afterwards.
-  void MigrateBand();
+  // Pushes queued slot `idx` onto the bucket of its key.
+  void Link(std::uint32_t idx);
+  // Lowest non-empty bucket (it holds the smallest keys), or -1.
+  int LowestBucket() const;
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_run_ = 0;
-  // KeyOf(when, seq) of the event now running, or of the last one run;
-  // meaningful once events_run_ > 0.
-  unsigned __int128 running_key_ = 0;
   std::size_t live_ = 0;
   std::vector<Slot> slots_;  // slot arena, grows to peak load
-  // Two-band event queue: events below `horizon_` live in the near
-  // 8-ary min-heap (kept small, so sift depth stays shallow and
-  // cache-hot);
-  // everything else is an O(1) append into the unsorted far pool. When
-  // the near heap drains, MigrateBand() advances the horizon. Ordering is
-  // exact: the near heap always holds every pending key < horizon_.
-  std::vector<HeapEntry> near_;
-  std::vector<HeapEntry> far_;
-  unsigned __int128 horizon_ = 0;  // exclusive upper bound on near_ keys
   std::uint32_t free_head_ = kNilIndex;
+  // The radix base: KeyOf(when, seq) of the event now running, or of the
+  // last one run (0 before the first). It moves only when an event runs,
+  // and no key is ever scheduled below it (CheckReserved, and fresh seqs
+  // for the rest), so the heap stays monotone.
+  Key base_ = 0;
+  // Bucket b > 0 holds the queued keys whose highest bit differing from
+  // base_ is bit b - 1, as a list through Slot::next; bucket 0 holds keys
+  // equal to it. Every key of a bucket is below every key of a higher
+  // one. Bit b of mask_ is set iff bucket b is non-empty.
+  std::array<std::uint32_t, kBuckets> head_;
+  std::uint64_t mask_[(kBuckets + 63) / 64] = {};
 };
 
 }  // namespace unicc

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -40,10 +41,10 @@ class ArrivalStream {
 // batch and trace-replay paths).
 std::unique_ptr<ArrivalStream> MakeVectorStream(std::vector<Arrival> arrivals);
 
-// Drains `stream` into a vector (at most `max` arrivals as a safety cap
-// against unbounded streams).
-std::vector<Arrival> DrainStream(ArrivalStream& stream,
-                                 std::size_t max = 1u << 24);
+// Drains `stream` into a vector: every arrival, or the first `max`.
+std::vector<Arrival> DrainStream(
+    ArrivalStream& stream,
+    std::size_t max = std::numeric_limits<std::size_t>::max());
 
 // Pulls every arrival out of `stream` and hands it to `fn`; returns the
 // number pumped. The streaming record path (generator -> trace writer)

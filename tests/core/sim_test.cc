@@ -2,14 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
 #include "common/event_fn.h"
 #include "common/rng.h"
+
+// Every heap allocation in this test binary, so a test can assert that a
+// stretch of simulation made none.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t n, std::size_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = nullptr;
+  if (posix_memalign(&p, std::max(align, sizeof(void*)), n == 0 ? 1 : n) !=
+      0) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t n) {
+  return CountedAlloc(n, __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+}
+void* operator new(std::size_t n, std::align_val_t a) {
+  return CountedAlloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace unicc {
 namespace {
@@ -187,6 +219,29 @@ TEST(SimulatorTest, RunUntilHoldsClockWhenLiveEventsRemain) {
   EXPECT_EQ(sim.Now(), 10u);  // not 100: a live event still waits at 200
 }
 
+TEST(SimulatorTest, RunUntilLeavesRoomBeforeAStoppedTop) {
+  // RunUntil(100) stops before the live event at 200 and frees the
+  // cancelled placeholder at 150 on the way. Neither may move the queue's
+  // ordering base past 100: events scheduled afterwards at 120 must still
+  // run before 200, and in scheduling order.
+  Simulator sim;
+  std::vector<int> order;
+  sim.Schedule(10, [&] { order.push_back(1); });
+  sim.Schedule(200, [&] { order.push_back(4); });
+  sim.Cancel(sim.Schedule(150, [&] { order.push_back(-1); }));
+  EXPECT_EQ(sim.RunUntil(100), 1u);
+  EXPECT_EQ(sim.Now(), 10u);
+  EXPECT_EQ(sim.NextEventTime(), 200u);  // the placeholder is gone
+  const std::size_t slots = sim.ArenaSlots();
+  sim.ScheduleAt(120, [&] { order.push_back(2); });
+  sim.ScheduleAt(120, [&] { order.push_back(3); });
+  // Both reuse freed slots: the one event 1 ran in and the placeholder's.
+  EXPECT_EQ(sim.ArenaSlots(), slots);
+  EXPECT_EQ(sim.NextEventTime(), 120u);
+  sim.RunToCompletion();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
 TEST(SimulatorDeathTest, MaxEventsCapAbortsOnLivelock) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto livelock = [] {
@@ -214,6 +269,42 @@ TEST(SimulatorTest, ArenaSlotsStaySteadyUnderConstantLoad) {
   // The zero-allocation property of the schedule/run cycle: constant load
   // must recycle slots, not grow the arena.
   EXPECT_EQ(sim.ArenaSlots(), warm);
+}
+
+TEST(SimulatorTest, SteadyLoadAllocatesNothingOnceWarm) {
+  // A closed loop of 256 clients, each rescheduling itself at a random
+  // delay spanning 1 us to 2^20 us, so keys move through every bucket
+  // level; a tenth of the events also arm a timer and cancel it. Once the
+  // arena has grown to peak load, the cycle must allocate nothing.
+  Simulator sim;
+  Rng rng(5);
+  std::uint64_t runs = 0;
+  auto delay = [&rng] {
+    return static_cast<Duration>(
+        1 + rng.UniformInt(Duration{1} << rng.UniformInt(21)));
+  };
+  struct Client {
+    Simulator* sim;
+    std::uint64_t* runs;
+    decltype(delay)* next;
+    void operator()() const {
+      ++*runs;
+      if (*runs % 10 == 0) sim->Cancel(sim->Schedule((*next)(), [] {}));
+      sim->Schedule((*next)(), *this);
+    }
+  };
+  static_assert(EventFn::stores_inline<Client>());
+  for (int i = 0; i < 256; ++i) {
+    sim.Schedule(delay(), Client{&sim, &runs, &delay});
+  }
+  sim.RunUntil(sim.Now() + (Duration{1} << 24));  // warm up
+  const std::uint64_t allocs = g_allocations.load();
+  ASSERT_GT(allocs, 0u);  // the counter sees this binary's allocations
+  const std::uint64_t warm_runs = runs;
+  sim.RunUntil(sim.Now() + (Duration{1} << 26));
+  EXPECT_EQ(g_allocations.load() - allocs, 0u);
+  EXPECT_GT(runs - warm_runs, 100'000u);
+  EXPECT_EQ(sim.PendingEvents(), 256u);
 }
 
 TEST(SimulatorTest, ReservedEventBreaksTiesByReservationOrder) {
@@ -268,10 +359,11 @@ TEST(SimulatorDeathTest, ScheduleReservedRejectsKeyBeforeRunningEvent) {
   EXPECT_DEATH(backwards(), "sorts before the running event");
 }
 
-// Model-based check of the banded event queue: random schedule / reserve /
+// Model-based check of the radix event queue: random schedule / reserve /
 // cancel / run interleavings must execute events in exactly the (time, seq)
 // order a naive reference queue produces. A reserved event is keyed by the
-// number it reserved, not by when it was scheduled.
+// number it reserved, not by when it was scheduled. Delays and run slices
+// span 0 to 2^20 us, log-uniformly, so keys land in every bucket level.
 TEST(SimulatorTest, RandomOpsMatchReferenceModel) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Simulator sim;
@@ -287,6 +379,9 @@ TEST(SimulatorTest, RandomOpsMatchReferenceModel) {
     // Reservations not yet used: (simulator number, model seq).
     std::vector<std::pair<std::uint64_t, std::uint64_t>> reserved;
     Key last_run{0, 0};  // key of the last event the model ran
+    auto span = [&rng] {
+      return rng.UniformInt(Duration{1} << rng.UniformInt(21));
+    };
     auto run_model_front = [&] {
       last_run = model.begin()->first;
       want.push_back(model.begin()->second);
@@ -296,7 +391,7 @@ TEST(SimulatorTest, RandomOpsMatchReferenceModel) {
     for (int step = 0; step < 3000; ++step) {
       const int action = static_cast<int>(rng.UniformInt(100));
       if (action < 45) {
-        const Duration delay = rng.UniformInt(500);
+        const Duration delay = span();
         const int tag = next_tag++;
         ids[tag] = sim.Schedule(delay, [&got, tag] { got.push_back(tag); });
         model.emplace(Key{sim.Now() + delay, seq++}, tag);
@@ -308,7 +403,7 @@ TEST(SimulatorTest, RandomOpsMatchReferenceModel) {
         const std::size_t pick = rng.UniformInt(reserved.size());
         const auto [number, model_seq] = reserved[pick];
         reserved.erase(reserved.begin() + static_cast<long>(pick));
-        SimTime when = sim.Now() + rng.UniformInt(500);
+        SimTime when = sim.Now() + span();
         if (Key{when, model_seq} < last_run) ++when;
         const int tag = next_tag++;
         ids[tag] = sim.ScheduleReserved(when, number,
@@ -322,7 +417,7 @@ TEST(SimulatorTest, RandomOpsMatchReferenceModel) {
         model.erase(it);
       } else if (action < 90) {
         // Run a bounded slice of time.
-        const SimTime until = sim.Now() + rng.UniformInt(300);
+        const SimTime until = sim.Now() + span();
         sim.RunUntil(until);
         while (!model.empty() && model.begin()->first.first <= until) {
           run_model_front();

@@ -9,8 +9,16 @@
 // [run]/[class] keys.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <numeric>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "engine/admission.h"
 #include "runner/runner.h"
 #include "scenario/scenario.h"
@@ -46,10 +54,10 @@ TEST(ShedPolicyTest, TokensRoundTrip) {
 TEST(AdmissionGateTest, PopsByPriorityThenFifo) {
   AdmissionGate gate(8, ShedPolicy::kDropNewest);
   AdmissionGate::Entry shed;
-  ASSERT_TRUE(gate.Offer(E(1, 0), &shed));
-  ASSERT_TRUE(gate.Offer(E(2, 2), &shed));
-  ASSERT_TRUE(gate.Offer(E(3, 1), &shed));
-  ASSERT_TRUE(gate.Offer(E(4, 2), &shed));
+  ASSERT_FALSE(gate.Offer(E(1, 0), &shed).shed);
+  ASSERT_FALSE(gate.Offer(E(2, 2), &shed).shed);
+  ASSERT_FALSE(gate.Offer(E(3, 1), &shed).shed);
+  ASSERT_FALSE(gate.Offer(E(4, 2), &shed).shed);
   EXPECT_EQ(gate.PopBest().seq, 2u);  // highest priority, oldest first
   EXPECT_EQ(gate.PopBest().seq, 4u);
   EXPECT_EQ(gate.PopBest().seq, 3u);
@@ -60,9 +68,9 @@ TEST(AdmissionGateTest, PopsByPriorityThenFifo) {
 TEST(AdmissionGateTest, DropNewestShedsTheIncomingArrival) {
   AdmissionGate gate(2, ShedPolicy::kDropNewest);
   AdmissionGate::Entry shed;
-  ASSERT_TRUE(gate.Offer(E(1), &shed));
-  ASSERT_TRUE(gate.Offer(E(2), &shed));
-  EXPECT_FALSE(gate.Offer(E(3, /*priority=*/9), &shed));
+  ASSERT_FALSE(gate.Offer(E(1), &shed).shed);
+  ASSERT_FALSE(gate.Offer(E(2), &shed).shed);
+  EXPECT_TRUE(gate.Offer(E(3, /*priority=*/9), &shed).shed);
   EXPECT_EQ(shed.seq, 3u);  // even a high-priority arrival: newest loses
   EXPECT_EQ(gate.size(), 2u);
 }
@@ -70,12 +78,12 @@ TEST(AdmissionGateTest, DropNewestShedsTheIncomingArrival) {
 TEST(AdmissionGateTest, DropOldestEvictsOldestLowestPriority) {
   AdmissionGate gate(3, ShedPolicy::kDropOldest);
   AdmissionGate::Entry shed;
-  ASSERT_TRUE(gate.Offer(E(1, 1), &shed));
-  ASSERT_TRUE(gate.Offer(E(2, 0), &shed));
-  ASSERT_TRUE(gate.Offer(E(3, 0), &shed));
+  ASSERT_FALSE(gate.Offer(E(1, 1), &shed).shed);
+  ASSERT_FALSE(gate.Offer(E(2, 0), &shed).shed);
+  ASSERT_FALSE(gate.Offer(E(3, 0), &shed).shed);
   // Victim is seq 2: oldest among the lowest priority present (0), not
   // the globally oldest seq 1 (priority 1).
-  EXPECT_FALSE(gate.Offer(E(4, 0), &shed));
+  EXPECT_TRUE(gate.Offer(E(4, 0), &shed).shed);
   EXPECT_EQ(shed.seq, 2u);
   EXPECT_EQ(gate.size(), 3u);
   EXPECT_EQ(gate.PopBest().seq, 1u);
@@ -86,48 +94,191 @@ TEST(AdmissionGateTest, DropOldestEvictsOldestLowestPriority) {
 TEST(AdmissionGateTest, DeadlineShedsEarliestDeadline) {
   AdmissionGate gate(2, ShedPolicy::kDeadline);
   AdmissionGate::Entry shed;
-  ASSERT_TRUE(gate.Offer(E(1, 0, /*deadline=*/100), &shed));
-  ASSERT_TRUE(gate.Offer(E(2, 0, /*deadline=*/300), &shed));
+  ASSERT_FALSE(gate.Offer(E(1, 0, /*deadline=*/100), &shed).shed);
+  ASSERT_FALSE(gate.Offer(E(2, 0, /*deadline=*/300), &shed).shed);
   // The parked entry at 100 is the least likely to make it; the incoming
   // arrival (deadline 200) takes its slot.
-  EXPECT_FALSE(gate.Offer(E(3, 0, /*deadline=*/200), &shed));
+  EXPECT_TRUE(gate.Offer(E(3, 0, /*deadline=*/200), &shed).shed);
   EXPECT_EQ(shed.seq, 1u);
   // Now 200 (seq 3) and 300 (seq 2) are parked; an incoming arrival with
   // the earliest deadline sheds itself.
-  EXPECT_FALSE(gate.Offer(E(4, 0, /*deadline=*/150), &shed));
+  EXPECT_TRUE(gate.Offer(E(4, 0, /*deadline=*/150), &shed).shed);
   EXPECT_EQ(shed.seq, 4u);
 }
 
 TEST(AdmissionGateTest, DeadlineTreatsZeroAsInfinitelyPatient) {
   AdmissionGate gate(2, ShedPolicy::kDeadline);
   AdmissionGate::Entry shed;
-  ASSERT_TRUE(gate.Offer(E(1, 0, /*deadline=*/0), &shed));
-  ASSERT_TRUE(gate.Offer(E(2, 0, /*deadline=*/500), &shed));
+  ASSERT_FALSE(gate.Offer(E(1, 0, /*deadline=*/0), &shed).shed);
+  ASSERT_FALSE(gate.Offer(E(2, 0, /*deadline=*/500), &shed).shed);
   // A deadline-free entry is never chosen over a deadlined one: the
   // victim is the incoming arrival (400), not parked seq 1.
-  EXPECT_FALSE(gate.Offer(E(3, 0, /*deadline=*/400), &shed));
+  EXPECT_TRUE(gate.Offer(E(3, 0, /*deadline=*/400), &shed).shed);
   EXPECT_EQ(shed.seq, 3u);
   // All deadline-free: the oldest seq loses first.
   AdmissionGate patient(2, ShedPolicy::kDeadline);
-  ASSERT_TRUE(patient.Offer(E(7), &shed));
-  ASSERT_TRUE(patient.Offer(E(8), &shed));
-  EXPECT_FALSE(patient.Offer(E(9), &shed));
+  ASSERT_FALSE(patient.Offer(E(7), &shed).shed);
+  ASSERT_FALSE(patient.Offer(E(8), &shed).shed);
+  EXPECT_TRUE(patient.Offer(E(9), &shed).shed);
   EXPECT_EQ(shed.seq, 7u);
 }
 
-TEST(AdmissionGateTest, RemoveBySequenceAndClear) {
+TEST(AdmissionGateTest, RemoveBySequenceAndDrain) {
   AdmissionGate gate(4, ShedPolicy::kDropNewest);
   AdmissionGate::Entry shed;
-  ASSERT_TRUE(gate.Offer(E(1), &shed));
-  ASSERT_TRUE(gate.Offer(E(2), &shed));
-  ASSERT_TRUE(gate.Offer(E(3), &shed));
+  ASSERT_FALSE(gate.Offer(E(1), &shed).shed);
+  ASSERT_FALSE(gate.Offer(E(2), &shed).shed);
+  ASSERT_FALSE(gate.Offer(E(3), &shed).shed);
   AdmissionGate::Entry out;
   EXPECT_TRUE(gate.Remove(2, &out));
   EXPECT_EQ(out.seq, 2u);
   EXPECT_FALSE(gate.Remove(2, &out));  // already gone
   EXPECT_FALSE(gate.Remove(99, &out));
-  EXPECT_EQ(gate.Clear(), 2u);
+  std::vector<std::uint64_t> drained;
+  for (const AdmissionGate::Entry& e : gate.Drain()) drained.push_back(e.seq);
+  std::sort(drained.begin(), drained.end());
+  EXPECT_EQ(drained, (std::vector<std::uint64_t>{1, 3}));
   EXPECT_TRUE(gate.empty());
+}
+
+TEST(AdmissionGateTest, OfferReportsWhereTheEntryWasParked) {
+  AdmissionGate gate(2, ShedPolicy::kDropOldest);
+  AdmissionGate::Entry shed;
+  AdmissionGate::Offered o = gate.Offer(E(1), &shed);
+  ASSERT_NE(o.parked, nullptr);
+  EXPECT_EQ(o.parked->seq, 1u);
+  o.parked->timer = 11;  // the caller arms the entry's timer in place
+  gate.Offer(E(2), &shed).parked->timer = 12;
+  // Full: seq 1 is evicted and seq 3 takes its place.
+  o = gate.Offer(E(3), &shed);
+  ASSERT_TRUE(o.shed);
+  EXPECT_EQ(shed.seq, 1u);
+  EXPECT_EQ(shed.timer, 11u);  // the victim carries its timer out
+  ASSERT_NE(o.parked, nullptr);
+  EXPECT_EQ(o.parked->seq, 3u);
+  EXPECT_EQ(o.parked->timer, 0u);
+  // A shed incoming entry is parked nowhere.
+  AdmissionGate newest(1, ShedPolicy::kDropNewest);
+  ASSERT_NE(newest.Offer(E(1), &shed).parked, nullptr);
+  o = newest.Offer(E(2), &shed);
+  EXPECT_TRUE(o.shed);
+  EXPECT_EQ(o.parked, nullptr);
+  EXPECT_EQ(shed.seq, 2u);
+}
+
+// Model check: random offer / pop / remove / drain sequences under each
+// shed policy must match a reference that keeps the parked entries sorted
+// in pop order and picks every victim by the policy's total order. Seqs
+// are unique but offered in random order, and removals reshuffle the
+// gate, so nothing may depend on where an entry sits.
+TEST(AdmissionGateTest, RandomOpsMatchSortedReference) {
+  struct PopOrder {  // highest priority first, then lowest seq
+    bool operator()(const AdmissionGate::Entry& a,
+                    const AdmissionGate::Entry& b) const {
+      if (a.priority != b.priority) return a.priority > b.priority;
+      return a.seq < b.seq;
+    }
+  };
+  auto patience = [](const AdmissionGate::Entry& e) {
+    return std::make_pair(e.deadline == 0 ? ~SimTime{0} : e.deadline, e.seq);
+  };
+  for (ShedPolicy policy : {ShedPolicy::kDropNewest, ShedPolicy::kDropOldest,
+                            ShedPolicy::kDeadline}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(std::string(ShedPolicyToken(policy)) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed * 7919 + static_cast<std::uint64_t>(policy));
+      const auto limit = static_cast<std::uint32_t>(1 + rng.UniformInt(6));
+      AdmissionGate gate(limit, policy);
+      std::set<AdmissionGate::Entry, PopOrder> model;
+      // Unique seqs, handed out in shuffled order.
+      std::vector<std::uint64_t> seqs(400);
+      std::iota(seqs.begin(), seqs.end(), 1);
+      for (std::size_t i = seqs.size(); i > 1; --i) {
+        std::swap(seqs[i - 1], seqs[rng.UniformInt(i)]);
+      }
+      for (std::uint64_t seq : seqs) {
+        const std::uint64_t action = rng.UniformInt(20);
+        if (action < 11) {
+          const AdmissionGate::Entry e =
+              E(seq, static_cast<std::uint32_t>(rng.UniformInt(3)),
+                rng.UniformInt(4) == 0 ? 0 : 1 + rng.UniformInt(40));
+          // Reference: the victim, if the gate is full.
+          std::optional<std::uint64_t> victim;
+          if (model.size() == limit) {
+            if (policy == ShedPolicy::kDropNewest) {
+              victim = seq;
+            } else if (policy == ShedPolicy::kDropOldest) {
+              // The oldest of the lowest priority present: the first, in
+              // pop order, of the last priority class.
+              const std::uint32_t lowest = std::prev(model.end())->priority;
+              victim = std::find_if(model.begin(), model.end(),
+                                    [&](const AdmissionGate::Entry& m) {
+                                      return m.priority == lowest;
+                                    })->seq;
+            } else {
+              auto best = patience(e);
+              victim = seq;
+              for (const auto& m : model) {
+                if (patience(m) < best) {
+                  best = patience(m);
+                  victim = m.seq;
+                }
+              }
+            }
+          }
+          AdmissionGate::Entry shed;
+          const AdmissionGate::Offered got = gate.Offer(e, &shed);
+          ASSERT_EQ(got.shed, victim.has_value());
+          if (victim.has_value()) {
+            ASSERT_EQ(shed.seq, *victim);
+            std::erase_if(model, [&](const AdmissionGate::Entry& m) {
+              return m.seq == *victim;
+            });
+          }
+          if (victim != seq) {
+            ASSERT_NE(got.parked, nullptr);
+            ASSERT_EQ(got.parked->seq, seq);
+            model.insert(e);
+          } else {
+            ASSERT_EQ(got.parked, nullptr);
+          }
+        } else if (action < 16) {
+          if (model.empty()) continue;
+          ASSERT_EQ(gate.PopBest().seq, model.begin()->seq);
+          model.erase(model.begin());
+        } else if (action < 19) {
+          // Remove a parked entry, or one that is not there.
+          AdmissionGate::Entry out;
+          if (!model.empty() && rng.UniformInt(3) != 0) {
+            auto it = model.begin();
+            std::advance(it, static_cast<long>(rng.UniformInt(model.size())));
+            ASSERT_TRUE(gate.Remove(it->seq, &out));
+            ASSERT_EQ(out.seq, it->seq);
+            model.erase(it);
+          } else {
+            ASSERT_FALSE(gate.Remove(seqs.size() + 1, &out));
+          }
+        } else {
+          std::vector<AdmissionGate::Entry> drained = gate.Drain();
+          std::sort(drained.begin(), drained.end(), PopOrder());
+          ASSERT_EQ(drained.size(), model.size());
+          ASSERT_TRUE(std::equal(drained.begin(), drained.end(),
+                                 model.begin(),
+                                 [](const auto& a, const auto& b) {
+                                   return a.seq == b.seq;
+                                 }));
+          model.clear();
+        }
+        ASSERT_EQ(gate.size(), model.size());
+      }
+      while (!model.empty()) {
+        ASSERT_EQ(gate.PopBest().seq, model.begin()->seq);
+        model.erase(model.begin());
+      }
+      EXPECT_TRUE(gate.empty());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -755,6 +755,40 @@ TEST(EngineStreamTest, MplCapSerializesAdmission) {
   EXPECT_TRUE(engine.CheckSerializability().serializable);
 }
 
+TEST(EngineStreamTest, GateTimersLeaveWithTheirEntries) {
+  // Three arrivals at t=0 into one MPL slot and a one-entry gate: #1 is
+  // admitted, #2 parks with a deadline event at 10 s, #3 evicts it
+  // (drop_oldest, no retries) and parks with its own, and #1's commit
+  // admits #3. Neither parked entry expires, so once both transactions
+  // committed no event may remain: a deadline event must leave the queue
+  // with its entry, whether the entry was shed or admitted.
+  EngineOptions eo = SmallEngine(21);
+  eo.detector = DetectorKind::kNone;
+  eo.run.max_inflight = 1;
+  eo.run.queue_limit = 1;
+  eo.run.shed_policy = ShedPolicy::kDropOldest;
+  std::vector<Arrival> arrivals(3);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    TxnSpec& t = arrivals[i].spec;
+    t.id = i + 1;
+    t.read_set = {static_cast<ItemId>(2 * i)};
+    t.write_set = {static_cast<ItemId>(2 * i + 1)};
+    t.compute_time = kMillisecond;
+    t.deadline = 10 * kSecond;
+  }
+  Engine engine(eo);
+  engine.SetProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking));
+  engine.SetArrivalStream(MakeVectorStream(arrivals));
+  Simulator& sim = engine.simulator();
+  sim.RunUntil(kSecond);
+  EXPECT_EQ(engine.metrics().shed(), 1u);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  EXPECT_EQ(sim.NextEventTime(), Simulator::kNoPending);
+  const RunSummary s = engine.Run();
+  EXPECT_EQ(s.committed, 2u);
+  EXPECT_EQ(s.expired, 0u);
+}
+
 TEST(EngineStreamTest, EmptyStreamTerminates) {
   Engine engine(SmallEngine());
   engine.SetArrivalStream(MakeVectorStream({}));
