@@ -470,6 +470,8 @@ void Engine::OfferToGate(Arrival arrival, std::uint32_t resubmits) {
   const SimTime deadline = e.deadline;
   AdmissionGate::Entry shed;
   const AdmissionGate::Offered offered = gate_->Offer(std::move(e), &shed);
+  // The parked entry's timer is armed before a victim's retry is
+  // scheduled, so the two draw their sequence numbers in that order.
   if (offered.parked != nullptr && deadline != 0) {
     offered.parked->timer =
         sim_.ScheduleAt(deadline, [this, seq] { OnGateDeadline(seq); });
@@ -530,9 +532,9 @@ void Engine::HandleShed(AdmissionGate::Entry shed) {
 }
 
 void Engine::OnGateDeadline(std::uint64_t seq) {
-  // An entry's timer leaves the queue with it, so the entry is parked.
   AdmissionGate::Entry e;
-  UNICC_CHECK(gate_->Remove(seq, &e));
+  const bool parked = gate_->Remove(seq, &e);
+  UNICC_CHECK_MSG(parked, "a gate timer outlived its entry");
   // Never admitted: counts as expired work in the metrics but not against
   // the drain invariant.
   metrics_.OnExpired();
