@@ -33,7 +33,7 @@ void RequestIssuer::Begin(const TxnSpec& spec, SimTime arrival) {
   UNICC_CHECK_MSG(spec.home == site_, "transaction routed to wrong issuer");
   UNICC_CHECK_MSG(!active_.contains(spec.id), "duplicate transaction id");
   UNICC_CHECK_MSG(arrival <= ctx_.sim->Now(), "arrival in the future");
-  ActiveTxn t = TakeSpare();
+  ActiveTxn& t = Activate(spec.id);
   t.spec = spec;
   t.arrival = arrival;
   t.interval = spec.backoff_interval != 0
@@ -44,9 +44,7 @@ void RequestIssuer::Begin(const TxnSpec& spec, SimTime arrival) {
     t.compute = std::move(it->second);
     pending_compute_.erase(it);
   }
-  auto [pos, inserted] = active_.emplace(spec.id, std::move(t));
-  UNICC_CHECK(inserted);
-  StartAttempt(pos->second);
+  StartAttempt(t);
 }
 
 void RequestIssuer::StartAttempt(ActiveTxn& t) {
@@ -347,11 +345,17 @@ void RequestIssuer::Commit(ActiveTxn& t) {
   if (events_.on_commit) events_.on_commit(result);
 }
 
-RequestIssuer::ActiveTxn RequestIssuer::TakeSpare() {
-  if (spare_.empty()) return ActiveTxn{};
-  ActiveTxn t = std::move(spare_.back());
+RequestIssuer::ActiveTxn& RequestIssuer::Activate(TxnId txn) {
+  if (spare_.empty()) {
+    auto [pos, inserted] = active_.try_emplace(txn);
+    UNICC_CHECK(inserted);
+    return pos->second;
+  }
+  ActiveMap::node_type node = std::move(spare_.back());
   spare_.pop_back();
+  node.key() = txn;
   // Reset to a fresh transaction, keeping the vectors' capacity.
+  ActiveTxn& t = node.mapped();
   t.attempt = 1;
   t.ts = 0;
   t.interval = 1;
@@ -364,18 +368,18 @@ RequestIssuer::ActiveTxn RequestIssuer::TakeSpare() {
   t.executing = false;
   t.backoff_rounds = 0;
   t.attempts_total = 1;
-  t.compute = nullptr;
-  return t;
+  const auto inserted = active_.insert(std::move(node));
+  UNICC_CHECK(inserted.inserted);
+  return inserted.position->second;
 }
 
 void RequestIssuer::Recycle(TxnId txn) {
   auto it = active_.find(txn);
   if (it == active_.end()) return;
   // The compute closure dies with the transaction, not when the spare
-  // shell is eventually reused: its captures must not outlive the commit.
+  // node is eventually reused: its captures must not outlive the commit.
   it->second.compute = nullptr;
-  if (spare_.size() < 64) spare_.push_back(std::move(it->second));
-  active_.erase(it);
+  spare_.push_back(active_.extract(it));
 }
 
 void RequestIssuer::FinishLingering(TxnId txn, Lingering& lg) {

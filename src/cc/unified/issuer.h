@@ -202,9 +202,10 @@ class RequestIssuer : public Issuer {
   void AbortAndRestart(ActiveTxn& t, TxnOutcome why, SimTime not_before = 0);
   void ReportLockHolds(const ActiveTxn& t, bool aborted);
   void FinishLingering(TxnId txn, Lingering& lg);
-  // Returns a recycled ActiveTxn (vector capacities retained) when one is
-  // available; commits feed completed transactions back into the pool.
-  ActiveTxn TakeSpare();
+  // Enters `txn` into active_ in a fresh state, reusing a spare map node
+  // (vector capacities retained) when one is available.
+  ActiveTxn& Activate(TxnId txn);
+  // Moves `txn`'s map node out of active_ onto the spare list.
   void Recycle(TxnId txn);
 
   ActiveTxn* FindActive(TxnId txn, Attempt attempt);
@@ -217,10 +218,15 @@ class RequestIssuer : public Issuer {
   IssuerEvents events_;
   TimestampGenerator tsgen_;
 
-  std::unordered_map<TxnId, ActiveTxn> active_;
+  using ActiveMap = std::unordered_map<TxnId, ActiveTxn>;
+  ActiveMap active_;
   std::unordered_map<TxnId, Lingering> lingering_;
   std::unordered_map<TxnId, ComputeFn> pending_compute_;
-  std::vector<ActiveTxn> spare_;  // recycled scratch buffers
+  // Map nodes of finished transactions, extracted from active_ and
+  // inserted again under the next id. A node is made only when none is
+  // spare, so active_ and spare_ together never hold more nodes than the
+  // issuer's peak active count.
+  std::vector<ActiveMap::node_type> spare_;
 
   std::uint64_t commits_ = 0;
   std::uint64_t reject_restarts_ = 0;

@@ -18,12 +18,21 @@ UnifiedQueueManager::UnifiedQueueManager(SiteId site, CcContext ctx,
 }
 
 std::size_t UnifiedQueueManager::Insert(DataQueue& q, QueueEntry entry) {
+  if (q.entries.capacity() == 0 && !spare_entries_.empty()) {
+    q.entries.swap(spare_entries_.back());
+    spare_entries_.pop_back();
+  }
   auto it = std::upper_bound(
       q.entries.begin(), q.entries.end(), entry,
       [](const QueueEntry& a, const QueueEntry& b) { return a.prec < b.prec; });
   const std::size_t idx = static_cast<std::size_t>(it - q.entries.begin());
   q.entries.insert(it, std::move(entry));
   return idx;
+}
+
+void UnifiedQueueManager::ShelveIfEmpty(DataQueue& q) {
+  if (!q.entries.empty() || q.entries.capacity() == 0) return;
+  spare_entries_.emplace_back().swap(q.entries);
 }
 
 std::size_t UnifiedQueueManager::Find(const DataQueue& q, TxnId txn,
@@ -285,6 +294,7 @@ void UnifiedQueueManager::OnRelease(const msg::Release& m) {
   q.entries.erase(q.entries.begin() + static_cast<std::ptrdiff_t>(idx));
   UpgradePass(m.copy, q);
   TryGrant(m.copy, q);
+  ShelveIfEmpty(q);
 }
 
 void UnifiedQueueManager::OnSemiTransform(const msg::SemiTransform& m) {
@@ -315,6 +325,7 @@ void UnifiedQueueManager::OnAbort(const msg::AbortTxn& m) {
   q.entries.erase(q.entries.begin() + static_cast<std::ptrdiff_t>(idx));
   if (was_granted) UpgradePass(m.copy, q);
   TryGrant(m.copy, q);
+  ShelveIfEmpty(q);
 }
 
 void UnifiedQueueManager::CollectWaitEdges(std::vector<WaitEdge>* out) const {

@@ -79,8 +79,12 @@ class UnifiedQueueManager : public DataSiteBackend {
 
   DataQueue& QueueFor(const CopyId& copy) { return queues_.GetOrCreate(copy); }
 
-  // Inserts keeping precedence order; returns entry index.
+  // Inserts keeping precedence order; returns entry index. A queue with
+  // no entry storage takes a spare buffer first.
   std::size_t Insert(DataQueue& q, QueueEntry entry);
+
+  // Moves an emptied queue's entry storage onto the spare list.
+  void ShelveIfEmpty(DataQueue& q);
 
   // Finds (txn, attempt) in q; returns entries.size() when absent.
   std::size_t Find(const DataQueue& q, TxnId txn, Attempt attempt) const;
@@ -116,6 +120,10 @@ class UnifiedQueueManager : public DataSiteBackend {
   // The non-empty queues: every OnRequest that inserts lists its queue,
   // and CollectWaitEdges() (logically const) prunes the emptied ones.
   mutable LiveQueueIndex live_;
+  // Entry buffers of queues that emptied (cleared, capacity kept), so
+  // entry storage follows the queues in use: buffers number at most the
+  // peak count of queues non-empty at once, not one per copy touched.
+  std::vector<std::vector<QueueEntry>> spare_entries_;
 
   std::uint64_t rejects_sent_ = 0;
   std::uint64_t backoffs_sent_ = 0;

@@ -10,9 +10,11 @@
 // runs and platforms, unlike unordered_map's bucket order, which keeps
 // wait-for-graph snapshots and debug dumps reproducible.
 //
-// Erase is deliberately unsupported: a copy's queue lives for the whole
-// run (emptied queues keep their entry capacity, which is exactly the
-// free-list reuse the hot path wants).
+// Erase is deliberately unsupported: insertion indices order wait-for
+// snapshots (LiveQueueIndex below), so a copy's queue state lives for the
+// whole run. An owner whose values hold buffers returns an emptied value's
+// buffer to a free list of its own (UnifiedQueueManager does), so memory
+// follows the values in use, not every copy ever touched.
 #ifndef UNICC_COMMON_COPY_MAP_H_
 #define UNICC_COMMON_COPY_MAP_H_
 

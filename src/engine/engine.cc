@@ -144,14 +144,8 @@ void Engine::BuildSites() {
       checker_.OnCommit(r.id, r.attempts, r.num_requests);
       ++committed_count_;
       last_commit_ = sim_.Now();
-      if (!txn_deadline_events_.empty()) {
-        // Met its deadline in flight: disarm the expiry event.
-        auto it = txn_deadline_events_.find(r.id);
-        if (it != txn_deadline_events_.end()) {
-          sim_.Cancel(it->second);
-          txn_deadline_events_.erase(it);
-        }
-      }
+      // Met its deadline in flight: disarm the expiry event.
+      if (!txn_deadline_events_.empty()) DisarmDeadline(r.id, true);
       if (options_.run.commit_target != 0 &&
           committed_count_ >= options_.run.commit_target) {
         CloseAdmission();
@@ -353,8 +347,9 @@ void Engine::AdmitSpec(TxnSpec spec, SimTime arrival) {
     }
     const TxnId id = spec.id;
     const SiteId home = spec.home;
-    txn_deadline_events_[id] = sim_.ScheduleAt(
-        deadline_abs, [this, id, home] { OnTxnDeadline(id, home); });
+    ArmDeadline(id, sim_.ScheduleAt(deadline_abs, [this, id, home] {
+      OnTxnDeadline(id, home);
+    }));
   }
   if (policy_) spec.protocol = policy_(spec);
   if (options_.backend == BackendKind::kPure) {
@@ -542,8 +537,27 @@ void Engine::OnGateDeadline(std::uint64_t seq) {
   CheckQuiescent();
 }
 
+void Engine::ArmDeadline(TxnId id, std::uint64_t event) {
+  if (spare_deadline_nodes_.empty()) {
+    txn_deadline_events_[id] = event;
+    return;
+  }
+  DeadlineMap::node_type node = std::move(spare_deadline_nodes_.back());
+  spare_deadline_nodes_.pop_back();
+  node.key() = id;
+  node.mapped() = event;
+  txn_deadline_events_.insert(std::move(node));
+}
+
+void Engine::DisarmDeadline(TxnId id, bool cancel) {
+  auto it = txn_deadline_events_.find(id);
+  if (it == txn_deadline_events_.end()) return;
+  if (cancel) sim_.Cancel(it->second);
+  spare_deadline_nodes_.push_back(txn_deadline_events_.extract(it));
+}
+
 void Engine::OnTxnDeadline(TxnId id, SiteId home) {
-  txn_deadline_events_.erase(id);
+  DisarmDeadline(id, /*cancel=*/false);  // the event running now
   // Executing transactions are allowed to finish (mirrors the crash rule:
   // completing fully granted work cannot violate serializability).
   if (!IssuerAt(home)->Expire(id)) return;

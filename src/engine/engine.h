@@ -216,6 +216,11 @@ class Engine {
   void OnGateDeadline(std::uint64_t seq);
   // Expiry of an *admitted* transaction past its deadline.
   void OnTxnDeadline(TxnId id, SiteId home);
+  // Records `event` as `id`'s deadline event, reusing a spare map node.
+  void ArmDeadline(TxnId id, std::uint64_t event);
+  // Forgets `id`'s deadline event, cancelling it when `cancel`; the map
+  // node goes on the spare list.
+  void DisarmDeadline(TxnId id, bool cancel);
   // An MPL slot was freed by an expiry: refill from the gate, re-check
   // quiescence.
   void OnSlotFreed();
@@ -286,7 +291,11 @@ class Engine {
   bool admission_closed_ = false;       // commit target reached
   // Pending deadline events of admitted transactions, cancelled on commit
   // so a met deadline leaves no event behind.
-  std::unordered_map<TxnId, std::uint64_t> txn_deadline_events_;
+  using DeadlineMap = std::unordered_map<TxnId, std::uint64_t>;
+  DeadlineMap txn_deadline_events_;
+  // Map nodes of resolved deadlines, inserted again under the next
+  // admitted id, so arming a deadline allocates nothing once warm.
+  std::vector<DeadlineMap::node_type> spare_deadline_nodes_;
 };
 
 }  // namespace unicc

@@ -12,20 +12,60 @@ OnlineChecker::OnlineChecker(RunningFn running)
   UNICC_CHECK(running_ != nullptr);
 }
 
+OnlineChecker::Node& OnlineChecker::AddNode(TxnId txn,
+                                            std::uint32_t attempt) {
+  Node* n;
+  if (spare_nodes_.empty()) {
+    n = &nodes_.try_emplace(txn).first->second;
+  } else {
+    NodeMap::node_type spare = std::move(spare_nodes_.back());
+    spare_nodes_.pop_back();
+    spare.key() = txn;
+    n = &nodes_.insert(std::move(spare)).position->second;
+  }
+  n->id = txn;
+  n->attempt = attempt;
+  return *n;
+}
+
+void OnlineChecker::DropNode(NodeMap::iterator it) {
+  // Reset to a fresh node, keeping the vectors' capacity.
+  Node& n = it->second;
+  n.committed = false;
+  n.counted = false;
+  n.records_left = 0;
+  n.in = 0;
+  n.pending_in = 0;
+  n.out.clear();
+  n.copies.clear();
+  n.early.clear();
+  spare_nodes_.push_back(nodes_.extract(it));
+}
+
+OnlineChecker::CopyState& OnlineChecker::FrontierOf(const CopyId& copy) {
+  auto it = copies_.find(copy);
+  if (it != copies_.end()) return it->second;
+  if (spare_frontiers_.empty()) return copies_.try_emplace(copy).first->second;
+  CopyMap::node_type spare = std::move(spare_frontiers_.back());
+  spare_frontiers_.pop_back();
+  spare.key() = copy;
+  return copies_.insert(std::move(spare)).position->second;
+}
+
+void OnlineChecker::DropFrontier(CopyMap::iterator it) {
+  spare_frontiers_.push_back(copies_.extract(it));
+}
+
 void OnlineChecker::Append(const CopyId& copy, TxnId txn,
                            std::uint32_t attempt, OpType op,
                            SimTime /*when*/) {
   ++total_records_;
   auto it = nodes_.find(txn);
-  if (it == nodes_.end()) {
-    // A committed transaction has held a node since its commit, until its
-    // last record; so this is an early read or a dead incarnation's record.
-    if (!running_(txn, attempt)) return;
-    it = nodes_.emplace(txn, Node{}).first;
-    it->second.id = txn;
-    it->second.attempt = attempt;
-  }
-  Node& n = it->second;
+  // A committed transaction has held a node since its commit, until its
+  // last record; so a missing node means an early read or a dead
+  // incarnation's record.
+  if (it == nodes_.end() && !running_(txn, attempt)) return;
+  Node& n = it != nodes_.end() ? it->second : AddNode(txn, attempt);
   if (n.attempt != attempt) return;  // an earlier, aborted incarnation
   if (n.committed) {
     AddCommitted(n, copy, op);
@@ -37,7 +77,7 @@ void OnlineChecker::Append(const CopyId& copy, TxnId txn,
 void OnlineChecker::AddEarlyRead(Node& n, const CopyId& copy, OpType op) {
   UNICC_CHECK_MSG(op == OpType::kRead,
                   "a write was implemented before its transaction committed");
-  CopyState& cs = copies_[copy];
+  CopyState& cs = FrontierOf(copy);
   EarlyRead er;
   er.copy = copy;
   if (cs.writer != nullptr) {
@@ -57,7 +97,7 @@ void OnlineChecker::AddCommitted(Node& n, const CopyId& copy, OpType op) {
     n.counted = true;
     ++num_txns_;
   }
-  CopyState& cs = copies_[copy];
+  CopyState& cs = FrontierOf(copy);
   if (cs.writer != nullptr) AddEdge(cs.writer, &n);
   if (op == OpType::kRead) {
     cs.readers.push_back(&n);
@@ -88,13 +128,9 @@ void OnlineChecker::AddEdge(Node* from, Node* to) {
 void OnlineChecker::OnCommit(TxnId txn, std::uint32_t attempt,
                              std::size_t num_requests) {
   auto it = nodes_.find(txn);
-  if (it == nodes_.end()) {
-    if (num_requests == 0) return;  // no record will ever name it
-    it = nodes_.emplace(txn, Node{}).first;
-    it->second.id = txn;
-    it->second.attempt = attempt;
-  }
-  Node& n = it->second;
+  // No record will ever name a transaction without requests.
+  if (it == nodes_.end() && num_requests == 0) return;
+  Node& n = it != nodes_.end() ? it->second : AddNode(txn, attempt);
   UNICC_CHECK_MSG(!n.committed && n.attempt == attempt,
                   "commit of an incarnation that is not running");
   UNICC_CHECK_MSG(n.early.size() <= num_requests,
@@ -119,11 +155,11 @@ void OnlineChecker::OnCommit(TxnId txn, std::uint32_t attempt,
     } else {
       // No write followed it yet: a committed reader since the last write.
       ForgetEarly(n, i);
-      copies_[er.copy].readers.push_back(&n);
+      FrontierOf(er.copy).readers.push_back(&n);
       n.copies.push_back(er.copy);
     }
   }
-  n.early = {};
+  n.early.clear();
   MaybeDrop(n);
 }
 
@@ -143,7 +179,7 @@ void OnlineChecker::OnAbort(TxnId txn, std::uint32_t attempt) {
     --next->pending_in;
     MaybeDrop(*next);
   }
-  nodes_.erase(it);
+  DropNode(it);
 }
 
 void OnlineChecker::ForgetEarly(const Node& n, std::size_t index) {
@@ -158,7 +194,7 @@ void OnlineChecker::ForgetEarly(const Node& n, std::size_t index) {
   UNICC_CHECK(ref != refs.end());
   *ref = refs.back();
   refs.pop_back();
-  if (it->second.empty()) copies_.erase(it);
+  if (it->second.empty()) DropFrontier(it);
 }
 
 void OnlineChecker::MaybeDrop(Node& first) {
@@ -180,9 +216,9 @@ void OnlineChecker::MaybeDrop(Node& first) {
         *r = cs.readers.back();
         cs.readers.pop_back();
       }
-      if (cs.empty()) copies_.erase(it);
+      if (cs.empty()) DropFrontier(it);
     }
-    nodes_.erase(n->id);
+    DropNode(nodes_.find(n->id));
   }
 }
 

@@ -117,9 +117,28 @@ class OnlineChecker : public LogSink {
            n.pending_in == 0;
   }
 
+  using NodeMap = std::unordered_map<TxnId, Node>;
+  using CopyMap = std::unordered_map<CopyId, CopyState>;
+
+  // A fresh node for incarnation `attempt` of `txn`, made from a spare
+  // map node when one is available.
+  Node& AddNode(TxnId txn, std::uint32_t attempt);
+  // Moves `it`'s map node onto the spare list, reset to a fresh node.
+  void DropNode(NodeMap::iterator it);
+  // `copy`'s frontier, made empty (from a spare map node when one is
+  // available) on first use.
+  CopyState& FrontierOf(const CopyId& copy);
+  // Moves an empty frontier's map node onto the spare list.
+  void DropFrontier(CopyMap::iterator it);
+
   RunningFn running_;
-  std::unordered_map<TxnId, Node> nodes_;
-  std::unordered_map<CopyId, CopyState> copies_;
+  NodeMap nodes_;
+  CopyMap copies_;
+  // Map nodes of dropped transactions and emptied frontiers, inserted
+  // again under the next key. A reused node keeps its vectors' capacity,
+  // so a warm checker allocates nothing per transaction or record.
+  std::vector<NodeMap::node_type> spare_nodes_;
+  std::vector<CopyMap::node_type> spare_frontiers_;
   std::vector<Node*> drop_work_;  // MaybeDrop's scratch
   std::uint64_t total_records_ = 0;
   std::size_t num_txns_ = 0;

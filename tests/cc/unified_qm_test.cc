@@ -48,11 +48,12 @@ class QmHarness {
   }
 
   void Request(TxnId txn, OpType op, Protocol proto, Timestamp ts,
-               Timestamp interval = 4, std::uint32_t txn_requests = 1) {
+               Timestamp interval = 4, std::uint32_t txn_requests = 1,
+               const CopyId& copy = kX) {
     msg::CcRequest m;
     m.txn = txn;
     m.attempt = 1;
-    m.copy = kX;
+    m.copy = copy;
     m.op = op;
     m.proto = proto;
     m.ts = ts;
@@ -62,9 +63,10 @@ class QmHarness {
     transport_->Send(kUserSite, kDataSite, m);
     sim_.RunToCompletion();
   }
-  void Release(TxnId txn, bool has_write = false, std::uint64_t v = 0) {
+  void Release(TxnId txn, bool has_write = false, std::uint64_t v = 0,
+               const CopyId& copy = kX) {
     transport_->Send(kUserSite, kDataSite,
-                     msg::Release{txn, 1, kX, has_write, v});
+                     msg::Release{txn, 1, copy, has_write, v});
     sim_.RunToCompletion();
   }
   void SemiTransform(TxnId txn, bool has_write = false,
@@ -77,8 +79,8 @@ class QmHarness {
     transport_->Send(kUserSite, kDataSite, msg::FinalTs{txn, 1, kX, ts});
     sim_.RunToCompletion();
   }
-  void Abort(TxnId txn) {
-    transport_->Send(kUserSite, kDataSite, msg::AbortTxn{txn, 1, kX});
+  void Abort(TxnId txn, const CopyId& copy = kX) {
+    transport_->Send(kUserSite, kDataSite, msg::AbortTxn{txn, 1, copy});
     sim_.RunToCompletion();
   }
 
@@ -342,6 +344,42 @@ TEST(UnifiedQmTest, FinalTsOnGrantedRequestRaisesWts) {
   // A T/O read at ts 20 must now be rejected (W-TS raised to 30).
   h.Request(2, OpType::kRead, Protocol::kTimestampOrdering, 20);
   EXPECT_TRUE(h.Rejected(2));
+}
+
+TEST(UnifiedQmTest, EmptiedQueuesGiveBackTheirEntryStorage) {
+  // Three 2PL writers queue on each of 64 copies. On even copies the
+  // writers release in turn; on odd ones the last is aborted while it
+  // holds the lock. Every queue empties, by a release or by an abort, and
+  // keeps no entry storage: its buffer waits on the manager's spare list
+  // for the next queue that fills.
+  QmHarness h;
+  constexpr ItemId kCopies = 64;
+  constexpr TxnId kWriters = 3;
+  auto id = [](ItemId item, TxnId w) { return 1 + item * kWriters + w; };
+  for (ItemId item = 0; item < kCopies; ++item) {
+    for (TxnId w = 0; w < kWriters; ++w) {
+      h.Request(id(item, w), OpType::kWrite, Protocol::kTwoPhaseLocking, 0,
+                4, 1, CopyId{item, kDataSite});
+    }
+  }
+  for (ItemId item = 0; item < kCopies; ++item) {
+    const CopyId copy{item, kDataSite};
+    ASSERT_EQ(h.qm().QueueOf(copy).size(), kWriters);
+    for (TxnId w = 0; w + 1 < kWriters; ++w) {
+      h.Release(id(item, w), true, id(item, w), copy);
+    }
+    if (item % 2 == 0) {
+      h.Release(id(item, kWriters - 1), true, 1, copy);
+    } else {
+      ASSERT_EQ(h.GrantsFor(id(item, kWriters - 1)).size(), 1u);
+      h.Abort(id(item, kWriters - 1), copy);
+    }
+  }
+  for (ItemId item = 0; item < kCopies; ++item) {
+    const std::vector<QueueEntry>& q = h.qm().QueueOf(CopyId{item, kDataSite});
+    EXPECT_TRUE(q.empty()) << "copy " << item;
+    EXPECT_EQ(q.capacity(), 0u) << "copy " << item;
+  }
 }
 
 TEST(UnifiedQmTest, WaitEdgesReflectBlocking) {
