@@ -1,8 +1,9 @@
-// Backend interfaces of the PAM framework. A DataSiteBackend implements the
-// data-queue-manager side (precedence assignment + enforcement) for every
-// copy stored at one site; an Issuer implements the request-issuer side for
-// the transactions of one user site. The engine routes messages between
-// them over the Transport.
+// The data-site interface of the PAM framework and the services both sides
+// share. A DataSiteBackend implements the data-queue-manager side
+// (precedence assignment + enforcement) for every copy stored at one site:
+// UnifiedQueueManager or BasicToManager. The request-issuer side has one
+// implementation, RequestIssuer (cc/unified/issuer.h). The engine routes
+// messages between them over the Transport.
 #ifndef UNICC_CC_BACKEND_H_
 #define UNICC_CC_BACKEND_H_
 
@@ -15,7 +16,6 @@
 #include "sim/simulator.h"
 #include "storage/log.h"
 #include "storage/store.h"
-#include "txn/transaction.h"
 
 namespace unicc {
 
@@ -57,31 +57,6 @@ class DataSiteBackend {
 
   // Human-readable dump of non-empty queues (debugging/observability).
   virtual std::string DebugString() const { return {}; }
-};
-
-// Completion callback: invoked exactly once per transaction, at commit.
-using CommitCallback = std::function<void(const TxnResult&)>;
-
-// The request-issuer side for one user site.
-class Issuer {
- public:
-  virtual ~Issuer() = default;
-
-  // Admits a transaction (arrival time = now). The issuer drives it to
-  // commit, restarting incarnations as its protocol requires.
-  virtual void Begin(const TxnSpec& spec) = 0;
-
-  virtual void OnGrant(const msg::Grant& m) = 0;
-  virtual void OnBackoff(const msg::Backoff& m) = 0;
-  virtual void OnPaAccept(const msg::PaAccept& m) = 0;
-  virtual void OnReject(const msg::Reject& m) = 0;
-  virtual void OnVictim(const msg::Victim& m) = 0;
-
-  // True while the transaction is admitted and not yet committed.
-  virtual bool IsActive(TxnId txn) const = 0;
-
-  // Number of transactions begun but not yet committed.
-  virtual std::size_t ActiveCount() const = 0;
 };
 
 }  // namespace unicc

@@ -24,10 +24,6 @@ void RequestIssuer::SetCompute(TxnId txn, ComputeFn fn) {
   pending_compute_[txn] = std::move(fn);
 }
 
-void RequestIssuer::Begin(const TxnSpec& spec) {
-  Begin(spec, ctx_.sim->Now());
-}
-
 void RequestIssuer::Begin(const TxnSpec& spec, SimTime arrival) {
   UNICC_CHECK_MSG(spec.Validate().ok(), "invalid transaction spec");
   UNICC_CHECK_MSG(spec.home == site_, "transaction routed to wrong issuer");
@@ -465,47 +461,9 @@ void RequestIssuer::OnCrash(SimTime recover_at) {
   }
 }
 
-bool RequestIssuer::IsActive(TxnId txn) const { return active_.contains(txn); }
-
 bool RequestIssuer::IsRunning(TxnId txn, Attempt attempt) const {
   auto it = active_.find(txn);
   return it != active_.end() && it->second.attempt == attempt;
-}
-
-std::vector<RequestIssuer::WaitingTxn> RequestIssuer::LongWaiting(
-    Protocol proto, Duration min_wait) const {
-  std::vector<WaitingTxn> out;
-  const SimTime now = ctx_.sim->Now();
-  for (const auto& [id, t] : active_) {
-    if (t.spec.protocol != proto || t.executing) continue;
-    if (t.reqs.empty()) continue;  // restart pending
-    if (t.grants == t.reqs.size()) continue;
-    if (now - t.attempt_start < min_wait) continue;
-    out.push_back(WaitingTxn{id, t.attempt});
-  }
-  return out;
-}
-
-std::vector<CopyId> RequestIssuer::WaitingCopies(TxnId txn) const {
-  std::vector<CopyId> out;
-  auto it = active_.find(txn);
-  if (it != active_.end()) {
-    const ActiveTxn& t = it->second;
-    if (t.executing) return out;
-    for (std::size_t i = 0; i < t.reqs.size(); ++i) {
-      if (!t.st[i].granted) out.push_back(t.reqs[i].copy);
-    }
-    return out;
-  }
-  // A semi-committed (lingering) transaction still waits for its normal
-  // upgrades before it can release; deadlock probes must traverse it.
-  auto lg = lingering_.find(txn);
-  if (lg != lingering_.end()) {
-    for (std::size_t i = 0; i < lg->second.copies.size(); ++i) {
-      if (!lg->second.normal[i]) out.push_back(lg->second.copies[i]);
-    }
-  }
-  return out;
 }
 
 }  // namespace unicc

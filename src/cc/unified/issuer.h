@@ -63,7 +63,8 @@ struct IssuerOptions {
 
 // Event hooks consumed by metrics and the STL parameter estimator.
 struct IssuerEvents {
-  CommitCallback on_commit;
+  // Invoked exactly once per transaction, at commit.
+  std::function<void(const TxnResult&)> on_commit;
   // A request message was sent (per incarnation).
   std::function<void(Protocol, OpType)> on_request_sent;
   // An incarnation aborted (reject or deadlock victim).
@@ -76,7 +77,7 @@ struct IssuerEvents {
   std::function<void(Protocol, Duration, bool aborted)> on_lock_hold;
 };
 
-class RequestIssuer : public Issuer {
+class RequestIssuer {
  public:
   RequestIssuer(SiteId site, CcContext ctx, const Catalog* catalog,
                 IssuerOptions options, Rng rng, IssuerEvents events);
@@ -85,16 +86,17 @@ class RequestIssuer : public Issuer {
   // Must be installed before Begin for that transaction.
   void SetCompute(TxnId txn, ComputeFn fn);
 
-  void Begin(const TxnSpec& spec) override;
-  // As above, but backdates the transaction's arrival (<= now) so system
-  // time includes any wait before admission — the engine's MPL gate uses
-  // this for arrivals parked until a commit freed a slot.
+  // Admits a transaction that arrived at `arrival` (<= now) and drives it
+  // to commit, restarting incarnations as its protocol requires. An
+  // arrival before now makes system time include the wait before
+  // admission — the engine's MPL gate uses this for arrivals parked until
+  // a commit freed a slot.
   void Begin(const TxnSpec& spec, SimTime arrival);
-  void OnGrant(const msg::Grant& m) override;
-  void OnBackoff(const msg::Backoff& m) override;
-  void OnPaAccept(const msg::PaAccept& m) override;
-  void OnReject(const msg::Reject& m) override;
-  void OnVictim(const msg::Victim& m) override;
+  void OnGrant(const msg::Grant& m);
+  void OnBackoff(const msg::Backoff& m);
+  void OnPaAccept(const msg::PaAccept& m);
+  void OnReject(const msg::Reject& m);
+  void OnVictim(const msg::Victim& m);
 
   // The issuer's site crashed (fail-stop) and recovers at `recover_at`:
   // every in-flight incarnation that is not yet executing aborts (its
@@ -112,24 +114,11 @@ class RequestIssuer : public Issuer {
   // `expired` outcome.
   bool Expire(TxnId txn);
 
-  bool IsActive(TxnId txn) const override;
   // True while `attempt` is `txn`'s current incarnation and it has not
   // committed.
   bool IsRunning(TxnId txn, Attempt attempt) const;
-  std::size_t ActiveCount() const override { return active_.size(); }
-
-  // Copies at which `txn` has sent requests that are not yet granted; used
-  // by the edge-chasing deadlock detector to forward probes.
-  std::vector<CopyId> WaitingCopies(TxnId txn) const;
-
-  // Transactions of `proto` whose current incarnation has been waiting for
-  // grants for at least `min_wait`; used for probe initiation.
-  struct WaitingTxn {
-    TxnId txn;
-    Attempt attempt;
-  };
-  std::vector<WaitingTxn> LongWaiting(Protocol proto,
-                                      Duration min_wait) const;
+  // Number of transactions begun but not yet committed.
+  std::size_t ActiveCount() const { return active_.size(); }
 
   SiteId site() const { return site_; }
 

@@ -31,12 +31,6 @@ Status EngineOptions::Validate() const {
         "detector_timeout_ms > 0: a lost snapshot reply would stall "
         "detection rounds forever");
   }
-  if (backend == BackendKind::kPure &&
-      pure_protocol == Protocol::kTimestampOrdering &&
-      detector == DetectorKind::kProbe) {
-    return Status::InvalidArgument(
-        "probe detection is pointless under pure T/O (no deadlocks)");
-  }
   if (run.shed_policy == ShedPolicy::kBlock) {
     if (run.queue_limit > 0) {
       return Status::InvalidArgument(

@@ -13,7 +13,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "deadlock/central_detector.h"
-#include "deadlock/probe_detector.h"
 #include "engine/admission.h"
 #include "net/fault_model.h"
 #include "net/transport.h"
@@ -34,7 +33,6 @@ enum class BackendKind : std::uint8_t {
 enum class DetectorKind : std::uint8_t {
   kNone = 0,
   kCentral = 1,  // periodic global WFG snapshots
-  kProbe = 2,    // Chandy-Misra-Haas edge chasing
 };
 
 struct EngineOptions {
@@ -63,7 +61,6 @@ struct EngineOptions {
 
   DetectorKind detector = DetectorKind::kCentral;
   CentralDetectorOptions central_detector;
-  ProbeDetectorOptions probe_detector;
 
   // Restart delay / PA back-off interval.
   Duration restart_delay_mean = 20 * kMillisecond;

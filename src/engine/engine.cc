@@ -190,14 +190,6 @@ void Engine::BuildSites() {
         detector_site_, ctx, options_.central_detector, data_sites);
     central_detector_->SetStopFlag(&stopped_);
     central_detector_->Start();
-  } else if (options_.detector == DetectorKind::kProbe) {
-    for (std::uint32_t u = 0; u < num_user; ++u) {
-      auto det = std::make_unique<ProbeDeadlockDetector>(
-          u, ctx, options_.probe_detector, issuers_[u].get());
-      det->SetStopFlag(&stopped_);
-      det->Start();
-      probe_detectors_.push_back(std::move(det));
-    }
   }
 
   // Crash events: a crashed *user* site aborts its in-flight, not-yet-
@@ -231,8 +223,6 @@ void Engine::RouteToUserSite(SiteId site, SiteId from, const Message& m) {
     issuer->OnReject(*r);
   } else if (const auto* v = std::get_if<msg::Victim>(&m)) {
     issuer->OnVictim(*v);
-  } else if (const auto* p = std::get_if<msg::Probe>(&m)) {
-    if (site < probe_detectors_.size()) probe_detectors_[site]->OnProbe(*p);
   } else {
     UNICC_CHECK_MSG(false, "unexpected message at user site");
   }
@@ -255,9 +245,6 @@ void Engine::RouteToDataSite(SiteId site, SiteId from, const Message& m) {
     reply.round = snap->round;
     backend->CollectWaitEdges(&reply.edges);
     transport_->Send(site, from, reply);
-  } else if (const auto* pq = std::get_if<msg::ProbeQuery>(&m)) {
-    HandleProbeQuery(site, CcContext{&sim_, transport_.get(), &checker_},
-                     *backend, *pq);
   } else {
     UNICC_CHECK_MSG(false, "unexpected message at data site");
   }

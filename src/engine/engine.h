@@ -253,7 +253,6 @@ class Engine {
   std::vector<std::unique_ptr<RequestIssuer>> issuers_;  // per user site
   std::vector<std::unique_ptr<DataSiteBackend>> backends_;  // per data site
   std::unique_ptr<CentralDeadlockDetector> central_detector_;
-  std::vector<std::unique_ptr<ProbeDeadlockDetector>> probe_detectors_;
 
   ProtocolPolicy policy_;
   // Batch arrivals in nondecreasing time order, each holding the simulator

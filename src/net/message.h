@@ -21,8 +21,8 @@ using Attempt = std::uint32_t;
 
 // A directed wait-for edge: `waiter` cannot proceed until `holder` releases.
 // `holder_home` and `holder_proto` are copied from the holder's queue
-// entry: the detectors send victims and probes to the home site and apply
-// the victim rule to the protocol.
+// entry: the detector sends victims to the home site and applies the
+// victim rule to the protocol.
 struct WaitEdge {
   TxnId waiter = 0;
   TxnId holder = 0;
@@ -146,33 +146,19 @@ struct Victim {
   TxnId txn = 0;
 };
 
-// Edge-chasing deadlock probe (Chandy-Misra-Haas style). `target` is the
-// transaction the probe is currently visiting.
-struct Probe {
-  TxnId initiator = 0;
-  Attempt initiator_attempt = 0;
-  TxnId target = 0;
-  std::uint32_t hops = 0;
-};
-
-// QM-internal: re-examine a blocked request's waits and (re)emit probes.
-struct ProbeQuery {
-  TxnId initiator = 0;
-  Attempt initiator_attempt = 0;
-  TxnId target = 0;  // transaction whose blockers we want
-  std::uint32_t hops = 0;
-};
-
 }  // namespace msg
 
 using Message =
     std::variant<msg::CcRequest, msg::Grant, msg::Backoff, msg::PaAccept,
                  msg::FinalTs, msg::Reject, msg::Release, msg::SemiTransform,
                  msg::AbortTxn, msg::WfgSnapshotRequest,
-                 msg::WfgSnapshotReply, msg::Victim, msg::Probe,
-                 msg::ProbeQuery>;
+                 msg::WfgSnapshotReply, msg::Victim>;
 
-// Index into message-kind counters; order matches the variant.
+// Index into message-kind counters; order matches the variant. kProbe and
+// kProbeQuery have no message: they name the retired edge-chasing
+// detector's traffic and stay so that every per-kind report (the
+// benchmark's `net.msgs.<Kind>` metrics among them) keeps its fields; their
+// counters read 0.
 enum class MessageKind : std::size_t {
   kCcRequest = 0,
   kGrant,

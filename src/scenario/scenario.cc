@@ -143,12 +143,10 @@ Status ParseEngineSection(const IniSection& sec, EngineOptions* eo,
     } else if (e.key == "detector") {
       if (e.value == "central") {
         eo->detector = DetectorKind::kCentral;
-      } else if (e.value == "probe") {
-        eo->detector = DetectorKind::kProbe;
       } else if (e.value == "none") {
         eo->detector = DetectorKind::kNone;
       } else {
-        return BadValue(e, "expected central/probe/none");
+        return BadValue(e, "expected central/none");
       }
     } else if (e.key == "semi_locks") {
       if (Status s = ParseBool(e, &eo->semi_locks); !s.ok()) return s;
@@ -221,12 +219,11 @@ Status ParsePolicySection(const IniSection& sec, ScenarioPolicy* policy,
         return s;
       }
     } else if (e.key == "detector_interval_ms") {
-      // Detection period; applied to whichever detector [engine] selects.
+      // The central detector's snapshot-round period.
       Duration d = 0;
       if (Status s = ParseMs(e, &d); !s.ok()) return s;
       if (d == 0) return BadValue(e, "must be > 0");
       eo->central_detector.interval = d;
-      eo->probe_detector.interval = d;
     } else if (e.key == "detector_timeout_ms") {
       // Central detector only: abandon a snapshot round whose replies have
       // not all arrived within this window (required under message loss).

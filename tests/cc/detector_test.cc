@@ -1,8 +1,7 @@
 // Unit tests of deadlock detection: the centralized detector's snapshot
 // round bookkeeping, victim policy (youngest 2PL member; never PA; skip
-// all-PA cycles), victim routing and stop-flag behaviour, and the probe
-// detector's data-site half. Protocols and home sites come only from the
-// wait edges' holder fields.
+// all-PA cycles), victim routing and stop-flag behaviour. Protocols and
+// home sites come only from the wait edges' holder fields.
 #include "deadlock/central_detector.h"
 
 #include <gtest/gtest.h>
@@ -12,11 +11,8 @@
 #include <variant>
 #include <vector>
 
-#include "cc/unified/queue_manager.h"
-#include "deadlock/probe_detector.h"
 #include "net/transport.h"
 #include "sim/simulator.h"
-#include "storage/log.h"
 
 namespace unicc {
 namespace {
@@ -233,63 +229,6 @@ TEST(CentralDetectorTest, StopFlagHaltsTicks) {
   const auto rounds = h.detector().rounds_completed();
   // No further activity is possible: the simulator is empty.
   EXPECT_GE(rounds, 1u);
-}
-
-// A holder's queue entry outlives its commit until its Release arrives. A
-// probe that reaches the data site in that window must still go to the
-// holder's home site, which the waiter's edge names.
-TEST(ProbeQueryTest, ProbeReachesCommittedHolderBeforeItsRelease) {
-  Simulator sim;
-  NetworkOptions net;
-  net.base_delay = kMillisecond;
-  net.local_delay = 100;
-  SimTransport transport(&sim, net, Rng(5));
-  ImplementationLog log;
-  CcContext ctx{&sim, &transport, &log};
-  UnifiedQueueManager qm(kDataSiteA, ctx, UnifiedQmOptions{});
-  transport.RegisterSite(kDataSiteA, [&qm](SiteId, const Message& m) {
-    if (const auto* r = std::get_if<msg::CcRequest>(&m)) {
-      qm.OnRequest(*r);
-    } else if (const auto* rel = std::get_if<msg::Release>(&m)) {
-      qm.OnRelease(*rel);
-    }
-  });
-  std::map<SiteId, std::vector<msg::Probe>> probes;
-  for (SiteId u : {kUserSite, kUserSiteB}) {
-    transport.RegisterSite(u, [&probes, u](SiteId, const Message& m) {
-      if (const auto* p = std::get_if<msg::Probe>(&m)) {
-        probes[u].push_back(*p);
-      }
-    });
-  }
-  const CopyId x{0, kDataSiteA};
-  auto write = [&](TxnId txn, SiteId home) {
-    msg::CcRequest m;
-    m.txn = txn;
-    m.attempt = 1;
-    m.copy = x;
-    m.op = OpType::kWrite;
-    m.reply_to = home;
-    transport.Send(home, kDataSiteA, m);
-    sim.RunToCompletion();
-  };
-  write(7, kUserSiteB);  // granted
-  write(8, kUserSite);   // waits on 7
-  // Txn 7 commits at its home: its Release is sent but not yet delivered.
-  transport.Send(kUserSiteB, kDataSiteA,
-                 msg::Release{7, 1, x, /*has_write=*/true, 70});
-  HandleProbeQuery(kDataSiteA, ctx, qm,
-                   msg::ProbeQuery{8, 1, /*target=*/8, /*hops=*/0});
-  sim.RunToCompletion();
-  ASSERT_EQ(probes[kUserSiteB].size(), 1u);
-  EXPECT_EQ(probes[kUserSiteB][0].initiator, 8u);
-  EXPECT_EQ(probes[kUserSiteB][0].target, 7u);
-  EXPECT_EQ(probes[kUserSiteB][0].hops, 1u);
-  EXPECT_TRUE(probes[kUserSite].empty());
-  // The Release then arrived and freed the copy for txn 8.
-  ASSERT_EQ(qm.QueueOf(x).size(), 1u);
-  EXPECT_EQ(qm.QueueOf(x)[0].txn, 8u);
-  EXPECT_TRUE(qm.QueueOf(x)[0].granted);
 }
 
 }  // namespace

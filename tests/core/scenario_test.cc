@@ -78,7 +78,7 @@ user_sites = 3
 data_sites = 5
 items = 200
 replication = 2
-detector = probe
+detector = none
 semi_locks = false
 delay_ms = 7.5
 jitter_ms = 1
@@ -125,7 +125,7 @@ TEST(ScenarioSpecTest, ParsesFullScenario) {
   EXPECT_EQ(spec->engine.num_data_sites, 5u);
   EXPECT_EQ(spec->engine.num_items, 200u);
   EXPECT_EQ(spec->engine.replication, 2u);
-  EXPECT_EQ(spec->engine.detector, DetectorKind::kProbe);
+  EXPECT_EQ(spec->engine.detector, DetectorKind::kNone);
   EXPECT_FALSE(spec->engine.semi_locks);
   EXPECT_EQ(spec->engine.network.base_delay, 7500u);
   EXPECT_EQ(spec->engine.network.jitter_mean, 1000u);
@@ -182,6 +182,7 @@ TEST(ScenarioSpecTest, RejectsBadValuesAndRanges) {
   EXPECT_FALSE(ScenarioSpec::Parse(WithLine("delay_ms = -1")).ok());
   EXPECT_FALSE(ScenarioSpec::Parse(WithLine("semi_locks = maybe")).ok());
   EXPECT_FALSE(ScenarioSpec::Parse(WithLine("detector = psychic")).ok());
+  EXPECT_FALSE(ScenarioSpec::Parse(WithLine("detector = probe")).ok());
   EXPECT_FALSE(
       ScenarioSpec::Parse(WithLine("[policy]\nweights = 1,1")).ok());
   EXPECT_FALSE(

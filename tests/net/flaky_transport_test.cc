@@ -44,8 +44,7 @@ constexpr MessageKind kLossyKinds[] = {
     MessageKind::kCcRequest,  MessageKind::kBackoff,
     MessageKind::kPaAccept,   MessageKind::kReject,
     MessageKind::kVictim,     MessageKind::kWfgSnapshotRequest,
-    MessageKind::kWfgSnapshotReply, MessageKind::kProbe,
-    MessageKind::kProbeQuery};
+    MessageKind::kWfgSnapshotReply};
 constexpr MessageKind kDuplicableKinds[] = {
     MessageKind::kGrant, MessageKind::kBackoff, MessageKind::kPaAccept,
     MessageKind::kReject, MessageKind::kVictim};

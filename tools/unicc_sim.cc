@@ -55,7 +55,7 @@ struct Flags {
   Duration jitter = 2 * kMillisecond;
   Duration compute = 5 * kMillisecond;
   Duration skew = 50 * kMillisecond;
-  std::string detector = "central";  // central | probe | none
+  std::string detector = "central";  // central | none
   bool semi_locks = true;
   std::uint64_t seed = 42;
   bool seed_set = false;
@@ -101,7 +101,7 @@ void PrintHelp() {
       "  --jitter-ms=<f>     exponential jitter mean (2)\n"
       "  --compute-ms=<f>    local compute phase (5)\n"
       "  --skew-ms=<f>       max site clock skew (50)\n"
-      "  --detector=central|probe|none      deadlock detection (central)\n"
+      "  --detector=central|none            deadlock detection (central)\n"
       "  --no-semi-locks     lock-everything ablation\n"
       "  --pure              pure per-protocol backend (needs fixed policy)\n"
       "  --seed=<n>          RNG seed (42); also overrides the scenario's\n"
@@ -278,12 +278,11 @@ int main(int argc, char** argv) {
     eo.pure_protocol = ParseProtocol(flags.protocol);
     if (flags.detector == "none") {
       eo.detector = DetectorKind::kNone;
-    } else if (flags.detector == "probe") {
-      eo.detector = DetectorKind::kProbe;
     } else if (flags.detector == "central") {
       eo.detector = DetectorKind::kCentral;
     } else {
-      std::fprintf(stderr, "unknown detector '%s'\n", flags.detector.c_str());
+      std::fprintf(stderr, "unknown detector '%s' (expected central or none)\n",
+                   flags.detector.c_str());
       return 2;
     }
     if (flags.policy == "fixed") {
