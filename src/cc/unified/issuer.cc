@@ -20,11 +20,8 @@ RequestIssuer::RequestIssuer(SiteId site, CcContext ctx,
   UNICC_CHECK(catalog_ != nullptr);
 }
 
-void RequestIssuer::SetCompute(TxnId txn, ComputeFn fn) {
-  pending_compute_[txn] = std::move(fn);
-}
-
-void RequestIssuer::Begin(const TxnSpec& spec, SimTime arrival) {
+void RequestIssuer::Begin(const TxnSpec& spec, SimTime arrival,
+                          ComputeFn compute) {
   UNICC_CHECK_MSG(spec.Validate().ok(), "invalid transaction spec");
   UNICC_CHECK_MSG(spec.home == site_, "transaction routed to wrong issuer");
   UNICC_CHECK_MSG(!active_.contains(spec.id), "duplicate transaction id");
@@ -35,11 +32,7 @@ void RequestIssuer::Begin(const TxnSpec& spec, SimTime arrival) {
   t.interval = spec.backoff_interval != 0
                    ? spec.backoff_interval
                    : options_.default_backoff_interval;
-  auto it = pending_compute_.find(spec.id);
-  if (it != pending_compute_.end()) {
-    t.compute = std::move(it->second);
-    pending_compute_.erase(it);
-  }
+  t.compute = std::move(compute);
   StartAttempt(t);
 }
 

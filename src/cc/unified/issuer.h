@@ -82,16 +82,14 @@ class RequestIssuer {
   RequestIssuer(SiteId site, CcContext ctx, const Catalog* catalog,
                 IssuerOptions options, Rng rng, IssuerEvents events);
 
-  // Optional per-transaction compute functions (e.g. banking transfers).
-  // Must be installed before Begin for that transaction.
-  void SetCompute(TxnId txn, ComputeFn fn);
-
   // Admits a transaction that arrived at `arrival` (<= now) and drives it
   // to commit, restarting incarnations as its protocol requires. An
   // arrival before now makes system time include the wait before
   // admission — the engine's MPL gate uses this for arrivals parked until
-  // a commit freed a slot.
-  void Begin(const TxnSpec& spec, SimTime arrival);
+  // a commit freed a slot. `compute`, when set, computes the transaction's
+  // writes from its reads (e.g. banking transfers); the issuer drops it
+  // when the transaction commits or expires.
+  void Begin(const TxnSpec& spec, SimTime arrival, ComputeFn compute);
   void OnGrant(const msg::Grant& m);
   void OnBackoff(const msg::Backoff& m);
   void OnPaAccept(const msg::PaAccept& m);
@@ -210,7 +208,6 @@ class RequestIssuer {
   using ActiveMap = std::unordered_map<TxnId, ActiveTxn>;
   ActiveMap active_;
   std::unordered_map<TxnId, Lingering> lingering_;
-  std::unordered_map<TxnId, ComputeFn> pending_compute_;
   // Map nodes of finished transactions, extracted from active_ and
   // inserted again under the next id. A node is made only when none is
   // spare, so active_ and spare_ together never hold more nodes than the

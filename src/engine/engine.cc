@@ -343,13 +343,13 @@ void Engine::AdmitSpec(TxnSpec spec, SimTime arrival) {
     UNICC_CHECK_MSG(spec.protocol == options_.pure_protocol,
                     "pure backend cannot mix protocols");
   }
-  IssuerAt(spec.home)->Begin(spec, arrival);
+  auto staged = compute_.extract(spec.id);
+  IssuerAt(spec.home)->Begin(spec, arrival,
+                             staged ? std::move(staged.mapped()) : nullptr);
 }
 
 void Engine::SetCompute(TxnId txn, ComputeFn fn) {
-  // The home issuer is not known until admission, so the function is staged
-  // on every issuer; ids are unique, only the home site ever consumes it.
-  for (auto& issuer : issuers_) issuer->SetCompute(txn, fn);
+  compute_[txn] = std::move(fn);
 }
 
 void Engine::SetProtocolPolicy(ProtocolPolicy policy) {

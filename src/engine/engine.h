@@ -255,6 +255,10 @@ class Engine {
   std::unique_ptr<CentralDeadlockDetector> central_detector_;
 
   ProtocolPolicy policy_;
+  // Compute functions from SetCompute, each moved to its transaction's
+  // home issuer at admission. One whose transaction is never admitted
+  // (shed or expired at the gate) lives as long as the engine.
+  std::unordered_map<TxnId, ComputeFn> compute_;
   // Batch arrivals in nondecreasing time order, each holding the simulator
   // sequence number it reserved when it was added. Only the front has an
   // event; admitted entries are freed as the run proceeds.

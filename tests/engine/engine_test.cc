@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -372,7 +373,9 @@ TEST(EngineTest, BankingTransfersPreserveTotal) {
   fund.home = 0;
   fund.protocol = Protocol::kTwoPhaseLocking;
   for (ItemId a = 0; a < 8; ++a) fund.write_set.push_back(a);
-  engine.SetCompute(fund.id, [&](const auto&) {
+  // The closure's captures must not outlive its transaction's commit.
+  const auto token = std::make_shared<int>(0);
+  engine.SetCompute(fund.id, [&, token](const auto&) {
     std::vector<std::pair<ItemId, std::uint64_t>> w;
     for (ItemId a = 0; a < 8; ++a) w.emplace_back(a, kInitial);
     return w;
@@ -418,6 +421,7 @@ TEST(EngineTest, BankingTransfersPreserveTotal) {
   std::uint64_t total = 0;
   for (ItemId a = 0; a < 8; ++a) total += engine.ReadReplicas(a)[0];
   EXPECT_EQ(total, 8 * kInitial);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(EngineTest, ReplicatedWorkloadKeepsReplicasConsistent) {
