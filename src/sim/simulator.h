@@ -127,7 +127,7 @@ class Simulator {
   std::uint64_t EventsRun() const { return events_run_; }
 
   // Slots ever allocated in the event arena. Constant-load scheduling must
-  // not grow this once warm; perf_gate asserts it (the zero-allocation
+  // not grow this once warm; sim_test asserts it (the zero-allocation
   // property of the schedule/run cycle).
   std::size_t ArenaSlots() const { return slots_.size(); }
 

@@ -1,101 +1,28 @@
 // Golden determinism suite: every shipped scenario must produce a
 // byte-identical result snapshot when run twice, and when its workload is
-// round-tripped through the binary trace codec (record -> replay). This
-// pins the simulation core down so hot-path rewrites cannot silently
-// change results: any drift in the event loop's ordering, the queue
-// managers' grant decisions or the workload generators shows up here as a
-// snapshot mismatch naming the scenario.
+// round-tripped through the binary trace codec (record -> replay). Any
+// nondeterminism in the event loop's ordering, the queue managers' grant
+// decisions or the workload generators shows up here as a snapshot
+// mismatch naming the scenario. pinned_scenarios_test compares the same
+// snapshots with the committed results.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <string>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
-#include "runner/runner.h"
+#include "core/snapshot.h"
 #include "scenario/scenario.h"
 #include "workload/trace.h"
 #include "workload/trace_io.h"
-
-#ifndef UNICC_SCENARIOS_DIR
-#error "UNICC_SCENARIOS_DIR must point at the shipped scenarios/ directory"
-#endif
 
 namespace unicc {
 namespace {
 
 using runner::RunStats;
-
-// Runs `spec` through the runner facade: the scenario's own workload, or
-// `arrivals` with their forced-protocol set when given (the replay path).
-RunStats RunScenario(
-    const ScenarioSpec& spec,
-    const std::vector<WorkloadGenerator::Arrival>* arrivals = nullptr,
-    std::shared_ptr<const std::unordered_set<TxnId>> forced = nullptr) {
-  runner::RunRequest request;
-  request.spec = &spec;
-  request.arrivals = arrivals;
-  request.forced = std::move(forced);
-  auto session = runner::RunSession::Create(std::move(request));
-  if (!session.ok()) {
-    ADD_FAILURE() << session.status().ToString();
-    return RunStats();
-  }
-  return (*session)->Run().stats;
-}
-
-// Serializes every deterministic field of a run. Doubles are printed with
-// %.17g: bit-identical runs print identical bytes, and any numeric drift
-// is visible in the diff.
-std::string Snapshot(const RunStats& s) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "admitted=%llu committed=%llu makespan=%llu messages=%llu "
-      "log_records=%llu replicas=%d victims=%llu rejects=%llu "
-      "backoffs=%llu shed=%llu expired=%llu retried=%llu goodput=%llu "
-      "serializable=%d mean_s=%.17g p95_s=%.17g "
-      "msgs_per_txn=%.17g cc_msgs_per_txn=%.17g throughput=%.17g",
-      static_cast<unsigned long long>(s.admitted),
-      static_cast<unsigned long long>(s.committed),
-      static_cast<unsigned long long>(s.makespan),
-      static_cast<unsigned long long>(s.total_messages),
-      static_cast<unsigned long long>(s.log_records),
-      s.replicas_consistent ? 1 : 0,
-      static_cast<unsigned long long>(s.deadlock_victims),
-      static_cast<unsigned long long>(s.reject_restarts),
-      static_cast<unsigned long long>(s.backoff_rounds),
-      static_cast<unsigned long long>(s.shed),
-      static_cast<unsigned long long>(s.expired),
-      static_cast<unsigned long long>(s.retried),
-      static_cast<unsigned long long>(s.goodput),
-      s.serializable ? 1 : 0, s.mean_s_ms, s.p95_s_ms, s.msgs_per_txn,
-      s.cc_msgs_per_txn, s.throughput);
-  std::string out(buf);
-  for (int p = 0; p < kNumProtocols; ++p) {
-    std::snprintf(buf, sizeof(buf), " proto%d=%llu/%.17g", p,
-                  static_cast<unsigned long long>(s.committed_by_proto[p]),
-                  s.mean_s_ms_by_proto[p]);
-    out += buf;
-  }
-  return out;
-}
-
-std::vector<std::string> ShippedScenarios() {
-  std::vector<std::string> paths;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(UNICC_SCENARIOS_DIR)) {
-    if (entry.path().extension() == ".ini") {
-      paths.push_back(entry.path().string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  return paths;
-}
+using test::RunScenario;
+using test::ShippedScenarios;
+using test::Snapshot;
 
 class GoldenScenarioTest : public ::testing::TestWithParam<std::string> {};
 

@@ -1,13 +1,19 @@
 // UCTC v2 streaming columnar trace codec: round trips (single- and
 // multi-block), the on-disk golden layout, the corrupt-input corpus, the
-// bounded-memory property on both sides, and the digest contract that the
-// CI round-trip gate relies on. Byte offsets in the corruption tests are
-// derived from the layout documented in workload/trace_io.h.
+// bounded-memory property on both sides, and a streamed on-disk round trip
+// whose digest is pinned. Byte offsets in the corruption tests are derived
+// from the layout documented in workload/trace_io.h.
+//
+// Environment:
+//   UNICC_TRACE_ROUNDTRIP_TXNS — transactions in the streamed round trip
+//                                (default 50,000; CI runs 10^6 on every
+//                                push and 10^8, a ~7 GB file, nightly)
 #include "workload/trace_io.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -297,7 +303,7 @@ TEST(TraceV2WriterTest, FinishIsIdempotentAndSealsTheWriter) {
 }
 
 TEST(TraceV2Test, DigestMatchesAcrossARoundTrip) {
-  // The CI round-trip gate's correctness check: folding every arrival on
+  // The streamed round trip's correctness check: folding every arrival on
   // the write side and the read side must land on the same digest.
   const auto original = SampleArrivals();
   std::uint64_t write_digest = kTraceDigestSeed;
@@ -312,6 +318,54 @@ TEST(TraceV2Test, DigestMatchesAcrossARoundTrip) {
   }
   EXPECT_EQ(write_digest, read_digest);
   EXPECT_NE(write_digest, kTraceDigestSeed);
+}
+
+// Streams generated arrivals through an on-disk v2 file and back. Memory
+// stays bounded by one block at any length. The digest of the first
+// 50,000 arrivals is pinned, so neither the generator nor the codec can
+// drift unnoticed.
+TEST(TraceV2RoundTripTest, StreamedFileRoundTripIsBitIdentical) {
+  constexpr std::uint64_t kPinnedRecords = 50000;
+  constexpr std::uint64_t kPinnedDigest = 0xa7461baeb2050a38ULL;
+  std::uint64_t n = kPinnedRecords;
+  if (const char* env = std::getenv("UNICC_TRACE_ROUNDTRIP_TXNS")) {
+    const unsigned long long v = std::strtoull(env, nullptr, 10);
+    if (v > 0) n = v;
+  }
+  WorkloadOptions wo;
+  wo.arrival_rate_per_sec = 1000;
+  wo.num_txns = n;
+  wo.size_min = 4;
+  wo.size_max = 8;
+  wo.read_fraction = 0.5;
+  auto stream = MakeGeneratorStream(wo, /*num_items=*/100000,
+                                    /*num_user_sites=*/8, Rng(0x7ace));
+  const std::string path = ::testing::TempDir() + "/unicc_roundtrip.uctc";
+  auto writer = TraceWriter::Open(path);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  std::uint64_t write_digest = kTraceDigestSeed;
+  Arrival a;
+  while (stream->Next(&a)) {
+    write_digest = FoldArrivalDigest(write_digest, a);
+    ASSERT_TRUE((*writer)->Append(a).ok());
+  }
+  ASSERT_TRUE((*writer)->Finish().ok());
+
+  auto reader = TraceReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::uint64_t read_digest = kTraceDigestSeed;
+  std::uint64_t pinned_prefix = 0;
+  while ((*reader)->Next(&a)) {
+    read_digest = FoldArrivalDigest(read_digest, a);
+    if ((*reader)->records_read() == kPinnedRecords) {
+      pinned_prefix = read_digest;
+    }
+  }
+  std::remove(path.c_str());
+  ASSERT_TRUE((*reader)->status().ok()) << (*reader)->status().ToString();
+  EXPECT_EQ((*reader)->records_read(), n);
+  EXPECT_EQ(read_digest, write_digest);
+  if (n >= kPinnedRecords) EXPECT_EQ(pinned_prefix, kPinnedDigest);
 }
 
 TEST(TraceV2ReaderTest, MissingFileIsNotFound) {

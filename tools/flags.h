@@ -1,7 +1,7 @@
-// Command-line flags shared by unicc_sim, sweep_runner and perf_gate, all
-// written `--name=VALUE`. A numeric VALUE must parse strictly
-// (common/parse.h); anything else names the flag on stderr and exits 2,
-// so a typo never runs as 0.
+// Command-line flags shared by unicc_sim and sweep_runner, all written
+// `--name=VALUE`. A numeric VALUE must parse strictly (common/parse.h);
+// anything else names the flag on stderr and exits 2, so a typo never
+// runs as 0.
 #ifndef UNICC_TOOLS_FLAGS_H_
 #define UNICC_TOOLS_FLAGS_H_
 
