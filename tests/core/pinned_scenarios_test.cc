@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>

@@ -365,7 +365,9 @@ TEST(TraceV2RoundTripTest, StreamedFileRoundTripIsBitIdentical) {
   ASSERT_TRUE((*reader)->status().ok()) << (*reader)->status().ToString();
   EXPECT_EQ((*reader)->records_read(), n);
   EXPECT_EQ(read_digest, write_digest);
-  if (n >= kPinnedRecords) EXPECT_EQ(pinned_prefix, kPinnedDigest);
+  if (n >= kPinnedRecords) {
+    EXPECT_EQ(pinned_prefix, kPinnedDigest);
+  }
 }
 
 TEST(TraceV2ReaderTest, MissingFileIsNotFound) {
