@@ -3,7 +3,7 @@
 // (precedence assignment + enforcement) for every copy stored at one site:
 // UnifiedQueueManager or BasicToManager. The request-issuer side has one
 // implementation, RequestIssuer (cc/unified/issuer.h). The engine routes
-// messages between them over the Transport.
+// messages between them over the SimTransport.
 #ifndef UNICC_CC_BACKEND_H_
 #define UNICC_CC_BACKEND_H_
 
@@ -22,7 +22,7 @@ namespace unicc {
 // Shared services handed to backends at construction.
 struct CcContext {
   Simulator* sim = nullptr;
-  Transport* transport = nullptr;
+  SimTransport* transport = nullptr;
   LogSink* log = nullptr;
 };
 

@@ -17,7 +17,6 @@ void BasicToManager::GrantRead(const CopyId& copy, Timestamp ts, TxnId txn,
   // A pure-T/O read is implemented at grant time; only committed
   // incarnations are kept by the serializability checker.
   ctx_.log->Append(copy, txn, attempt, OpType::kRead, ctx_.sim->Now());
-  ++grants_sent_;
   if (hooks_.on_grant) {
     hooks_.on_grant(copy, OpType::kRead, Protocol::kTimestampOrdering);
   }
@@ -35,7 +34,6 @@ void BasicToManager::OnRequest(const msg::CcRequest& m) {
   Copy& c = copies_.At(copy_index).value;
   if (m.op == OpType::kRead) {
     if (m.ts <= c.w_ts) {
-      ++rejects_sent_;
       if (hooks_.on_reject) hooks_.on_reject(m.op, m.proto);
       ctx_.transport->Send(site_, m.reply_to,
                            msg::Reject{m.txn, m.attempt, m.copy});
@@ -58,7 +56,6 @@ void BasicToManager::OnRequest(const msg::CcRequest& m) {
     }
   } else {
     if (m.ts <= c.w_ts || m.ts <= c.r_ts) {
-      ++rejects_sent_;
       if (hooks_.on_reject) hooks_.on_reject(m.op, m.proto);
       ctx_.transport->Send(site_, m.reply_to,
                            msg::Reject{m.txn, m.attempt, m.copy});
@@ -76,7 +73,6 @@ void BasicToManager::OnRequest(const msg::CcRequest& m) {
     c.prewrites.insert(it, p);
     // A prewrite acceptance doubles as the grant: the transaction may
     // proceed; the write installs at commit in timestamp order.
-    ++grants_sent_;
     if (hooks_.on_grant) {
       hooks_.on_grant(m.copy, m.op, Protocol::kTimestampOrdering);
     }

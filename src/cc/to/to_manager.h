@@ -31,9 +31,6 @@ class BasicToManager : public DataSiteBackend {
   const Store& store() const override { return store_; }
   Store* mutable_store() { return &store_; }
 
-  std::uint64_t rejects_sent() const { return rejects_sent_; }
-  std::uint64_t grants_sent() const { return grants_sent_; }
-
   struct Prewrite {
     Timestamp ts = 0;
     TxnId txn = 0;
@@ -74,8 +71,6 @@ class BasicToManager : public DataSiteBackend {
   // The copies with waiting reads, the only ones that have wait edges
   // (see UnifiedQueueManager::live_).
   mutable LiveQueueIndex live_;
-  std::uint64_t rejects_sent_ = 0;
-  std::uint64_t grants_sent_ = 0;
 };
 
 }  // namespace unicc

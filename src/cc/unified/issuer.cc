@@ -284,7 +284,6 @@ void RequestIssuer::Commit(ActiveTxn& t) {
       lg.normal.push_back(already_normal ? 1 : 0);
       if (already_normal) ++lg.normals;
     }
-    ++semi_commits_;
     TxnResult result;
     result.id = t.spec.id;
     result.protocol = t.spec.protocol;
@@ -294,7 +293,6 @@ void RequestIssuer::Commit(ActiveTxn& t) {
     result.backoffs = t.backoff_rounds;
     result.num_requests = t.reqs.size();
     result.deadline = t.spec.deadline;
-    ++commits_;
     const TxnId id = t.spec.id;
     lingering_.emplace(id, std::move(lg));
     Recycle(id);
@@ -329,7 +327,6 @@ void RequestIssuer::Commit(ActiveTxn& t) {
   result.backoffs = t.backoff_rounds;
   result.num_requests = t.reqs.size();
   result.deadline = t.spec.deadline;
-  ++commits_;
   Recycle(t.spec.id);
   if (events_.on_commit) events_.on_commit(result);
 }
@@ -394,8 +391,7 @@ void RequestIssuer::AbortAndRestart(ActiveTxn& t, TxnOutcome why,
       ++reject_restarts_;
       break;
     case TxnOutcome::kRestartedByTimeout:
-      ++timeout_restarts_;
-      break;
+      break;  // counted by RunMetrics through on_restart
     default:
       ++deadlock_restarts_;
       break;

@@ -121,12 +121,9 @@ class RequestIssuer {
   SiteId site() const { return site_; }
 
   // Counters (cumulative over the issuer's lifetime).
-  std::uint64_t commits() const { return commits_; }
   std::uint64_t reject_restarts() const { return reject_restarts_; }
   std::uint64_t deadlock_restarts() const { return deadlock_restarts_; }
-  std::uint64_t timeout_restarts() const { return timeout_restarts_; }
   std::uint64_t backoff_rounds() const { return backoff_rounds_; }
-  std::uint64_t semi_commits() const { return semi_commits_; }
 
  private:
   struct PhysReq {
@@ -214,12 +211,9 @@ class RequestIssuer {
   // issuer's peak active count.
   std::vector<ActiveMap::node_type> spare_;
 
-  std::uint64_t commits_ = 0;
   std::uint64_t reject_restarts_ = 0;
   std::uint64_t deadlock_restarts_ = 0;
-  std::uint64_t timeout_restarts_ = 0;
   std::uint64_t backoff_rounds_ = 0;
-  std::uint64_t semi_commits_ = 0;
 };
 
 }  // namespace unicc

@@ -233,7 +233,6 @@ void UnifiedQueueManager::TryGrant(const CopyId& copy, DataQueue& q) {
     } else {
       q.w_ts = std::max(q.w_ts, e.prec.ts);
     }
-    ++grants_sent_;
     if (hooks_.on_grant) hooks_.on_grant(copy, e.op, e.proto);
     if (to_semantics && e.op == OpType::kRead) {
       // A T/O read's value is captured by this grant (the data ride along
@@ -264,7 +263,6 @@ void UnifiedQueueManager::UpgradePass(const CopyId& copy, DataQueue& q) {
     }
     if (!conflict_left) {
       e.normal = true;
-      ++upgrades_sent_;
       msg::Grant grant{e.txn, e.attempt, copy, /*normal=*/true, false, 0};
       SendToIssuer(e.reply_to, grant);
     }

@@ -63,8 +63,6 @@ class UnifiedQueueManager : public DataSiteBackend {
   // Counters.
   std::uint64_t rejects_sent() const { return rejects_sent_; }
   std::uint64_t backoffs_sent() const { return backoffs_sent_; }
-  std::uint64_t grants_sent() const { return grants_sent_; }
-  std::uint64_t upgrades_sent() const { return upgrades_sent_; }
 
  private:
   // Per-copy queue state.
@@ -127,8 +125,6 @@ class UnifiedQueueManager : public DataSiteBackend {
 
   std::uint64_t rejects_sent_ = 0;
   std::uint64_t backoffs_sent_ = 0;
-  std::uint64_t grants_sent_ = 0;
-  std::uint64_t upgrades_sent_ = 0;
 
   static const std::vector<QueueEntry> kEmptyQueue;
 };

@@ -21,13 +21,12 @@ namespace unicc {
 
 // Which queue-manager stack serves the data sites.
 enum class BackendKind : std::uint8_t {
-  // Single-protocol baseline; the whole workload must use `pure_protocol`.
-  // Pure T/O runs Basic T/O; pure 2PL and pure PA run the unified queue
-  // manager, which is exactly that protocol when every transaction uses
-  // it. Used for the baseline curves.
-  kPure = 0,
-  // The paper's unified system: any per-transaction protocol mix.
-  kUnified = 1,
+  // The paper's unified system: any per-transaction protocol mix. With
+  // every transaction on 2PL (or on PA) it is exactly pure 2PL (pure PA),
+  // so it also runs those baselines.
+  kUnified = 0,
+  // Basic T/O, the pure T/O baseline: every transaction must use T/O.
+  kBasicTo = 1,
 };
 
 enum class DetectorKind : std::uint8_t {
@@ -55,7 +54,6 @@ struct EngineOptions {
   Duration request_timeout = 0;
 
   BackendKind backend = BackendKind::kUnified;
-  Protocol pure_protocol = Protocol::kTwoPhaseLocking;  // kPure only
   // False selects the lock-everything ablation of Section 4.2.
   bool semi_locks = true;
 

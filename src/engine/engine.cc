@@ -9,7 +9,6 @@
 #include "cc/to/to_manager.h"
 #include "cc/unified/queue_manager.h"
 #include "common/check.h"
-#include "net/flaky_transport.h"
 #include "storage/replica_check.h"
 
 namespace unicc {
@@ -62,7 +61,7 @@ void Engine::BuildSites() {
   const std::uint32_t num_data = options_.num_data_sites;
   detector_site_ = num_user + num_data;
 
-  if (options_.fault.Active() || options_.fault.force_flaky) {
+  if (options_.fault.Active()) {
     // A zero fault seed derives one from the engine seed.
     if (options_.fault.seed == 0) {
       options_.fault.seed = options_.seed ^ kFaultSeedSalt;
@@ -70,16 +69,10 @@ void Engine::BuildSites() {
     fault_model_ = std::make_unique<FaultModel>(
         options_.fault, options_.network, num_user + num_data + 1);
   }
-
-  // The rng fork position is identical in both branches, so enabling (or
-  // force-enabling) the fault layer never perturbs downstream draw order.
-  if (fault_model_ != nullptr) {
-    transport_ = std::make_unique<FlakyTransport>(
-        &sim_, options_.network, root_rng_.Fork(), fault_model_.get());
-  } else {
-    transport_ = std::make_unique<SimTransport>(&sim_, options_.network,
-                                                root_rng_.Fork());
-  }
+  // The transport forks the rng with or without a fault model, so enabling
+  // faults never perturbs downstream draw order.
+  transport_ = std::make_unique<SimTransport>(
+      &sim_, options_.network, root_rng_.Fork(), fault_model_.get());
 
   std::vector<SiteId> data_sites;
   for (std::uint32_t i = 0; i < num_data; ++i) {
@@ -106,13 +99,11 @@ void Engine::BuildSites() {
     if (callbacks_.on_backoff_offer) callbacks_.on_backoff_offer(op);
   };
 
-  // Data sites. Pure T/O runs Basic T/O; every other run, pure 2PL and
-  // pure PA included, runs the unified queue manager, which reduces to the
-  // pure protocol when every transaction uses it.
+  // Data sites: Basic T/O, or the unified queue manager, which reduces to
+  // pure 2PL or pure PA when every transaction uses that protocol.
   for (SiteId s : data_sites) {
     std::unique_ptr<DataSiteBackend> backend;
-    if (options_.backend == BackendKind::kPure &&
-        options_.pure_protocol == Protocol::kTimestampOrdering) {
+    if (options_.backend == BackendKind::kBasicTo) {
       backend = std::make_unique<BasicToManager>(s, ctx, qm_hooks);
     } else {
       UnifiedQmOptions qm;
@@ -339,9 +330,9 @@ void Engine::AdmitSpec(TxnSpec spec, SimTime arrival) {
     }));
   }
   if (policy_) spec.protocol = policy_(spec);
-  if (options_.backend == BackendKind::kPure) {
-    UNICC_CHECK_MSG(spec.protocol == options_.pure_protocol,
-                    "pure backend cannot mix protocols");
+  if (options_.backend == BackendKind::kBasicTo) {
+    UNICC_CHECK_MSG(spec.protocol == Protocol::kTimestampOrdering,
+                    "the basic_to backend runs T/O only");
   }
   auto staged = compute_.extract(spec.id);
   IssuerAt(spec.home)->Begin(spec, arrival,

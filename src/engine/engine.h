@@ -141,12 +141,8 @@ class Engine {
   SimTransport& transport() { return *transport_; }
   const Catalog& catalog() const { return *catalog_; }
   const EngineOptions& options() const { return options_; }
-  // Non-null iff topology/fault injection is enabled (or forced for the
-  // transport-equivalence tests).
-  const FaultModel* fault_model() const { return fault_model_.get(); }
 
   std::uint64_t deadlock_victim_count() const;
-  SiteId detector_site() const { return detector_site_; }
 
   // Admitted transactions expired past their deadline (overload control);
   // committed + expired == admitted once a run drains.
@@ -241,7 +237,8 @@ class Engine {
   EngineCallbacks callbacks_;
   Rng root_rng_;
   Simulator sim_;
-  // Must outlive transport_, which holds a borrowed pointer to it.
+  // Non-null iff options_.fault.Active(). Must outlive transport_, which
+  // holds a borrowed pointer to it.
   std::unique_ptr<FaultModel> fault_model_;
   std::unique_ptr<SimTransport> transport_;
   std::unique_ptr<Catalog> catalog_;

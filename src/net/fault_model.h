@@ -9,9 +9,9 @@
 // per-channel sequence number, purpose salt), never a stateful RNG
 // stream. That is what makes fault schedules bit-reproducible under a
 // fixed --fault-seed (the same (from, to, seq) message always gets the
-// same fate) and free on the no-fault path (an inactive model draws
-// nothing, so a FlakyTransport without faults is byte-identical to
-// SimTransport).
+// same fate) and free on the no-fault path (the engine builds a model
+// only when a fault knob is set, and SimTransport without one draws
+// nothing extra).
 //
 // Message-kind semantics (see docs/architecture.md, "Fault model"):
 //   reliable   — {Grant, FinalTs, Release, SemiTransform, AbortTxn} are
@@ -85,11 +85,6 @@ struct FaultOptions {
   Duration reorder_delay = 20 * kMillisecond;
 
   std::vector<CrashEvent> crashes;
-
-  // Test knob: construct a FlakyTransport even when no fault is
-  // configured (its inactive path must be byte-identical to
-  // SimTransport).
-  bool force_flaky = false;
 
   // True when any knob changes message behavior (topology, loss,
   // duplication, reordering or crashes).

@@ -4,12 +4,16 @@
 #include <utility>
 
 #include "common/check.h"
+#include "net/fault_model.h"
 
 namespace unicc {
 
-SimTransport::SimTransport(Simulator* sim, NetworkOptions options, Rng rng)
-    : sim_(sim), options_(options), rng_(rng) {
+SimTransport::SimTransport(Simulator* sim, NetworkOptions options, Rng rng,
+                           const FaultModel* faults)
+    : sim_(sim), options_(options), rng_(rng), faults_(faults) {
   UNICC_CHECK(sim != nullptr);
+  UNICC_CHECK_MSG(faults == nullptr || faults->Active(),
+                  "a transport's fault model must be active");
 }
 
 void SimTransport::RegisterSite(SiteId site, SiteHandler handler) {
@@ -54,8 +58,6 @@ void SimTransport::Account(const Message& m, bool remote) {
 
 void SimTransport::ScheduleDelivery(SimTime when, SiteId from, SiteId to,
                                     Message m) {
-  UNICC_CHECK_MSG(to < handlers_.size() && handlers_[to],
-                  "delivery scheduled to unregistered site");
   const std::uint32_t node = AcquireNode(std::move(m));
   sim_->ScheduleAt(when, [this, from, to, node]() {
     Deliver(from, to, node);
@@ -88,6 +90,10 @@ SimTime SimTransport::ClampFifo(SiteId from, SiteId to, SimTime deliver) {
 void SimTransport::Send(SiteId from, SiteId to, Message m) {
   UNICC_CHECK_MSG(to < handlers_.size() && handlers_[to],
                   "message sent to unregistered site");
+  if (faults_ != nullptr) {
+    SendWithFaults(from, to, std::move(m));
+    return;
+  }
   Account(m, from != to);
   const Duration delay = DelayFor(from, to);
   const SimTime deliver = ClampFifo(from, to, sim_->Now() + delay);
@@ -97,9 +103,50 @@ void SimTransport::Send(SiteId from, SiteId to, Message m) {
   });
 }
 
+bool SimTransport::CrashAdjust(MessageKind kind, SiteId from, SiteId to,
+                               std::uint64_t seq, SimTime* deliver) {
+  if (!faults_->DownAt(to, *deliver)) return true;
+  if (!FaultModel::Reliable(kind)) return false;
+  // "Retransmit until acked": the message lands one fresh link delay
+  // after the receiver recovers.
+  *deliver =
+      faults_->RecoverTime(to, *deliver) + faults_->LinkDelay(from, to, seq);
+  return true;
+}
+
+void SimTransport::SendWithFaults(SiteId from, SiteId to, Message m) {
+  const MessageKind kind = KindOf(m);
+  const std::uint64_t seq =
+      fault_seq_[(static_cast<std::uint64_t>(from) << 32) | to]++;
+  Account(m, from != to);
+  SimTime deliver = sim_->Now() + faults_->LinkDelay(from, to, seq);
+  const FaultModel::Decision d = faults_->Decide(kind, from, to, seq);
+  if (d.drop) {
+    ++dropped_;
+    return;
+  }
+  deliver += d.extra;
+  if (!CrashAdjust(kind, from, to, seq, &deliver)) {
+    ++dropped_;
+    return;
+  }
+  Message copy;
+  if (d.duplicate) copy = m;
+  deliver = ClampFifo(from, to, deliver);
+  ScheduleDelivery(deliver, from, to, std::move(m));
+  if (d.duplicate) {
+    ++duplicated_;
+    Account(copy, from != to);
+    const SimTime dup = ClampFifo(from, to, deliver + d.dup_extra);
+    ScheduleDelivery(dup, from, to, std::move(copy));
+  }
+}
+
 void SimTransport::ResetCounters() {
   total_messages_ = 0;
   remote_messages_ = 0;
+  dropped_ = 0;
+  duplicated_ = 0;
   by_kind_.fill(0);
 }
 

@@ -176,18 +176,13 @@ StatusOr<std::unique_ptr<RunSession>> RunSession::Create(RunRequest request) {
   if (request.spec == nullptr) {
     return Status::InvalidArgument("RunRequest needs a scenario spec");
   }
-  if (request.arrivals != nullptr && request.arrival_stream != nullptr) {
+  if (request.arrival_stream == nullptr && request.forced != nullptr) {
     return Status::InvalidArgument(
-        "replay arrivals and a replay stream are mutually exclusive");
-  }
-  if (request.arrivals == nullptr && request.arrival_stream == nullptr &&
-      request.forced != nullptr) {
-    return Status::InvalidArgument(
-        "a forced-protocol set only makes sense with replay arrivals");
+        "a forced-protocol set only makes sense with an arrival stream");
   }
   auto session = std::unique_ptr<RunSession>(new RunSession(std::move(request)));
   if (Status s = session->spec_.engine.Validate(); !s.ok()) return s;
-  if (Status s = ValidatePureBackend(session->spec_); !s.ok()) return s;
+  if (Status s = ValidateBackend(session->spec_); !s.ok()) return s;
   return session;
 }
 
@@ -241,37 +236,23 @@ RunReport RunSession::Run() {
 
   // Resolve the workload (and its forced-protocol set) before any engine
   // exists; workload generation draws from its own rng streams.
-  const std::vector<WorkloadGenerator::Arrival>* arrivals = request_.arrivals;
-  ScenarioSpec::Workload built;
-  std::unique_ptr<ArrivalStream> stream;
-  if (request_.arrival_stream != nullptr) {
+  std::unique_ptr<ArrivalStream> stream = std::move(request_.arrival_stream);
+  if (stream != nullptr) {
     forced_ = request_.forced;
-    stream = std::move(request_.arrival_stream);
-    // A closed system admits a replay as the live run admits its workload:
-    // as a batch, where each arrival reserves its sequence number when it
-    // is queued. Streamed, each would draw one when pulled, after events
-    // scheduled in between, and ties would break differently.
-    if (!spec_.IsOpenSystem()) {
-      built.arrivals = DrainStream(*stream);
-      arrivals = &built.arrivals;
-      stream.reset();
-    }
-  } else if (arrivals != nullptr) {
-    forced_ = request_.forced;
-    // An open system admits replayed arrivals through its [run] controls,
-    // as it does a stream; a batch would bypass them.
-    if (spec_.IsOpenSystem()) {
-      stream = MakeVectorStream(*arrivals);
-      arrivals = nullptr;
-    }
-  } else if (spec_.IsOpenSystem()) {
+  } else {
     ScenarioSpec::OpenWorkload ow = spec_.Open();
     stream = std::move(ow.stream);
-    forced_ = ow.forced;
-  } else {
-    built = spec_.BuildWorkload();
-    arrivals = &built.arrivals;
-    forced_ = built.forced;
+    forced_ = std::move(ow.forced);
+  }
+  // An open system streams the workload through its [run] controls. A
+  // closed one admits it as a batch, where each arrival reserves its
+  // sequence number when it is queued; streamed, each would draw one when
+  // pulled, after events scheduled in between, and ties would break
+  // differently.
+  std::vector<Arrival> batch;
+  if (!spec_.IsOpenSystem()) {
+    batch = DrainStream(*stream);
+    stream.reset();
   }
 
   EngineBuilder builder(spec_.engine);
@@ -281,9 +262,7 @@ RunReport RunSession::Run() {
   UNICC_CHECK_MSG(engine.ok(), "engine build failed after validation");
   engine_ = std::move(engine).value();
   InstallPolicy();
-  if (arrivals != nullptr) {
-    UNICC_CHECK(engine_->AddWorkload(*arrivals).ok());
-  }
+  UNICC_CHECK(engine_->AddWorkload(batch).ok());
   report.setup_s = SecondsSince(&mark);
   report.summary = engine_->Run();
   report.simulate_s = SecondsSince(&mark);

@@ -1,10 +1,10 @@
 // The run-entrypoint library: one compiled implementation of "take a
 // scenario, assemble the policy stack and engine, run it, extract row
-// data", shared by the golden and pinned-result tests, unicc_sim and
-// sweep_runner (each used to carry its own inline copy).
+// data", shared by the pinned-result tests, unicc_sim and sweep_runner
+// (each used to carry its own inline copy).
 //
 //   RunRequest  — scenario + overrides (seed, fault seed, timeline
-//                 window) + optional workload replay
+//                 window) + optional workload stream
 //   RunSession  — validated, ready-to-run assembly (Status errors instead
 //                 of aborts)
 //   RunReport   — summary + extracted row stats
@@ -66,8 +66,8 @@ struct RunStats {
   std::uint64_t peak_rss_kb = 0;
 };
 
-// What to run and how. The pointed-to spec and arrivals must outlive the
-// session (they are read during Create and Run).
+// What to run and how. The pointed-to spec must outlive the session (it
+// is read during Create and Run).
 struct RunRequest {
   const ScenarioSpec* spec = nullptr;
 
@@ -77,17 +77,9 @@ struct RunRequest {
   std::optional<std::uint64_t> fault_seed;
   std::optional<Duration> metrics_window;  // timeline window; 0 disables
 
-  // Workload replay: run these arrivals instead of spec->BuildWorkload()
-  // (the golden suite's record -> replay path). An open-system spec
-  // admits them through its [run] controls, like a stream; a closed one
-  // admits them as a batch. `forced` carries the matching forced-protocol
-  // set.
-  const std::vector<WorkloadGenerator::Arrival>* arrivals = nullptr;
-  // Streaming replay: pull arrivals from this stream instead (the UCTC v2
-  // trace-replay path). An open-system spec feeds it to streaming
-  // admission without materializing the run; a closed one drains it into
-  // a batch, like `arrivals`. Mutually exclusive with `arrivals`; `forced`
-  // applies to either.
+  // The workload, when not the spec's own (spec->Open()): a replayed
+  // trace, a loaded or generated vector (MakeVectorStream) or a generator
+  // (MakeGeneratorStream). `forced` carries its forced-protocol set.
   std::unique_ptr<ArrivalStream> arrival_stream;
   std::shared_ptr<const std::unordered_set<TxnId>> forced;
 };
@@ -114,8 +106,9 @@ struct RunReport {
 
 class RunSession {
  public:
-  // Validates the request (engine options, the pure backend's protocol
-  // rule, replay inputs) and returns a ready session or the first error.
+  // Validates the request (engine options, the basic_to backend's
+  // protocol rule, workload inputs) and returns a ready session or the
+  // first error.
   static StatusOr<std::unique_ptr<RunSession>> Create(RunRequest request);
 
   ~RunSession();

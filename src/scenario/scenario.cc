@@ -133,13 +133,11 @@ Status ParseEngineSection(const IniSection& sec, EngineOptions* eo,
     } else if (e.key == "backend") {
       if (e.value == "unified") {
         eo->backend = BackendKind::kUnified;
-      } else if (e.value == "pure") {
-        eo->backend = BackendKind::kPure;
+      } else if (e.value == "basic_to") {
+        eo->backend = BackendKind::kBasicTo;
       } else {
-        return BadValue(e, "expected unified/pure");
+        return BadValue(e, "expected unified/basic_to");
       }
-    } else if (e.key == "protocol") {
-      if (Status s = ParseProtocol(e, &eo->pure_protocol); !s.ok()) return s;
     } else if (e.key == "detector") {
       if (e.value == "central") {
         eo->detector = DetectorKind::kCentral;
@@ -643,16 +641,14 @@ Status ValidateClassWorkload(const ScenarioClass& c,
   return Status::OK();
 }
 
-// A pure backend serves exactly one protocol; any forced class protocol
-// must match it.
-Status ValidatePureProtocols(const std::vector<ScenarioClass>& classes,
-                             const EngineOptions& engine,
-                             const std::string& suffix) {
+// Basic T/O serves T/O only; a class may force no other protocol.
+Status ValidateBasicToClasses(const std::vector<ScenarioClass>& classes,
+                              const std::string& suffix) {
   for (const ScenarioClass& c : classes) {
-    if (c.has_protocol && c.protocol != engine.pure_protocol) {
+    if (c.has_protocol && c.protocol != Protocol::kTimestampOrdering) {
       return Status::InvalidArgument(
           "[class " + c.name +
-          "]: forced protocol conflicts with the pure backend" + suffix);
+          "]: forced protocol conflicts with the basic_to backend" + suffix);
     }
   }
   return Status::OK();
@@ -694,9 +690,9 @@ Status ValidateTimeline(const ScenarioSpec& spec) {
         return s;
       }
     }
-    if (spec.engine.backend == BackendKind::kPure) {
-      if (Status s = ValidatePureProtocols(effective, spec.engine,
-                                           " (" + where + "override)");
+    if (spec.engine.backend == BackendKind::kBasicTo) {
+      if (Status s =
+              ValidateBasicToClasses(effective, " (" + where + "override)");
           !s.ok()) {
         return s;
       }
@@ -763,7 +759,7 @@ Status ResolveTables(ScenarioSpec* spec, bool saw_items) {
 }
 
 // Checks constraints that span sections (class knobs against the engine's
-// item count, pure backend against the policy, the phase timeline).
+// item count, the backend against the policy, the phase timeline).
 Status CrossValidate(const ScenarioSpec& spec) {
   for (const ScenarioClass& c : spec.classes) {
     if (Status s = ValidateClassWorkload(c, spec.engine,
@@ -772,7 +768,7 @@ Status CrossValidate(const ScenarioSpec& spec) {
       return s;
     }
   }
-  if (Status s = ValidatePureBackend(spec); !s.ok()) return s;
+  if (Status s = ValidateBackend(spec); !s.ok()) return s;
   if (Status s = ValidateTimeline(spec); !s.ok()) return s;
   if (spec.engine.run.shed_policy == ShedPolicy::kDeadline) {
     const bool any_deadline =
@@ -817,15 +813,15 @@ std::unique_ptr<AccessPattern> MakeAccess(const ScenarioClass& c,
 
 }  // namespace
 
-Status ValidatePureBackend(const ScenarioSpec& spec) {
-  if (spec.engine.backend != BackendKind::kPure) return Status::OK();
+Status ValidateBackend(const ScenarioSpec& spec) {
+  if (spec.engine.backend != BackendKind::kBasicTo) return Status::OK();
   if (spec.policy.kind != ScenarioPolicy::Kind::kFixed ||
-      spec.policy.fixed != spec.engine.pure_protocol) {
+      spec.policy.fixed != Protocol::kTimestampOrdering) {
     return Status::InvalidArgument(
-        "[engine] backend = pure requires [policy] kind = fixed with the "
-        "same protocol");
+        "[engine] backend = basic_to requires [policy] kind = fixed with "
+        "protocol = to");
   }
-  return ValidatePureProtocols(spec.classes, spec.engine, "");
+  return ValidateBasicToClasses(spec.classes, "");
 }
 
 StatusOr<ScenarioSpec> ScenarioSpec::FromIni(const IniFile& ini) {

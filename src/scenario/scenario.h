@@ -198,12 +198,11 @@ struct ScenarioSpec {
   std::uint64_t TotalTxns() const;
 };
 
-// A pure backend serves exactly one protocol, so every transaction must
-// be steered to it: the policy must be kind = fixed with
-// engine.pure_protocol, and no class may force another protocol. Always
-// OK on the unified backend. Scenario validation and RunSession::Create
-// both apply it.
-Status ValidatePureBackend(const ScenarioSpec& spec);
+// The basic_to backend serves T/O only, so every transaction must be
+// steered to it: the policy must be kind = fixed with protocol = to, and
+// no class may force another protocol. Always OK on the unified backend.
+// Scenario validation and RunSession::Create both apply it.
+Status ValidateBackend(const ScenarioSpec& spec);
 
 // Wraps a base protocol policy so transactions in `forced` keep the
 // protocol already in their spec. `base` may be null (behaves like

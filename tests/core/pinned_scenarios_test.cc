@@ -4,11 +4,12 @@
 //   - quickstart scaled to 20,000 transactions, run as a batch and again
 //     streamed under a 64-transaction MPL cap;
 //   - macro_partitioned scaled to 8,000 and flaky_mesh to 2,000.
-// golden_test checks that a run repeats itself; this test checks that it
-// still gives the committed result. A differing run is named with the
-// fields that moved. The test writes the full current table next to its
-// binary (UNICC_PINNED_SCENARIOS_CURRENT); to change results on purpose,
-// copy that file over the committed one and say why.
+// Each closed scenario's workload, recorded in UCTC v2 and replayed at its
+// own seed, must give the live run's line too. A differing run is named
+// with the fields that moved, and a run that does not end OK with its
+// status. The test writes the full current table next to its binary
+// (UNICC_PINNED_SCENARIOS_CURRENT); to change results on purpose, copy
+// that file over the committed one and say why.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -24,6 +25,8 @@
 #include "core/snapshot.h"
 #include "scenario/ini.h"
 #include "scenario/scenario.h"
+#include "workload/stream.h"
+#include "workload/trace_io.h"
 
 #if !defined(UNICC_PINNED_SCENARIOS) || \
     !defined(UNICC_PINNED_SCENARIOS_CURRENT)
@@ -83,7 +86,7 @@ std::string RunSnapshot(const PinnedRun& run) {
   }
   auto spec = ScenarioSpec::FromIni(ini);
   if (!spec.ok()) return spec.status().ToString();
-  return test::Snapshot(test::RunScenario(*spec));
+  return test::Snapshot(test::RunScenario(run.Label(), *spec));
 }
 
 // Label -> snapshot, from the committed file.
@@ -118,6 +121,20 @@ std::string ChangedFields(const std::string& pinned,
                      : out;
 }
 
+// Fails the test unless `snapshot` is the line pinned under `label`;
+// `what` names the run in the message.
+void ExpectPinned(const std::map<std::string, std::string>& pins,
+                  const std::string& label, const std::string& what,
+                  const std::string& snapshot) {
+  const auto pin = pins.find(label);
+  if (pin == pins.end()) {
+    ADD_FAILURE() << what << ": no pinned result";
+  } else if (pin->second != snapshot) {
+    ADD_FAILURE() << what << ": result differs from its pin:"
+                  << ChangedFields(pin->second, snapshot);
+  }
+}
+
 TEST(PinnedScenariosTest, EveryRunGivesItsPinnedResult) {
   const std::map<std::string, std::string> pins =
       ReadPins(UNICC_PINNED_SCENARIOS);
@@ -129,13 +146,7 @@ TEST(PinnedScenariosTest, EveryRunGivesItsPinnedResult) {
     const std::string snapshot = RunSnapshot(run);
     current << label << ": " << snapshot << "\n";
     ran.insert(label);
-    const auto pin = pins.find(label);
-    if (pin == pins.end()) {
-      ADD_FAILURE() << label << ": no pinned result";
-    } else if (pin->second != snapshot) {
-      ADD_FAILURE() << label << ": result differs from its pin:"
-                    << ChangedFields(pin->second, snapshot);
-    }
+    ExpectPinned(pins, label, label, snapshot);
   }
   for (const auto& [label, snapshot] : pins) {
     EXPECT_TRUE(ran.contains(label)) << label << ": pinned, but not run";
@@ -144,6 +155,30 @@ TEST(PinnedScenariosTest, EveryRunGivesItsPinnedResult) {
     std::printf("The current results are in %s\n",
                 UNICC_PINNED_SCENARIOS_CURRENT);
   }
+}
+
+// A closed scenario's workload, recorded and replayed as unicc_sim's
+// --record-trace and --replay-trace do, runs exactly as the live run.
+// Open systems are left out: traces carry no deadlines or priorities.
+TEST(PinnedScenariosTest, ClosedReplaysGiveTheLiveRunsPinnedResult) {
+  const std::map<std::string, std::string> pins =
+      ReadPins(UNICC_PINNED_SCENARIOS);
+  const std::string path = ::testing::TempDir() + "/pinned_replay.uctc";
+  for (const std::string& scenario : test::ShippedScenarios()) {
+    const std::string file = std::filesystem::path(scenario).filename();
+    auto spec = ScenarioSpec::LoadFile(scenario);
+    ASSERT_TRUE(spec.ok()) << file << ": " << spec.status().ToString();
+    if (spec->IsOpenSystem()) continue;
+    const ScenarioSpec::Workload wl = spec->BuildWorkload();
+    ASSERT_TRUE(WriteTraceV2File(path, wl.arrivals).ok()) << file;
+    auto replayed = ReadTraceV2File(path);
+    ASSERT_TRUE(replayed.ok()) << file << ": " << replayed.status().ToString();
+    const std::string what = file + " replayed from UCTC v2";
+    const runner::RunStats stats = test::RunScenario(
+        what, *spec, MakeVectorStream(std::move(*replayed)), wl.forced);
+    ExpectPinned(pins, file, what, test::Snapshot(stats));
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

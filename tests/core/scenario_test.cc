@@ -183,6 +183,10 @@ TEST(ScenarioSpecTest, RejectsBadValuesAndRanges) {
   EXPECT_FALSE(ScenarioSpec::Parse(WithLine("semi_locks = maybe")).ok());
   EXPECT_FALSE(ScenarioSpec::Parse(WithLine("detector = psychic")).ok());
   EXPECT_FALSE(ScenarioSpec::Parse(WithLine("detector = probe")).ok());
+  // Retired spellings: pure 2PL and PA are unified runs under a fixed
+  // policy, and basic_to implies its protocol.
+  EXPECT_FALSE(ScenarioSpec::Parse(WithLine("backend = pure")).ok());
+  EXPECT_FALSE(ScenarioSpec::Parse(WithLine("protocol = to")).ok());
   EXPECT_FALSE(
       ScenarioSpec::Parse(WithLine("[policy]\nweights = 1,1")).ok());
   EXPECT_FALSE(
@@ -250,9 +254,9 @@ TEST(ScenarioSpecTest, RequiresClassesAndMandatoryKeys) {
                    .ok());
 }
 
-TEST(ScenarioSpecTest, PureBackendRequiresMatchingFixedPolicy) {
+TEST(ScenarioSpecTest, BasicToBackendRequiresFixedToPolicy) {
   const char* base =
-      "[engine]\nbackend = pure\nprotocol = to\ndetector = none\n"
+      "[engine]\nbackend = basic_to\ndetector = none\n"
       "[policy]\nkind = %s\nprotocol = %s\n"
       "[class c]\ntxns = 5\nrate = 10\nsize = 2\n";
   char buf[512];
@@ -427,9 +431,9 @@ TEST(ScenarioPhaseTest, ValidatesEffectiveConfigPerPhase) {
       "hot_fraction = 1\n");
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("[phase p]"), std::string::npos);
-  // A pure backend rejects a phase forcing a different protocol.
+  // Basic T/O rejects a phase forcing a different protocol.
   EXPECT_FALSE(ScenarioSpec::Parse(
-                   "[engine]\nbackend = pure\nprotocol = to\n"
+                   "[engine]\nbackend = basic_to\n"
                    "detector = none\nitems = 32\n"
                    "[policy]\nkind = fixed\nprotocol = to\n"
                    "[class c]\ntxns = 5\nrate = 10\n"

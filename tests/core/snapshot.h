@@ -1,6 +1,6 @@
 // Runs a scenario through the runner facade and prints every
-// deterministic field of the result, for the golden and pinned-result
-// suites.
+// deterministic field of the result, for the pinned-result suite; lists
+// the shipped scenarios for it and the golden suite.
 #ifndef UNICC_TESTS_CORE_SNAPSHOT_H_
 #define UNICC_TESTS_CORE_SNAPSHOT_H_
 
@@ -17,6 +17,7 @@
 
 #include "runner/runner.h"
 #include "scenario/scenario.h"
+#include "workload/stream.h"
 
 #ifndef UNICC_SCENARIOS_DIR
 #error "UNICC_SCENARIOS_DIR must point at the shipped scenarios/ directory"
@@ -25,21 +26,27 @@
 namespace unicc::test {
 
 // Runs `spec` through the runner facade: the scenario's own workload, or
-// `arrivals` with their forced-protocol set when given (the replay path).
+// `stream` with its forced-protocol set when given (the replay path). A
+// run that does not end OK (cancelled by the watchdog, or breaking an
+// accounting identity) fails the test, naming `label` and the status.
 inline runner::RunStats RunScenario(
-    const ScenarioSpec& spec,
-    const std::vector<WorkloadGenerator::Arrival>* arrivals = nullptr,
+    const std::string& label, const ScenarioSpec& spec,
+    std::unique_ptr<ArrivalStream> stream = nullptr,
     std::shared_ptr<const std::unordered_set<TxnId>> forced = nullptr) {
   runner::RunRequest request;
   request.spec = &spec;
-  request.arrivals = arrivals;
+  request.arrival_stream = std::move(stream);
   request.forced = std::move(forced);
   auto session = runner::RunSession::Create(std::move(request));
   if (!session.ok()) {
-    ADD_FAILURE() << session.status().ToString();
+    ADD_FAILURE() << label << ": " << session.status().ToString();
     return runner::RunStats();
   }
-  return (*session)->Run().stats;
+  const runner::RunReport report = (*session)->Run();
+  if (!report.status.ok()) {
+    ADD_FAILURE() << label << ": run status " << report.status.ToString();
+  }
+  return report.stats;
 }
 
 // Serializes every deterministic field of a run. Doubles are printed with

@@ -183,11 +183,8 @@ TEST_P(PerProtocolEngineTest, WorkloadCommitsAndSerializable) {
   const BackendCase& c = GetParam();
   EngineOptions eo = SmallEngine(11);
   eo.backend = c.backend;
-  eo.pure_protocol = c.protocol;
-  if (c.protocol != Protocol::kTwoPhaseLocking &&
-      c.backend == BackendKind::kPure &&
-      c.protocol == Protocol::kTimestampOrdering) {
-    eo.detector = DetectorKind::kNone;  // pure T/O cannot deadlock
+  if (c.backend == BackendKind::kBasicTo) {
+    eo.detector = DetectorKind::kNone;  // Basic T/O cannot deadlock
   }
   auto run = RunWorkload(eo, SmallWorkload(120), FixedProtocol(c.protocol));
   EXPECT_EQ(run.summary.committed, 120u);
@@ -200,10 +197,8 @@ TEST_P(PerProtocolEngineTest, WorkloadCommitsAndSerializable) {
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, PerProtocolEngineTest,
     ::testing::Values(
-        BackendCase{BackendKind::kPure, Protocol::kTwoPhaseLocking, "p2pl"},
-        BackendCase{BackendKind::kPure, Protocol::kTimestampOrdering, "pto"},
-        BackendCase{BackendKind::kPure, Protocol::kPrecedenceAgreement,
-                    "ppa"},
+        BackendCase{BackendKind::kBasicTo, Protocol::kTimestampOrdering,
+                    "basic_to"},
         BackendCase{BackendKind::kUnified, Protocol::kTwoPhaseLocking,
                     "u2pl"},
         BackendCase{BackendKind::kUnified, Protocol::kTimestampOrdering,
@@ -213,40 +208,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BackendCase>& info) {
       return info.param.name;
     });
-
-TEST(EngineTest, PureTwoPlAndPaMatchUnifiedUnderFixedPolicy) {
-  // With every transaction on one protocol the unified queue manager is
-  // that protocol, so `backend = pure` and a unified run with the same
-  // fixed policy are one run. The pure backend also switches the issuer's
-  // semi-lock path off, which 2PL and PA transactions never take.
-  for (const Protocol p :
-       {Protocol::kTwoPhaseLocking, Protocol::kPrecedenceAgreement}) {
-    SCOPED_TRACE(ProtocolName(p));
-    EngineOptions eo = SmallEngine(31);
-    eo.num_items = 8;
-    eo.network.jitter_mean = 2 * kMillisecond;
-    eo.max_clock_skew = 80 * kMillisecond;
-    WorkloadOptions wo = SmallWorkload(150);
-    wo.arrival_rate_per_sec = 120;
-    wo.size_min = 3;
-    wo.size_max = 5;
-    eo.backend = BackendKind::kPure;
-    eo.pure_protocol = p;
-    const RunSummary pure = RunWorkload(eo, wo, FixedProtocol(p)).summary;
-    eo.backend = BackendKind::kUnified;
-    const RunSummary unified = RunWorkload(eo, wo, FixedProtocol(p)).summary;
-    EXPECT_EQ(pure.committed, 150u);
-    EXPECT_EQ(pure.makespan, unified.makespan);
-    EXPECT_EQ(pure.total_messages, unified.total_messages);
-    EXPECT_EQ(pure.mean_system_time_ms, unified.mean_system_time_ms);
-    EXPECT_EQ(pure.deadlock_victims, unified.deadlock_victims);
-    EXPECT_EQ(pure.backoff_rounds, unified.backoff_rounds);
-    // Contended enough to exercise each protocol's anomaly path.
-    EXPECT_GT(p == Protocol::kTwoPhaseLocking ? pure.deadlock_victims
-                                              : pure.backoff_rounds,
-              0u);
-  }
-}
 
 TEST(EngineTest, UnifiedMixedWorkloadSerializable) {
   EngineOptions eo = SmallEngine(13);
@@ -282,8 +243,7 @@ TEST(EngineTest, PaNeverRestarts) {
 
 TEST(EngineTest, PureToRestartsButNeverDeadlocks) {
   EngineOptions eo = SmallEngine(19);
-  eo.backend = BackendKind::kPure;
-  eo.pure_protocol = Protocol::kTimestampOrdering;
+  eo.backend = BackendKind::kBasicTo;
   eo.detector = DetectorKind::kNone;
   eo.network.jitter_mean = 3 * kMillisecond;
   WorkloadOptions wo = SmallWorkload(200);

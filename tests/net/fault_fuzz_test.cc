@@ -211,19 +211,12 @@ std::string Snapshot(const runner::RunStats& st) {
 // string on success, else the failure description.
 std::string CheckSeed(std::uint64_t seed, bool run_twice) {
   const ScenarioSpec spec = SpecForSeed(seed);
-  // Overload schedules stream the scenario's workload through the gate, as
-  // unicc_sim does; closed ones are built up front and admitted as a batch.
-  const bool open = spec.IsOpenSystem();
-  ScenarioSpec::Workload wl;
-  if (!open) wl = spec.BuildWorkload();
-
+  // The session runs the scenario's own workload, as unicc_sim does:
+  // overload schedules stream it through the gate, closed ones admit it as
+  // a batch.
   auto run = [&]() -> RunReport {
     RunRequest request;
     request.spec = &spec;
-    if (!open) {
-      request.arrivals = &wl.arrivals;
-      request.forced = wl.forced;
-    }
     auto session = RunSession::Create(std::move(request));
     if (!session.ok()) {
       ADD_FAILURE() << "seed " << seed << ": "

@@ -1,4 +1,4 @@
-// Fault-layer unit and equivalence tests.
+// Fault-layer unit tests: the fault model and SimTransport's fault path.
 //
 // The contracts that make fault injection safe to ship:
 //   1. The fault schedule is positional — a pure function of (fault seed,
@@ -7,20 +7,18 @@
 //   2. Reliable kinds (Grant, FinalTs, Release, SemiTransform, AbortTxn)
 //      are never dropped, and only receiver-idempotent kinds are ever
 //      duplicated.
-//   3. A FlakyTransport with no configured faults (force_flaky) is
-//      byte-identical to SimTransport on every shipped scenario.
-#include "net/flaky_transport.h"
-
+// A run without a fault knob builds no model, so the pinned results of
+// every faultless shipped scenario cover the model-less Send
+// (pinned_scenarios_test).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "engine/config.h"
 #include "net/fault_model.h"
+#include "net/transport.h"
 #include "runner/runner.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
@@ -35,7 +33,6 @@ namespace {
 using runner::RunReport;
 using runner::RunRequest;
 using runner::RunSession;
-using runner::RunStats;
 
 constexpr MessageKind kReliableKinds[] = {
     MessageKind::kGrant, MessageKind::kFinalTs, MessageKind::kRelease,
@@ -268,14 +265,14 @@ struct Delivery {
   MessageKind kind = MessageKind::kCcRequest;
 };
 
-class FlakyHarness {
+class FaultHarness {
  public:
-  explicit FlakyHarness(FaultOptions fo) {
+  explicit FaultHarness(FaultOptions fo) {
     NetworkOptions net = TestNet();
     net.jitter_mean = 0;
     model_ = std::make_unique<FaultModel>(fo, net, 2);
     transport_ =
-        std::make_unique<FlakyTransport>(&sim_, net, Rng(1), model_.get());
+        std::make_unique<SimTransport>(&sim_, net, Rng(1), model_.get());
     transport_->RegisterSite(0, [](SiteId, const Message&) {});
     transport_->RegisterSite(1, [this](SiteId, const Message& m) {
       delivered_.push_back({sim_.Now(), KindOf(m)});
@@ -284,15 +281,15 @@ class FlakyHarness {
 
   Simulator sim_;
   std::unique_ptr<FaultModel> model_;
-  std::unique_ptr<FlakyTransport> transport_;
+  std::unique_ptr<SimTransport> transport_;
   std::vector<Delivery> delivered_;
 };
 
-TEST(FlakyTransportTest, DropsOnlyLossyKinds) {
+TEST(FaultTransportTest, DropsOnlyLossyKinds) {
   FaultOptions fo;
   fo.seed = 5;
   fo.loss = 0.999;
-  FlakyHarness h(fo);
+  FaultHarness h(fo);
   for (int i = 0; i < 20; ++i) {
     h.transport_->Send(0, 1, msg::CcRequest{});
     h.transport_->Send(0, 1, msg::Grant{});
@@ -308,11 +305,11 @@ TEST(FlakyTransportTest, DropsOnlyLossyKinds) {
   EXPECT_EQ(h.transport_->dropped() + h.delivered_.size(), 40u);
 }
 
-TEST(FlakyTransportTest, DuplicatesIdempotentKindsOnly) {
+TEST(FaultTransportTest, DuplicatesIdempotentKindsOnly) {
   FaultOptions fo;
   fo.seed = 5;
   fo.duplicate = 1.0;
-  FlakyHarness h(fo);
+  FaultHarness h(fo);
   h.transport_->Send(0, 1, msg::CcRequest{});
   h.transport_->Send(0, 1, msg::Grant{});
   h.sim_.RunToCompletion();
@@ -320,11 +317,11 @@ TEST(FlakyTransportTest, DuplicatesIdempotentKindsOnly) {
   EXPECT_EQ(h.transport_->duplicated(), 1u);
 }
 
-TEST(FlakyTransportTest, CrashGatingDropsLossyDefersReliable) {
+TEST(FaultTransportTest, CrashGatingDropsLossyDefersReliable) {
   FaultOptions fo;
   // Site 1 is down for the first 50 ms of the run.
   fo.crashes.push_back({1, 0, 50 * kMillisecond});
-  FlakyHarness h(fo);
+  FaultHarness h(fo);
   h.transport_->Send(0, 1, msg::CcRequest{});  // dropped: receiver down
   h.transport_->Send(0, 1, msg::Grant{});      // deferred past recovery
   h.sim_.RunToCompletion();
@@ -333,83 +330,6 @@ TEST(FlakyTransportTest, CrashGatingDropsLossyDefersReliable) {
   EXPECT_GE(h.delivered_[0].at, SimTime{50 * kMillisecond});
   EXPECT_EQ(h.transport_->dropped(), 1u);
 }
-
-// --- no-fault equivalence ---------------------------------------------
-
-// The golden suite's snapshot format: %.17g doubles make any numeric
-// drift visible.
-std::string Snapshot(const RunStats& s) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "admitted=%llu committed=%llu makespan=%llu messages=%llu "
-      "log_records=%llu replicas=%d victims=%llu rejects=%llu "
-      "backoffs=%llu serializable=%d mean_s=%.17g p95_s=%.17g "
-      "msgs_per_txn=%.17g cc_msgs_per_txn=%.17g throughput=%.17g",
-      static_cast<unsigned long long>(s.admitted),
-      static_cast<unsigned long long>(s.committed),
-      static_cast<unsigned long long>(s.makespan),
-      static_cast<unsigned long long>(s.total_messages),
-      static_cast<unsigned long long>(s.log_records),
-      s.replicas_consistent ? 1 : 0,
-      static_cast<unsigned long long>(s.deadlock_victims),
-      static_cast<unsigned long long>(s.reject_restarts),
-      static_cast<unsigned long long>(s.backoff_rounds),
-      s.serializable ? 1 : 0, s.mean_s_ms, s.p95_s_ms, s.msgs_per_txn,
-      s.cc_msgs_per_txn, s.throughput);
-  return std::string(buf);
-}
-
-std::vector<std::string> ShippedScenarios() {
-  std::vector<std::string> paths;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(UNICC_SCENARIOS_DIR)) {
-    if (entry.path().extension() == ".ini") {
-      paths.push_back(entry.path().string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  return paths;
-}
-
-RunReport RunSpec(const ScenarioSpec& spec) {
-  RunRequest request;
-  request.spec = &spec;
-  auto session = RunSession::Create(std::move(request));
-  EXPECT_TRUE(session.ok()) << session.status().ToString();
-  return (*session)->Run();
-}
-
-class NoFaultEquivalenceTest : public ::testing::TestWithParam<std::string> {
-};
-
-// Contract 3: a FlakyTransport whose model has nothing to do must be
-// byte-identical to SimTransport — the no-fault path performs zero extra
-// RNG draws. Runs every shipped scenario both ways (force_flaky swaps the
-// transport without enabling any fault).
-TEST_P(NoFaultEquivalenceTest, ForceFlakyIsByteIdentical) {
-  auto baseline = ScenarioSpec::LoadFile(GetParam());
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  if (baseline->engine.fault.Active()) {
-    GTEST_SKIP() << "scenario configures real faults";
-  }
-  auto flaky = *baseline;
-  flaky.engine.fault.force_flaky = true;
-
-  const RunReport a = RunSpec(*baseline);
-  const RunReport b = RunSpec(flaky);
-  EXPECT_EQ(Snapshot(a.stats), Snapshot(b.stats))
-      << GetParam() << ": no-fault FlakyTransport diverged";
-  EXPECT_EQ(a.events_run, b.events_run)
-      << GetParam() << ": no-fault FlakyTransport changed the event count";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Scenarios, NoFaultEquivalenceTest,
-    ::testing::ValuesIn(ShippedScenarios()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      return std::filesystem::path(info.param).stem().string();
-    });
 
 // The shipped flaky scenario really exercises the recovery machinery:
 // messages are dropped and the issuer request timeout restarts through

@@ -48,7 +48,7 @@ TEST(RunSessionTest, RejectsNullSpec) {
   EXPECT_FALSE(session.ok());
 }
 
-TEST(RunSessionTest, RejectsForcedSetWithoutArrivals) {
+TEST(RunSessionTest, RejectsForcedSetWithoutStream) {
   const ScenarioSpec spec = SmallSpec();
   RunRequest request;
   request.spec = &spec;
@@ -57,24 +57,11 @@ TEST(RunSessionTest, RejectsForcedSetWithoutArrivals) {
   EXPECT_FALSE(session.ok());
 }
 
-TEST(RunSessionTest, RejectsArrivalsAndStreamTogether) {
-  const ScenarioSpec spec = SmallSpec();
-  const ScenarioSpec::Workload wl = spec.BuildWorkload();
-  RunRequest request;
-  request.spec = &spec;
-  request.arrivals = &wl.arrivals;
-  request.arrival_stream = MakeVectorStream(wl.arrivals);
-  request.forced = wl.forced;
-  auto session = RunSession::Create(std::move(request));
-  ASSERT_FALSE(session.ok());
-  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(RunSessionTest, RejectsPureBackendWithMixPolicy) {
+TEST(RunSessionTest, RejectsBasicToBackendWithMixPolicy) {
   // A scenario file cannot express this combination, but a spec assembled
   // in code (unicc_sim's flags) can; it used to abort mid-run instead.
   ScenarioSpec spec = SmallSpec();
-  spec.engine.backend = BackendKind::kPure;
+  spec.engine.backend = BackendKind::kBasicTo;
   spec.policy.kind = ScenarioPolicy::Kind::kMix;
   RunRequest request;
   request.spec = &spec;
@@ -83,39 +70,35 @@ TEST(RunSessionTest, RejectsPureBackendWithMixPolicy) {
   EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(RunSessionTest, StreamReplayMatchesBatchReplay) {
-  // The UCTC v2 replay path hands the runner an ArrivalStream, the text
-  // path a materialized vector. Both must land on the exact same run: in
-  // a closed system, and in an open one whose [run] controls bound the
-  // replayed vector as they bound the stream.
-  for (const char* extra : {"", "[run]\nmax_inflight = 2\n"}) {
-    SCOPED_TRACE(extra);
-    const ScenarioSpec spec = SmallSpec(extra);
-    const ScenarioSpec::Workload wl = spec.BuildWorkload();
+TEST(RunSessionTest, OpenStreamReplayMatchesLiveRun) {
+  // An open system admits a replayed workload through its [run] controls,
+  // as its live run admits the scenario stream: under a two-transaction
+  // MPL cap both runs park and admit the same arrivals at the same times.
+  const ScenarioSpec spec = SmallSpec("[run]\nmax_inflight = 2\n");
+  ASSERT_TRUE(spec.IsOpenSystem());
 
-    RunRequest batch;
-    batch.spec = &spec;
-    batch.arrivals = &wl.arrivals;
-    batch.forced = wl.forced;
-    auto sb = RunSession::Create(std::move(batch));
-    ASSERT_TRUE(sb.ok()) << sb.status().ToString();
-    const auto rb = (*sb)->Run();
+  RunRequest live;
+  live.spec = &spec;
+  auto sl = RunSession::Create(std::move(live));
+  ASSERT_TRUE(sl.ok()) << sl.status().ToString();
+  const auto rl = (*sl)->Run();
 
-    RunRequest stream;
-    stream.spec = &spec;
-    stream.arrival_stream = MakeVectorStream(wl.arrivals);
-    stream.forced = wl.forced;
-    auto ss = RunSession::Create(std::move(stream));
-    ASSERT_TRUE(ss.ok()) << ss.status().ToString();
-    const auto rs = (*ss)->Run();
+  const ScenarioSpec::Workload wl = spec.BuildWorkload();
+  RunRequest stream;
+  stream.spec = &spec;
+  stream.arrival_stream = MakeVectorStream(wl.arrivals);
+  stream.forced = wl.forced;
+  auto ss = RunSession::Create(std::move(stream));
+  ASSERT_TRUE(ss.ok()) << ss.status().ToString();
+  const auto rs = (*ss)->Run();
 
-    EXPECT_EQ(rb.stats.committed, rs.stats.committed);
-    EXPECT_EQ(rb.stats.admitted, rs.stats.admitted);
-    EXPECT_EQ(rb.stats.makespan, rs.stats.makespan);
-    EXPECT_EQ(rb.stats.total_messages, rs.stats.total_messages);
-    EXPECT_EQ(rb.events_run, rs.events_run);
-    EXPECT_TRUE(rs.stats.serializable);
-  }
+  EXPECT_EQ(rl.stats.committed, 40u);
+  EXPECT_EQ(rl.stats.committed, rs.stats.committed);
+  EXPECT_EQ(rl.stats.mean_s_ms, rs.stats.mean_s_ms);
+  EXPECT_EQ(rl.stats.makespan, rs.stats.makespan);
+  EXPECT_EQ(rl.stats.total_messages, rs.stats.total_messages);
+  EXPECT_EQ(rl.events_run, rs.events_run);
+  EXPECT_TRUE(rs.stats.serializable);
 }
 
 TEST(RunSessionTest, ClosedStreamReplayMatchesLiveRun) {

@@ -60,8 +60,7 @@ struct BenchConfig {
   bool semi_locks = true;
   Timestamp backoff_interval = 64;  // PA back-off interval INT
   std::uint64_t seed = 1234;
-  // A kMix policy keeps the default even weights. On the pure backends,
-  // policy.fixed also picks the backend's protocol.
+  // A kMix policy keeps the default even weights.
   ScenarioPolicy policy;
 };
 
@@ -119,13 +118,15 @@ std::map<std::string, std::string> TableColumns(const runner::RunStats& s) {
   };
 }
 
-// Appends one cell per protocol for a pure-backend baseline sweep.
+// Appends one cell per protocol for a pure-protocol baseline sweep (T/O on
+// Basic T/O, 2PL and PA on the unified backend under a fixed policy).
 void AddPureProtocolCells(Experiment* exp, BenchConfig cfg,
                           const std::vector<Param>& params) {
-  cfg.backend = BackendKind::kPure;
   for (Protocol p :
        {Protocol::kTwoPhaseLocking, Protocol::kTimestampOrdering,
         Protocol::kPrecedenceAgreement}) {
+    cfg.backend = p == Protocol::kTimestampOrdering ? BackendKind::kBasicTo
+                                                    : BackendKind::kUnified;
     cfg.policy.fixed = p;
     std::vector<Param> cell_params = params;
     cell_params.push_back(
@@ -327,7 +328,6 @@ Experiment MakeE9() {
   cfg.lambda = 80;
   cfg.num_items = 30;
   cfg.read_fraction = 0.3;
-  cfg.backend = BackendKind::kPure;
   cfg.policy.fixed = Protocol::kPrecedenceAgreement;
   cfg.seed = 4242;
   for (Timestamp interval : {1u, 4u, 16u, 64u, 256u, 1024u, 4096u, 16384u,
@@ -361,14 +361,11 @@ RunReport RunOneReport(const BenchConfig& cfg, std::uint64_t txns) {
   eo.network.base_delay = 5 * kMillisecond;
   eo.network.jitter_mean = 2 * kMillisecond;
   eo.backend = cfg.backend;
-  eo.pure_protocol = cfg.policy.fixed;
   eo.semi_locks = cfg.semi_locks;
   eo.default_backoff_interval = cfg.backoff_interval;
   eo.seed = cfg.seed;
-  if (cfg.backend == BackendKind::kPure &&
-      cfg.policy.fixed == Protocol::kTimestampOrdering) {
-    eo.detector = DetectorKind::kNone;
-  }
+  // Basic T/O cannot deadlock.
+  if (cfg.backend == BackendKind::kBasicTo) eo.detector = DetectorKind::kNone;
   spec.policy = cfg.policy;
 
   WorkloadOptions wo;
@@ -378,13 +375,10 @@ RunReport RunOneReport(const BenchConfig& cfg, std::uint64_t txns) {
   wo.size_max = cfg.size_max;
   wo.read_fraction = cfg.read_fraction;
   wo.compute_time = cfg.compute_time;
-  WorkloadGenerator gen(wo, cfg.num_items, eo.num_user_sites,
-                        Rng(cfg.seed ^ 0x5bd1e995));
-  const std::vector<WorkloadGenerator::Arrival> arrivals = gen.Generate();
-
   runner::RunRequest request;
   request.spec = &spec;
-  request.arrivals = &arrivals;
+  request.arrival_stream = MakeGeneratorStream(
+      wo, cfg.num_items, eo.num_user_sites, Rng(cfg.seed ^ 0x5bd1e995));
   return RunSpec(std::move(request));
 }
 

@@ -56,6 +56,7 @@ struct Flags {
   Duration compute = 5 * kMillisecond;
   Duration skew = 50 * kMillisecond;
   std::string detector = "central";  // central | none
+  std::string backend = "unified";   // unified | basic_to
   bool semi_locks = true;
   std::uint64_t seed = 42;
   bool seed_set = false;
@@ -103,7 +104,8 @@ void PrintHelp() {
       "  --skew-ms=<f>       max site clock skew (50)\n"
       "  --detector=central|none            deadlock detection (central)\n"
       "  --no-semi-locks     lock-everything ablation\n"
-      "  --pure              pure per-protocol backend (needs fixed policy)\n"
+      "  --backend=unified|basic_to         data sites (unified); basic_to\n"
+      "                      is Basic T/O and needs --protocol=to\n"
       "  --seed=<n>          RNG seed (42); also overrides the scenario's\n"
       "                      [engine] seed\n"
       "  --fault-seed=<n>    seed of the [fault]/[topology] schedule;\n"
@@ -169,7 +171,6 @@ class BorrowedStream final : public ArrivalStream {
 
 int main(int argc, char** argv) {
   Flags flags;
-  bool pure = false;
   for (int i = 1; i < argc; ++i) {
     std::string v;
     const char* a = argv[i];
@@ -180,11 +181,10 @@ int main(int argc, char** argv) {
       flags.verbose = true;
     } else if (std::strcmp(a, "--no-semi-locks") == 0) {
       flags.semi_locks = false;
-    } else if (std::strcmp(a, "--pure") == 0) {
-      pure = true;
     } else if (ParseFlag(a, "--policy", &flags.policy) ||
                ParseFlag(a, "--protocol", &flags.protocol) ||
                ParseFlag(a, "--detector", &flags.detector) ||
+               ParseFlag(a, "--backend", &flags.backend) ||
                ParseFlag(a, "--scenario", &flags.scenario) ||
                ParseFlag(a, "--record-trace", &flags.record_trace) ||
                ParseFlag(a, "--replay-trace", &flags.replay_trace) ||
@@ -274,8 +274,14 @@ int main(int argc, char** argv) {
     eo.max_clock_skew = flags.skew;
     eo.semi_locks = flags.semi_locks;
     eo.seed = flags.seed;
-    eo.backend = pure ? BackendKind::kPure : BackendKind::kUnified;
-    eo.pure_protocol = ParseProtocol(flags.protocol);
+    if (flags.backend == "basic_to") {
+      eo.backend = BackendKind::kBasicTo;
+    } else if (flags.backend != "unified") {
+      std::fprintf(stderr,
+                   "unknown backend '%s' (expected unified or basic_to)\n",
+                   flags.backend.c_str());
+      return 2;
+    }
     if (flags.detector == "none") {
       eo.detector = DetectorKind::kNone;
     } else if (flags.detector == "central") {
@@ -320,19 +326,17 @@ int main(int argc, char** argv) {
   // anything else UCTC v2.
   const bool record_text = flags.record_trace.ends_with(".txt");
 
-  // The workload: replayed from a trace, streamed lazily (a scenario with
-  // [run] controls), built by the scenario, or drawn from the
-  // flag-configured generator.
+  // The workload: the scenario's own, replayed from a trace, or drawn
+  // from the flag-configured generator.
   std::vector<WorkloadGenerator::Arrival> arrivals;
   std::shared_ptr<std::unordered_set<TxnId>> forced;
   // Owned here, not by the engine, which drops its stream once drained:
   // the decode status is read after the run.
   std::unique_ptr<TraceReader> replay_reader;
-  const bool open_run =
-      from_scenario && scenario.IsOpenSystem() && flags.replay_trace.empty();
-  if (open_run) {
-    // The session streams the workload itself. CSV export (and a text
-    // recording) describe the workload definition, which the run controls
+  const bool own_workload = from_scenario && flags.replay_trace.empty();
+  if (own_workload) {
+    // The session opens the workload itself. CSV export (and a text
+    // recording) describe the workload definition, which [run] controls
     // may only partially admit; those still materialize it. A v2
     // recording streams generator -> writer below without materializing.
     if (!flags.export_csv.empty() ||
@@ -363,10 +367,6 @@ int main(int argc, char** argv) {
       // deterministic in the seed).
       forced = scenario.BuildWorkload().forced;
     }
-  } else if (from_scenario) {
-    ScenarioSpec::Workload wl = scenario.BuildWorkload();
-    arrivals = std::move(wl.arrivals);
-    forced = std::move(wl.forced);
   } else {
     WorkloadOptions wo;
     wo.arrival_rate_per_sec = flags.lambda;
@@ -390,9 +390,9 @@ int main(int argc, char** argv) {
     std::uint64_t recorded = arrivals.size();
     if (record_text) {
       s = WorkloadTrace::WriteFile(flags.record_trace, arrivals);
-    } else if (open_run && flags.export_csv.empty()) {
-      // Open-system v2 recording: stream the scenario's workload
-      // definition straight into the block writer, O(one block) memory.
+    } else if (own_workload && flags.export_csv.empty()) {
+      // v2 recording of the scenario's workload: stream its definition
+      // straight into the block writer, O(one block) memory.
       auto writer = TraceWriter::Open(flags.record_trace);
       if (!writer.ok()) {
         s = writer.status();
@@ -438,13 +438,11 @@ int main(int argc, char** argv) {
   if (replay_reader != nullptr) {
     // Streaming v2 replay: the session pulls arrivals block-by-block.
     request.arrival_stream = std::make_unique<BorrowedStream>(*replay_reader);
-    request.forced = forced;
-  } else if (!open_run) {
-    // The workload was already materialized above (replay, recording or
-    // batch build); hand it to the session verbatim.
-    request.arrivals = &arrivals;
-    request.forced = forced;
+  } else if (!own_workload) {
+    // A loaded trace or the generated workload, handed over verbatim.
+    request.arrival_stream = MakeVectorStream(std::move(arrivals));
   }
+  request.forced = forced;
   auto session_or = runner::RunSession::Create(std::move(request));
   if (!session_or.ok()) {
     std::fprintf(stderr, "invalid configuration: %s\n",
