@@ -8,7 +8,7 @@
 // Every decision is *positional*: a pure hash of (fault seed, channel,
 // per-channel sequence number, purpose salt), never a stateful RNG
 // stream. That is what makes fault schedules bit-reproducible under a
-// fixed --fault-seed (the same (from, to, seq) message always gets the
+// fixed [fault] seed (the same (from, to, seq) message always gets the
 // same fate) and free on the no-fault path (the engine builds a model
 // only when a fault knob is set, and SimTransport without one draws
 // nothing extra).

@@ -162,12 +162,6 @@ std::uint64_t PeakRssKb() {
 RunSession::RunSession(RunRequest request)
     : request_(std::move(request)), spec_(*request_.spec) {
   if (request_.seed.has_value()) spec_.engine.seed = *request_.seed;
-  if (request_.fault_seed.has_value()) {
-    spec_.engine.fault.seed = *request_.fault_seed;
-  }
-  if (request_.metrics_window.has_value()) {
-    spec_.engine.metrics_window = *request_.metrics_window;
-  }
 }
 
 RunSession::~RunSession() = default;

@@ -3,8 +3,7 @@
 // data", shared by the pinned-result tests, unicc_sim and sweep_runner
 // (each used to carry its own inline copy).
 //
-//   RunRequest  — scenario + overrides (seed, fault seed, timeline
-//                 window) + optional workload stream
+//   RunRequest  — scenario + seed override + optional workload stream
 //   RunSession  — validated, ready-to-run assembly (Status errors instead
 //                 of aborts)
 //   RunReport   — summary + extracted row stats
@@ -71,11 +70,8 @@ struct RunStats {
 struct RunRequest {
   const ScenarioSpec* spec = nullptr;
 
-  // Overrides applied on top of the spec before anything is built.
+  // Overrides the spec's [engine] seed before anything is built.
   std::optional<std::uint64_t> seed;
-  // Overrides [fault] seed (0 re-derives one from the engine seed).
-  std::optional<std::uint64_t> fault_seed;
-  std::optional<Duration> metrics_window;  // timeline window; 0 disables
 
   // The workload, when not the spec's own (spec->Open()): a replayed
   // trace, a loaded or generated vector (MakeVectorStream) or a generator

@@ -103,16 +103,28 @@ void IniFile::Set(const std::string& section, const std::string& key,
     for (IniEntry& e : s.entries) {
       if (e.key == key) {
         e.value = value;
+        e.overridden = true;
         return;
       }
     }
-    s.entries.push_back({key, value, 0});
+    s.entries.push_back({key, value, 0, true});
     return;
   }
   IniSection fresh;
   fresh.name = section;
-  fresh.entries.push_back({key, value, 0});
+  fresh.entries.push_back({key, value, 0, true});
   sections_.push_back(std::move(fresh));
+}
+
+bool ParseIniOverride(const std::string& text, IniOverride* out) {
+  const std::size_t eq = text.find('=');
+  if (eq == std::string::npos) return false;
+  const std::size_t dot = text.rfind('.', eq);
+  if (dot == std::string::npos || dot == 0 || dot + 1 == eq) return false;
+  out->section = text.substr(0, dot);
+  out->key = text.substr(dot + 1, eq - dot - 1);
+  out->value = text.substr(eq + 1);
+  return true;
 }
 
 }  // namespace unicc

@@ -17,6 +17,8 @@ struct IniEntry {
   std::string key;
   std::string value;
   int line = 0;  // 1-based line in the source text, for diagnostics
+  // Set by IniFile::Set: the value is an override, not the file's.
+  bool overridden = false;
 };
 
 struct IniSection {
@@ -41,14 +43,28 @@ class IniFile {
   const IniSection* Find(const std::string& name) const;
 
   // Sets `key` in the first section named `section` (appending the entry,
-  // or overwriting an existing one); creates the section when missing.
-  // Used by sweep_runner to apply grid overrides to a base scenario.
+  // or overwriting the first existing one); creates the section when
+  // missing. The entry is marked overridden. Used to apply unicc_sim --set
+  // and sweep_runner --sweep overrides to a scenario file.
   void Set(const std::string& section, const std::string& key,
            const std::string& value);
 
  private:
   std::vector<IniSection> sections_;
 };
+
+// One `SECTION.KEY=VALUE` override. SECTION may contain spaces and dots:
+// KEY is what follows the last '.' before the first '=', and VALUE (which
+// may contain '=') is everything after that '='.
+struct IniOverride {
+  std::string section;
+  std::string key;
+  std::string value;
+};
+
+// Splits `text` into *out; false when it has no '=', no '.' before the
+// '=', or an empty SECTION or KEY.
+bool ParseIniOverride(const std::string& text, IniOverride* out);
 
 }  // namespace unicc
 

@@ -14,11 +14,12 @@ namespace unicc {
 
 namespace {
 
-// Points error messages at the offending file location. Entries injected
-// programmatically (IniFile::Set, e.g. sweep overrides) have no line.
+// Points error messages at the offending file location, or at the
+// override (IniFile::Set: unicc_sim --set, sweep_runner --sweep) that
+// replaced or added the entry.
 std::string Where(const IniEntry& e) {
-  if (e.line > 0) return "line " + std::to_string(e.line) + ": ";
-  return "override: ";
+  if (e.overridden) return "override: ";
+  return "line " + std::to_string(e.line) + ": ";
 }
 
 Status BadValue(const IniEntry& e, const std::string& what) {
@@ -811,6 +812,41 @@ std::unique_ptr<AccessPattern> MakeAccess(const ScenarioClass& c,
   return MakeUniformAccess(num_items);
 }
 
+constexpr char kClassPrefix[] = "class ";
+constexpr char kPhasePrefix[] = "phase ";
+constexpr char kTablePrefix[] = "table ";
+
+// Rejects a section that repeats an earlier section's name and a key
+// repeated within one section, naming both lines: IniFile::Set overrides
+// the first, so a repeat would silently shadow an override. A phase may
+// repeat `crash`, one per failing site. Allocates only for the error.
+Status CheckRepeats(const std::vector<IniSection>& sections) {
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const IniSection& sec = sections[i];
+    for (std::size_t j = 0; j < i; ++j) {
+      if (sections[j].name == sec.name) {
+        return Status::InvalidArgument(
+            "line " + std::to_string(sec.line) + ": section [" + sec.name +
+            "] repeats line " + std::to_string(sections[j].line));
+      }
+    }
+    const bool phase = sec.name.rfind(kPhasePrefix, 0) == 0;
+    for (std::size_t k = 0; k < sec.entries.size(); ++k) {
+      const IniEntry& e = sec.entries[k];
+      if (phase && e.key == "crash") continue;
+      for (std::size_t m = 0; m < k; ++m) {
+        if (sec.entries[m].key == e.key) {
+          return Status::InvalidArgument(
+              "line " + std::to_string(e.line) + ": key '" + e.key +
+              "' in [" + sec.name + "] repeats line " +
+              std::to_string(sec.entries[m].line));
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status ValidateBackend(const ScenarioSpec& spec) {
@@ -825,10 +861,8 @@ Status ValidateBackend(const ScenarioSpec& spec) {
 }
 
 StatusOr<ScenarioSpec> ScenarioSpec::FromIni(const IniFile& ini) {
+  if (Status s = CheckRepeats(ini.sections()); !s.ok()) return s;
   ScenarioSpec spec;
-  constexpr char kClassPrefix[] = "class ";
-  constexpr char kPhasePrefix[] = "phase ";
-  constexpr char kTablePrefix[] = "table ";
   bool saw_items = false;
   for (const IniSection& sec : ini.sections()) {
     if (sec.name == "scenario") {
@@ -855,34 +889,16 @@ StatusOr<ScenarioSpec> ScenarioSpec::FromIni(const IniFile& ini) {
       if (Status s = ParseRunSection(sec, &spec.engine); !s.ok()) return s;
     } else if (sec.name.rfind(kClassPrefix, 0) == 0) {
       std::string name = sec.name.substr(sizeof(kClassPrefix) - 1);
-      for (const ScenarioClass& c : spec.classes) {
-        if (c.name == name) {
-          return Status::InvalidArgument("line " + std::to_string(sec.line) +
-                                         ": duplicate class '" + name + "'");
-        }
-      }
       ScenarioClass c;
       if (Status s = ParseClassSection(sec, name, &c); !s.ok()) return s;
       spec.classes.push_back(std::move(c));
     } else if (sec.name.rfind(kPhasePrefix, 0) == 0) {
       std::string name = sec.name.substr(sizeof(kPhasePrefix) - 1);
-      for (const ScenarioPhase& p : spec.phases) {
-        if (p.name == name) {
-          return Status::InvalidArgument("line " + std::to_string(sec.line) +
-                                         ": duplicate phase '" + name + "'");
-        }
-      }
       ScenarioPhase ph;
       if (Status s = ParsePhaseSection(sec, name, &ph); !s.ok()) return s;
       spec.phases.push_back(std::move(ph));
     } else if (sec.name.rfind(kTablePrefix, 0) == 0) {
       std::string name = sec.name.substr(sizeof(kTablePrefix) - 1);
-      for (const ScenarioTable& t : spec.tables) {
-        if (t.name == name) {
-          return Status::InvalidArgument("line " + std::to_string(sec.line) +
-                                         ": duplicate table '" + name + "'");
-        }
-      }
       ScenarioTable t;
       if (Status s = ParseTableSection(sec, name, &t); !s.ok()) return s;
       spec.tables.push_back(std::move(t));

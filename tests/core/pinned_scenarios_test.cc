@@ -5,18 +5,27 @@
 //     streamed under a 64-transaction MPL cap;
 //   - macro_partitioned scaled to 8,000 and flaky_mesh to 2,000.
 // Each closed scenario's workload, recorded in UCTC v2 and replayed at its
-// own seed, must give the live run's line too. A differing run is named
-// with the fields that moved, and a run that does not end OK with its
-// status. The test writes the full current table next to its binary
-// (UNICC_PINNED_SCENARIOS_CURRENT); to change results on purpose, copy
-// that file over the committed one and say why.
+// own seed, must give the live run's line too. Every run and replay is
+// its own test case, so ctest runs them in parallel. A differing run is
+// named with the fields that moved, and a run that does not end OK with
+// its status. Each run also records its line in the current table next to
+// the binary (UNICC_PINNED_SCENARIOS_CURRENT); to change results on
+// purpose, copy that file over the committed one and say why.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
 #include <array>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -135,51 +144,106 @@ void ExpectPinned(const std::map<std::string, std::string>& pins,
   }
 }
 
-TEST(PinnedScenariosTest, EveryRunGivesItsPinnedResult) {
-  const std::map<std::string, std::string> pins =
-      ReadPins(UNICC_PINNED_SCENARIOS);
-  std::ofstream current(UNICC_PINNED_SCENARIOS_CURRENT);
-  current << kHeader;
-  std::set<std::string> ran;
-  for (const PinnedRun& run : PinnedRuns()) {
-    const std::string label = run.Label();
-    const std::string snapshot = RunSnapshot(run);
-    current << label << ": " << snapshot << "\n";
-    ran.insert(label);
-    ExpectPinned(pins, label, label, snapshot);
+// gtest prints a run by its label.
+void PrintTo(const PinnedRun& run, std::ostream* os) { *os << run.Label(); }
+
+// A test-name suffix: `text` with every character gtest rejects as '_'.
+std::string CaseName(const std::string& text) {
+  std::string name = text;
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
-  for (const auto& [label, snapshot] : pins) {
-    EXPECT_TRUE(ran.contains(label)) << label << ": pinned, but not run";
+  return name;
+}
+
+// Records `label: snapshot` in the current table. ctest runs each case in
+// its own process, so the table is rewritten under an exclusive lock,
+// keeping the lines other cases recorded, in PinnedRuns() order.
+void RecordCurrent(const std::string& label, const std::string& snapshot) {
+  const std::string path = UNICC_PINNED_SCENARIOS_CURRENT;
+  const int lock = ::open((path + ".lock").c_str(), O_RDWR | O_CREAT, 0644);
+  ASSERT_GE(lock, 0) << path << ".lock: " << std::strerror(errno);
+  if (::flock(lock, LOCK_EX) == 0) {
+    std::map<std::string, std::string> lines = ReadPins(path);
+    lines[label] = snapshot;
+    std::ofstream current(path);
+    current << kHeader;
+    for (const PinnedRun& run : PinnedRuns()) {
+      const auto line = lines.find(run.Label());
+      if (line != lines.end()) {
+        current << line->first << ": " << line->second << "\n";
+      }
+    }
+  } else {
+    ADD_FAILURE() << path << ".lock: " << std::strerror(errno);
   }
+  ::close(lock);  // releases the lock, after `current` is flushed
+}
+
+class PinnedRunTest : public ::testing::TestWithParam<PinnedRun> {};
+
+TEST_P(PinnedRunTest, GivesItsPinnedResult) {
+  const std::string label = GetParam().Label();
+  const std::string snapshot = RunSnapshot(GetParam());
+  RecordCurrent(label, snapshot);
+  ExpectPinned(ReadPins(UNICC_PINNED_SCENARIOS), label, label, snapshot);
   if (HasFailure()) {
     std::printf("The current results are in %s\n",
                 UNICC_PINNED_SCENARIOS_CURRENT);
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    Runs, PinnedRunTest, ::testing::ValuesIn(PinnedRuns()),
+    [](const auto& info) { return CaseName(info.param.Label()); });
+
+TEST(PinnedTableTest, EveryPinHasARun) {
+  std::set<std::string> runs;
+  for (const PinnedRun& run : PinnedRuns()) runs.insert(run.Label());
+  for (const auto& [label, snapshot] : ReadPins(UNICC_PINNED_SCENARIOS)) {
+    EXPECT_TRUE(runs.contains(label)) << label << ": pinned, but not run";
+  }
+}
+
+// The shipped scenarios that are closed systems, plus any that fail to
+// load (their case reports why).
+std::vector<std::string> ClosedScenarios() {
+  std::vector<std::string> closed;
+  for (const std::string& path : test::ShippedScenarios()) {
+    auto spec = ScenarioSpec::LoadFile(path);
+    if (!spec.ok() || !spec->IsOpenSystem()) closed.push_back(path);
+  }
+  return closed;
+}
+
 // A closed scenario's workload, recorded and replayed as unicc_sim's
 // --record-trace and --replay-trace do, runs exactly as the live run.
 // Open systems are left out: traces carry no deadlines or priorities.
-TEST(PinnedScenariosTest, ClosedReplaysGiveTheLiveRunsPinnedResult) {
-  const std::map<std::string, std::string> pins =
-      ReadPins(UNICC_PINNED_SCENARIOS);
-  const std::string path = ::testing::TempDir() + "/pinned_replay.uctc";
-  for (const std::string& scenario : test::ShippedScenarios()) {
-    const std::string file = std::filesystem::path(scenario).filename();
-    auto spec = ScenarioSpec::LoadFile(scenario);
-    ASSERT_TRUE(spec.ok()) << file << ": " << spec.status().ToString();
-    if (spec->IsOpenSystem()) continue;
-    const ScenarioSpec::Workload wl = spec->BuildWorkload();
-    ASSERT_TRUE(WriteTraceV2File(path, wl.arrivals).ok()) << file;
-    auto replayed = ReadTraceV2File(path);
-    ASSERT_TRUE(replayed.ok()) << file << ": " << replayed.status().ToString();
-    const std::string what = file + " replayed from UCTC v2";
-    const runner::RunStats stats = test::RunScenario(
-        what, *spec, MakeVectorStream(std::move(*replayed)), wl.forced);
-    ExpectPinned(pins, file, what, test::Snapshot(stats));
-  }
+class ClosedReplayTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ClosedReplayTest, GivesTheLiveRunsPinnedResult) {
+  const std::string file = std::filesystem::path(GetParam()).filename();
+  auto spec = ScenarioSpec::LoadFile(GetParam());
+  ASSERT_TRUE(spec.ok()) << file << ": " << spec.status().ToString();
+  const ScenarioSpec::Workload wl = spec->BuildWorkload();
+  const std::string path = ::testing::TempDir() + "/pinned_replay_" +
+                           std::to_string(::getpid()) + ".uctc";
+  ASSERT_TRUE(WriteTraceV2File(path, wl.arrivals).ok()) << file;
+  auto replayed = ReadTraceV2File(path);
   std::remove(path.c_str());
+  ASSERT_TRUE(replayed.ok()) << file << ": " << replayed.status().ToString();
+  const std::string what = file + " replayed from UCTC v2";
+  const runner::RunStats stats = test::RunScenario(
+      what, *spec, MakeVectorStream(std::move(*replayed)), wl.forced);
+  ExpectPinned(ReadPins(UNICC_PINNED_SCENARIOS), file, what,
+               test::Snapshot(stats));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Closed, ClosedReplayTest, ::testing::ValuesIn(ClosedScenarios()),
+    [](const auto& info) {
+      return CaseName(std::filesystem::path(info.param).filename());
+    });
 
 }  // namespace
 }  // namespace unicc

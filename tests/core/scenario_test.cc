@@ -62,6 +62,40 @@ TEST(IniFileTest, SetOverridesAndAppends) {
   EXPECT_EQ(ini.Find("s")->Find("a")->value, "2");
   EXPECT_EQ(ini.Find("s")->Find("b")->value, "3");
   EXPECT_EQ(ini.Find("fresh")->Find("c")->value, "4");
+  // Every value Set wrote is marked as an override; an overwritten entry
+  // keeps its line.
+  EXPECT_TRUE(ini.Find("s")->Find("a")->overridden);
+  EXPECT_EQ(ini.Find("s")->Find("a")->line, 2);
+  EXPECT_TRUE(ini.Find("s")->Find("b")->overridden);
+  EXPECT_TRUE(ini.Find("fresh")->Find("c")->overridden);
+  EXPECT_FALSE(parsed->Find("s")->Find("a")->overridden);
+}
+
+TEST(IniOverrideTest, SplitsAtTheLastDotBeforeTheFirstEquals) {
+  IniOverride o;
+  ASSERT_TRUE(ParseIniOverride("engine.seed=7", &o));
+  EXPECT_EQ(o.section, "engine");
+  EXPECT_EQ(o.key, "seed");
+  EXPECT_EQ(o.value, "7");
+  // The section may contain spaces and dots.
+  ASSERT_TRUE(ParseIniOverride("class web.v2 hot.rate=80", &o));
+  EXPECT_EQ(o.section, "class web.v2 hot");
+  EXPECT_EQ(o.key, "rate");
+  EXPECT_EQ(o.value, "80");
+  // The value may contain '=' (and dots).
+  ASSERT_TRUE(ParseIniOverride("run.label=a=b.c", &o));
+  EXPECT_EQ(o.section, "run");
+  EXPECT_EQ(o.key, "label");
+  EXPECT_EQ(o.value, "a=b.c");
+  // An empty value is the key's business, not the splitter's.
+  ASSERT_TRUE(ParseIniOverride("run.horizon_ms=", &o));
+  EXPECT_EQ(o.value, "");
+
+  EXPECT_FALSE(ParseIniOverride("engine.seed", &o));   // no '='
+  EXPECT_FALSE(ParseIniOverride("seed=7", &o));        // no dot
+  EXPECT_FALSE(ParseIniOverride("seed=1.5", &o));      // dot only in value
+  EXPECT_FALSE(ParseIniOverride("engine.=7", &o));     // empty key
+  EXPECT_FALSE(ParseIniOverride(".seed=7", &o));       // empty section
 }
 
 // ---------------------------------------------------------------------------
@@ -252,6 +286,70 @@ TEST(ScenarioSpecTest, RequiresClassesAndMandatoryKeys) {
                    "[class c]\ntxns = 5\nrate = 1\n"
                    "[class c]\ntxns = 5\nrate = 1\n")
                    .ok());
+}
+
+// IniFile::Set overrides the first occurrence of a key, while parsing
+// would keep the last: a repeated key or section would silently shadow an
+// override, so both are rejected, naming both lines.
+TEST(ScenarioSpecTest, RejectsRepeatedKeysAndSections) {
+  auto ini = IniFile::Parse(
+      "[engine]\n"      // line 1
+      "items = 60\n"    // 2
+      "[class main]\n"  // 3
+      "txns = 50\n"     // 4
+      "rate = 30\n"     // 5
+      "rate = 40\n"     // 6
+      "[engine]\n"      // 7
+      "seed = 6\n");    // 8
+  ASSERT_TRUE(ini.ok()) << ini.status().ToString();
+  const char kRepeatedKey[] =
+      "line 6: key 'rate' in [class main] repeats line 5";
+  auto spec = ScenarioSpec::FromIni(*ini);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_NE(spec.status().message().find(kRepeatedKey), std::string::npos)
+      << spec.status().ToString();
+  // Overriding the repeated key does not hide the repeat.
+  IniFile overridden = *ini;
+  overridden.Set("class main", "rate", "400");
+  spec = ScenarioSpec::FromIni(overridden);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_NE(spec.status().message().find(kRepeatedKey), std::string::npos)
+      << spec.status().ToString();
+
+  for (const std::string section :
+       {"scenario", "engine", "policy", "topology", "fault", "run",
+        "class c", "phase p", "table t"}) {
+    auto repeated = ScenarioSpec::Parse("[class main]\ntxns = 5\nrate = 10\n[" +
+                                        section + "]\n[" + section + "]\n");
+    ASSERT_FALSE(repeated.ok()) << section;
+    EXPECT_NE(repeated.status().message().find(
+                  "line 5: section [" + section + "] repeats line 4"),
+              std::string::npos)
+        << repeated.status().ToString();
+  }
+
+  // A phase lists one crash per failing site.
+  auto crashes = ScenarioSpec::Parse(
+      "[engine]\nuser_sites = 4\ndata_sites = 4\nitems = 64\n"
+      "request_timeout_ms = 500\n"
+      "[policy]\ndetector_timeout_ms = 300\n"
+      "[class main]\ntxns = 20\nrate = 30\n"
+      "[phase outage]\nstart_ms = 100\ncrash = 1+600\ncrash = 6+300\n");
+  ASSERT_TRUE(crashes.ok()) << crashes.status().ToString();
+  EXPECT_EQ(crashes->engine.fault.crashes.size(), 2u);
+}
+
+// A bad value reached through IniFile::Set is reported as the override,
+// not at the line of the entry it replaced.
+TEST(ScenarioSpecTest, BadOverrideIsReportedAsOverride) {
+  auto parsed = IniFile::Parse("[class main]\ntxns = 5\nrate = 10\n");
+  ASSERT_TRUE(parsed.ok());
+  IniFile ini = *parsed;
+  ini.Set("class main", "txns", "abc");
+  auto spec = ScenarioSpec::FromIni(ini);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().message().rfind("override: key 'txns'", 0), 0u)
+      << spec.status().ToString();
 }
 
 TEST(ScenarioSpecTest, BasicToBackendRequiresFixedToPolicy) {

@@ -160,10 +160,10 @@ TEST(RunSessionTest, SeedOverrideChangesResults) {
 }
 
 TEST(RunSessionTest, DrainedRunsPassAccountingAndReportPhases) {
-  const ScenarioSpec spec = SmallSpec();
+  ScenarioSpec spec = SmallSpec();
+  spec.engine.metrics_window = 100 * kMillisecond;  // per-window identity too
   RunRequest request;
   request.spec = &spec;
-  request.metrics_window = 100 * kMillisecond;  // per-window identity too
   auto session = RunSession::Create(std::move(request));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   const runner::RunReport report = (*session)->Run();
@@ -222,10 +222,10 @@ retry_max_ms = 40
 }
 
 TEST(CheckAccountingTest, NamesEachBrokenIdentity) {
-  const ScenarioSpec spec = SmallSpec();
+  ScenarioSpec spec = SmallSpec();
+  spec.engine.metrics_window = 100 * kMillisecond;
   RunRequest request;
   request.spec = &spec;
-  request.metrics_window = 100 * kMillisecond;
   auto session = RunSession::Create(std::move(request));
   ASSERT_TRUE(session.ok());
   const runner::RunStats stats = (*session)->Run().stats;

@@ -12,7 +12,6 @@
 #include <type_traits>
 
 #include "common/parse.h"
-#include "common/types.h"
 
 namespace unicc::flags {
 
@@ -40,16 +39,6 @@ bool ParseNumberFlag(const char* arg, const char* name, T* out) {
     BadFlag(name, v,
             std::is_floating_point_v<T> ? "a finite number"
                                         : "an unsigned integer in range");
-  }
-  return true;
-}
-
-// ParseFlag for milliseconds, stored as a simulated Duration.
-inline bool ParseMsFlag(const char* arg, const char* name, Duration* out) {
-  std::string v;
-  if (!ParseFlag(arg, name, &v)) return false;
-  if (!ParseMillis(v, out)) {
-    BadFlag(name, v, "milliseconds >= 0 within the simulated-time range");
   }
   return true;
 }

@@ -34,6 +34,7 @@
 #include "common/table.h"
 #include "flags.h"
 #include "runner/runner.h"
+#include "scenario/ini.h"
 #include "scenario/scenario.h"
 
 namespace {
@@ -585,8 +586,8 @@ bool WriteReport(const std::string& id, const std::string& description,
 // ---------------------------------------------------------------------------
 
 // One --sweep axis: a scenario key plus its candidate values, written
-// SECTION.KEY=V1,V2,... (the key's section may contain spaces, e.g.
-// --sweep='class burst.rate=60,120').
+// SECTION.KEY=V1,V2,... (split as ParseIniOverride splits --set, so the
+// key's section may contain spaces, e.g. --sweep='class burst.rate=60,120').
 struct SweepAxis {
   std::string section;
   std::string key;
@@ -594,25 +595,20 @@ struct SweepAxis {
 };
 
 bool ParseSweepAxis(const std::string& spec, SweepAxis* axis) {
-  const std::size_t eq = spec.find('=');
-  if (eq == std::string::npos) return false;
-  const std::string path = spec.substr(0, eq);
-  const std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos || dot == 0 || dot + 1 == path.size()) {
-    return false;
-  }
-  axis->section = path.substr(0, dot);
-  axis->key = path.substr(dot + 1);
+  IniOverride o;
+  if (!ParseIniOverride(spec, &o)) return false;
+  axis->section = std::move(o.section);
+  axis->key = std::move(o.key);
   axis->values.clear();
-  std::size_t pos = eq + 1;
-  while (pos <= spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
+  std::size_t pos = 0;
+  while (pos <= o.value.size()) {
+    std::size_t comma = o.value.find(',', pos);
+    if (comma == std::string::npos) comma = o.value.size();
     if (comma == pos) return false;  // empty value
-    axis->values.push_back(spec.substr(pos, comma - pos));
+    axis->values.push_back(o.value.substr(pos, comma - pos));
     pos = comma + 1;
   }
-  return !axis->values.empty();
+  return true;
 }
 
 Param AxisParam(const SweepAxis& axis, const std::string& value) {
