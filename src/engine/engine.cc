@@ -268,26 +268,34 @@ Status Engine::ValidateSpec(const TxnSpec& spec) const {
   return Status::OK();
 }
 
-Status Engine::AddTransaction(SimTime when, TxnSpec spec) {
+Status Engine::AddTransaction(SimTime when, const TxnSpec& spec) {
   if (Status s = ValidateSpec(spec); !s.ok()) return s;
-  QueueBatchArrival(when, std::move(spec));
+  QueueBatchArrival(when, spec);
   return Status::OK();
 }
 
-void Engine::QueueBatchArrival(SimTime when, TxnSpec spec) {
+void Engine::QueueBatchArrival(SimTime when, const TxnSpec& spec) {
   ++offered_;
   ++admitted_;
   stopped_ = false;
   if (!batch_.empty() && when < batch_.back().when) {
     // Out of time order: the arrival gets an admission event of its own,
-    // which owns its spec. It draws the sequence number ReserveSeq would
-    // have, so ties break the same either way.
-    sim_.ScheduleAt(when, [this, spec = std::move(spec)]() mutable {
-      AdmitSpec(std::move(spec), sim_.Now());
+    // which owns a copy of its spec. It draws the sequence number
+    // ReserveSeq would have, so ties break the same either way.
+    sim_.ScheduleAt(when, [this, owned = spec]() mutable {
+      AdmitSpec(owned, sim_.Now());
     });
     return;
   }
-  batch_.push_back(BatchArrival{when, sim_.ReserveSeq(), std::move(spec)});
+  batch_.push_back(BatchArrival{
+      when, sim_.ReserveSeq(), spec.id, spec.compute_time,
+      spec.backoff_interval, spec.deadline, spec.home, spec.priority,
+      static_cast<std::uint32_t>(spec.read_set.size()),
+      static_cast<std::uint32_t>(spec.write_set.size()), spec.protocol});
+  batch_items_.insert(batch_items_.end(), spec.read_set.begin(),
+                      spec.read_set.end());
+  batch_items_.insert(batch_items_.end(), spec.write_set.begin(),
+                      spec.write_set.end());
   if (batch_.size() == 1) ScheduleBatchFront();
 }
 
@@ -295,20 +303,34 @@ void Engine::ScheduleBatchFront() {
   const BatchArrival& front = batch_.front();
   // Captures only `this`, so the event fits EventFn's inline buffer.
   sim_.ScheduleReserved(front.when, front.seq, [this] {
-    TxnSpec spec = std::move(batch_.front().spec);
+    const BatchArrival& a = batch_.front();
+    TxnSpec& spec = batch_spec_;
+    spec.id = a.id;
+    spec.home = a.home;
+    spec.protocol = a.protocol;
+    spec.compute_time = a.compute_time;
+    spec.backoff_interval = a.backoff_interval;
+    spec.priority = a.priority;
+    spec.deadline = a.deadline;
+    const auto reads_end = batch_items_.begin() + a.reads;
+    const auto writes_end = reads_end + a.writes;
+    spec.read_set.assign(batch_items_.begin(), reads_end);
+    spec.write_set.assign(reads_end, writes_end);
+    batch_items_.erase(batch_items_.begin(), writes_end);
     batch_.pop_front();
     if (!batch_.empty()) ScheduleBatchFront();
-    AdmitSpec(std::move(spec), sim_.Now());
+    AdmitSpec(spec, sim_.Now());
   });
 }
 
-void Engine::AdmitSpec(TxnSpec spec, SimTime arrival) {
+void Engine::AdmitSpec(TxnSpec& spec, SimTime arrival) {
   if (fault_model_ != nullptr && fault_model_->DownAt(spec.home, sim_.Now())) {
-    // The home site is down: the user re-submits at recovery. The arrival
-    // timestamp is kept, so system time includes the outage wait.
+    // The home site is down: the user re-submits at recovery, from a copy
+    // of the spec the retry event owns. The arrival timestamp is kept, so
+    // system time includes the outage wait.
     const SimTime retry = fault_model_->RecoverTime(spec.home, sim_.Now());
-    sim_.ScheduleAt(retry, [this, spec = std::move(spec), arrival]() mutable {
-      AdmitSpec(std::move(spec), arrival);
+    sim_.ScheduleAt(retry, [this, spec, arrival]() mutable {
+      AdmitSpec(spec, arrival);
     });
     return;
   }
@@ -414,7 +436,7 @@ void Engine::AdmitArrival(Arrival arrival) {
   // An arrival parked at the gate enters late (at the freeing commit's
   // time) but keeps its stream arrival timestamp, so system time includes
   // the gate wait.
-  AdmitSpec(std::move(arrival.spec), std::min(arrival.when, sim_.Now()));
+  AdmitSpec(arrival.spec, std::min(arrival.when, sim_.Now()));
 }
 
 void Engine::AdmitPendingArrival() {

@@ -76,8 +76,9 @@ class Engine {
 
   // Admits one transaction at absolute simulated time `when`. `spec.home`
   // must be a valid user site; `spec.protocol` is used as-is unless a
-  // protocol policy is installed.
-  Status AddTransaction(SimTime when, TxnSpec spec);
+  // protocol policy is installed. The spec is copied into the batch FIFO
+  // (see AddWorkload), so the caller may reuse it at once.
+  Status AddTransaction(SimTime when, const TxnSpec& spec);
 
   // Installs a per-transaction compute function (before its arrival).
   // Deprecated as a post-construction mutator: prefer staging compute
@@ -94,9 +95,11 @@ class Engine {
   // Every spec is validated first, so an invalid one admits none of the
   // batch. Arrivals in nondecreasing time order wait in one FIFO whose
   // front alone is a simulator event, so queued arrivals cost no event
-  // slots; an arrival earlier than the FIFO's tail gets its own event.
-  // Either way each arrival is admitted exactly where an event scheduled
-  // at this call would have run, ties included.
+  // slots; the FIFO keeps each spec as a fixed-size record plus its items
+  // in a shared pool, so queueing one allocates no block of its own. An
+  // arrival earlier than the FIFO's tail gets its own event, which owns a
+  // copy of its spec. Either way each arrival is admitted exactly where an
+  // event scheduled at this call would have run, ties included.
   Status AddWorkload(const std::vector<WorkloadGenerator::Arrival>& arrivals);
 
   // Open-system mode: the engine pulls arrivals from `stream` lazily, one
@@ -169,14 +172,16 @@ class Engine {
   Status ValidateSpec(const TxnSpec& spec) const;
   // --- closed-batch admission ------------------------------------------
   // Queues a validated batch arrival (AddTransaction, AddWorkload).
-  void QueueBatchArrival(SimTime when, TxnSpec spec);
+  void QueueBatchArrival(SimTime when, const TxnSpec& spec);
   // Schedules the FIFO front's admission event under its reserved number;
-  // the event pops the front, schedules the next one and admits the spec.
+  // the event rebuilds the front's spec into batch_spec_, pops it,
+  // schedules the next one and admits the spec.
   void ScheduleBatchFront();
-  // Shared admission tail (deadline, policy application, Begin).
-  // `arrival` (<= now) is the timestamp system time is measured from; it
-  // predates now only for arrivals the MPL cap parked at the gate.
-  void AdmitSpec(TxnSpec spec, SimTime arrival);
+  // Shared admission tail (deadline, policy application, Begin); the
+  // policy may rewrite `spec.protocol`. `arrival` (<= now) is the
+  // timestamp system time is measured from; it predates now only for
+  // arrivals the MPL cap parked at the gate.
+  void AdmitSpec(TxnSpec& spec, SimTime arrival);
   // --- streaming admission ---------------------------------------------
   // Pulls the next arrival from the stream and schedules its gate event;
   // closes the stream at exhaustion or past the time horizon.
@@ -258,13 +263,27 @@ class Engine {
   std::unordered_map<TxnId, ComputeFn> compute_;
   // Batch arrivals in nondecreasing time order, each holding the simulator
   // sequence number it reserved when it was added. Only the front has an
-  // event; admitted entries are freed as the run proceeds.
+  // event; admitted entries are freed as the run proceeds. A record keeps
+  // its spec's scalar fields and set sizes; the items themselves follow
+  // in batch_items_, read set first, in FIFO order.
   struct BatchArrival {
     SimTime when;
     std::uint64_t seq;
-    TxnSpec spec;
+    TxnId id;
+    Duration compute_time;
+    Timestamp backoff_interval;
+    Duration deadline;
+    SiteId home;
+    std::uint32_t priority;
+    std::uint32_t reads;
+    std::uint32_t writes;
+    Protocol protocol;
   };
   std::deque<BatchArrival> batch_;
+  std::deque<ItemId> batch_items_;
+  // The spec the FIFO front is rebuilt into at admission; its access sets
+  // keep their capacity, so admitting allocates nothing once warm.
+  TxnSpec batch_spec_;
   std::uint64_t offered_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t committed_count_ = 0;

@@ -228,8 +228,8 @@ RunReport RunSession::Run() {
   RunReport report;
   auto mark = std::chrono::steady_clock::now();
 
-  // Resolve the workload (and its forced-protocol set) before any engine
-  // exists; workload generation draws from its own rng streams.
+  // Resolve the workload (and its forced-protocol set); workload
+  // generation draws from its own rng streams, not the engine's.
   std::unique_ptr<ArrivalStream> stream = std::move(request_.arrival_stream);
   if (stream != nullptr) {
     forced_ = request_.forced;
@@ -238,25 +238,28 @@ RunReport RunSession::Run() {
     stream = std::move(ow.stream);
     forced_ = std::move(ow.forced);
   }
-  // An open system streams the workload through its [run] controls. A
-  // closed one admits it as a batch, where each arrival reserves its
-  // sequence number when it is queued; streamed, each would draw one when
-  // pulled, after events scheduled in between, and ties would break
-  // differently.
-  std::vector<Arrival> batch;
-  if (!spec_.IsOpenSystem()) {
-    batch = DrainStream(*stream);
-    stream.reset();
-  }
+  // An open system streams the workload through its [run] controls.
+  const bool open = spec_.IsOpenSystem();
 
   EngineBuilder builder(spec_.engine);
   builder.WithCallbacks(MakeCallbacks());
-  if (stream != nullptr) builder.WithArrivalStream(std::move(stream));
+  if (open) builder.WithArrivalStream(std::move(stream));
   auto engine = builder.Build();
   UNICC_CHECK_MSG(engine.ok(), "engine build failed after validation");
   engine_ = std::move(engine).value();
   InstallPolicy();
-  UNICC_CHECK(engine_->AddWorkload(batch).ok());
+  if (!open) {
+    // A closed system is admitted as a batch before the run, each arrival
+    // reserving its sequence number as it is queued; pulled during the
+    // run, each would draw one after events scheduled in between, and
+    // ties would break differently. One Arrival is reused throughout, so
+    // the stream draws into the capacity its access sets already have.
+    Arrival a;
+    while (stream->Next(&a)) {
+      UNICC_CHECK(engine_->AddTransaction(a.when, a.spec).ok());
+    }
+    stream.reset();
+  }
   report.setup_s = SecondsSince(&mark);
   report.summary = engine_->Run();
   report.simulate_s = SecondsSince(&mark);

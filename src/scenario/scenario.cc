@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -963,9 +964,10 @@ class ClassArrivalGen {
     Rebuild();
   }
 
-  // Draws the next arrival (id unassigned; the merge assigns it). Returns
-  // false once the class's txns budget is spent. `*forced` reports
-  // whether the configuration active at this arrival forces a protocol.
+  // Draws the next arrival (id unassigned; the merge assigns it) into
+  // `*out`, reusing the capacity of its access sets. Returns false once
+  // the class's txns budget is spent. `*forced` reports whether the
+  // configuration active at this arrival forces a protocol.
   bool Next(Arrival* out, bool* forced) {
     if (emitted_ == config_.txns) return false;
     while (next_phase_ < spec_->phases.size() &&
@@ -979,7 +981,6 @@ class ClassArrivalGen {
     t_ += arrivals_->NextGapUs(rng_);
     ++emitted_;
     out->when = static_cast<SimTime>(t_);
-    out->spec = TxnSpec();
     TxnSpec& spec = out->spec;
     spec.home =
         static_cast<SiteId>(rng_.UniformInt(spec_->engine.num_user_sites));
@@ -987,7 +988,10 @@ class ClassArrivalGen {
     spec.backoff_interval = config_.backoff_interval;
     spec.priority = config_.priority;
     spec.deadline = config_.deadline;
-    if (config_.has_protocol) spec.protocol = config_.protocol;
+    // Unforced classes keep TxnSpec's default protocol.
+    spec.protocol = config_.has_protocol ? config_.protocol
+                                         : Protocol::kTwoPhaseLocking;
+    *forced = config_.has_protocol;
     // Ranged scan: a read-only contiguous run instead of point accesses.
     // The scan_fraction > 0 guard keeps scan-free classes drawing exactly
     // the same Rng sequence as before scans existed.
@@ -1000,31 +1004,41 @@ class ClassArrivalGen {
       const ItemId first =
           config_.range_first +
           static_cast<ItemId>(rng_.UniformInt(range - len + 1));
-      for (std::uint32_t k = 0; k < len; ++k) {
-        spec.read_set.push_back(first + k);
-      }
-      *forced = config_.has_protocol;
+      spec.read_set.resize(len);
+      std::iota(spec.read_set.begin(), spec.read_set.end(), first);
+      spec.write_set.clear();
       return true;
     }
     const std::uint32_t size = static_cast<std::uint32_t>(
         rng_.UniformRange(config_.size_min, config_.size_max));
-    std::vector<ItemId> items;
-    items.reserve(size);
-    while (items.size() < size) {  // retry duplicate draws
+    items_.clear();
+    while (items_.size() < size) {  // retry duplicate draws
       const ItemId item =
           config_.range_first + access_->Next(rng_, spec.home);
-      if (std::find(items.begin(), items.end(), item) == items.end()) {
-        items.push_back(item);
+      if (std::find(items_.begin(), items_.end(), item) == items_.end()) {
+        items_.push_back(item);
       }
     }
-    for (ItemId item : items) {
-      if (rng_.Bernoulli(config_.read_fraction)) {
-        spec.read_set.push_back(item);
+    // Every item is drawn before any read/write draw, the order the
+    // pinned results rest on; the flags say where each item goes, so
+    // both sets are sized once.
+    is_read_.resize(size);
+    std::size_t reads = 0;
+    for (std::uint32_t i = 0; i < size; ++i) {
+      is_read_[i] = rng_.Bernoulli(config_.read_fraction);
+      reads += is_read_[i];
+    }
+    spec.read_set.resize(reads);
+    spec.write_set.resize(size - reads);
+    std::size_t r = 0;
+    std::size_t w = 0;
+    for (std::uint32_t i = 0; i < size; ++i) {
+      if (is_read_[i]) {
+        spec.read_set[r++] = items_[i];
       } else {
-        spec.write_set.push_back(item);
+        spec.write_set[w++] = items_[i];
       }
     }
-    *forced = config_.has_protocol;
     return true;
   }
 
@@ -1048,6 +1062,9 @@ class ClassArrivalGen {
   double t_;
   std::uint64_t emitted_ = 0;
   std::size_t next_phase_ = 0;
+  // Per-draw scratch, kept so drawing allocates nothing once warm.
+  std::vector<ItemId> items_;
+  std::vector<std::uint8_t> is_read_;
 };
 
 // Merges the per-class generators in time order (ties to the lower class
@@ -1084,7 +1101,9 @@ class ScenarioStream final : public ArrivalStream {
     }
     if (best == gens_.size()) return false;
     Slot& s = slots_[best];
-    *out = std::move(s.arrival);
+    // A swap hands the slot the caller's previous access sets, so a caller
+    // that reuses one Arrival lets the class draw into their capacity.
+    std::swap(*out, s.arrival);
     s.filled = false;
     out->spec.id = next_id_++;
     if (s.forced) forced_->insert(out->spec.id);
@@ -1120,7 +1139,9 @@ ScenarioSpec::Workload ScenarioSpec::BuildWorkload() const {
   OpenWorkload ow = Open();
   Workload out;
   const auto total = static_cast<std::size_t>(TotalTxns());
-  out.arrivals = DrainStream(*ow.stream, total);
+  out.arrivals.reserve(total);
+  Arrival a;
+  while (ow.stream->Next(&a)) out.arrivals.push_back(std::move(a));
   UNICC_CHECK(out.arrivals.size() == total);
   out.forced = std::move(ow.forced);
   return out;

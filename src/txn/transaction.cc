@@ -17,6 +17,18 @@ Status TxnSpec::Validate() const {
     }
   }
   auto has_dup = [](const std::vector<ItemId>& items) {
+    // Point transactions are a few items: compare every pair, which
+    // beats copying and sorting them.
+    constexpr std::size_t kPairwiseMax = 16;
+    if (items.size() <= kPairwiseMax) {
+      for (std::size_t i = 1; i < items.size(); ++i) {
+        if (std::find(items.begin(), items.begin() + i, items[i]) !=
+            items.begin() + i) {
+          return true;
+        }
+      }
+      return false;
+    }
     // Sorts a per-thread scratch copy: once warm, no allocation.
     thread_local std::vector<ItemId> v;
     v.assign(items.begin(), items.end());

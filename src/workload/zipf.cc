@@ -1,7 +1,9 @@
 #include "workload/zipf.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
@@ -10,6 +12,7 @@ namespace unicc {
 ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)
     : n_(n), theta_(theta) {
   UNICC_CHECK(n > 0);
+  UNICC_CHECK(n <= std::numeric_limits<std::uint32_t>::max());  // guide_
   UNICC_CHECK(theta >= 0);
   cdf_.resize(n);
   // Kahan-compensated accumulation: the naive running sum drifts by
@@ -28,13 +31,34 @@ ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)
   }
   // cdf_[n-1] == sum, so the last normalized entry is exactly 1.0.
   for (double& c : cdf_) c /= sum;
+
+  // One bucket per rank, up to 2^20 buckets (4 MB): a bucket then spans
+  // one rank on average, and only the tail's thin ranks share one.
+  const std::size_t buckets = std::bit_ceil(
+      static_cast<std::size_t>(std::min<std::uint64_t>(n, 1u << 20)));
+  guide_.resize(buckets + 1);
+  // One merge pass: guide_[b] = lower_bound(cdf_, b / buckets). The last
+  // edge is 1.0, whose rank is at most n - 1 since cdf_.back() == 1.0.
+  std::uint32_t rank = 0;
+  for (std::size_t b = 0; b <= buckets; ++b) {
+    const double edge = static_cast<double>(b) / static_cast<double>(buckets);
+    while (cdf_[rank] < edge) ++rank;
+    guide_[b] = rank;
+  }
 }
 
-std::uint64_t ZipfGenerator::Next(Rng& rng) const {
-  const double u = rng.UniformDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return n_ - 1;
-  return static_cast<std::uint64_t>(it - cdf_.begin());
+std::uint64_t ZipfGenerator::Rank(double u) const {
+  // u * 2^k only moves the exponent, so it is exact and its floor is the
+  // bucket whose edges bracket u: b / 2^k <= u < (b + 1) / 2^k. The rank
+  // is monotone in u, so it lies in [guide_[b], guide_[b + 1]], and
+  // lower_bound over the half-open range returns guide_[b + 1] itself
+  // when every entry before it is below u.
+  const auto b = static_cast<std::size_t>(
+      u * static_cast<double>(num_buckets()));
+  const auto first = cdf_.begin() + guide_[b];
+  const auto last = cdf_.begin() + guide_[b + 1];
+  return static_cast<std::uint64_t>(std::lower_bound(first, last, u) -
+                                    cdf_.begin());
 }
 
 namespace {

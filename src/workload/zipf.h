@@ -2,9 +2,10 @@
 // hotspots). Both samplers share the rank convention "rank 0 is the most
 // popular": p(rank) proportional to 1/(rank+1)^theta.
 //
-//   ZipfGenerator          precomputed CDF: O(n) memory and setup,
-//                          O(log n) per draw. Exact and cheap for small
-//                          key spaces; theta = 0 degenerates to uniform.
+//   ZipfGenerator          precomputed CDF plus a guide table: O(n)
+//                          memory and setup, a short search per draw.
+//                          Exact and cheap for small key spaces;
+//                          theta = 0 degenerates to uniform.
 //   ZipfRejectionSampler   rejection-inversion (Hormann & Derflinger, the
 //                          sampler YCSB uses): O(1) memory, O(1) setup,
 //                          O(1) expected draws. Requires theta > 0; used
@@ -13,6 +14,7 @@
 #ifndef UNICC_WORKLOAD_ZIPF_H_
 #define UNICC_WORKLOAD_ZIPF_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -26,7 +28,13 @@ class ZipfGenerator {
   ZipfGenerator(std::uint64_t n, double theta);
 
   // Draws a rank in [0, n); rank 0 is the most popular.
-  std::uint64_t Next(Rng& rng) const;
+  std::uint64_t Next(Rng& rng) const { return Rank(rng.UniformDouble()); }
+
+  // The rank a uniform draw `u` in [0, 1) maps to: the first index whose
+  // CDF entry is >= u, as std::lower_bound over cdf() returns it. The
+  // guide table narrows the search to one bucket's ranks (Chen & Asau's
+  // guide-table inversion, AIIE Transactions 6(2), 1974).
+  std::uint64_t Rank(double u) const;
 
   std::uint64_t n() const { return n_; }
   double theta() const { return theta_; }
@@ -36,10 +44,17 @@ class ZipfGenerator {
   // drift at large n). Exposed for distribution tests.
   const std::vector<double>& cdf() const { return cdf_; }
 
+  // The guide table's bucket count 2^k: n rounded up to a power of two,
+  // at most 2^20. Exposed so tests can probe every bucket edge.
+  std::size_t num_buckets() const { return guide_.size() - 1; }
+
  private:
   std::uint64_t n_;
   double theta_;
   std::vector<double> cdf_;  // cumulative probabilities
+  // guide_[b] is the rank of b / num_buckets() (b = 0..num_buckets()), so
+  // a draw in bucket b has its rank in [guide_[b], guide_[b + 1]].
+  std::vector<std::uint32_t> guide_;
 };
 
 // Rejection-inversion sampler over the same distribution, after Hormann &

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -87,6 +88,63 @@ TEST(TxnSpecTest, DuplicateCheckMatchesSortedCopy) {
   }
   EXPECT_GT(with_dup, 1000);
   EXPECT_GT(without, 1000);
+}
+
+// Sets of 0-12 items check duplicates pair by pair instead of sorting;
+// the verdict and its message must be the sort-based reference's, for
+// each set alone and for the pair (empty union, overlap, duplicates).
+TEST(TxnSpecTest, SmallSetVerdictMatchesSortBasedReference) {
+  Rng rng(21);
+  int valid = 0;
+  int invalid = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    // A domain about the size of the sets makes duplicates and overlaps
+    // common; a wide one makes them rare.
+    const std::uint64_t domain = rng.Bernoulli(0.5) ? 16 : 1000000;
+    auto draw = [&] {
+      std::vector<ItemId> v(rng.UniformInt(13));
+      for (ItemId& item : v) {
+        item = static_cast<ItemId>(rng.UniformInt(domain));
+      }
+      return v;
+    };
+    TxnSpec t;
+    t.read_set = draw();
+    t.write_set = draw();
+    // The reference, in Validate's order: empty union, then overlap
+    // (found by binary search in a sorted copy), then duplicates.
+    std::vector<ItemId> sorted_reads = t.read_set;
+    std::sort(sorted_reads.begin(), sorted_reads.end());
+    const bool overlap = std::any_of(
+        t.write_set.begin(), t.write_set.end(), [&](ItemId w) {
+          return std::binary_search(sorted_reads.begin(), sorted_reads.end(),
+                                    w);
+        });
+    std::string want;
+    if (t.read_set.empty() && t.write_set.empty()) {
+      want = "transaction accesses no items";
+    } else if (overlap) {
+      want = "read_set and write_set must be disjoint (a read-then-write "
+             "item belongs in write_set only)";
+    } else if (SortedCopyHasDuplicate(t.read_set) ||
+               SortedCopyHasDuplicate(t.write_set)) {
+      want = "duplicate item in access set";
+    }
+    const Status got = t.Validate();
+    ASSERT_EQ(got.ok(), want.empty())
+        << "reads " << t.read_set.size() << " writes " << t.write_set.size();
+    if (!want.empty()) {
+      ASSERT_EQ(got.message(), want);
+    }
+    ++(want.empty() ? valid : invalid);
+    // The read set alone, as a read set and as a write set.
+    if (!t.read_set.empty()) {
+      ASSERT_EQ(ValidateFindsDuplicate(t.read_set),
+                SortedCopyHasDuplicate(t.read_set));
+    }
+  }
+  EXPECT_GT(valid, 4000);
+  EXPECT_GT(invalid, 4000);
 }
 
 // Longest first, so shorter scans reuse the scratch buffer a longer one

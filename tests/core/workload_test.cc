@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -48,6 +50,39 @@ TEST(ZipfTest, CdfLastEntryExactlyOneAtMillionItems) {
   EXPECT_EQ(zipf.cdf().back(), 1.0);
   for (std::size_t i = 1; i < zipf.cdf().size(); i += 9973) {
     EXPECT_GE(zipf.cdf()[i], zipf.cdf()[i - 1]);
+  }
+}
+
+// The guide table only narrows the search: every rank must be the one a
+// plain lower_bound over the whole CDF gives. Probed at u = 0, at every
+// bucket edge and the double just below it, at the largest draw
+// 1 - 2^-53, and at a million random draws (50,000 per generator).
+TEST(ZipfTest, GuideTableRankMatchesPlainLowerBound) {
+  for (const std::uint64_t n : {1u, 2u, 3u, 100u, 131072u}) {
+    for (const double theta : {0.0, 0.5, 0.99, 1.5}) {
+      const ZipfGenerator zipf(n, theta);
+      const std::vector<double>& cdf = zipf.cdf();
+      auto reference = [&cdf](double u) {
+        return static_cast<std::uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      };
+      auto check = [&](double u) {
+        ASSERT_EQ(zipf.Rank(u), reference(u))
+            << "n " << n << " theta " << theta << " u " << u;
+      };
+      const std::size_t buckets = zipf.num_buckets();
+      ASSERT_GE(buckets, n) << "n " << n;
+      check(0.0);
+      for (std::size_t b = 1; b < buckets; ++b) {
+        const double edge =
+            static_cast<double>(b) / static_cast<double>(buckets);
+        check(edge);
+        check(std::nextafter(edge, 0.0));
+      }
+      check(1.0 - 0x1.0p-53);
+      Rng rng(40 + n);
+      for (int i = 0; i < 50000; ++i) check(rng.UniformDouble());
+    }
   }
 }
 

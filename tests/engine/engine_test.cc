@@ -171,6 +171,85 @@ TEST(EngineTest, BatchTiesAdmitInTimeThenCallOrder) {
   EXPECT_EQ(admitted, want_ids);
 }
 
+// The batch FIFO keeps a spec as a record plus items in a shared pool and
+// rebuilds it at admission; out-of-order arrivals keep their own copy.
+// Either way the policy must see every spec exactly as it was added, with
+// empty read or write sets and 40-item scans among them.
+TEST(EngineTest, BatchSpecsReachThePolicyIntact) {
+  EngineOptions eo = SmallEngine(17);
+  eo.num_items = 200;
+  Engine engine(eo);
+  std::map<TxnId, TxnSpec> seen;
+  engine.SetProtocolPolicy([&seen](const TxnSpec& spec) {
+    EXPECT_TRUE(seen.emplace(spec.id, spec).second) << "txn " << spec.id;
+    return spec.protocol;
+  });
+  Rng rng(43);
+  std::vector<WorkloadGenerator::Arrival> added;
+  for (TxnId id = 1; id <= 80; ++id) {
+    WorkloadGenerator::Arrival a;
+    // Every fifth arrival is earlier than the FIFO's tail.
+    a.when = (id * 10 - (id % 5 == 0 ? 35 : 0)) * kMillisecond;
+    TxnSpec& spec = a.spec;
+    spec.id = id;
+    spec.home = static_cast<SiteId>(id % eo.num_user_sites);
+    spec.protocol = static_cast<Protocol>(id % kNumProtocols);
+    spec.compute_time = (id % 4) * kMillisecond;
+    spec.backoff_interval = id % 3 == 0 ? 0 : 7 * id;
+    spec.priority = static_cast<std::uint32_t>(3 * id);
+    spec.deadline = id % 2 == 0 ? 0 : 100 * kSecond + id;
+    // Distinct items in random order, split by shape.
+    std::vector<ItemId> items(eo.num_items);
+    std::iota(items.begin(), items.end(), ItemId{0});
+    for (std::size_t i = items.size(); i > 1; --i) {
+      std::swap(items[i - 1], items[rng.UniformInt(i)]);
+    }
+    switch (id % 4) {
+      case 0: {  // a 40-item scan, no writes
+        const auto first = static_cast<ItemId>(rng.UniformInt(160));
+        for (ItemId k = 0; k < 40; ++k) spec.read_set.push_back(first + k);
+        break;
+      }
+      case 1:  // writes only
+        spec.write_set.assign(items.begin(), items.begin() + 1 + id % 3);
+        break;
+      case 2:  // reads only
+        spec.read_set.assign(items.begin(), items.begin() + 1 + id % 5);
+        break;
+      default:  // both
+        spec.read_set.assign(items.begin(), items.begin() + 3);
+        spec.write_set.assign(items.begin() + 3, items.begin() + 5);
+        break;
+    }
+    added.push_back(a);
+  }
+  // The first half one by one, the second half as one workload.
+  for (std::size_t i = 0; i < added.size() / 2; ++i) {
+    ASSERT_TRUE(engine.AddTransaction(added[i].when, added[i].spec).ok());
+  }
+  ASSERT_TRUE(engine
+                  .AddWorkload(std::vector<WorkloadGenerator::Arrival>(
+                      added.begin() + added.size() / 2, added.end()))
+                  .ok());
+  const RunSummary s = engine.Run();
+  EXPECT_EQ(s.committed, added.size());
+  ASSERT_EQ(seen.size(), added.size());
+  for (const WorkloadGenerator::Arrival& a : added) {
+    const TxnSpec& want = a.spec;
+    const TxnSpec& got = seen.at(want.id);
+    EXPECT_EQ(got.home, want.home) << "txn " << want.id;
+    EXPECT_EQ(got.protocol, want.protocol) << "txn " << want.id;
+    EXPECT_EQ(got.read_set, want.read_set) << "txn " << want.id;
+    EXPECT_EQ(got.write_set, want.write_set) << "txn " << want.id;
+    EXPECT_EQ(got.compute_time, want.compute_time) << "txn " << want.id;
+    EXPECT_EQ(got.backoff_interval, want.backoff_interval)
+        << "txn " << want.id;
+    EXPECT_EQ(got.priority, want.priority) << "txn " << want.id;
+    EXPECT_EQ(got.deadline, want.deadline) << "txn " << want.id;
+  }
+  EXPECT_TRUE(engine.CheckSerializability().serializable);
+}
+
 struct BackendCase {
   BackendKind backend;
   Protocol protocol;

@@ -1,8 +1,8 @@
 // Steady state: once warm, the run path allocates nothing per transaction.
 // The issuer, the online checker and the engine's deadline map reuse their
-// hash-map nodes, and the queue managers reuse emptied queues' entry
-// buffers, so after warm-up a run's allocations stop growing with the
-// commits it makes.
+// hash-map nodes, the queue managers reuse emptied queues' entry buffers
+// and batch admission rebuilds each spec into one reused spec, so after
+// warm-up a run's allocations stop growing with the commits it makes.
 //
 // This test binary replaces global operator new with a counting version,
 // as sim_test does, so a test can count the allocations a stretch of the
@@ -101,6 +101,56 @@ TEST(SteadyStateTest, WarmCappedRunAllocatesNothingPerCommit) {
   EXPECT_EQ(measured_allocations, 0u);
   EXPECT_TRUE(engine.CheckSerializability().serializable);
   EXPECT_EQ(engine.log().Held(), 0u);
+}
+
+// A closed batch: queueing N time-ordered arrivals copies no block per
+// spec (the FIFO holds fixed-size records and one item pool, so it grows a
+// deque block per 7 records and per 128 items), and once warm, admitting
+// them, rebuilding each spec into the engine's reused one, allocates
+// nothing. The arrivals are 100 ms apart, so each commits before the next
+// arrives and the run never sets a new concurrency peak.
+TEST(SteadyStateTest, BatchQueuesPerBlockAndWarmAdmissionAllocatesNothing) {
+  constexpr std::uint64_t kTxns = 20000;
+  constexpr std::uint64_t kWarmCommits = 5000;
+  EngineOptions eo = test::SmallEngine(19);
+  eo.detector = DetectorKind::kNone;
+  Rng rng(19);
+  std::vector<Arrival> arrivals(kTxns);
+  for (std::uint64_t i = 0; i < kTxns; ++i) {
+    Arrival& a = arrivals[i];
+    a.when = i * 100 * kMillisecond;
+    a.spec.id = i + 1;
+    a.spec.home = static_cast<SiteId>(rng.UniformInt(eo.num_user_sites));
+    a.spec.compute_time = 2 * kMillisecond;
+    // Both sets non-empty and disjoint: reads from the low half of the
+    // items, writes from the high half.
+    const ItemId half = eo.num_items / 2;
+    for (ItemId k = 0, n = 1 + rng.UniformInt(3); k < n; ++k) {
+      a.spec.read_set.push_back(k * 5 + rng.UniformInt(5));
+    }
+    for (ItemId k = 0, n = 1 + rng.UniformInt(2); k < n; ++k) {
+      a.spec.write_set.push_back(half + k * 5 + rng.UniformInt(5));
+    }
+  }
+
+  std::uint64_t commits = 0;
+  std::uint64_t warm_allocations = 0;
+  EngineCallbacks callbacks;
+  callbacks.on_commit = [&](const TxnResult&) {
+    if (++commits == kWarmCommits) warm_allocations = g_allocations.load();
+  };
+  Engine engine(eo, callbacks);
+  const std::uint64_t before_queueing = g_allocations.load();
+  ASSERT_TRUE(engine.AddWorkload(arrivals).ok());
+  const std::uint64_t queueing = g_allocations.load() - before_queueing;
+  // A copy per spec would make at least two allocations (both sets).
+  EXPECT_LT(queueing, kTxns / 4);
+  const RunSummary s = engine.Run();
+  const std::uint64_t after_warm = g_allocations.load() - warm_allocations;
+  ASSERT_TRUE(s.status.ok()) << s.status.ToString();
+  ASSERT_EQ(s.committed, kTxns);
+  EXPECT_EQ(after_warm, 0u);
+  EXPECT_TRUE(engine.CheckSerializability().serializable);
 }
 
 }  // namespace

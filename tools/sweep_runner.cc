@@ -7,7 +7,8 @@
 // machine-readable BENCH_e*.json file. The run exits 1 when any cell that
 // ran fails its self-check: a watchdog cancellation, a broken accounting
 // identity (runner::CheckAccounting), a non-serializable history or
-// inconsistent replicas.
+// inconsistent replicas. It exits 2 on a bad flag, and when a scenario
+// sweep cell fails validation.
 //
 // Besides the built-in grids, any declarative scenario file can be swept
 // over any of its keys: --scenario=FILE turns the scenario into the base
@@ -622,7 +623,7 @@ Param AxisParam(const SweepAxis& axis, const std::string& value) {
 // runs one engine simulation per combination. Every combination must
 // still pass full scenario validation, but a combination that fails is
 // recorded as an "error" cell in the report and the sweep keeps going.
-// Exits 2 when every cell failed validation, and 1 when a cell that ran
+// Exits 2 when any cell failed validation, else 1 when a cell that ran
 // failed its self-check (or the report could not be written).
 int RunScenarioSweep(const std::string& scenario_path,
                      const std::vector<std::string>& sweep_specs,
@@ -713,8 +714,9 @@ int RunScenarioSweep(const std::string& scenario_path,
       WriteReport(report_id, description, cell_params, results, out_dir,
                   num_threads, base != nullptr ? base->TotalTxns() : 0,
                   errors);
-  if (failed == total) {
-    std::fprintf(stderr, "sweep_runner: every cell failed validation\n");
+  if (failed != 0) {
+    std::fprintf(stderr, "sweep_runner: %zu of %zu cells failed validation\n",
+                 failed, total);
     return 2;
   }
   return wrote && passed ? 0 : 1;
@@ -769,7 +771,11 @@ void PrintHelp() {
       "                      e.g. --sweep='class burst.rate=60,120'\n"
       "                      or --sweep=engine.seed=1,2,3)\n"
       "  --id=<name>         report name for scenario sweeps: writes\n"
-      "                      BENCH_<name>.json (default: scenario)");
+      "                      BENCH_<name>.json (default: scenario)\n"
+      "exit status: 0 when every cell passed its self-check; 1 when a\n"
+      "cell that ran failed it or a report could not be written; 2 for a\n"
+      "bad flag or when a scenario cell failed validation (the report\n"
+      "is still written, with an error record for each such cell)");
 }
 
 }  // namespace
