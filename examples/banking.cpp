@@ -5,9 +5,10 @@
 //
 //   ./examples/banking
 #include <cstdio>
+#include <memory>
 
 #include "common/rng.h"
-#include "engine/engine.h"
+#include "engine/builder.h"
 
 namespace {
 constexpr unicc::ItemId kAccounts = 24;
@@ -27,7 +28,7 @@ int main() {
   options.network.jitter_mean = 2 * kMillisecond;
   options.seed = 99;
 
-  Engine engine(options);
+  const std::unique_ptr<Engine> engine = EngineBuilder(options).Build().value();
   Rng rng(42);
 
   // Fund all accounts in one initial transaction.
@@ -36,12 +37,12 @@ int main() {
   fund.home = 0;
   fund.protocol = Protocol::kTwoPhaseLocking;
   for (ItemId a = 0; a < kAccounts; ++a) fund.write_set.push_back(a);
-  engine.SetCompute(fund.id, [](const auto&) {
+  const ComputeFn open_accounts = [](const auto&) {
     std::vector<std::pair<ItemId, std::uint64_t>> writes;
     for (ItemId a = 0; a < kAccounts; ++a) writes.emplace_back(a, kInitial);
     return writes;
-  });
-  if (!engine.AddTransaction(0, fund).ok()) return 1;
+  };
+  if (!engine->AddTransaction(0, fund, open_accounts).ok()) return 1;
 
   // Random transfers; each reads both balances and moves 1-50 units if the
   // source can cover it. Protocols are mixed per transaction.
@@ -60,7 +61,7 @@ int main() {
     t.protocol = protos[rng.UniformInt(3)];
     t.write_set = {from, to};
     t.compute_time = 2 * kMillisecond;
-    engine.SetCompute(id, [from, to, amount](const auto& reads) {
+    const ComputeFn transfer = [from, to, amount](const auto& reads) {
       std::uint64_t src = reads.at(from), dst = reads.at(to);
       std::vector<std::pair<ItemId, std::uint64_t>> writes;
       if (src >= amount) {
@@ -71,19 +72,19 @@ int main() {
         writes.emplace_back(to, dst);
       }
       return writes;
-    });
+    };
     const SimTime when =
         200 * kMillisecond + rng.UniformInt(8 * kSecond);
-    if (!engine.AddTransaction(when, t).ok()) return 1;
+    if (!engine->AddTransaction(when, t, transfer).ok()) return 1;
   }
 
-  const RunSummary summary = engine.Run();
-  const SerializabilityReport report = engine.CheckSerializability();
+  const RunSummary summary = engine->Run();
+  const SerializabilityReport report = engine->CheckSerializability();
 
   std::uint64_t total = 0;
-  bool replicas_ok = engine.ReplicasConsistent();
+  bool replicas_ok = engine->ReplicasConsistent();
   for (ItemId a = 0; a < kAccounts; ++a) {
-    total += engine.ReadReplicas(a)[0];
+    total += engine->ReadReplicas(a)[0];
   }
 
   std::printf("transfers committed : %llu\n",

@@ -5,11 +5,12 @@
 //
 //   ./examples/dynamic_selection
 #include <cstdio>
+#include <memory>
 
-#include "engine/engine.h"
+#include "engine/builder.h"
+#include "scenario/scenario.h"
 #include "selector/selector.h"
 #include "stl/estimators.h"
-#include "workload/generator.h"
 
 int main() {
   using namespace unicc;
@@ -45,56 +46,67 @@ int main() {
     estimator.OnBackoffOffer(op);
   };
 
-  Engine engine(options, callbacks);
-  MinStlSelector selector(&engine.simulator(), &estimator,
-                          options.num_items);
-  engine.SetProtocolPolicy(selector.AsPolicy());
+  // The selector reads the engine's clock, so it is created after the
+  // engine; the policy forwards to it.
+  std::unique_ptr<MinStlSelector> selector;
+  const std::unique_ptr<Engine> engine =
+      EngineBuilder(options)
+          .WithCallbacks(callbacks)
+          .WithProtocolPolicy([&selector](const TxnSpec& spec) {
+            return selector->Choose(spec);
+          })
+          .Build()
+          .value();
+  selector = std::make_unique<MinStlSelector>(&engine->simulator(),
+                                              &estimator, options.num_items);
 
   // Phase 1: light load (5 tx/s for 20 s). Phase 2: heavy (60 tx/s).
-  WorkloadOptions light;
-  light.arrival_rate_per_sec = 5;
-  light.num_txns = 100;
+  ScenarioClass light;
+  light.txns = 100;
+  light.rate = 5;
   light.size_min = 3;
   light.size_max = 5;
-  WorkloadGenerator gen1(light, options.num_items, options.num_user_sites,
-                         Rng(1));
-  for (auto& a : gen1.Generate()) {
-    if (!engine.AddTransaction(a.when, a.spec).ok()) return 1;
+  light.access = ScenarioClass::AccessKind::kZipf;  // theta 0: uniform
+  auto phase1 =
+      OpenClass(light, options.num_items, options.num_user_sites, Rng(1));
+  Arrival a;
+  while (phase1->Next(&a)) {
+    if (!engine->AddTransaction(a.when, a.spec).ok()) return 1;
   }
-  WorkloadOptions heavy = light;
-  heavy.arrival_rate_per_sec = 60;
-  heavy.num_txns = 300;
-  WorkloadGenerator gen2(heavy, options.num_items, options.num_user_sites,
-                         Rng(2));
+  ScenarioClass heavy = light;
+  heavy.txns = 300;
+  heavy.rate = 60;
+  auto phase2 =
+      OpenClass(heavy, options.num_items, options.num_user_sites, Rng(2));
   // Offset phase-2 ids and arrival times past phase 1.
   const SimTime phase2_start = 25 * kSecond;
   TxnId next_id = 101;
-  for (auto& a : gen2.Generate()) {
+  while (phase2->Next(&a)) {
     a.spec.id = next_id++;
-    if (!engine.AddTransaction(phase2_start + a.when, a.spec).ok()) {
+    if (!engine->AddTransaction(phase2_start + a.when, a.spec).ok()) {
       return 1;
     }
   }
 
-  const RunSummary summary = engine.Run();
+  const RunSummary summary = engine->Run();
 
   std::printf("committed: %llu, mean S: %.2f ms, serializable: %s\n",
               static_cast<unsigned long long>(summary.committed),
               summary.mean_system_time_ms,
-              engine.CheckSerializability().serializable ? "yes" : "NO");
+              engine->CheckSerializability().serializable ? "yes" : "NO");
   std::printf("\nselector decisions over the whole run:\n");
   for (Protocol p :
        {Protocol::kTwoPhaseLocking, Protocol::kTimestampOrdering,
         Protocol::kPrecedenceAgreement}) {
     std::printf("  %-4s chosen %llu times (committed %llu, mean S %.2f ms)\n",
                 std::string(ProtocolName(p)).c_str(),
-                static_cast<unsigned long long>(selector.selections(p)),
+                static_cast<unsigned long long>(selector->selections(p)),
                 static_cast<unsigned long long>(
-                    engine.metrics().ForProtocol(p).committed),
-                engine.metrics().ForProtocol(p).system_time.MeanMs());
+                    engine->metrics().ForProtocol(p).committed),
+                engine->metrics().ForProtocol(p).system_time.MeanMs());
   }
   std::printf("\ncurrent STL estimates for a 2-read/2-write transaction:\n");
-  const auto stl = selector.EstimateFor(TxnShape{2, 2});
+  const auto stl = selector->EstimateFor(TxnShape{2, 2});
   std::printf("  STL_2PL=%.4f  STL_T/O=%.4f  STL_PA=%.4f\n", stl.stl_2pl,
               stl.stl_to, stl.stl_pa);
   return 0;

@@ -4,9 +4,10 @@
 //
 //   ./examples/hotspot
 #include <cstdio>
+#include <memory>
 
-#include "engine/engine.h"
-#include "workload/generator.h"
+#include "engine/builder.h"
+#include "scenario/scenario.h"
 
 int main() {
   using namespace unicc;
@@ -23,29 +24,36 @@ int main() {
       options.network.base_delay = 5 * kMillisecond;
       options.network.jitter_mean = 2 * kMillisecond;
       options.seed = 31;
-      Engine engine(options);
-      engine.SetProtocolPolicy(FixedProtocol(p));
+      const std::unique_ptr<Engine> engine =
+          EngineBuilder(options)
+              .WithProtocolPolicy(FixedProtocol(p))
+              .Build()
+              .value();
 
-      WorkloadOptions wo;
-      wo.arrival_rate_per_sec = 60;
-      wo.num_txns = 300;
-      wo.size_min = 3;
-      wo.size_max = 3;
-      wo.read_fraction = 0.5;
-      wo.zipf_theta = theta;
-      wo.compute_time = 3 * kMillisecond;
-      WorkloadGenerator gen(wo, options.num_items, options.num_user_sites,
-                            Rng(7));
-      if (!engine.AddWorkload(gen.Generate()).ok()) return 1;
-      const RunSummary s = engine.Run();
-      if (!engine.CheckSerializability().serializable) {
+      ScenarioClass hot;
+      hot.txns = 300;
+      hot.rate = 60;
+      hot.size_min = 3;
+      hot.size_max = 3;
+      hot.read_fraction = 0.5;
+      hot.access = ScenarioClass::AccessKind::kZipf;
+      hot.theta = theta;
+      hot.compute_time = 3 * kMillisecond;
+      auto stream =
+          OpenClass(hot, options.num_items, options.num_user_sites, Rng(7));
+      Arrival a;
+      while (stream->Next(&a)) {
+        if (!engine->AddTransaction(a.when, a.spec).ok()) return 1;
+      }
+      const RunSummary s = engine->Run();
+      if (!engine->CheckSerializability().serializable) {
         std::printf("NOT SERIALIZABLE\n");
         return 1;
       }
       std::printf("%5.1f  %-8s  %10.2f  %7.2f  %llu\n", theta,
                   std::string(ProtocolName(p)).c_str(),
-                  engine.metrics().MeanSystemTimeMs(),
-                  engine.metrics().SystemTime().PercentileMs(95),
+                  engine->metrics().MeanSystemTimeMs(),
+                  engine->metrics().SystemTime().PercentileMs(95),
                   static_cast<unsigned long long>(
                       s.deadlock_victims + s.reject_restarts +
                       s.backoff_rounds));

@@ -4,8 +4,9 @@
 //
 //   ./examples/quickstart
 #include <cstdio>
+#include <memory>
 
-#include "engine/engine.h"
+#include "engine/builder.h"
 
 int main() {
   using namespace unicc;
@@ -18,7 +19,8 @@ int main() {
   options.network.base_delay = 10 * kMillisecond;
   options.seed = 2024;
 
-  Engine engine(options);
+  // Build() validates the options; value() aborts on a bad configuration.
+  const std::unique_ptr<Engine> engine = EngineBuilder(options).Build().value();
 
   // Three concurrent transactions, one per protocol, touching overlapping
   // items. Each transaction declares its read set and write set up front
@@ -49,22 +51,23 @@ int main() {
 
   // t2 writes item 3 with a computed value; the others default to writing
   // their transaction id.
-  engine.SetCompute(2, [](const auto& reads) {
+  const ComputeFn t2_writes = [](const auto& reads) {
     std::vector<std::pair<ItemId, std::uint64_t>> writes;
     writes.emplace_back(3, reads.at(2) + 100);  // derive from what it read
     writes.emplace_back(4, 7);
     return writes;
-  });
+  };
 
   for (const TxnSpec& t : {t1, t2, t3}) {
-    const Status s = engine.AddTransaction(/*when=*/0, t);
+    const Status s = engine->AddTransaction(/*when=*/0, t,
+                                            t.id == 2 ? t2_writes : nullptr);
     if (!s.ok()) {
       std::fprintf(stderr, "admission failed: %s\n", s.ToString().c_str());
       return 1;
     }
   }
 
-  const RunSummary summary = engine.Run();
+  const RunSummary summary = engine->Run();
   std::printf("committed        : %llu/%llu transactions\n",
               static_cast<unsigned long long>(summary.committed),
               static_cast<unsigned long long>(summary.admitted));
@@ -77,13 +80,13 @@ int main() {
   // The engine checks serializability online, as operations are
   // implemented, and keeps only transactions that could still join a
   // conflict cycle; so it reports a verdict, not a witness order.
-  const SerializabilityReport report = engine.CheckSerializability();
+  const SerializabilityReport report = engine->CheckSerializability();
   std::printf("serializable     : %s\n", report.serializable ? "yes" : "NO");
   std::printf("txns checked     : %zu\n", report.num_txns);
   for (ItemId item : {0u, 2u, 3u, 4u}) {
     std::printf("item %u final value: %llu\n", item,
                 static_cast<unsigned long long>(
-                    engine.ReadReplicas(item)[0]));
+                    engine->ReadReplicas(item)[0]));
   }
   return report.serializable ? 0 : 1;
 }

@@ -4,9 +4,10 @@
 //
 //   ./examples/replication
 #include <cstdio>
+#include <memory>
 
-#include "engine/engine.h"
-#include "workload/generator.h"
+#include "engine/builder.h"
+#include "scenario/scenario.h"
 
 int main() {
   using namespace unicc;
@@ -22,22 +23,29 @@ int main() {
     options.network.base_delay = 10 * kMillisecond;
     options.seed = 5;
 
-    Engine engine(options);
-    engine.SetProtocolPolicy(MixedProtocol(1, 1, 1, Rng(11)));
+    const std::unique_ptr<Engine> engine =
+        EngineBuilder(options)
+            .WithProtocolPolicy(MixedProtocol(1, 1, 1, Rng(11)))
+            .Build()
+            .value();
 
-    WorkloadOptions wo;
-    wo.arrival_rate_per_sec = 15;
-    wo.num_txns = 150;
-    wo.size_min = 2;
-    wo.size_max = 4;
-    wo.read_fraction = 0.6;
-    WorkloadGenerator gen(wo, options.num_items, options.num_user_sites,
-                          Rng(21));
-    if (!engine.AddWorkload(gen.Generate()).ok()) return 1;
+    ScenarioClass mix;
+    mix.txns = 150;
+    mix.rate = 15;
+    mix.size_min = 2;
+    mix.size_max = 4;
+    mix.read_fraction = 0.6;
+    mix.access = ScenarioClass::AccessKind::kZipf;  // theta 0: uniform
+    auto stream =
+        OpenClass(mix, options.num_items, options.num_user_sites, Rng(21));
+    Arrival a;
+    while (stream->Next(&a)) {
+      if (!engine->AddTransaction(a.when, a.spec).ok()) return 1;
+    }
 
-    const RunSummary summary = engine.Run();
-    const bool ser = engine.CheckSerializability().serializable;
-    const bool rep = engine.ReplicasConsistent();
+    const RunSummary summary = engine->Run();
+    const bool ser = engine->CheckSerializability().serializable;
+    const bool rep = engine->ReplicasConsistent();
     std::printf("%11u  %8.1f  %10.2f  %12s  %11s\n", r,
                 static_cast<double>(summary.remote_messages) /
                     static_cast<double>(summary.committed),

@@ -4,12 +4,9 @@ namespace unicc {
 
 StatusOr<std::unique_ptr<Engine>> EngineBuilder::Build() {
   if (Status s = options_.Validate(); !s.ok()) return s;
-  auto engine = std::make_unique<Engine>(options_, std::move(callbacks_));
-  if (policy_) engine->SetProtocolPolicy(std::move(policy_));
-  for (auto& [txn, fn] : compute_) engine->SetCompute(txn, std::move(fn));
-  compute_.clear();
-  if (stream_ != nullptr) engine->SetArrivalStream(std::move(stream_));
-  return engine;
+  return std::unique_ptr<Engine>(new Engine(options_, std::move(callbacks_),
+                                            std::move(policy_),
+                                            std::move(stream_)));
 }
 
 }  // namespace unicc

@@ -1,16 +1,13 @@
-// EngineBuilder: staged construction for Engine. The raw Engine workflow —
-// construct (which aborts on invalid options), then mutate through
-// SetProtocolPolicy / SetCompute / SetArrivalStream — grew organically and
-// leaves a window where the engine is live but half-configured. The
-// builder collects the full configuration first, validates once, and
-// returns Status instead of aborting, so callers (the runner library,
-// tools) can surface configuration errors to users.
+// EngineBuilder: the one way to construct an Engine. It collects the full
+// configuration first (callbacks, protocol policy, arrival stream),
+// validates the options once and returns Status instead of aborting, so
+// callers (the runner library, tools) can surface configuration errors to
+// users, and no engine is ever live but half-configured.
 #ifndef UNICC_ENGINE_BUILDER_H_
 #define UNICC_ENGINE_BUILDER_H_
 
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/status.h"
 #include "engine/engine.h"
@@ -34,13 +31,10 @@ class EngineBuilder {
     stream_ = std::move(stream);
     return *this;
   }
-  EngineBuilder& WithCompute(TxnId txn, ComputeFn fn) {
-    compute_.emplace_back(txn, std::move(fn));
-    return *this;
-  }
 
   // Validates the options and returns the fully wired engine, or the
-  // validation error. Consumes the staged stream; call once.
+  // validation error. Consumes the staged callbacks, policy and stream;
+  // call once.
   StatusOr<std::unique_ptr<Engine>> Build();
 
  private:
@@ -48,7 +42,6 @@ class EngineBuilder {
   EngineCallbacks callbacks_;
   ProtocolPolicy policy_;
   std::unique_ptr<ArrivalStream> stream_;
-  std::vector<std::pair<TxnId, ComputeFn>> compute_;
 };
 
 }  // namespace unicc

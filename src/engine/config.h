@@ -1,8 +1,8 @@
 // Engine configuration: cluster shape, substrate parameters and the choice
 // of concurrency-control backend. These are the knobs the paper's Section 1
-// lists as performance-relevant (arrival rate and mix live in
-// WorkloadOptions): transmission delay, transaction size, restart cost,
-// deadlock detection time/cost.
+// lists as performance-relevant (arrival rate and mix live in the
+// scenario's workload classes, ScenarioClass): transmission delay,
+// transaction size, restart cost, deadlock detection time/cost.
 #ifndef UNICC_ENGINE_CONFIG_H_
 #define UNICC_ENGINE_CONFIG_H_
 
@@ -74,7 +74,7 @@ struct EngineOptions {
   std::uint64_t seed = 42;
 
   // Open-system run controls. They bound *streaming* admission
-  // (Engine::SetArrivalStream); batch admission (AddWorkload /
+  // (EngineBuilder::WithArrivalStream); batch admission (AddWorkload /
   // AddTransaction) is unaffected. 0 means "unbounded" for each.
   struct RunControls {
     // Arrivals after this simulated time are not admitted; in-flight work

@@ -19,7 +19,8 @@ namespace {
 constexpr std::uint64_t kRetrySalt = 0x94d049bb133111ebull;
 }  // namespace
 
-Engine::Engine(EngineOptions options, EngineCallbacks callbacks)
+Engine::Engine(EngineOptions options, EngineCallbacks callbacks,
+               ProtocolPolicy policy, std::unique_ptr<ArrivalStream> stream)
     : options_(std::move(options)),
       callbacks_(std::move(callbacks)),
       root_rng_(options_.seed),
@@ -31,8 +32,9 @@ Engine::Engine(EngineOptions options, EngineCallbacks callbacks)
                              return i->IsRunning(txn, attempt);
                            });
       }),
+      policy_(std::move(policy)),
+      stream_(std::move(stream)),
       retry_rng_(options_.seed ^ kRetrySalt) {
-  UNICC_CHECK_MSG(options_.Validate().ok(), "invalid engine options");
   if (options_.metrics_window > 0) {
     timeline_ = std::make_unique<TimelineRecorder>(options_.metrics_window);
   }
@@ -41,6 +43,9 @@ Engine::Engine(EngineOptions options, EngineCallbacks callbacks)
                                             options_.run.shed_policy);
   }
   BuildSites();
+  // Pulled last, so the first arrival's event follows every event the
+  // sites scheduled.
+  if (stream_ != nullptr) PullNextArrival();
 }
 
 Engine::~Engine() = default;
@@ -268,8 +273,10 @@ Status Engine::ValidateSpec(const TxnSpec& spec) const {
   return Status::OK();
 }
 
-Status Engine::AddTransaction(SimTime when, const TxnSpec& spec) {
+Status Engine::AddTransaction(SimTime when, const TxnSpec& spec,
+                              ComputeFn compute) {
   if (Status s = ValidateSpec(spec); !s.ok()) return s;
+  if (compute) compute_[spec.id] = std::move(compute);
   QueueBatchArrival(when, spec);
   return Status::OK();
 }
@@ -361,30 +368,13 @@ void Engine::AdmitSpec(TxnSpec& spec, SimTime arrival) {
                              staged ? std::move(staged.mapped()) : nullptr);
 }
 
-void Engine::SetCompute(TxnId txn, ComputeFn fn) {
-  compute_[txn] = std::move(fn);
-}
-
-void Engine::SetProtocolPolicy(ProtocolPolicy policy) {
-  policy_ = std::move(policy);
-}
-
-Status Engine::AddWorkload(
-    const std::vector<WorkloadGenerator::Arrival>& arrivals) {
+Status Engine::AddWorkload(const std::vector<Arrival>& arrivals) {
   // All or nothing: an invalid spec anywhere admits none of the batch.
   for (const auto& a : arrivals) {
     if (Status s = ValidateSpec(a.spec); !s.ok()) return s;
   }
   for (const auto& a : arrivals) QueueBatchArrival(a.when, a.spec);
   return Status::OK();
-}
-
-void Engine::SetArrivalStream(std::unique_ptr<ArrivalStream> stream) {
-  UNICC_CHECK_MSG(stream_ == nullptr && !StreamActive(),
-                  "an arrival stream is already installed");
-  stream_ = std::move(stream);
-  stopped_ = false;
-  PullNextArrival();
 }
 
 bool Engine::InflightAtCap() const {

@@ -24,10 +24,13 @@
 #include "serializability/online_checker.h"
 #include "sim/simulator.h"
 #include "storage/catalog.h"
-#include "workload/generator.h"
 #include "workload/stream.h"
 
 namespace unicc {
+
+// Decides each transaction's protocol at admission; the dynamic selectors
+// plug in here. Unset, every transaction keeps its spec's protocol.
+using ProtocolPolicy = std::function<Protocol(const TxnSpec&)>;
 
 // Optional external observers (the STL parameter estimator subscribes).
 struct EngineCallbacks {
@@ -65,11 +68,11 @@ struct RunSummary {
   Status status = Status::OK();
 };
 
+// Built by EngineBuilder (engine/builder.h), which validates the options
+// and hands over the protocol policy and the arrival stream, so the
+// engine is fully configured before its first event.
 class Engine {
  public:
-  // Prefer EngineBuilder (engine/builder.h), which validates the options
-  // and returns Status instead of aborting on invalid configurations.
-  explicit Engine(EngineOptions options, EngineCallbacks callbacks = {});
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -77,19 +80,10 @@ class Engine {
   // Admits one transaction at absolute simulated time `when`. `spec.home`
   // must be a valid user site; `spec.protocol` is used as-is unless a
   // protocol policy is installed. The spec is copied into the batch FIFO
-  // (see AddWorkload), so the caller may reuse it at once.
-  Status AddTransaction(SimTime when, const TxnSpec& spec);
-
-  // Installs a per-transaction compute function (before its arrival).
-  // Deprecated as a post-construction mutator: prefer staging compute
-  // functions through EngineBuilder so the engine is fully configured
-  // before the first event runs.
-  void SetCompute(TxnId txn, ComputeFn fn);
-
-  // Applied at admission time to (re)choose each transaction's protocol;
-  // the dynamic selector plugs in here. Deprecated as a post-construction
-  // mutator: prefer EngineBuilder::WithProtocolPolicy.
-  void SetProtocolPolicy(ProtocolPolicy policy);
+  // (see AddWorkload), so the caller may reuse it at once. `compute`, if
+  // set, computes the transaction's writes from its reads.
+  Status AddTransaction(SimTime when, const TxnSpec& spec,
+                        ComputeFn compute = nullptr);
 
   // Convenience: admit a whole generated workload (closed-batch mode).
   // Every spec is validated first, so an invalid one admits none of the
@@ -100,19 +94,7 @@ class Engine {
   // arrival earlier than the FIFO's tail gets its own event, which owns a
   // copy of its spec. Either way each arrival is admitted exactly where an
   // event scheduled at this call would have run, ties included.
-  Status AddWorkload(const std::vector<WorkloadGenerator::Arrival>& arrivals);
-
-  // Open-system mode: the engine pulls arrivals from `stream` lazily, one
-  // scheduled ahead at any time, so arbitrarily long streams need O(1)
-  // admission memory. Arrival times must be nondecreasing and specs valid
-  // (scenario- and generator-built streams are). Admission is bounded by
-  // options().run: `time_horizon` and `commit_target` close the gate,
-  // `max_inflight` holds an arrival at the gate until a commit frees a
-  // slot (it is then admitted at that commit's time). Call before Run();
-  // batch arrivals added via AddWorkload interleave with the stream.
-  // Deprecated as a post-construction mutator: prefer
-  // EngineBuilder::WithArrivalStream.
-  void SetArrivalStream(std::unique_ptr<ArrivalStream> stream);
+  Status AddWorkload(const std::vector<Arrival>& arrivals);
 
   // Runs the event loop until every admitted transaction committed, the
   // arrival stream (if any) is exhausted or closed by a run control, and
@@ -163,6 +145,19 @@ class Engine {
   std::string DebugDump() const;
 
  private:
+  friend class EngineBuilder;
+
+  // Open-system mode, when `stream` is set: the engine pulls arrivals
+  // from it lazily, one scheduled ahead at any time, so arbitrarily long
+  // streams need O(1) admission memory. Arrival times must be
+  // nondecreasing and specs valid (scenario-built streams are). Admission
+  // is bounded by options().run: `time_horizon` and `commit_target` close
+  // the gate, `max_inflight` holds an arrival at the gate until a commit
+  // frees a slot (it is then admitted at that commit's time). Batch
+  // arrivals added via AddWorkload interleave with the stream.
+  Engine(EngineOptions options, EngineCallbacks callbacks,
+         ProtocolPolicy policy, std::unique_ptr<ArrivalStream> stream);
+
   void BuildSites();
   // The watchdog's sliced event loop (Run() with a watchdog knob set).
   // Returns OK if the run drained, or FailedPrecondition naming the last
@@ -257,9 +252,9 @@ class Engine {
   std::unique_ptr<CentralDeadlockDetector> central_detector_;
 
   ProtocolPolicy policy_;
-  // Compute functions from SetCompute, each moved to its transaction's
-  // home issuer at admission. One whose transaction is never admitted
-  // (shed or expired at the gate) lives as long as the engine.
+  // Compute functions from AddTransaction, each moved to its
+  // transaction's home issuer at admission. One whose transaction expires
+  // before it begins lives as long as the engine.
   std::unordered_map<TxnId, ComputeFn> compute_;
   // Batch arrivals in nondecreasing time order, each holding the simulator
   // sequence number it reserved when it was added. Only the front has an

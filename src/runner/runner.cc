@@ -194,32 +194,22 @@ EngineCallbacks RunSession::MakeCallbacks() {
   return callbacks;
 }
 
-void RunSession::InstallPolicy() {
-  ProtocolPolicy base;
+ProtocolPolicy RunSession::MakePolicy() {
   switch (spec_.policy.kind) {
     case ScenarioPolicy::Kind::kFixed:
-      base = FixedProtocol(spec_.policy.fixed);
-      break;
+      return FixedProtocol(spec_.policy.fixed);
     case ScenarioPolicy::Kind::kMix:
-      base = MixedProtocol(spec_.policy.weights[0], spec_.policy.weights[1],
+      return MixedProtocol(spec_.policy.weights[0], spec_.policy.weights[1],
                            spec_.policy.weights[2],
                            Rng(spec_.engine.seed ^ 77));
-      break;
     case ScenarioPolicy::Kind::kMinStl:
-      selector_ = std::make_unique<MinStlSelector>(
-          &engine_->simulator(), &estimator_,
-          static_cast<std::size_t>(spec_.engine.num_items) *
-              spec_.engine.replication);
-      base = selector_->AsPolicy();
-      break;
+      return [this](const TxnSpec& spec) { return selector_->Choose(spec); };
     case ScenarioPolicy::Kind::kMinAvgTime:
-      base = naive_.AsPolicy();
-      break;
+      return [this](const TxnSpec& spec) { return naive_.Choose(spec); };
     case ScenarioPolicy::Kind::kTrace:
-      base = nullptr;  // spec protocols used verbatim
       break;
   }
-  engine_->SetProtocolPolicy(ForcedAwarePolicy(std::move(base), forced_));
+  return nullptr;  // spec protocols used verbatim
 }
 
 RunReport RunSession::Run() {
@@ -242,12 +232,18 @@ RunReport RunSession::Run() {
   const bool open = spec_.IsOpenSystem();
 
   EngineBuilder builder(spec_.engine);
-  builder.WithCallbacks(MakeCallbacks());
+  builder.WithCallbacks(MakeCallbacks())
+      .WithProtocolPolicy(ForcedAwarePolicy(MakePolicy(), forced_));
   if (open) builder.WithArrivalStream(std::move(stream));
   auto engine = builder.Build();
   UNICC_CHECK_MSG(engine.ok(), "engine build failed after validation");
   engine_ = std::move(engine).value();
-  InstallPolicy();
+  if (spec_.policy.kind == ScenarioPolicy::Kind::kMinStl) {
+    selector_ = std::make_unique<MinStlSelector>(
+        &engine_->simulator(), &estimator_,
+        static_cast<std::size_t>(spec_.engine.num_items) *
+            spec_.engine.replication);
+  }
   if (!open) {
     // A closed system is admitted as a batch before the run, each arrival
     // reserving its sequence number as it is queued; pulled during the

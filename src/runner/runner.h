@@ -21,7 +21,6 @@
 #include "scenario/scenario.h"
 #include "selector/selector.h"
 #include "stl/estimators.h"
-#include "workload/generator.h"
 #include "workload/stream.h"
 
 namespace unicc::runner {
@@ -74,8 +73,9 @@ struct RunRequest {
   std::optional<std::uint64_t> seed;
 
   // The workload, when not the spec's own (spec->Open()): a replayed
-  // trace, a loaded or generated vector (MakeVectorStream) or a generator
-  // (MakeGeneratorStream). `forced` carries its forced-protocol set.
+  // trace, a loaded or generated vector (MakeVectorStream) or one class
+  // opened on its own Rng (OpenClass, sweep_runner's grid cells).
+  // `forced` carries its forced-protocol set.
   std::unique_ptr<ArrivalStream> arrival_stream;
   std::shared_ptr<const std::unordered_set<TxnId>> forced;
 };
@@ -126,7 +126,10 @@ class RunSession {
  private:
   explicit RunSession(RunRequest request);
   EngineCallbacks MakeCallbacks();
-  void InstallPolicy();
+  // The spec's policy, before the forced-protocol wrapper. The min-STL
+  // selector reads the engine's clock, so it is created after Build();
+  // its policy forwards to selector_.
+  ProtocolPolicy MakePolicy();
 
   RunRequest request_;
   ScenarioSpec spec_;  // the request's spec with overrides applied

@@ -1,6 +1,7 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -947,8 +948,9 @@ std::uint64_t ScenarioSpec::TotalTxns() const {
 namespace {
 
 // Lazy generator for one class: draws one arrival per pull from the
-// class's own deterministic Rng (seeded from engine.seed and the class
-// index, so editing one class leaves the other classes' draws untouched).
+// class's own deterministic Rng (ScenarioSpec::Open seeds it from
+// engine.seed and the class index, so editing one class leaves the other
+// classes' draws untouched).
 // When the class clock crosses a phase start, the phase's overrides are
 // folded into the working configuration and the arrival process / access
 // pattern are rebuilt (the Rng continues, keeping the run deterministic);
@@ -956,10 +958,15 @@ namespace {
 // one in-flight gap may straddle the boundary.
 class ClassArrivalGen {
  public:
-  ClassArrivalGen(const ScenarioSpec& spec, std::size_t class_index)
-      : spec_(&spec),
-        config_(spec.classes[class_index]),
-        rng_(spec.engine.seed ^ (0x9e3779b97f4a7c15ull * (class_index + 1))),
+  // `phases` (the timeline, possibly empty) must outlive the generator.
+  ClassArrivalGen(const ScenarioClass& config,
+                  const std::vector<ScenarioPhase>* phases, ItemId num_items,
+                  std::uint32_t num_user_sites, Rng rng)
+      : config_(config),
+        phases_(phases),
+        num_items_(num_items),
+        num_user_sites_(num_user_sites),
+        rng_(rng),
         t_(static_cast<double>(config_.start)) {
     Rebuild();
   }
@@ -970,11 +977,10 @@ class ClassArrivalGen {
   // configuration active at this arrival forces a protocol.
   bool Next(Arrival* out, bool* forced) {
     if (emitted_ == config_.txns) return false;
-    while (next_phase_ < spec_->phases.size() &&
-           t_ >= static_cast<double>(spec_->phases[next_phase_].start)) {
+    while (next_phase_ < phases_->size() &&
+           t_ >= static_cast<double>((*phases_)[next_phase_].start)) {
       // Validated when the spec was parsed; cannot fail here.
-      UNICC_CHECK(
-          ApplyPhaseToClass(spec_->phases[next_phase_], &config_).ok());
+      UNICC_CHECK(ApplyPhaseToClass((*phases_)[next_phase_], &config_).ok());
       Rebuild();
       ++next_phase_;
     }
@@ -982,8 +988,7 @@ class ClassArrivalGen {
     ++emitted_;
     out->when = static_cast<SimTime>(t_);
     TxnSpec& spec = out->spec;
-    spec.home =
-        static_cast<SiteId>(rng_.UniformInt(spec_->engine.num_user_sites));
+    spec.home = static_cast<SiteId>(rng_.UniformInt(num_user_sites_));
     spec.compute_time = config_.compute_time;
     spec.backoff_interval = config_.backoff_interval;
     spec.priority = config_.priority;
@@ -1045,8 +1050,7 @@ class ClassArrivalGen {
  private:
   // The class's item range: its bound table, or the whole item space.
   ItemId Range() const {
-    return config_.range_items != 0 ? config_.range_items
-                                    : spec_->engine.num_items;
+    return config_.range_items != 0 ? config_.range_items : num_items_;
   }
 
   void Rebuild() {
@@ -1054,8 +1058,10 @@ class ClassArrivalGen {
     access_ = MakeAccess(config_, Range());
   }
 
-  const ScenarioSpec* spec_;
   ScenarioClass config_;  // working copy; phases fold into it
+  const std::vector<ScenarioPhase>* phases_;
+  ItemId num_items_;
+  std::uint32_t num_user_sites_;
   Rng rng_;
   std::unique_ptr<ArrivalProcess> arrivals_;
   std::unique_ptr<AccessPattern> access_;
@@ -1073,14 +1079,29 @@ class ClassArrivalGen {
 // per class — O(classes) memory however long the run.
 class ScenarioStream final : public ArrivalStream {
  public:
+  // Every class of `spec`, each drawing from its own Rng.
   explicit ScenarioStream(const ScenarioSpec& spec)
-      : spec_(std::make_unique<ScenarioSpec>(spec)),
+      : phases_(spec.phases),
         forced_(std::make_shared<std::unordered_set<TxnId>>()) {
-    for (std::size_t i = 0; i < spec_->classes.size(); ++i) {
-      gens_.emplace_back(*spec_, i);
+    for (std::size_t i = 0; i < spec.classes.size(); ++i) {
+      gens_.emplace_back(
+          spec.classes[i], &phases_, spec.engine.num_items,
+          spec.engine.num_user_sites,
+          Rng(spec.engine.seed ^ (0x9e3779b97f4a7c15ull * (i + 1))));
     }
     slots_.resize(gens_.size());
   }
+
+  // One class drawing from `rng`, with no phases and no forced-id set.
+  ScenarioStream(const ScenarioClass& c, ItemId num_items,
+                 std::uint32_t num_user_sites, Rng rng)
+      : slots_(1) {
+    gens_.emplace_back(c, &phases_, num_items, num_user_sites, rng);
+  }
+
+  // gens_ point into phases_, so the stream stays where it was built.
+  ScenarioStream(const ScenarioStream&) = delete;
+  ScenarioStream& operator=(const ScenarioStream&) = delete;
 
   std::shared_ptr<std::unordered_set<TxnId>> forced() const {
     return forced_;
@@ -1106,7 +1127,7 @@ class ScenarioStream final : public ArrivalStream {
     std::swap(*out, s.arrival);
     s.filled = false;
     out->spec.id = next_id_++;
-    if (s.forced) forced_->insert(out->spec.id);
+    if (s.forced && forced_ != nullptr) forced_->insert(out->spec.id);
     return true;
   }
 
@@ -1118,7 +1139,7 @@ class ScenarioStream final : public ArrivalStream {
     bool done = false;
   };
 
-  std::unique_ptr<ScenarioSpec> spec_;  // owned copy; gens_ point into it
+  std::vector<ScenarioPhase> phases_;  // owned copy; gens_ point into it
   std::vector<ClassArrivalGen> gens_;
   std::vector<Slot> slots_;
   std::shared_ptr<std::unordered_set<TxnId>> forced_;
@@ -1126,6 +1147,24 @@ class ScenarioStream final : public ArrivalStream {
 };
 
 }  // namespace
+
+std::unique_ptr<ArrivalStream> OpenClass(const ScenarioClass& c,
+                                         ItemId num_items,
+                                         std::uint32_t num_user_sites,
+                                         Rng rng) {
+  const ItemId range = c.range_items != 0 ? c.range_items : num_items;
+  UNICC_CHECK_MSG(c.rate > 0 && std::isfinite(c.rate),
+                  "arrival rate must be finite and > 0");
+  UNICC_CHECK_MSG(c.size_min >= 1 && c.size_min <= c.size_max,
+                  "need 1 <= size_min <= size_max");
+  UNICC_CHECK_MSG(c.size_max <= range, "size_max exceeds the item count");
+  UNICC_CHECK_MSG(c.read_fraction >= 0 && c.read_fraction <= 1,
+                  "read fraction must be in [0, 1]");
+  UNICC_CHECK_MSG(c.theta >= 0 && std::isfinite(c.theta),
+                  "zipf theta must be finite and >= 0");
+  UNICC_CHECK_MSG(num_user_sites > 0, "need at least one user site");
+  return std::make_unique<ScenarioStream>(c, num_items, num_user_sites, rng);
+}
 
 ScenarioSpec::OpenWorkload ScenarioSpec::Open() const {
   auto stream = std::make_unique<ScenarioStream>(*this);
@@ -1150,6 +1189,23 @@ ScenarioSpec::Workload ScenarioSpec::BuildWorkload() const {
 bool ScenarioSpec::IsOpenSystem() const {
   return engine.run.time_horizon != 0 || engine.run.commit_target != 0 ||
          engine.run.max_inflight != 0;
+}
+
+ProtocolPolicy FixedProtocol(Protocol p) {
+  return [p](const TxnSpec&) { return p; };
+}
+
+ProtocolPolicy MixedProtocol(double w_2pl, double w_to, double w_pa,
+                             Rng rng) {
+  const double total = w_2pl + w_to + w_pa;
+  UNICC_CHECK(total > 0);
+  auto state = std::make_shared<Rng>(rng);
+  return [=](const TxnSpec&) {
+    const double u = state->UniformDouble() * total;
+    if (u < w_2pl) return Protocol::kTwoPhaseLocking;
+    if (u < w_2pl + w_to) return Protocol::kTimestampOrdering;
+    return Protocol::kPrecedenceAgreement;
+  };
 }
 
 ProtocolPolicy ForcedAwarePolicy(

@@ -26,10 +26,11 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "engine/config.h"
+#include "engine/engine.h"
 #include "scenario/ini.h"
-#include "workload/generator.h"
 #include "workload/stream.h"
 
 namespace unicc {
@@ -185,7 +186,7 @@ struct ScenarioSpec {
   // The materialized workload (the stream drained into a vector); the
   // closed-batch paths and trace recording use this form.
   struct Workload {
-    std::vector<WorkloadGenerator::Arrival> arrivals;
+    std::vector<Arrival> arrivals;
     std::shared_ptr<std::unordered_set<TxnId>> forced;
   };
   Workload BuildWorkload() const;
@@ -198,11 +199,31 @@ struct ScenarioSpec {
   std::uint64_t TotalTxns() const;
 };
 
+// One class on its own, over `num_items` items and `num_user_sites` home
+// sites, drawing from `rng`: the generator ScenarioSpec::Open runs for
+// each class, without phases, with ids 1..c.txns. A protocol the class
+// forces is written into every spec, and no forced-id set is kept. Aborts
+// unless the rate is finite and > 0, 1 <= size_min <= size_max <= the
+// class's item range, read_fraction is in [0, 1], theta is finite and
+// >= 0, and there is at least one user site.
+std::unique_ptr<ArrivalStream> OpenClass(const ScenarioClass& c,
+                                         ItemId num_items,
+                                         std::uint32_t num_user_sites,
+                                         Rng rng);
+
 // The basic_to backend serves T/O only, so every transaction must be
 // steered to it: the policy must be kind = fixed with protocol = to, and
 // no class may force another protocol. Always OK on the unified backend.
 // Scenario validation and RunSession::Create both apply it.
 Status ValidateBackend(const ScenarioSpec& spec);
+
+// The policy of ScenarioPolicy::Kind::kFixed: always `p`.
+ProtocolPolicy FixedProtocol(Protocol p);
+
+// The policy of ScenarioPolicy::Kind::kMix: a random protocol drawn from
+// `rng` with the given weights (need not sum to 1; the total must be > 0).
+ProtocolPolicy MixedProtocol(double w_2pl, double w_to, double w_pa,
+                             Rng rng);
 
 // Wraps a base protocol policy so transactions in `forced` keep the
 // protocol already in their spec. `base` may be null (behaves like

@@ -62,10 +62,6 @@ Protocol MinStlSelector::Choose(const TxnSpec& spec) {
   return chosen;
 }
 
-ProtocolPolicy MinStlSelector::AsPolicy() {
-  return [this](const TxnSpec& spec) { return Choose(spec); };
-}
-
 MinAvgTimeSelector::MinAvgTimeSelector(std::uint64_t warmup_txns)
     : warmup_txns_(warmup_txns) {}
 
@@ -95,10 +91,6 @@ Protocol MinAvgTimeSelector::Choose(const TxnSpec& spec) {
   }
   ++selections_[static_cast<std::size_t>(chosen)];
   return chosen;
-}
-
-ProtocolPolicy MinAvgTimeSelector::AsPolicy() {
-  return [this](const TxnSpec& spec) { return Choose(spec); };
 }
 
 }  // namespace unicc

@@ -14,7 +14,6 @@
 #include "sim/simulator.h"
 #include "stl/estimators.h"
 #include "txn/transaction.h"
-#include "workload/generator.h"
 
 namespace unicc {
 
@@ -36,11 +35,10 @@ class MinStlSelector {
   MinStlSelector(const Simulator* sim, const ParamEstimator* estimator,
                  std::size_t num_queues, SelectorOptions options = {});
 
-  // Chooses the protocol for `spec` (usable as a ProtocolPolicy).
+  // Chooses the protocol for `spec`. The selector reads the clock of an
+  // engine already built, so the engine's ProtocolPolicy reaches it
+  // through a forwarding lambda (RunSession does this).
   Protocol Choose(const TxnSpec& spec);
-
-  // Adapter for Engine::SetProtocolPolicy.
-  ProtocolPolicy AsPolicy();
 
   // Per-protocol selection counts (diagnostics).
   std::uint64_t selections(Protocol p) const {
@@ -77,7 +75,6 @@ class MinAvgTimeSelector {
   void OnCommit(const TxnResult& r);
 
   Protocol Choose(const TxnSpec& spec);
-  ProtocolPolicy AsPolicy();
 
   std::uint64_t selections(Protocol p) const {
     return selections_[static_cast<std::size_t>(p)];

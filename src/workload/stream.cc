@@ -29,13 +29,6 @@ std::unique_ptr<ArrivalStream> MakeVectorStream(
   return std::make_unique<VectorStream>(std::move(arrivals));
 }
 
-std::vector<Arrival> DrainStream(ArrivalStream& stream, std::size_t max) {
-  std::vector<Arrival> out;
-  Arrival a;
-  while (out.size() < max && stream.Next(&a)) out.push_back(std::move(a));
-  return out;
-}
-
 std::uint64_t PumpStream(ArrivalStream& stream,
                          const std::function<void(const Arrival&)>& fn) {
   std::uint64_t pumped = 0;

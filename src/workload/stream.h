@@ -1,14 +1,14 @@
 // Pull-based arrival streams: the open-system admission contract. An
 // ArrivalStream yields (arrival time, spec) pairs one at a time, in
 // nondecreasing time order, so the engine can admit work lazily with O(1)
-// memory instead of pre-materializing the whole schedule. Generators are
-// lazy streams; a recorded vector becomes a stream through the adapter.
+// memory instead of pre-materializing the whole schedule. Scenario
+// workloads are lazy streams; a recorded vector becomes a stream through
+// the adapter.
 #ifndef UNICC_WORKLOAD_STREAM_H_
 #define UNICC_WORKLOAD_STREAM_H_
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -18,8 +18,7 @@
 namespace unicc {
 
 // One admission: a transaction spec arriving at an absolute simulated
-// time. (Historically nested as WorkloadGenerator::Arrival; that name is
-// kept as an alias.)
+// time.
 struct Arrival {
   SimTime when = 0;
   TxnSpec spec;
@@ -41,14 +40,9 @@ class ArrivalStream {
 // batch and trace-replay paths).
 std::unique_ptr<ArrivalStream> MakeVectorStream(std::vector<Arrival> arrivals);
 
-// Drains `stream` into a vector: every arrival, or the first `max`.
-std::vector<Arrival> DrainStream(
-    ArrivalStream& stream,
-    std::size_t max = std::numeric_limits<std::size_t>::max());
-
 // Pulls every arrival out of `stream` and hands it to `fn`; returns the
-// number pumped. The streaming record path (generator -> trace writer)
-// with O(1) memory — no cap, the producing stream bounds the run.
+// number pumped. The streaming record path (scenario stream -> trace
+// writer) with O(1) memory — no cap, the producing stream bounds the run.
 std::uint64_t PumpStream(ArrivalStream& stream,
                          const std::function<void(const Arrival&)>& fn);
 

@@ -11,8 +11,7 @@
 
 namespace unicc {
 
-std::string WorkloadTrace::Serialize(
-    const std::vector<WorkloadGenerator::Arrival>& arrivals) {
+std::string WorkloadTrace::Serialize(const std::vector<Arrival>& arrivals) {
   std::string out;
   for (const auto& a : arrivals) {
     char head[160];
@@ -38,9 +37,8 @@ std::string WorkloadTrace::Serialize(
   return out;
 }
 
-StatusOr<std::vector<WorkloadGenerator::Arrival>> WorkloadTrace::Parse(
-    const std::string& text) {
-  std::vector<WorkloadGenerator::Arrival> arrivals;
+StatusOr<std::vector<Arrival>> WorkloadTrace::Parse(const std::string& text) {
+  std::vector<Arrival> arrivals;
   std::istringstream lines(text);
   std::string line;
   std::size_t lineno = 0;
@@ -49,7 +47,7 @@ StatusOr<std::vector<WorkloadGenerator::Arrival>> WorkloadTrace::Parse(
     if (line.empty() || line[0] == '#') continue;
     std::istringstream in(line);
     std::string tag, proto_token;
-    WorkloadGenerator::Arrival a;
+    Arrival a;
     unsigned long long id = 0, when = 0, compute = 0, interval = 0;
     if (!(in >> tag >> id >> when >> a.spec.home >> proto_token >> compute >>
           interval) ||
@@ -114,8 +112,7 @@ StatusOr<std::vector<WorkloadGenerator::Arrival>> WorkloadTrace::Parse(
   return arrivals;
 }
 
-std::string WorkloadTrace::ExportCsv(
-    const std::vector<WorkloadGenerator::Arrival>& arrivals) {
+std::string WorkloadTrace::ExportCsv(const std::vector<Arrival>& arrivals) {
   std::string out =
       "txn_id,arrival_us,home,protocol,compute_us,backoff_interval,"
       "reads,writes\n";
@@ -148,16 +145,15 @@ std::string WorkloadTrace::ExportCsv(
   return out;
 }
 
-Status WorkloadTrace::WriteFile(
-    const std::string& path,
-    const std::vector<WorkloadGenerator::Arrival>& arrivals) {
+Status WorkloadTrace::WriteFile(const std::string& path,
+                                const std::vector<Arrival>& arrivals) {
   std::ofstream out(path);
   if (!out) return Status::Internal("cannot open " + path);
   out << Serialize(arrivals);
   return out.good() ? Status::OK() : Status::Internal("write failed");
 }
 
-StatusOr<std::vector<WorkloadGenerator::Arrival>> WorkloadTrace::ReadFile(
+StatusOr<std::vector<Arrival>> WorkloadTrace::ReadFile(
     const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open " + path);

@@ -20,35 +20,30 @@
 #include <vector>
 
 #include "common/status.h"
-#include "workload/generator.h"
+#include "workload/stream.h"
 
 namespace unicc {
 
 class WorkloadTrace {
  public:
   // Serializes arrivals to the trace text format.
-  static std::string Serialize(
-      const std::vector<WorkloadGenerator::Arrival>& arrivals);
+  static std::string Serialize(const std::vector<Arrival>& arrivals);
 
   // Parses a text trace; rejects malformed input.
-  static StatusOr<std::vector<WorkloadGenerator::Arrival>> Parse(
-      const std::string& text);
+  static StatusOr<std::vector<Arrival>> Parse(const std::string& text);
 
   // CSV export with a header row:
   //   txn_id,arrival_us,home,protocol,compute_us,backoff_interval,reads,writes
   // where reads/writes are ';'-joined item ids (empty cell when none).
-  static std::string ExportCsv(
-      const std::vector<WorkloadGenerator::Arrival>& arrivals);
+  static std::string ExportCsv(const std::vector<Arrival>& arrivals);
 
   // Convenience file helpers. WriteFile emits text; ReadFile sniffs the
   // magic and accepts text or UCTC v2 (the latter via the streaming
   // reader). A retired UCTB v1 file is an InvalidArgument that says how
   // to convert it.
-  static Status WriteFile(
-      const std::string& path,
-      const std::vector<WorkloadGenerator::Arrival>& arrivals);
-  static StatusOr<std::vector<WorkloadGenerator::Arrival>> ReadFile(
-      const std::string& path);
+  static Status WriteFile(const std::string& path,
+                          const std::vector<Arrival>& arrivals);
+  static StatusOr<std::vector<Arrival>> ReadFile(const std::string& path);
 };
 
 }  // namespace unicc

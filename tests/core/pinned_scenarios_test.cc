@@ -3,7 +3,9 @@
 //   - every shipped scenario at its own engine seed and at seeds 1-3;
 //   - quickstart scaled to 20,000 transactions, run as a batch and again
 //     streamed under a 64-transaction MPL cap;
-//   - macro_partitioned scaled to 8,000 and flaky_mesh to 2,000.
+//   - macro_partitioned scaled to 8,000 and flaky_mesh to 2,000;
+//   - quickstart with its class's PA back-off interval at 262,144, a
+//     class key no shipped scenario sets.
 // Each closed scenario's workload, recorded in UCTC v2 and replayed at its
 // own seed, must give the live run's line too. Every run and replay is
 // its own test case, so ctest runs them in parallel. A differing run is
@@ -82,6 +84,8 @@ std::vector<PinnedRun> PinnedRuns() {
                    {"run", "max_inflight", "64"}}});
   runs.push_back({"macro_partitioned.ini", {{"class main", "txns", "8000"}}});
   runs.push_back({"flaky_mesh.ini", {{"class main", "txns", "2000"}}});
+  runs.push_back(
+      {"quickstart.ini", {{"class main", "backoff_interval", "262144"}}});
   return runs;
 }
 

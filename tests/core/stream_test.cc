@@ -1,8 +1,8 @@
-// ArrivalStream contract tests: the vector adapter, the drain helper, the
-// lazy generator stream's draw-for-draw equivalence with the batch
-// generator, and the scenario stream's equivalence with BuildWorkload —
-// the property that lets the open-system engine admit the exact same
-// workload the closed-batch paths pre-materialize.
+// ArrivalStream contract tests: the vector adapter, the pump helper, the
+// scenario stream's equivalence with BuildWorkload — the property that
+// lets the open-system engine admit the exact same workload the
+// closed-batch paths pre-materialize — and a class opened on its own
+// drawing what the scenario stream draws for it.
 #include "workload/stream.h"
 
 #include <gtest/gtest.h>
@@ -10,12 +10,14 @@
 #include <unordered_set>
 #include <vector>
 
+#include "../test_util.h"
 #include "scenario/scenario.h"
-#include "workload/generator.h"
 #include "workload/trace.h"
 
 namespace unicc {
 namespace {
+
+using test::Drain;
 
 std::vector<Arrival> ThreeArrivals() {
   std::vector<Arrival> v(3);
@@ -48,20 +50,6 @@ TEST(VectorStreamTest, EmptyVectorIsImmediatelyExhausted) {
   EXPECT_FALSE(stream->Next(&a));
 }
 
-TEST(DrainStreamTest, DrainsEverythingAndHonorsCap) {
-  auto stream = MakeVectorStream(ThreeArrivals());
-  const std::vector<Arrival> all = DrainStream(*stream);
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[2].spec.id, 3u);
-
-  auto capped = MakeVectorStream(ThreeArrivals());
-  EXPECT_EQ(DrainStream(*capped, 2).size(), 2u);
-  // The cap left the third arrival in the stream.
-  Arrival a;
-  ASSERT_TRUE(capped->Next(&a));
-  EXPECT_EQ(a.spec.id, 3u);
-}
-
 TEST(PumpStreamTest, VisitsEveryArrivalInOrderWithoutMaterializing) {
   auto stream = MakeVectorStream(ThreeArrivals());
   std::vector<TxnId> seen;
@@ -76,26 +64,6 @@ TEST(PumpStreamTest, VisitsEveryArrivalInOrderWithoutMaterializing) {
   EXPECT_FALSE(stream->Next(&a));
 }
 
-TEST(GeneratorStreamTest, MatchesBatchGeneratorDrawForDraw) {
-  WorkloadOptions wo;
-  wo.arrival_rate_per_sec = 50;
-  wo.num_txns = 200;
-  wo.size_min = 2;
-  wo.size_max = 5;
-  wo.zipf_theta = 0.8;
-  const ItemId items = 40;
-  const std::uint32_t sites = 3;
-
-  WorkloadGenerator gen(wo, items, sites, Rng(123));
-  const std::vector<Arrival> batch = gen.Generate();
-  auto stream = MakeGeneratorStream(wo, items, sites, Rng(123));
-  const std::vector<Arrival> lazy = DrainStream(*stream);
-
-  // Byte-compare through the trace codec: times, homes, access sets and
-  // ids must all be identical.
-  EXPECT_EQ(WorkloadTrace::Serialize(batch), WorkloadTrace::Serialize(lazy));
-}
-
 TEST(ScenarioStreamTest, OpenMatchesBuildWorkload) {
   auto spec = ScenarioSpec::Parse(
       "[engine]\nitems = 48\nseed = 11\n"
@@ -106,7 +74,7 @@ TEST(ScenarioStreamTest, OpenMatchesBuildWorkload) {
 
   const ScenarioSpec::Workload batch = spec->BuildWorkload();
   ScenarioSpec::OpenWorkload open = spec->Open();
-  const std::vector<Arrival> lazy = DrainStream(*open.stream);
+  const std::vector<Arrival> lazy = Drain(*open.stream);
 
   EXPECT_EQ(WorkloadTrace::Serialize(batch.arrivals),
             WorkloadTrace::Serialize(lazy));
@@ -114,6 +82,22 @@ TEST(ScenarioStreamTest, OpenMatchesBuildWorkload) {
   // equal the batch set.
   EXPECT_EQ(*batch.forced, *open.forced);
   EXPECT_FALSE(open.forced->empty());
+}
+
+// OpenClass runs the generator ScenarioSpec::Open runs for each class: a
+// one-class scenario's stream equals its class opened on its own with
+// the Rng Open derives for class 0 from engine.seed.
+TEST(ScenarioStreamTest, OpenClassMatchesOneClassScenario) {
+  auto spec = ScenarioSpec::Parse(
+      "[engine]\nitems = 40\nuser_sites = 3\nseed = 123\n"
+      "[class main]\ntxns = 200\nrate = 50\nsize = 2..5\naccess = zipf\n"
+      "theta = 0.8\nread_fraction = 0.3\ncompute_ms = 2\n");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  ScenarioSpec::OpenWorkload open = spec->Open();
+  auto alone = OpenClass(spec->classes[0], 40, 3,
+                         Rng(123 ^ 0x9e3779b97f4a7c15ull));
+  EXPECT_EQ(WorkloadTrace::Serialize(Drain(*open.stream)),
+            WorkloadTrace::Serialize(Drain(*alone)));
 }
 
 TEST(ScenarioStreamTest, ForcedSetGrowsWithThePull) {

@@ -18,20 +18,32 @@
 #include <string>
 #include <vector>
 
-#include "workload/generator.h"
+#include "../test_util.h"
+#include "scenario/scenario.h"
 #include "workload/trace.h"
 
 namespace unicc {
 namespace {
 
+using test::Drain;
+
+// A class with `txns` transactions of size_min..size_max items, 20
+// arrivals/s, uniform popularity drawn as a Zipf CDF walk at theta = 0.
+ScenarioClass SampleClass(std::uint64_t txns, std::uint32_t size_min,
+                          std::uint32_t size_max, double read_fraction) {
+  ScenarioClass c;
+  c.txns = txns;
+  c.rate = 20;
+  c.size_min = size_min;
+  c.size_max = size_max;
+  c.read_fraction = read_fraction;
+  c.access = ScenarioClass::AccessKind::kZipf;
+  return c;
+}
+
 std::vector<Arrival> SampleArrivals() {
-  WorkloadOptions wo;
-  wo.num_txns = 40;
-  wo.size_min = 2;
-  wo.size_max = 5;
-  wo.read_fraction = 0.4;
-  WorkloadGenerator gen(wo, 64, 3, Rng(77));
-  auto arrivals = gen.Generate();
+  std::vector<Arrival> arrivals =
+      Drain(*OpenClass(SampleClass(40, 2, 5, 0.4), 64, 3, Rng(77)));
   arrivals[3].spec.protocol = Protocol::kPrecedenceAgreement;
   arrivals[3].spec.backoff_interval = 128;
   arrivals[7].spec.protocol = Protocol::kTimestampOrdering;
@@ -320,10 +332,10 @@ TEST(TraceV2Test, DigestMatchesAcrossARoundTrip) {
   EXPECT_NE(write_digest, kTraceDigestSeed);
 }
 
-// Streams generated arrivals through an on-disk v2 file and back. Memory
-// stays bounded by one block at any length. The digest of the first
-// 50,000 arrivals is pinned, so neither the generator nor the codec can
-// drift unnoticed.
+// Streams one class's arrivals through an on-disk v2 file and back.
+// Memory stays bounded by one block at any length. The digest of the
+// first 50,000 arrivals is pinned, so neither the class generator nor
+// the codec can drift unnoticed.
 TEST(TraceV2RoundTripTest, StreamedFileRoundTripIsBitIdentical) {
   constexpr std::uint64_t kPinnedRecords = 50000;
   constexpr std::uint64_t kPinnedDigest = 0xa7461baeb2050a38ULL;
@@ -332,14 +344,10 @@ TEST(TraceV2RoundTripTest, StreamedFileRoundTripIsBitIdentical) {
     const unsigned long long v = std::strtoull(env, nullptr, 10);
     if (v > 0) n = v;
   }
-  WorkloadOptions wo;
-  wo.arrival_rate_per_sec = 1000;
-  wo.num_txns = n;
-  wo.size_min = 4;
-  wo.size_max = 8;
-  wo.read_fraction = 0.5;
-  auto stream = MakeGeneratorStream(wo, /*num_items=*/100000,
-                                    /*num_user_sites=*/8, Rng(0x7ace));
+  ScenarioClass c = SampleClass(n, 4, 8, 0.5);
+  c.rate = 1000;
+  auto stream = OpenClass(c, /*num_items=*/100000, /*num_user_sites=*/8,
+                          Rng(0x7ace));
   const std::string path = ::testing::TempDir() + "/unicc_roundtrip.uctc";
   auto writer = TraceWriter::Open(path);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();

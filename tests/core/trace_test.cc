@@ -5,17 +5,30 @@
 #include <cstdio>
 #include <fstream>
 
+#include "../test_util.h"
+#include "scenario/scenario.h"
+
 namespace unicc {
 namespace {
 
-std::vector<WorkloadGenerator::Arrival> SampleArrivals() {
-  WorkloadOptions wo;
-  wo.num_txns = 40;
-  wo.size_min = 2;
-  wo.size_max = 5;
-  wo.read_fraction = 0.4;
-  WorkloadGenerator gen(wo, 64, 3, Rng(77));
-  auto arrivals = gen.Generate();
+using test::Drain;
+
+// A class of 2-5 item transactions, 40% reads, 20 arrivals/s, uniform
+// popularity drawn as a Zipf CDF walk at theta = 0.
+ScenarioClass SampleClass(std::uint64_t txns) {
+  ScenarioClass c;
+  c.txns = txns;
+  c.rate = 20;
+  c.size_min = 2;
+  c.size_max = 5;
+  c.read_fraction = 0.4;
+  c.access = ScenarioClass::AccessKind::kZipf;
+  return c;
+}
+
+std::vector<Arrival> SampleArrivals() {
+  std::vector<Arrival> arrivals =
+      Drain(*OpenClass(SampleClass(40), 64, 3, Rng(77)));
   // Give some transactions non-default protocols and intervals.
   arrivals[3].spec.protocol = Protocol::kPrecedenceAgreement;
   arrivals[3].spec.backoff_interval = 128;
@@ -114,7 +127,7 @@ TEST(WorkloadTraceTest, ReadFileRejectsRetiredV1WithConversionHint) {
 }
 
 TEST(WorkloadTraceCsvTest, ExportMatchesGolden) {
-  std::vector<WorkloadGenerator::Arrival> arrivals(2);
+  std::vector<Arrival> arrivals(2);
   arrivals[0].when = 100;
   arrivals[0].spec.id = 1;
   arrivals[0].spec.home = 2;
@@ -137,13 +150,11 @@ TEST(WorkloadTraceDeterminismTest, SerializationIsStableAcrossSeeds) {
   // Same seed -> byte-identical trace; a different seed must change the
   // workload. This is what makes recorded traces a sound cross-version
   // replay contract.
-  WorkloadOptions wo;
-  wo.num_txns = 30;
-  wo.size_min = 2;
-  wo.size_max = 4;
+  ScenarioClass c = SampleClass(30);
+  c.size_max = 4;
+  c.read_fraction = 0.5;
   auto generate = [&](std::uint64_t seed) {
-    WorkloadGenerator gen(wo, 64, 3, Rng(seed));
-    return gen.Generate();
+    return Drain(*OpenClass(c, 64, 3, Rng(seed)));
   };
   EXPECT_EQ(WorkloadTrace::Serialize(generate(1)),
             WorkloadTrace::Serialize(generate(1)));

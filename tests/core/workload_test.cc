@@ -1,4 +1,4 @@
-#include "workload/generator.h"
+#include "workload/access.h"
 
 #include <gtest/gtest.h>
 
@@ -9,11 +9,14 @@
 #include <string>
 #include <vector>
 
-#include "workload/access.h"
+#include "../test_util.h"
+#include "scenario/scenario.h"
 #include "workload/zipf.h"
 
 namespace unicc {
 namespace {
+
+using test::Drain;
 
 TEST(ZipfTest, UniformWhenThetaZero) {
   ZipfGenerator zipf(10, 0.0);
@@ -159,11 +162,20 @@ TEST(ZipfRejectionTest, CutoffSelectsSampler) {
   EXPECT_GT(low, 2000);
 }
 
-TEST(WorkloadGeneratorTest, GeneratesRequestedCount) {
-  WorkloadOptions wo;
-  wo.num_txns = 250;
-  WorkloadGenerator gen(wo, 100, 4, Rng(5));
-  const auto arrivals = gen.Generate();
+// One class on its own, as OpenClass draws it for sweep_runner's grid
+// cells: 4-item transactions, half reads, 20 arrivals/s, uniform
+// popularity drawn as a Zipf CDF walk at theta = 0.
+ScenarioClass GridClass(std::uint64_t txns) {
+  ScenarioClass c;
+  c.txns = txns;
+  c.rate = 20;
+  c.access = ScenarioClass::AccessKind::kZipf;
+  return c;
+}
+
+TEST(OpenClassTest, GeneratesRequestedCount) {
+  auto stream = OpenClass(GridClass(250), 100, 4, Rng(5));
+  const std::vector<Arrival> arrivals = Drain(*stream);
   ASSERT_EQ(arrivals.size(), 250u);
   // Ids are 1..n, arrival times strictly ordered (exponential gaps > 0).
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
@@ -174,13 +186,12 @@ TEST(WorkloadGeneratorTest, GeneratesRequestedCount) {
   }
 }
 
-TEST(WorkloadGeneratorTest, RespectsSizeBounds) {
-  WorkloadOptions wo;
-  wo.num_txns = 200;
-  wo.size_min = 2;
-  wo.size_max = 5;
-  WorkloadGenerator gen(wo, 50, 2, Rng(6));
-  for (const auto& a : gen.Generate()) {
+TEST(OpenClassTest, RespectsSizeBounds) {
+  ScenarioClass c = GridClass(200);
+  c.size_min = 2;
+  c.size_max = 5;
+  auto stream = OpenClass(c, 50, 2, Rng(6));
+  for (const Arrival& a : Drain(*stream)) {
     const std::size_t size = a.spec.NumRequests();
     EXPECT_GE(size, 2u);
     EXPECT_LE(size, 5u);
@@ -189,38 +200,38 @@ TEST(WorkloadGeneratorTest, RespectsSizeBounds) {
   }
 }
 
-TEST(WorkloadGeneratorTest, ReadFractionExtremes) {
-  WorkloadOptions wo;
-  wo.num_txns = 100;
-  wo.read_fraction = 0.0;
-  WorkloadGenerator gen(wo, 50, 2, Rng(7));
-  for (const auto& a : gen.Generate()) {
+TEST(OpenClassTest, ReadFractionExtremes) {
+  ScenarioClass c = GridClass(100);
+  c.read_fraction = 0.0;
+  auto writes = OpenClass(c, 50, 2, Rng(7));
+  for (const Arrival& a : Drain(*writes)) {
     EXPECT_TRUE(a.spec.read_set.empty());
     EXPECT_FALSE(a.spec.write_set.empty());
   }
-  wo.read_fraction = 1.0;
-  WorkloadGenerator gen2(wo, 50, 2, Rng(8));
-  for (const auto& a : gen2.Generate()) {
+  c.read_fraction = 1.0;
+  auto reads = OpenClass(c, 50, 2, Rng(8));
+  for (const Arrival& a : Drain(*reads)) {
     EXPECT_TRUE(a.spec.write_set.empty());
   }
 }
 
-TEST(WorkloadGeneratorTest, ArrivalRateApproximatelyRespected) {
-  WorkloadOptions wo;
-  wo.num_txns = 2000;
-  wo.arrival_rate_per_sec = 50;
-  WorkloadGenerator gen(wo, 100, 4, Rng(9));
-  const auto arrivals = gen.Generate();
+TEST(OpenClassTest, ArrivalRateApproximatelyRespected) {
+  ScenarioClass c = GridClass(2000);
+  c.rate = 50;
+  auto stream = OpenClass(c, 100, 4, Rng(9));
+  const std::vector<Arrival> arrivals = Drain(*stream);
   const double span_sec =
       static_cast<double>(arrivals.back().when) / kSecond;
   EXPECT_NEAR(2000.0 / span_sec, 50.0, 5.0);
 }
 
-TEST(WorkloadGeneratorTest, DeterministicForSameSeed) {
-  WorkloadOptions wo;
-  wo.num_txns = 50;
-  WorkloadGenerator a(wo, 100, 4, Rng(10)), b(wo, 100, 4, Rng(10));
-  const auto va = a.Generate(), vb = b.Generate();
+TEST(OpenClassTest, DeterministicForSameSeed) {
+  const ScenarioClass c = GridClass(50);
+  auto a = OpenClass(c, 100, 4, Rng(10));
+  auto b = OpenClass(c, 100, 4, Rng(10));
+  const std::vector<Arrival> va = Drain(*a), vb = Drain(*b);
+  ASSERT_EQ(va.size(), 50u);
+  ASSERT_EQ(vb.size(), 50u);
   for (std::size_t i = 0; i < va.size(); ++i) {
     EXPECT_EQ(va[i].when, vb[i].when);
     EXPECT_EQ(va[i].spec.read_set, vb[i].spec.read_set);
@@ -228,30 +239,30 @@ TEST(WorkloadGeneratorTest, DeterministicForSameSeed) {
   }
 }
 
-TEST(WorkloadOptionsTest, ValidateNamesEachGeneratorPrecondition) {
-  const WorkloadOptions good;
-  EXPECT_TRUE(good.Validate(60, 4).ok());
-  EXPECT_NE(good.Validate(60, 0).message().find("user site"),
-            std::string::npos);
+// Every precondition of one class opened on its own aborts, naming it:
+// the scenario parser checks these for parsed classes, but a class built
+// in code reaches OpenClass unchecked.
+TEST(OpenClassDeathTest, AbortsOnEachPrecondition) {
+  const ScenarioClass good = GridClass(10);
+  EXPECT_NE(OpenClass(good, 60, 4, Rng(1)), nullptr);
+  EXPECT_DEATH(OpenClass(good, 60, 0, Rng(1)), "user site");
   const struct {
-    void (*mutate)(WorkloadOptions*);
+    void (*mutate)(ScenarioClass*);
     const char* message;
   } cases[] = {
-      {[](WorkloadOptions* w) { w->arrival_rate_per_sec = 0; }, "rate"},
-      {[](WorkloadOptions* w) { w->arrival_rate_per_sec = NAN; }, "rate"},
-      {[](WorkloadOptions* w) { w->size_min = 5; }, "size_min"},
-      {[](WorkloadOptions* w) { w->size_min = 0; }, "size_min"},
-      {[](WorkloadOptions* w) { w->size_max = 100; }, "item count"},
-      {[](WorkloadOptions* w) { w->read_fraction = 2; }, "read fraction"},
-      {[](WorkloadOptions* w) { w->read_fraction = NAN; }, "read fraction"},
-      {[](WorkloadOptions* w) { w->zipf_theta = -1; }, "zipf theta"},
+      {[](ScenarioClass* c) { c->rate = 0; }, "rate"},
+      {[](ScenarioClass* c) { c->rate = NAN; }, "rate"},
+      {[](ScenarioClass* c) { c->size_min = 5; }, "size_min"},
+      {[](ScenarioClass* c) { c->size_min = 0; }, "size_min"},
+      {[](ScenarioClass* c) { c->size_max = 100; }, "item count"},
+      {[](ScenarioClass* c) { c->read_fraction = 2; }, "read fraction"},
+      {[](ScenarioClass* c) { c->read_fraction = NAN; }, "read fraction"},
+      {[](ScenarioClass* c) { c->theta = -1; }, "zipf theta"},
   };
   for (const auto& c : cases) {
-    WorkloadOptions wo = good;
-    c.mutate(&wo);
-    const Status s = wo.Validate(60, 4);
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << c.message;
-    EXPECT_NE(s.message().find(c.message), std::string::npos) << s.ToString();
+    ScenarioClass bad = good;
+    c.mutate(&bad);
+    EXPECT_DEATH(OpenClass(bad, 60, 4, Rng(1)), c.message) << c.message;
   }
 }
 

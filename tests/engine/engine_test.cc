@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "engine/builder.h"
 #include "scenario/scenario.h"
 #include "workload/stream.h"
 #include "workload/trace.h"
@@ -18,47 +19,48 @@
 namespace unicc {
 namespace {
 
+using test::DrawClass;
 using test::RunWorkload;
 using test::SmallEngine;
 using test::SmallWorkload;
 
 TEST(EngineTest, RejectsInvalidTransactions) {
-  Engine engine(SmallEngine());
+  auto engine = EngineBuilder(SmallEngine()).Build().value();
   TxnSpec bad;  // empty access set
   bad.id = 1;
-  EXPECT_FALSE(engine.AddTransaction(0, bad).ok());
+  EXPECT_FALSE(engine->AddTransaction(0, bad).ok());
   TxnSpec out_of_range;
   out_of_range.id = 2;
   out_of_range.read_set = {10'000};
-  EXPECT_FALSE(engine.AddTransaction(0, out_of_range).ok());
+  EXPECT_FALSE(engine->AddTransaction(0, out_of_range).ok());
   TxnSpec bad_home;
   bad_home.id = 3;
   bad_home.read_set = {1};
   bad_home.home = 99;
-  EXPECT_FALSE(engine.AddTransaction(0, bad_home).ok());
+  EXPECT_FALSE(engine->AddTransaction(0, bad_home).ok());
 }
 
 TEST(EngineTest, EmptyWorkloadTerminates) {
   // The periodic deadlock-detector tick must not keep an idle run alive.
-  Engine engine(SmallEngine());
-  const RunSummary s = engine.Run();
+  auto engine = EngineBuilder(SmallEngine()).Build().value();
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.admitted, 0u);
   EXPECT_EQ(s.committed, 0u);
 }
 
 TEST(EngineTest, SingleTransactionCommits) {
-  Engine engine(SmallEngine());
+  auto engine = EngineBuilder(SmallEngine()).Build().value();
   TxnSpec t;
   t.id = 1;
   t.home = 0;
   t.read_set = {1};
   t.write_set = {2};
   t.compute_time = kMillisecond;
-  ASSERT_TRUE(engine.AddTransaction(0, t).ok());
-  const RunSummary s = engine.Run();
+  ASSERT_TRUE(engine->AddTransaction(0, t).ok());
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.committed, 1u);
   EXPECT_GT(s.mean_system_time_ms, 0);
-  EXPECT_TRUE(engine.CheckSerializability().serializable);
+  EXPECT_TRUE(engine->CheckSerializability().serializable);
 }
 
 // Batch specs added out of arrival order: each arrival earlier than the
@@ -70,59 +72,60 @@ TEST(EngineTest, BatchAddedInDecreasingTimeOrderCommitsEachOnce) {
   std::map<TxnId, int> commits;
   EngineCallbacks callbacks;
   callbacks.on_commit = [&commits](const TxnResult& r) { ++commits[r.id]; };
-  Engine engine(eo, callbacks);
-  engine.SetProtocolPolicy(MixedProtocol(1, 1, 1, Rng(31)));
-  WorkloadGenerator gen(SmallWorkload(120), eo.num_items, eo.num_user_sites,
-                        Rng(37));
-  const std::vector<WorkloadGenerator::Arrival> arrivals = gen.Generate();
-  const std::size_t events_before = engine.simulator().PendingEvents();
+  auto engine = EngineBuilder(eo)
+                    .WithCallbacks(callbacks)
+                    .WithProtocolPolicy(MixedProtocol(1, 1, 1, Rng(31)))
+                    .Build()
+                    .value();
+  const std::vector<Arrival> arrivals =
+      DrawClass(SmallWorkload(120), eo, Rng(37));
+  const std::size_t events_before = engine->simulator().PendingEvents();
   for (auto it = arrivals.rbegin(); it != arrivals.rend(); ++it) {
     if (it != arrivals.rbegin()) {
       ASSERT_LT(it->when, std::prev(it)->when);
     }
-    ASSERT_TRUE(engine.AddTransaction(it->when, it->spec).ok());
+    ASSERT_TRUE(engine->AddTransaction(it->when, it->spec).ok());
   }
-  EXPECT_EQ(engine.simulator().PendingEvents(), events_before + 120);
-  const RunSummary s = engine.Run();
+  EXPECT_EQ(engine->simulator().PendingEvents(), events_before + 120);
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.committed, 120u);
   EXPECT_EQ(commits.size(), 120u);
   for (const auto& [id, n] : commits) EXPECT_EQ(n, 1) << "txn " << id;
-  EXPECT_TRUE(engine.CheckSerializability().serializable);
-  EXPECT_TRUE(engine.ReplicasConsistent());
+  EXPECT_TRUE(engine->CheckSerializability().serializable);
+  EXPECT_TRUE(engine->ReplicasConsistent());
 }
 
 // Time-ordered batch arrivals wait in the engine's FIFO: only its front
 // is a simulator event, so the queue and the event arena stay flat.
 TEST(EngineTest, TimeOrderedBatchQueuesOneEvent) {
   const EngineOptions eo = SmallEngine(23);
-  Engine engine(eo);
-  WorkloadGenerator gen(SmallWorkload(200), eo.num_items, eo.num_user_sites,
-                        Rng(41));
-  const std::vector<WorkloadGenerator::Arrival> arrivals = gen.Generate();
-  const std::size_t events_before = engine.simulator().PendingEvents();
-  const std::size_t slots_before = engine.simulator().ArenaSlots();
-  ASSERT_TRUE(engine.AddWorkload(arrivals).ok());
-  EXPECT_EQ(engine.simulator().PendingEvents(), events_before + 1);
-  EXPECT_LE(engine.simulator().ArenaSlots(), slots_before + 1);
-  const RunSummary s = engine.Run();
+  auto engine = EngineBuilder(eo).Build().value();
+  const std::vector<Arrival> arrivals =
+      DrawClass(SmallWorkload(200), eo, Rng(41));
+  const std::size_t events_before = engine->simulator().PendingEvents();
+  const std::size_t slots_before = engine->simulator().ArenaSlots();
+  ASSERT_TRUE(engine->AddWorkload(arrivals).ok());
+  EXPECT_EQ(engine->simulator().PendingEvents(), events_before + 1);
+  EXPECT_LE(engine->simulator().ArenaSlots(), slots_before + 1);
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.offered, 200u);
   EXPECT_EQ(s.committed, 200u);
-  EXPECT_TRUE(engine.CheckSerializability().serializable);
+  EXPECT_TRUE(engine->CheckSerializability().serializable);
 }
 
 TEST(EngineTest, AddWorkloadAdmitsAllOrNothing) {
-  Engine engine(SmallEngine());
-  std::vector<WorkloadGenerator::Arrival> arrivals(5);
+  auto engine = EngineBuilder(SmallEngine()).Build().value();
+  std::vector<Arrival> arrivals(5);
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     arrivals[i].when = i * kMillisecond;
     arrivals[i].spec.id = i + 1;
     arrivals[i].spec.read_set = {static_cast<ItemId>(i)};
   }
   arrivals[2].spec.read_set = {10'000};  // out of range
-  const std::size_t events_before = engine.simulator().PendingEvents();
-  EXPECT_FALSE(engine.AddWorkload(arrivals).ok());
-  EXPECT_EQ(engine.simulator().PendingEvents(), events_before);
-  const RunSummary s = engine.Run();
+  const std::size_t events_before = engine->simulator().PendingEvents();
+  EXPECT_FALSE(engine->AddWorkload(arrivals).ok());
+  EXPECT_EQ(engine->simulator().PendingEvents(), events_before);
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.offered, 0u);
   EXPECT_EQ(s.admitted, 0u);
   EXPECT_EQ(s.committed, 0u);
@@ -131,12 +134,14 @@ TEST(EngineTest, AddWorkloadAdmitsAllOrNothing) {
 // Batch arrivals are admitted in (time, call order) whether they join the
 // FIFO or, being earlier than its tail, get events of their own.
 TEST(EngineTest, BatchTiesAdmitInTimeThenCallOrder) {
-  Engine engine(SmallEngine(13));
   std::vector<TxnId> admitted;
-  engine.SetProtocolPolicy([&admitted](const TxnSpec& spec) {
-    admitted.push_back(spec.id);
-    return spec.protocol;
-  });
+  auto engine = EngineBuilder(SmallEngine(13))
+                    .WithProtocolPolicy([&admitted](const TxnSpec& spec) {
+                      admitted.push_back(spec.id);
+                      return spec.protocol;
+                    })
+                    .Build()
+                    .value();
   // (when in ms, id) in call order: in-order runs, out-of-order adds and
   // several arrivals at one microsecond.
   const std::vector<std::pair<SimTime, TxnId>> calls = {
@@ -151,22 +156,22 @@ TEST(EngineTest, BatchTiesAdmitInTimeThenCallOrder) {
   };
   for (std::size_t i = 0; i < 8; ++i) {
     ASSERT_TRUE(engine
-                    .AddTransaction(calls[i].first * kMillisecond,
-                                    spec_for(calls[i].second))
+                    ->AddTransaction(calls[i].first * kMillisecond,
+                                     spec_for(calls[i].second))
                     .ok());
   }
-  std::vector<WorkloadGenerator::Arrival> rest;
+  std::vector<Arrival> rest;
   for (std::size_t i = 8; i < calls.size(); ++i) {
     rest.push_back({calls[i].first * kMillisecond, spec_for(calls[i].second)});
   }
-  ASSERT_TRUE(engine.AddWorkload(rest).ok());
+  ASSERT_TRUE(engine->AddWorkload(rest).ok());
   std::vector<std::pair<SimTime, TxnId>> want = calls;
   std::stable_sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
     return a.first < b.first;
   });
   std::vector<TxnId> want_ids;
   for (const auto& [when, id] : want) want_ids.push_back(id);
-  const RunSummary s = engine.Run();
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.committed, calls.size());
   EXPECT_EQ(admitted, want_ids);
 }
@@ -178,16 +183,20 @@ TEST(EngineTest, BatchTiesAdmitInTimeThenCallOrder) {
 TEST(EngineTest, BatchSpecsReachThePolicyIntact) {
   EngineOptions eo = SmallEngine(17);
   eo.num_items = 200;
-  Engine engine(eo);
   std::map<TxnId, TxnSpec> seen;
-  engine.SetProtocolPolicy([&seen](const TxnSpec& spec) {
-    EXPECT_TRUE(seen.emplace(spec.id, spec).second) << "txn " << spec.id;
-    return spec.protocol;
-  });
+  auto engine =
+      EngineBuilder(eo)
+          .WithProtocolPolicy([&seen](const TxnSpec& spec) {
+            EXPECT_TRUE(seen.emplace(spec.id, spec).second)
+                << "txn " << spec.id;
+            return spec.protocol;
+          })
+          .Build()
+          .value();
   Rng rng(43);
-  std::vector<WorkloadGenerator::Arrival> added;
+  std::vector<Arrival> added;
   for (TxnId id = 1; id <= 80; ++id) {
-    WorkloadGenerator::Arrival a;
+    Arrival a;
     // Every fifth arrival is earlier than the FIFO's tail.
     a.when = (id * 10 - (id % 5 == 0 ? 35 : 0)) * kMillisecond;
     TxnSpec& spec = a.spec;
@@ -225,16 +234,16 @@ TEST(EngineTest, BatchSpecsReachThePolicyIntact) {
   }
   // The first half one by one, the second half as one workload.
   for (std::size_t i = 0; i < added.size() / 2; ++i) {
-    ASSERT_TRUE(engine.AddTransaction(added[i].when, added[i].spec).ok());
+    ASSERT_TRUE(engine->AddTransaction(added[i].when, added[i].spec).ok());
   }
   ASSERT_TRUE(engine
-                  .AddWorkload(std::vector<WorkloadGenerator::Arrival>(
+                  ->AddWorkload(std::vector<Arrival>(
                       added.begin() + added.size() / 2, added.end()))
                   .ok());
-  const RunSummary s = engine.Run();
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.committed, added.size());
   ASSERT_EQ(seen.size(), added.size());
-  for (const WorkloadGenerator::Arrival& a : added) {
+  for (const Arrival& a : added) {
     const TxnSpec& want = a.spec;
     const TxnSpec& got = seen.at(want.id);
     EXPECT_EQ(got.home, want.home) << "txn " << want.id;
@@ -247,7 +256,7 @@ TEST(EngineTest, BatchSpecsReachThePolicyIntact) {
     EXPECT_EQ(got.priority, want.priority) << "txn " << want.id;
     EXPECT_EQ(got.deadline, want.deadline) << "txn " << want.id;
   }
-  EXPECT_TRUE(engine.CheckSerializability().serializable);
+  EXPECT_TRUE(engine->CheckSerializability().serializable);
 }
 
 struct BackendCase {
@@ -307,8 +316,8 @@ TEST(EngineTest, PaNeverRestarts) {
   EngineOptions eo = SmallEngine(17);
   eo.network.jitter_mean = 2 * kMillisecond;
   eo.max_clock_skew = 80 * kMillisecond;
-  WorkloadOptions wo = SmallWorkload(200);
-  wo.arrival_rate_per_sec = 150;  // heavy load
+  ScenarioClass wo = SmallWorkload(200);
+  wo.rate = 150;  // heavy load
   wo.size_min = 3;
   wo.size_max = 5;
   auto run = RunWorkload(eo, wo,
@@ -325,8 +334,8 @@ TEST(EngineTest, PureToRestartsButNeverDeadlocks) {
   eo.backend = BackendKind::kBasicTo;
   eo.detector = DetectorKind::kNone;
   eo.network.jitter_mean = 3 * kMillisecond;
-  WorkloadOptions wo = SmallWorkload(200);
-  wo.arrival_rate_per_sec = 150;
+  ScenarioClass wo = SmallWorkload(200);
+  wo.rate = 150;
   wo.read_fraction = 0.3;
   auto run = RunWorkload(eo, wo,
                          FixedProtocol(Protocol::kTimestampOrdering));
@@ -341,8 +350,8 @@ TEST(EngineTest, TwoPlDeadlocksDetectedAndResolved) {
   eo.num_items = 4;  // extreme contention to force deadlocks
   eo.network.jitter_mean = 3 * kMillisecond;
   eo.central_detector.interval = 20 * kMillisecond;
-  WorkloadOptions wo = SmallWorkload(100);
-  wo.arrival_rate_per_sec = 120;
+  ScenarioClass wo = SmallWorkload(100);
+  wo.rate = 120;
   wo.read_fraction = 0.0;  // write-write conflicts
   wo.size_min = 2;
   wo.size_max = 3;
@@ -366,7 +375,7 @@ TEST_P(PaperExampleTest, Section42ExampleSerializable) {
   eo.num_user_sites = 3;
   eo.num_data_sites = 3;
   eo.network.jitter_mean = 4 * kMillisecond;
-  Engine engine(eo);
+  auto engine = EngineBuilder(eo).Build().value();
   const ItemId x = 0, y = 1, z = 2;
   TxnSpec t1;
   t1.id = 1;
@@ -387,12 +396,12 @@ TEST_P(PaperExampleTest, Section42ExampleSerializable) {
   t3.read_set = {z};
   t3.write_set = {x};
   // Stagger arrivals inside one network round-trip so requests interleave.
-  ASSERT_TRUE(engine.AddTransaction(0, t1).ok());
-  ASSERT_TRUE(engine.AddTransaction(GetParam() % 7 * kMillisecond, t2).ok());
-  ASSERT_TRUE(engine.AddTransaction(GetParam() % 11 * kMillisecond, t3).ok());
-  const RunSummary s = engine.Run();
+  ASSERT_TRUE(engine->AddTransaction(0, t1).ok());
+  ASSERT_TRUE(engine->AddTransaction(GetParam() % 7 * kMillisecond, t2).ok());
+  ASSERT_TRUE(engine->AddTransaction(GetParam() % 11 * kMillisecond, t3).ok());
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.committed, 3u);
-  EXPECT_TRUE(engine.CheckSerializability().serializable);
+  EXPECT_TRUE(engine->CheckSerializability().serializable);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PaperExampleTest,
@@ -404,7 +413,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PaperExampleTest,
 TEST(EngineTest, BankingTransfersPreserveTotal) {
   EngineOptions eo = SmallEngine(31);
   eo.num_items = 8;
-  Engine engine(eo);
+  auto engine = EngineBuilder(eo).Build().value();
   const std::uint64_t kInitial = 1000;
   // Funding transaction initializes all accounts.
   TxnSpec fund;
@@ -413,13 +422,14 @@ TEST(EngineTest, BankingTransfersPreserveTotal) {
   fund.protocol = Protocol::kTwoPhaseLocking;
   for (ItemId a = 0; a < 8; ++a) fund.write_set.push_back(a);
   // The closure's captures must not outlive its transaction's commit.
-  const auto token = std::make_shared<int>(0);
-  engine.SetCompute(fund.id, [&, token](const auto&) {
+  auto token = std::make_shared<int>(0);
+  auto open_accounts = [&, token](const auto&) {
     std::vector<std::pair<ItemId, std::uint64_t>> w;
     for (ItemId a = 0; a < 8; ++a) w.emplace_back(a, kInitial);
     return w;
-  });
-  ASSERT_TRUE(engine.AddTransaction(0, fund).ok());
+  };
+  ASSERT_TRUE(
+      engine->AddTransaction(0, fund, std::move(open_accounts)).ok());
   // Transfers with mixed protocols.
   Rng rng(7);
   const Protocol protos[] = {Protocol::kTwoPhaseLocking,
@@ -435,7 +445,7 @@ TEST(EngineTest, BankingTransfersPreserveTotal) {
     t.protocol = protos[rng.UniformInt(3)];
     t.write_set = {a, b};
     t.compute_time = kMillisecond;
-    engine.SetCompute(id, [a, b](const auto& reads) {
+    const ComputeFn transfer = [a, b](const auto& reads) {
       std::uint64_t va = reads.at(a), vb = reads.at(b);
       const std::uint64_t amount = 10;
       std::vector<std::pair<ItemId, std::uint64_t>> w;
@@ -447,18 +457,18 @@ TEST(EngineTest, BankingTransfersPreserveTotal) {
         w.emplace_back(b, vb);
       }
       return w;
-    });
-    ASSERT_TRUE(
-        engine.AddTransaction(500 * kMillisecond +
-                                  rng.UniformInt(2 * kSecond),
-                              t)
-            .ok());
+    };
+    ASSERT_TRUE(engine
+                    ->AddTransaction(
+                        500 * kMillisecond + rng.UniformInt(2 * kSecond), t,
+                        transfer)
+                    .ok());
   }
-  const RunSummary s = engine.Run();
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.committed, 60u);
-  EXPECT_TRUE(engine.CheckSerializability().serializable);
+  EXPECT_TRUE(engine->CheckSerializability().serializable);
   std::uint64_t total = 0;
-  for (ItemId a = 0; a < 8; ++a) total += engine.ReadReplicas(a)[0];
+  for (ItemId a = 0; a < 8; ++a) total += engine->ReadReplicas(a)[0];
   EXPECT_EQ(total, 8 * kInitial);
   EXPECT_EQ(token.use_count(), 1);
 }
@@ -490,9 +500,9 @@ TEST(EngineTest, ReadOnlyWorkloadHasNoAnomalies) {
         Protocol::kPrecedenceAgreement}) {
     EngineOptions eo = SmallEngine(61);
     eo.network.jitter_mean = 2 * kMillisecond;
-    WorkloadOptions wo = SmallWorkload(80);
+    ScenarioClass wo = SmallWorkload(80);
     wo.read_fraction = 1.0;
-    wo.arrival_rate_per_sec = 200;
+    wo.rate = 200;
     auto run = RunWorkload(eo, wo, FixedProtocol(p));
     EXPECT_EQ(run.summary.committed, 80u) << ProtocolName(p);
     EXPECT_EQ(run.summary.deadlock_victims, 0u) << ProtocolName(p);
@@ -507,7 +517,7 @@ TEST(EngineTest, SingleSiteClusterWorks) {
   eo.num_user_sites = 1;
   eo.num_data_sites = 1;
   eo.num_items = 8;
-  WorkloadOptions wo = SmallWorkload(60);
+  ScenarioClass wo = SmallWorkload(60);
   auto run = RunWorkload(eo, wo, MixedProtocol(1, 1, 1, Rng(2)));
   EXPECT_EQ(run.summary.committed, 60u);
   EXPECT_TRUE(run.engine->CheckSerializability().serializable);
@@ -515,7 +525,7 @@ TEST(EngineTest, SingleSiteClusterWorks) {
 
 TEST(EngineTest, ZeroComputeTimeWorks) {
   EngineOptions eo = SmallEngine(71);
-  WorkloadOptions wo = SmallWorkload(60);
+  ScenarioClass wo = SmallWorkload(60);
   wo.compute_time = 0;
   auto run = RunWorkload(eo, wo, MixedProtocol(1, 1, 1, Rng(3)));
   EXPECT_EQ(run.summary.committed, 60u);
@@ -525,9 +535,9 @@ TEST(EngineTest, ZeroComputeTimeWorks) {
 TEST(EngineTest, ZipfHotspotStaysSerializable) {
   EngineOptions eo = SmallEngine(73);
   eo.network.jitter_mean = 2 * kMillisecond;
-  WorkloadOptions wo = SmallWorkload(120);
-  wo.zipf_theta = 1.2;  // heavy skew: a handful of hot items
-  wo.arrival_rate_per_sec = 80;
+  ScenarioClass wo = SmallWorkload(120);
+  wo.theta = 1.2;  // heavy skew: a handful of hot items
+  wo.rate = 80;
   auto run = RunWorkload(eo, wo, MixedProtocol(1, 1, 1, Rng(4)));
   EXPECT_EQ(run.summary.committed, 120u);
   EXPECT_TRUE(run.engine->CheckSerializability().serializable);
@@ -538,53 +548,51 @@ TEST(EngineTest, TraceReplayReproducesRun) {
   // Record a workload, replay the parsed trace on a fresh engine with the
   // same options: results must be bit-identical.
   EngineOptions eo = SmallEngine(53);
-  WorkloadOptions wo = SmallWorkload(60);
-  WorkloadGenerator gen(wo, eo.num_items, eo.num_user_sites, Rng(3));
-  auto arrivals = gen.Generate();
+  std::vector<Arrival> arrivals = DrawClass(SmallWorkload(60), eo, Rng(3));
   // Mix the protocols deterministically into the specs themselves.
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     arrivals[i].spec.protocol = static_cast<Protocol>(i % kNumProtocols);
   }
-  Engine direct(eo);
-  ASSERT_TRUE(direct.AddWorkload(arrivals).ok());
-  const RunSummary s1 = direct.Run();
+  auto direct = EngineBuilder(eo).Build().value();
+  ASSERT_TRUE(direct->AddWorkload(arrivals).ok());
+  const RunSummary s1 = direct->Run();
 
   const std::string text = WorkloadTrace::Serialize(arrivals);
   auto parsed = WorkloadTrace::Parse(text);
   ASSERT_TRUE(parsed.ok());
-  Engine replayed(eo);
-  ASSERT_TRUE(replayed.AddWorkload(*parsed).ok());
-  const RunSummary s2 = replayed.Run();
+  auto replayed = EngineBuilder(eo).Build().value();
+  ASSERT_TRUE(replayed->AddWorkload(*parsed).ok());
+  const RunSummary s2 = replayed->Run();
 
   EXPECT_EQ(s1.makespan, s2.makespan);
   EXPECT_EQ(s1.total_messages, s2.total_messages);
   EXPECT_EQ(s1.deadlock_victims, s2.deadlock_victims);
-  EXPECT_TRUE(replayed.CheckSerializability().serializable);
+  EXPECT_TRUE(replayed->CheckSerializability().serializable);
 }
 
 TEST(EngineTest, DebugDumpShowsState) {
-  Engine engine(SmallEngine());
+  auto engine = EngineBuilder(SmallEngine()).Build().value();
   TxnSpec t;
   t.id = 1;
   t.home = 0;
   t.write_set = {2};
-  ASSERT_TRUE(engine.AddTransaction(0, t).ok());
+  ASSERT_TRUE(engine->AddTransaction(0, t).ok());
   // Two later batch arrivals still wait for admission at the dump.
   for (TxnId id : {2, 3}) {
     TxnSpec later;
     later.id = id;
     later.home = 1;
     later.read_set = {static_cast<ItemId>(id + 10)};
-    ASSERT_TRUE(engine.AddTransaction(id * kSecond, later).ok());
+    ASSERT_TRUE(engine->AddTransaction(id * kSecond, later).ok());
   }
   // Run just past the request arrival so a queue entry exists.
-  engine.simulator().RunUntil(6 * kMillisecond);
-  const std::string dump = engine.DebugDump();
+  engine->simulator().RunUntil(6 * kMillisecond);
+  const std::string dump = engine->DebugDump();
   EXPECT_NE(dump.find("admitted=3"), std::string::npos);
   EXPECT_NE(dump.find("batch_waiting=2"), std::string::npos);
   EXPECT_NE(dump.find("txn=1"), std::string::npos);
-  engine.Run();
-  EXPECT_NE(engine.DebugDump().find("batch_waiting=0"), std::string::npos);
+  engine->Run();
+  EXPECT_NE(engine->DebugDump().find("batch_waiting=0"), std::string::npos);
 }
 
 TEST(EngineTest, DeterministicAcrossIdenticalRuns) {
@@ -608,8 +616,8 @@ TEST_P(SerializabilityPropertyTest, RandomMixAlwaysSerializable) {
   EngineOptions eo = SmallEngine(GetParam());
   eo.num_items = 12;  // high contention
   eo.network.jitter_mean = 2 * kMillisecond;
-  WorkloadOptions wo = SmallWorkload(80);
-  wo.arrival_rate_per_sec = 100;
+  ScenarioClass wo = SmallWorkload(80);
+  wo.rate = 100;
   wo.read_fraction = 0.4;
   auto run = RunWorkload(eo, wo,
                          MixedProtocol(1, 1, 1, Rng(GetParam() * 31)));
@@ -634,8 +642,8 @@ TEST_P(SemiLockStressTest, AllToHighContentionSerializable) {
   eo.num_data_sites = 4;
   eo.num_items = 30;
   eo.network.jitter_mean = 2 * kMillisecond;
-  WorkloadOptions wo = SmallWorkload(200);
-  wo.arrival_rate_per_sec = 120;
+  ScenarioClass wo = SmallWorkload(200);
+  wo.rate = 120;
   wo.size_min = 4;
   wo.size_max = 4;
   wo.read_fraction = 0.6;
@@ -656,25 +664,28 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SemiLockStressTest,
 
 std::vector<Arrival> GeneratedArrivals(const EngineOptions& eo,
                                        std::uint64_t num_txns) {
-  WorkloadOptions wo = SmallWorkload(num_txns);
-  WorkloadGenerator gen(wo, eo.num_items, eo.num_user_sites,
-                        Rng(eo.seed ^ 0x9e3779b9));
-  return gen.Generate();
+  return DrawClass(SmallWorkload(num_txns), eo, Rng(eo.seed ^ 0x9e3779b9));
 }
 
 TEST(EngineStreamTest, StreamedRunMatchesBatchRun) {
   const EngineOptions eo = SmallEngine(17);
   const std::vector<Arrival> arrivals = GeneratedArrivals(eo, 120);
 
-  Engine batch(eo);
-  batch.SetProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking));
-  ASSERT_TRUE(batch.AddWorkload(arrivals).ok());
-  const RunSummary b = batch.Run();
+  auto batch =
+      EngineBuilder(eo)
+          .WithProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking))
+          .Build()
+          .value();
+  ASSERT_TRUE(batch->AddWorkload(arrivals).ok());
+  const RunSummary b = batch->Run();
 
-  Engine streamed(eo);
-  streamed.SetProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking));
-  streamed.SetArrivalStream(MakeVectorStream(arrivals));
-  const RunSummary s = streamed.Run();
+  auto streamed =
+      EngineBuilder(eo)
+          .WithProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking))
+          .WithArrivalStream(MakeVectorStream(arrivals))
+          .Build()
+          .value();
+  const RunSummary s = streamed->Run();
 
   // No run controls: streaming admission is observationally identical to
   // batch pre-admission.
@@ -682,36 +693,42 @@ TEST(EngineStreamTest, StreamedRunMatchesBatchRun) {
   EXPECT_EQ(s.makespan, b.makespan);
   EXPECT_EQ(s.total_messages, b.total_messages);
   EXPECT_EQ(s.mean_system_time_ms, b.mean_system_time_ms);
-  EXPECT_TRUE(streamed.CheckSerializability().serializable);
+  EXPECT_TRUE(streamed->CheckSerializability().serializable);
 }
 
 TEST(EngineStreamTest, CommitTargetClosesAdmission) {
   EngineOptions eo = SmallEngine(18);
   eo.run.commit_target = 20;
-  Engine engine(eo);
-  engine.SetProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking));
-  engine.SetArrivalStream(MakeVectorStream(GeneratedArrivals(eo, 200)));
-  const RunSummary s = engine.Run();
+  auto engine =
+      EngineBuilder(eo)
+          .WithProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking))
+          .WithArrivalStream(MakeVectorStream(GeneratedArrivals(eo, 200)))
+          .Build()
+          .value();
+  const RunSummary s = engine->Run();
   // Admission closes at the 20th commit; whatever was already in flight
   // drains, so the total can exceed the target only by the residual MPL.
   EXPECT_GE(s.committed, 20u);
   EXPECT_LT(s.committed, 60u);
   EXPECT_EQ(s.committed, s.admitted);
-  EXPECT_TRUE(engine.CheckSerializability().serializable);
+  EXPECT_TRUE(engine->CheckSerializability().serializable);
 }
 
 TEST(EngineStreamTest, TimeHorizonStopsAdmission) {
   EngineOptions eo = SmallEngine(19);
   eo.run.time_horizon = 1 * kSecond;
-  Engine engine(eo);
-  engine.SetProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking));
   const std::vector<Arrival> arrivals = GeneratedArrivals(eo, 200);
   std::uint64_t in_horizon = 0;
   for (const Arrival& a : arrivals) in_horizon += a.when <= 1 * kSecond;
   ASSERT_GT(in_horizon, 0u);
   ASSERT_LT(in_horizon, 200u);
-  engine.SetArrivalStream(MakeVectorStream(arrivals));
-  const RunSummary s = engine.Run();
+  auto engine =
+      EngineBuilder(eo)
+          .WithProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking))
+          .WithArrivalStream(MakeVectorStream(arrivals))
+          .Build()
+          .value();
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.admitted, in_horizon);
   EXPECT_EQ(s.committed, in_horizon);
 }
@@ -723,16 +740,18 @@ TEST(EngineStreamTest, MplCapSerializesAdmission) {
   // the admission gate queues nearly every arrival.
   EngineOptions eo = SmallEngine(20);
   eo.run.max_inflight = 1;
-  WorkloadOptions wo = SmallWorkload(60);
-  wo.arrival_rate_per_sec = 400;
-  WorkloadGenerator gen(wo, eo.num_items, eo.num_user_sites,
-                        Rng(eo.seed ^ 0x9e3779b9));
-  const std::vector<Arrival> arrivals = gen.Generate();
+  ScenarioClass wo = SmallWorkload(60);
+  wo.rate = 400;
+  const std::vector<Arrival> arrivals =
+      DrawClass(wo, eo, Rng(eo.seed ^ 0x9e3779b9));
 
-  Engine uncapped(SmallEngine(20));
-  uncapped.SetProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking));
-  ASSERT_TRUE(uncapped.AddWorkload(arrivals).ok());
-  const RunSummary u = uncapped.Run();
+  auto uncapped =
+      EngineBuilder(SmallEngine(20))
+          .WithProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking))
+          .Build()
+          .value();
+  ASSERT_TRUE(uncapped->AddWorkload(arrivals).ok());
+  const RunSummary u = uncapped->Run();
 
   TxnId last = 0;
   bool in_order = true;
@@ -741,17 +760,21 @@ TEST(EngineStreamTest, MplCapSerializesAdmission) {
     in_order = in_order && r.id > last;
     last = r.id;
   };
-  Engine engine(eo, cb);
-  engine.SetProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking));
-  engine.SetArrivalStream(MakeVectorStream(arrivals));
-  const RunSummary s = engine.Run();
+  auto engine =
+      EngineBuilder(eo)
+          .WithCallbacks(cb)
+          .WithProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking))
+          .WithArrivalStream(MakeVectorStream(arrivals))
+          .Build()
+          .value();
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.committed, 60u);
   EXPECT_TRUE(in_order);
   EXPECT_GT(s.makespan, u.makespan);
   // Parked arrivals keep their stream arrival timestamps, so the time
   // spent waiting at the admission gate shows up in system time.
   EXPECT_GT(s.mean_system_time_ms, 5 * u.mean_system_time_ms);
-  EXPECT_TRUE(engine.CheckSerializability().serializable);
+  EXPECT_TRUE(engine->CheckSerializability().serializable);
 }
 
 TEST(EngineStreamTest, GateTimersLeaveWithTheirEntries) {
@@ -775,23 +798,28 @@ TEST(EngineStreamTest, GateTimersLeaveWithTheirEntries) {
     t.compute_time = kMillisecond;
     t.deadline = 10 * kSecond;
   }
-  Engine engine(eo);
-  engine.SetProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking));
-  engine.SetArrivalStream(MakeVectorStream(arrivals));
-  Simulator& sim = engine.simulator();
+  auto engine =
+      EngineBuilder(eo)
+          .WithProtocolPolicy(FixedProtocol(Protocol::kTwoPhaseLocking))
+          .WithArrivalStream(MakeVectorStream(arrivals))
+          .Build()
+          .value();
+  Simulator& sim = engine->simulator();
   sim.RunUntil(kSecond);
-  EXPECT_EQ(engine.metrics().shed(), 1u);
+  EXPECT_EQ(engine->metrics().shed(), 1u);
   EXPECT_EQ(sim.PendingEvents(), 0u);
   EXPECT_EQ(sim.NextEventTime(), Simulator::kNoPending);
-  const RunSummary s = engine.Run();
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.committed, 2u);
   EXPECT_EQ(s.expired, 0u);
 }
 
 TEST(EngineStreamTest, EmptyStreamTerminates) {
-  Engine engine(SmallEngine());
-  engine.SetArrivalStream(MakeVectorStream({}));
-  const RunSummary s = engine.Run();
+  auto engine = EngineBuilder(SmallEngine())
+                    .WithArrivalStream(MakeVectorStream({}))
+                    .Build()
+                    .value();
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.admitted, 0u);
   EXPECT_EQ(s.committed, 0u);
 }
@@ -804,19 +832,21 @@ TEST(EngineStreamTest, ScenarioOpenRunCommitsEverything) {
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   ASSERT_TRUE(spec->IsOpenSystem());
   ScenarioSpec::OpenWorkload ow = spec->Open();
-  Engine engine(spec->engine);
-  engine.SetProtocolPolicy(
-      ForcedAwarePolicy(FixedProtocol(Protocol::kTwoPhaseLocking),
-                        ow.forced));
-  engine.SetArrivalStream(std::move(ow.stream));
-  const RunSummary s = engine.Run();
+  auto engine =
+      EngineBuilder(spec->engine)
+          .WithProtocolPolicy(ForcedAwarePolicy(
+              FixedProtocol(Protocol::kTwoPhaseLocking), ow.forced))
+          .WithArrivalStream(std::move(ow.stream))
+          .Build()
+          .value();
+  const RunSummary s = engine->Run();
   EXPECT_EQ(s.committed, 150u);
-  EXPECT_TRUE(engine.CheckSerializability().serializable);
+  EXPECT_TRUE(engine->CheckSerializability().serializable);
   // The scenario's [run] window_ms switched the timeline recorder on.
-  ASSERT_NE(engine.timeline(), nullptr);
+  ASSERT_NE(engine->timeline(), nullptr);
   std::uint64_t windowed = 0;
-  for (std::size_t i = 0; i < engine.timeline()->NumWindows(); ++i) {
-    windowed += engine.timeline()->Window(i).committed;
+  for (std::size_t i = 0; i < engine->timeline()->NumWindows(); ++i) {
+    windowed += engine->timeline()->Window(i).committed;
   }
   EXPECT_EQ(windowed, 150u);
 }

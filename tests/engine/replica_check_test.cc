@@ -11,8 +11,8 @@
 
 #include "../test_util.h"
 #include "common/rng.h"
+#include "engine/builder.h"
 #include "engine/engine.h"
-#include "workload/generator.h"
 
 namespace unicc {
 namespace {
@@ -37,11 +37,9 @@ EngineOptions ReplicatedEngine(std::uint64_t seed) {
   return eo;
 }
 
-std::vector<WorkloadGenerator::Arrival> Workload(const EngineOptions& eo) {
-  WorkloadOptions wo = test::SmallWorkload(60);
-  WorkloadGenerator gen(wo, eo.num_items, eo.num_user_sites,
-                        Rng(eo.seed ^ 0x9e3779b9));
-  return gen.Generate();
+std::vector<Arrival> Workload(const EngineOptions& eo) {
+  return test::DrawClass(test::SmallWorkload(60), eo,
+                         Rng(eo.seed ^ 0x9e3779b9));
 }
 
 // Writes a random value into one random replica of a random item. The
@@ -61,22 +59,22 @@ TEST(ReplicaCheckTest, EngineMatchesFullWalk) {
   int disagreements = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const EngineOptions eo = ReplicatedEngine(seed);
-    Engine engine(eo);
-    ASSERT_TRUE(engine.AddWorkload(Workload(eo)).ok());
-    engine.Run();
-    ASSERT_TRUE(engine.ReplicasConsistent()) << "seed " << seed;
-    ASSERT_TRUE(FullKeyspaceWalk(engine, eo.num_items)) << "seed " << seed;
+    const auto engine = EngineBuilder(eo).Build().value();
+    ASSERT_TRUE(engine->AddWorkload(Workload(eo)).ok());
+    engine->Run();
+    ASSERT_TRUE(engine->ReplicasConsistent()) << "seed " << seed;
+    ASSERT_TRUE(FullKeyspaceWalk(*engine, eo.num_items)) << "seed " << seed;
 
     Rng rng(seed * 31 + 1);
     const int corruptions = 1 + static_cast<int>(rng.UniformInt(2));
     for (int c = 0; c < corruptions; ++c) {
-      CorruptOne(engine.catalog(), eo.num_items, &rng,
+      CorruptOne(engine->catalog(), eo.num_items, &rng,
                  [&engine](SiteId site) -> const Store& {
-                   return engine.StoreAt(site);
+                   return engine->StoreAt(site);
                  });
     }
-    const bool want = FullKeyspaceWalk(engine, eo.num_items);
-    EXPECT_EQ(engine.ReplicasConsistent(), want) << "seed " << seed;
+    const bool want = FullKeyspaceWalk(*engine, eo.num_items);
+    EXPECT_EQ(engine->ReplicasConsistent(), want) << "seed " << seed;
     if (!want) ++disagreements;
   }
   EXPECT_GT(disagreements, 6);  // the corruptions do break agreement

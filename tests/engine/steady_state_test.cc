@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "engine/builder.h"
 #include "engine/engine.h"
-#include "workload/generator.h"
 #include "workload/stream.h"
 
 namespace {
@@ -73,12 +73,10 @@ TEST(SteadyStateTest, WarmCappedRunAllocatesNothingPerCommit) {
   eo.run.shed_policy = ShedPolicy::kDropNewest;
   eo.run.queue_limit = 4;
   eo.run.max_inflight = 4;
-  WorkloadOptions wo = test::SmallWorkload(20000);
-  wo.arrival_rate_per_sec = 300;
-  std::vector<Arrival> arrivals =
-      WorkloadGenerator(wo, eo.num_items, eo.num_user_sites, Rng(11))
-          .Generate();
-  for (Arrival& a : arrivals) a.spec.deadline = 10 * kSecond;
+  ScenarioClass wo = test::SmallWorkload(20000);
+  wo.rate = 300;
+  wo.deadline = 10 * kSecond;
+  std::vector<Arrival> arrivals = test::DrawClass(wo, eo, Rng(11));
 
   std::uint64_t commits = 0;
   std::uint64_t warm_allocations = 0;
@@ -91,16 +89,20 @@ TEST(SteadyStateTest, WarmCappedRunAllocatesNothingPerCommit) {
       measured_allocations = g_allocations.load() - warm_allocations;
     }
   };
-  Engine engine(eo, callbacks);
-  engine.SetArrivalStream(MakeVectorStream(std::move(arrivals)));
-  const RunSummary s = engine.Run();
+  const auto engine =
+      EngineBuilder(eo)
+          .WithCallbacks(callbacks)
+          .WithArrivalStream(MakeVectorStream(std::move(arrivals)))
+          .Build()
+          .value();
+  const RunSummary s = engine->Run();
   ASSERT_TRUE(s.status.ok()) << s.status.ToString();
   ASSERT_GE(s.committed, kWarmCommits + kMeasuredCommits);
   EXPECT_GT(s.shed, 0u);
   EXPECT_EQ(s.expired, 0u);
   EXPECT_EQ(measured_allocations, 0u);
-  EXPECT_TRUE(engine.CheckSerializability().serializable);
-  EXPECT_EQ(engine.log().Held(), 0u);
+  EXPECT_TRUE(engine->CheckSerializability().serializable);
+  EXPECT_EQ(engine->log().Held(), 0u);
 }
 
 // A closed batch: queueing N time-ordered arrivals copies no block per
@@ -139,18 +141,19 @@ TEST(SteadyStateTest, BatchQueuesPerBlockAndWarmAdmissionAllocatesNothing) {
   callbacks.on_commit = [&](const TxnResult&) {
     if (++commits == kWarmCommits) warm_allocations = g_allocations.load();
   };
-  Engine engine(eo, callbacks);
+  const auto engine =
+      EngineBuilder(eo).WithCallbacks(callbacks).Build().value();
   const std::uint64_t before_queueing = g_allocations.load();
-  ASSERT_TRUE(engine.AddWorkload(arrivals).ok());
+  ASSERT_TRUE(engine->AddWorkload(arrivals).ok());
   const std::uint64_t queueing = g_allocations.load() - before_queueing;
   // A copy per spec would make at least two allocations (both sets).
   EXPECT_LT(queueing, kTxns / 4);
-  const RunSummary s = engine.Run();
+  const RunSummary s = engine->Run();
   const std::uint64_t after_warm = g_allocations.load() - warm_allocations;
   ASSERT_TRUE(s.status.ok()) << s.status.ToString();
   ASSERT_EQ(s.committed, kTxns);
   EXPECT_EQ(after_warm, 0u);
-  EXPECT_TRUE(engine.CheckSerializability().serializable);
+  EXPECT_TRUE(engine->CheckSerializability().serializable);
 }
 
 }  // namespace

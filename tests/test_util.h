@@ -4,9 +4,12 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
-#include "engine/engine.h"
-#include "workload/generator.h"
+#include "common/check.h"
+#include "engine/builder.h"
+#include "scenario/scenario.h"
+#include "workload/stream.h"
 
 namespace unicc::test {
 
@@ -23,15 +26,32 @@ inline EngineOptions SmallEngine(std::uint64_t seed = 7) {
   return o;
 }
 
-inline WorkloadOptions SmallWorkload(std::uint64_t num_txns = 100) {
-  WorkloadOptions w;
-  w.arrival_rate_per_sec = 40;
-  w.num_txns = num_txns;
-  w.size_min = 2;
-  w.size_max = 4;
-  w.read_fraction = 0.5;
-  w.compute_time = 2 * kMillisecond;
-  return w;
+// A small workload class: 2-4 items, half reads, 2 ms compute, 40
+// arrivals/s, uniform popularity drawn as a Zipf CDF walk at theta = 0.
+inline ScenarioClass SmallWorkload(std::uint64_t num_txns = 100) {
+  ScenarioClass c;
+  c.txns = num_txns;
+  c.rate = 40;
+  c.size_min = 2;
+  c.size_max = 4;
+  c.read_fraction = 0.5;
+  c.access = ScenarioClass::AccessKind::kZipf;
+  c.compute_time = 2 * kMillisecond;
+  return c;
+}
+
+// Every arrival `stream` has left, in order.
+inline std::vector<Arrival> Drain(ArrivalStream& stream) {
+  std::vector<Arrival> out;
+  Arrival a;
+  while (stream.Next(&a)) out.push_back(std::move(a));
+  return out;
+}
+
+// Class `c` drawn over `eo`'s items and user sites from `rng`.
+inline std::vector<Arrival> DrawClass(const ScenarioClass& c,
+                                      const EngineOptions& eo, Rng rng) {
+  return Drain(*OpenClass(c, eo.num_items, eo.num_user_sites, rng));
 }
 
 // An engine plus the summary of its completed run.
@@ -40,16 +60,16 @@ struct WorkloadRun {
   RunSummary summary;
 };
 
-// Runs a generated workload to completion.
+// Runs class `wo`, admitted as one batch, to completion.
 inline WorkloadRun RunWorkload(const EngineOptions& eo,
-                               const WorkloadOptions& wo,
+                               const ScenarioClass& wo,
                                ProtocolPolicy policy) {
   WorkloadRun run;
-  run.engine = std::make_unique<Engine>(eo);
-  WorkloadGenerator gen(wo, eo.num_items, eo.num_user_sites,
-                        Rng(eo.seed ^ 0x9e3779b9));
-  run.engine->SetProtocolPolicy(std::move(policy));
-  UNICC_CHECK(run.engine->AddWorkload(gen.Generate()).ok());
+  run.engine =
+      EngineBuilder(eo).WithProtocolPolicy(std::move(policy)).Build().value();
+  const std::vector<Arrival> arrivals =
+      DrawClass(wo, eo, Rng(eo.seed ^ 0x9e3779b9));
+  UNICC_CHECK(run.engine->AddWorkload(arrivals).ok());
   run.summary = run.engine->Run();
   return run;
 }

@@ -48,23 +48,25 @@ using runner::RunReport;
 // Grid definition
 // ---------------------------------------------------------------------------
 
-// The knobs a built-in grid varies. Every cell runs on 4 user + 4 data
-// sites, one copy per item, 5 ms links with 2 ms mean jitter and uniform
-// item popularity; --txns sets its transaction count.
-struct BenchConfig {
-  ItemId num_items = 60;
-  double lambda = 20;  // arrivals per second
-  std::uint32_t size_min = 4;
-  std::uint32_t size_max = 4;
-  double read_fraction = 0.5;
-  Duration compute_time = 5 * kMillisecond;
-  BackendKind backend = BackendKind::kUnified;
-  bool semi_locks = true;
-  Timestamp backoff_interval = 64;  // PA back-off interval INT
-  std::uint64_t seed = 1234;
-  // A kMix policy keeps the default even weights.
-  ScenarioPolicy policy;
-};
+// The base of every built-in grid cell: 4 user + 4 data sites, one copy
+// per item, 5 ms links with 2 ms mean jitter, back-off interval 64, seed
+// 1234, a fixed 2PL policy (a kMix policy keeps the default even weights)
+// and one class (`grid`) of 4-item transactions, half reads, 5 ms
+// compute, at 20 arrivals/s over 60 items. Its popularity is uniform,
+// drawn as a Zipf CDF walk at theta = 0. --txns sets the class's count.
+ScenarioSpec BaseCell() {
+  ScenarioSpec spec;
+  spec.engine.num_items = 60;
+  spec.engine.network.base_delay = 5 * kMillisecond;
+  spec.engine.network.jitter_mean = 2 * kMillisecond;
+  spec.engine.default_backoff_interval = 64;
+  spec.engine.seed = 1234;
+  ScenarioClass& grid = spec.classes.emplace_back();
+  grid.name = "grid";
+  grid.rate = 20;
+  grid.access = ScenarioClass::AccessKind::kZipf;
+  return spec;
+}
 
 // One named parameter of a cell. The JSON writer emits a number's value
 // bare and a label's value as a string.
@@ -88,7 +90,7 @@ Param StrParam(std::string key, std::string v) {
 // values that identify the point in the report.
 struct Cell {
   std::vector<Param> params;
-  BenchConfig cfg;
+  ScenarioSpec spec;
 };
 
 struct Experiment {
@@ -121,19 +123,23 @@ std::map<std::string, std::string> TableColumns(const runner::RunStats& s) {
 }
 
 // Appends one cell per protocol for a pure-protocol baseline sweep (T/O on
-// Basic T/O, 2PL and PA on the unified backend under a fixed policy).
-void AddPureProtocolCells(Experiment* exp, BenchConfig cfg,
+// Basic T/O, without a detector since it cannot deadlock; 2PL and PA on
+// the unified backend under a fixed policy).
+void AddPureProtocolCells(Experiment* exp, const ScenarioSpec& cell,
                           const std::vector<Param>& params) {
   for (Protocol p :
        {Protocol::kTwoPhaseLocking, Protocol::kTimestampOrdering,
         Protocol::kPrecedenceAgreement}) {
-    cfg.backend = p == Protocol::kTimestampOrdering ? BackendKind::kBasicTo
-                                                    : BackendKind::kUnified;
-    cfg.policy.fixed = p;
+    ScenarioSpec pure = cell;
+    if (p == Protocol::kTimestampOrdering) {
+      pure.engine.backend = BackendKind::kBasicTo;
+      pure.engine.detector = DetectorKind::kNone;
+    }
+    pure.policy.fixed = p;
     std::vector<Param> cell_params = params;
     cell_params.push_back(
         StrParam("protocol", std::string(ProtocolToken(p))));
-    exp->cells.push_back({std::move(cell_params), cfg});
+    exp->cells.push_back({std::move(cell_params), std::move(pure)});
   }
 }
 
@@ -145,10 +151,11 @@ Experiment MakeE1() {
       "system time and throughput vs arrival rate lambda "
       "(pure backends, 60 items, st=4, 50% reads)";
   exp.columns = {"S[ms]", "deadlock victims", "restarts", "backoff rounds"};
-  BenchConfig cfg;
+  ScenarioSpec cell = BaseCell();
+  ScenarioClass& grid = cell.classes[0];
   for (double lambda : {10.0, 25.0, 50.0, 100.0, 150.0, 200.0, 250.0}) {
-    cfg.lambda = lambda;
-    AddPureProtocolCells(&exp, cfg, {NumParam("lambda", lambda)});
+    grid.rate = lambda;
+    AddPureProtocolCells(&exp, cell, {NumParam("lambda", lambda)});
   }
   return exp;
 }
@@ -162,12 +169,13 @@ Experiment MakeE2() {
       "(pure backends, lambda=40, 60 items, 50% reads)";
   exp.columns = {"S[ms]", "committed", "deadlock victims", "restarts",
                  "backoff rounds"};
-  BenchConfig cfg;
-  cfg.lambda = 40;
+  ScenarioSpec cell = BaseCell();
+  ScenarioClass& grid = cell.classes[0];
+  grid.rate = 40;
   for (std::uint32_t st : {2u, 4u, 6u, 8u, 12u, 16u}) {
-    cfg.size_min = st;
-    cfg.size_max = st;
-    AddPureProtocolCells(&exp, cfg, {NumParam("txn_size", st)});
+    grid.size_min = st;
+    grid.size_max = st;
+    AddPureProtocolCells(&exp, cell, {NumParam("txn_size", st)});
   }
   return exp;
 }
@@ -183,13 +191,14 @@ Experiment MakeE3() {
       "(pure backends, lambda=150, 40 items, st=3-5, 30% reads)";
   exp.columns = {"committed", "deadlock victims", "restarts",
                  "backoff rounds", "S[ms]", "serializable"};
-  BenchConfig cfg;
-  cfg.lambda = 150;
-  cfg.num_items = 40;
-  cfg.size_min = 3;
-  cfg.size_max = 5;
-  cfg.read_fraction = 0.3;
-  AddPureProtocolCells(&exp, cfg, {});
+  ScenarioSpec cell = BaseCell();
+  ScenarioClass& grid = cell.classes[0];
+  grid.rate = 150;
+  cell.engine.num_items = 40;
+  grid.size_min = 3;
+  grid.size_max = 5;
+  grid.read_fraction = 0.3;
+  AddPureProtocolCells(&exp, cell, {});
   return exp;
 }
 
@@ -201,12 +210,13 @@ Experiment MakeE4() {
       "concurrency-control messages per committed txn vs lambda "
       "(pure backends, 120 items, st=4, 30% reads)";
   exp.columns = {"cc-msg/txn", "backoff rounds"};
-  BenchConfig cfg;
-  cfg.num_items = 120;
-  cfg.read_fraction = 0.3;
+  ScenarioSpec cell = BaseCell();
+  ScenarioClass& grid = cell.classes[0];
+  cell.engine.num_items = 120;
+  grid.read_fraction = 0.3;
   for (double lambda : {10.0, 30.0, 60.0, 100.0, 150.0, 200.0}) {
-    cfg.lambda = lambda;
-    AddPureProtocolCells(&exp, cfg, {NumParam("lambda", lambda)});
+    grid.rate = lambda;
+    AddPureProtocolCells(&exp, cell, {NumParam("lambda", lambda)});
   }
   return exp;
 }
@@ -232,14 +242,15 @@ Experiment MakeE5() {
       {"min-stl", Kind::kMinStl, Protocol::kTwoPhaseLocking},
       {"min-avg-time", Kind::kMinAvgTime, Protocol::kTwoPhaseLocking},
   };
-  BenchConfig cfg;
+  ScenarioSpec cell = BaseCell();
+  ScenarioClass& grid = cell.classes[0];
   for (double lambda : {10.0, 30.0, 75.0, 150.0, 250.0}) {
     for (const PolicyPoint& p : policies) {
-      cfg.lambda = lambda;
-      cfg.policy.kind = p.kind;
-      cfg.policy.fixed = p.fixed;
+      grid.rate = lambda;
+      cell.policy.kind = p.kind;
+      cell.policy.fixed = p.fixed;
       exp.cells.push_back(
-          {{NumParam("lambda", lambda), StrParam("policy", p.label)}, cfg});
+          {{NumParam("lambda", lambda), StrParam("policy", p.label)}, cell});
     }
   }
   return exp;
@@ -254,23 +265,24 @@ Experiment MakeE6() {
       "semi-lock ablation "
       "(unified backend, 30 items, st=4, 60% reads, compute 10 ms)";
   exp.columns = {"S[ms]", "S T/O[ms]", "restarts"};
-  BenchConfig cfg;
-  cfg.num_items = 30;
-  cfg.read_fraction = 0.6;
-  cfg.compute_time = 10 * kMillisecond;
-  cfg.policy.fixed = Protocol::kTimestampOrdering;
+  ScenarioSpec cell = BaseCell();
+  ScenarioClass& grid = cell.classes[0];
+  cell.engine.num_items = 30;
+  grid.read_fraction = 0.6;
+  grid.compute_time = 10 * kMillisecond;
+  cell.policy.fixed = Protocol::kTimestampOrdering;
   for (double lambda : {40.0, 80.0, 120.0}) {
     for (bool all_to : {true, false}) {
       for (bool semi : {true, false}) {
-        cfg.lambda = lambda;
-        cfg.policy.kind =
+        grid.rate = lambda;
+        cell.policy.kind =
             all_to ? ScenarioPolicy::Kind::kFixed : ScenarioPolicy::Kind::kMix;
-        cfg.semi_locks = semi;
+        cell.engine.semi_locks = semi;
         exp.cells.push_back(
             {{NumParam("lambda", lambda),
               StrParam("population", all_to ? "all-to" : "mix"),
               StrParam("variant", semi ? "semi-locks" : "lock-everything")},
-             cfg});
+             cell});
       }
     }
   }
@@ -299,19 +311,20 @@ Experiment MakeE7() {
       {"high load, lock-everything", 60, 60, 0.3, false},
       {"write-only, hot items", 35, 20, 0.0, true},
   };
-  BenchConfig cfg;
-  cfg.policy.kind = ScenarioPolicy::Kind::kMix;
+  ScenarioSpec cell = BaseCell();
+  ScenarioClass& grid = cell.classes[0];
+  cell.policy.kind = ScenarioPolicy::Kind::kMix;
   for (const Case& c : cases) {
     for (std::uint64_t k = 1; k <= 8; ++k) {
-      cfg.lambda = c.lambda;
-      cfg.num_items = c.items;
-      cfg.read_fraction = c.reads;
-      cfg.semi_locks = c.semi;
-      cfg.seed = k * 7919;
+      grid.rate = c.lambda;
+      cell.engine.num_items = c.items;
+      grid.read_fraction = c.reads;
+      cell.engine.semi_locks = c.semi;
+      cell.engine.seed = k * 7919;
       exp.cells.push_back(
           {{StrParam("case", c.name),
-            NumParam("seed", static_cast<double>(cfg.seed))},
-           cfg});
+            NumParam("seed", static_cast<double>(cell.engine.seed))},
+           cell});
     }
   }
   return exp;
@@ -326,19 +339,20 @@ Experiment MakeE9() {
       "PA back-off interval INT sweep "
       "(pure PA backend, lambda=80, 30 items, st=4, 30% reads)";
   exp.columns = {"S[ms]", "p95[ms]", "backoff rounds"};
-  BenchConfig cfg;
-  cfg.lambda = 80;
-  cfg.num_items = 30;
-  cfg.read_fraction = 0.3;
-  cfg.policy.fixed = Protocol::kPrecedenceAgreement;
-  cfg.seed = 4242;
+  ScenarioSpec cell = BaseCell();
+  ScenarioClass& grid = cell.classes[0];
+  grid.rate = 80;
+  cell.engine.num_items = 30;
+  grid.read_fraction = 0.3;
+  cell.policy.fixed = Protocol::kPrecedenceAgreement;
+  cell.engine.seed = 4242;
   for (Timestamp interval : {1u, 4u, 16u, 64u, 256u, 1024u, 4096u, 16384u,
                              65536u, 262144u}) {
-    cfg.backoff_interval = interval;
+    cell.engine.default_backoff_interval = interval;
     exp.cells.push_back(
         {{NumParam("backoff_interval", static_cast<double>(interval)),
           StrParam("protocol", "pa")},
-         cfg});
+         cell});
   }
   return exp;
 }
@@ -355,32 +369,16 @@ RunReport RunSpec(runner::RunRequest request) {
   return (*session)->Run();
 }
 
-// Runs one built-in grid cell of `txns` transactions.
-RunReport RunOneReport(const BenchConfig& cfg, std::uint64_t txns) {
-  ScenarioSpec spec;
-  EngineOptions& eo = spec.engine;
-  eo.num_items = cfg.num_items;
-  eo.network.base_delay = 5 * kMillisecond;
-  eo.network.jitter_mean = 2 * kMillisecond;
-  eo.backend = cfg.backend;
-  eo.semi_locks = cfg.semi_locks;
-  eo.default_backoff_interval = cfg.backoff_interval;
-  eo.seed = cfg.seed;
-  // Basic T/O cannot deadlock.
-  if (cfg.backend == BackendKind::kBasicTo) eo.detector = DetectorKind::kNone;
-  spec.policy = cfg.policy;
-
-  WorkloadOptions wo;
-  wo.arrival_rate_per_sec = cfg.lambda;
-  wo.num_txns = txns;
-  wo.size_min = cfg.size_min;
-  wo.size_max = cfg.size_max;
-  wo.read_fraction = cfg.read_fraction;
-  wo.compute_time = cfg.compute_time;
+// Runs one built-in grid cell of `txns` transactions. Its class draws
+// from an Rng of its own, seeded from the engine seed.
+RunReport RunOneReport(ScenarioSpec cell, std::uint64_t txns) {
+  ScenarioClass& grid = cell.classes[0];
+  grid.txns = txns;
   runner::RunRequest request;
-  request.spec = &spec;
-  request.arrival_stream = MakeGeneratorStream(
-      wo, cfg.num_items, eo.num_user_sites, Rng(cfg.seed ^ 0x5bd1e995));
+  request.spec = &cell;
+  request.arrival_stream =
+      OpenClass(grid, cell.engine.num_items, cell.engine.num_user_sites,
+                Rng(cell.engine.seed ^ 0x5bd1e995));
   return RunSpec(std::move(request));
 }
 
@@ -760,8 +758,8 @@ void PrintHelp() {
       "  --exp=e1,e2,...     comma list of experiments e1-e7, e9\n"
       "                      (default: all)\n"
       "  --threads=<n>       worker threads (default: hardware, min 4)\n"
-      "  --txns=<n>          transactions per cell (default: 300;\n"
-      "                      built-in grids only)\n"
+      "  --txns=<n>          transactions per cell, at least 1 (default:\n"
+      "                      300; built-in grids only)\n"
       "  --out-dir=<dir>     output directory for BENCH_*.json (default .)\n"
       "  --scenario=<file>   sweep a declarative scenario file instead of\n"
       "                      the built-in grids (see docs/scenarios.md);\n"
@@ -804,6 +802,11 @@ int main(int argc, char** argv) {
     } else if (flags::ParseNumberFlag(a, "--threads", &num_threads)) {
       num_threads = std::max(1u, num_threads);
     } else if (flags::ParseNumberFlag(a, "--txns", &txns)) {
+      // A grid cell's class, like any scenario class, has a transaction.
+      if (txns == 0) {
+        flags::BadFlag("--txns", std::strchr(a, '=') + 1,
+                       "an unsigned integer >= 1");
+      }
       txns_set = true;
     } else {
       std::fprintf(stderr, "unknown flag '%s' (try --help)\n", a);
@@ -871,7 +874,7 @@ int main(int argc, char** argv) {
 
   const std::vector<RunReport> results =
       RunIndexed(all_cells.size(), num_threads, [&](std::size_t i) {
-        return RunOneReport(all_cells[i]->cfg, txns);
+        return RunOneReport(all_cells[i]->spec, txns);
       });
 
   bool ok = true;

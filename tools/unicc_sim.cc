@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
     // The session opens the workload itself. CSV export (and a text
     // recording) describe the workload definition, which [run] controls
     // may only partially admit; those still materialize it. A v2
-    // recording streams generator -> writer below without materializing.
+    // recording streams the scenario into the writer below instead.
     if (!flags.export_csv.empty() ||
         (!flags.record_trace.empty() && record_text)) {
       arrivals = spec.BuildWorkload().arrivals;
