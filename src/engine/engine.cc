@@ -94,15 +94,9 @@ void Engine::BuildSites() {
   ctx.log = &checker_;
 
   CcHooks qm_hooks;
-  qm_hooks.on_grant = [this](const CopyId& c, OpType op, Protocol p) {
-    if (callbacks_.on_grant) callbacks_.on_grant(c, op, p);
-  };
-  qm_hooks.on_reject = [this](OpType op, Protocol p) {
-    if (callbacks_.on_reject) callbacks_.on_reject(op, p);
-  };
-  qm_hooks.on_backoff_offer = [this](OpType op) {
-    if (callbacks_.on_backoff_offer) callbacks_.on_backoff_offer(op);
-  };
+  qm_hooks.on_grant = callbacks_.on_grant;
+  qm_hooks.on_reject = callbacks_.on_reject;
+  qm_hooks.on_backoff_offer = callbacks_.on_backoff_offer;
 
   // Data sites: Basic T/O, or the unified queue manager, which reduces to
   // pure 2PL or pure PA when every transaction uses that protocol.
@@ -155,12 +149,8 @@ void Engine::BuildSites() {
       CheckQuiescent();
       if (callbacks_.on_commit) callbacks_.on_commit(r);
     };
-    events.on_request_sent = [this](Protocol p, OpType op) {
-      if (callbacks_.on_request_sent) callbacks_.on_request_sent(p, op);
-    };
-    events.on_lock_hold = [this](Protocol p, Duration d, bool aborted) {
-      if (callbacks_.on_lock_hold) callbacks_.on_lock_hold(p, d, aborted);
-    };
+    events.on_request_sent = callbacks_.on_request_sent;
+    events.on_lock_hold = callbacks_.on_lock_hold;
     events.on_restart = [this](Protocol p, TxnOutcome why) {
       metrics_.OnRestart(p, why);
       if (timeline_ != nullptr) timeline_->OnRestart(sim_.Now(), p);
@@ -256,18 +246,24 @@ void Engine::RouteToDetectorSite(SiteId from, const Message& m) {
 }
 
 Status Engine::ValidateSpec(const TxnSpec& spec) const {
-  if (Status s = spec.Validate(); !s.ok()) return s;
+  auto fail = [&spec](const std::string& what) {
+    return Status::InvalidArgument("txn " + std::to_string(spec.id) + ": " +
+                                   what);
+  };
+  if (Status s = spec.Validate(); !s.ok()) return fail(s.message());
   if (spec.home >= options_.num_user_sites) {
-    return Status::InvalidArgument("home is not a user site");
+    return fail("home " + std::to_string(spec.home) +
+                " is not a user site (" +
+                std::to_string(options_.num_user_sites) + " user sites)");
   }
-  for (ItemId item : spec.read_set) {
-    if (item >= options_.num_items) {
-      return Status::InvalidArgument("read_set item out of range");
-    }
-  }
-  for (ItemId item : spec.write_set) {
-    if (item >= options_.num_items) {
-      return Status::InvalidArgument("write_set item out of range");
+  for (const auto* set : {&spec.read_set, &spec.write_set}) {
+    for (ItemId item : *set) {
+      if (item >= options_.num_items) {
+        return fail(std::string(set == &spec.read_set ? "read" : "write") +
+                    "_set item " + std::to_string(item) +
+                    " is out of range (" +
+                    std::to_string(options_.num_items) + " items)");
+      }
     }
   }
   return Status::OK();
@@ -387,7 +383,9 @@ void Engine::PullNextArrival() {
   Arrival a;
   if (stream_ != nullptr && stream_->Next(&a) &&
       (options_.run.time_horizon == 0 ||
-       a.when <= options_.run.time_horizon)) {
+       a.when <= options_.run.time_horizon) &&
+      // An arrival that does not fit the cluster fails the stream.
+      (stream_status_ = ValidateSpec(a.spec)).ok()) {
     ++offered_;
     next_arrival_ = std::move(a);
     arrival_scheduled_ = true;
@@ -397,7 +395,11 @@ void Engine::PullNextArrival() {
     next_arrival_event_ = sim_.ScheduleAt(when, [this] { OnArrivalDue(); });
     return;
   }
-  // Exhausted (or the next arrival is past the horizon): close the stream.
+  // Exhausted, failed, or past the horizon: close the stream. Run()
+  // reports a failure.
+  if (stream_ != nullptr && stream_status_.ok()) {
+    stream_status_ = stream_->status();
+  }
   stream_.reset();
   CheckQuiescent();
 }
@@ -420,8 +422,6 @@ void Engine::OnArrivalDue() {
 }
 
 void Engine::AdmitArrival(Arrival arrival) {
-  UNICC_CHECK_MSG(ValidateSpec(arrival.spec).ok(),
-                  "arrival stream produced an invalid spec");
   ++admitted_;
   // An arrival parked at the gate enters late (at the freeing commit's
   // time) but keeps its stream arrival timestamp, so system time includes
@@ -610,7 +610,7 @@ RunSummary Engine::Run() {
     status = RunWatched();
   }
   RunSummary summary = Summarize();
-  summary.status = std::move(status);
+  summary.status = status.ok() ? stream_status_ : std::move(status);
   return summary;
 }
 

@@ -65,6 +65,10 @@ struct RunSummary {
   // OK for a run that drained. FailedPrecondition when the run watchdog
   // (options().watchdog) cancelled it; the message names the last
   // progress point and the summary describes the partial run.
+  // InvalidArgument when the arrival stream failed: it yielded an arrival
+  // that does not fit the cluster (the message names the transaction and
+  // the field), or ended on bad input. Admission stopped there, and the
+  // summary describes the work admitted before it.
   Status status = Status::OK();
 };
 
@@ -78,10 +82,12 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   // Admits one transaction at absolute simulated time `when`. `spec.home`
-  // must be a valid user site; `spec.protocol` is used as-is unless a
-  // protocol policy is installed. The spec is copied into the batch FIFO
-  // (see AddWorkload), so the caller may reuse it at once. `compute`, if
-  // set, computes the transaction's writes from its reads.
+  // must be a valid user site and every item below num_items, or the
+  // InvalidArgument names the transaction and the field; `spec.protocol`
+  // is used as-is unless a protocol policy is installed. The spec is
+  // copied into the batch FIFO (see AddWorkload), so the caller may reuse
+  // it at once. `compute`, if set, computes the transaction's writes from
+  // its reads.
   Status AddTransaction(SimTime when, const TxnSpec& spec,
                         ComputeFn compute = nullptr);
 
@@ -288,6 +294,7 @@ class Engine {
   // Streaming admission state: at most one pulled-ahead arrival exists at
   // any time (the bounded admission horizon).
   std::unique_ptr<ArrivalStream> stream_;
+  Status stream_status_;  // why the stream failed, for Run() to report
   Arrival next_arrival_;
   std::uint64_t next_arrival_event_ = 0;
   bool arrival_scheduled_ = false;  // gate event pending in the simulator

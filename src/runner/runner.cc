@@ -249,11 +249,15 @@ RunReport RunSession::Run() {
     // reserving its sequence number as it is queued; pulled during the
     // run, each would draw one after events scheduled in between, and
     // ties would break differently. One Arrival is reused throughout, so
-    // the stream draws into the capacity its access sets already have.
+    // the stream draws into the capacity its access sets already have. A
+    // stream that fails, or an arrival that does not fit the cluster,
+    // stops the run before it starts.
     Arrival a;
-    while (stream->Next(&a)) {
-      UNICC_CHECK(engine_->AddTransaction(a.when, a.spec).ok());
+    while (report.status.ok() && stream->Next(&a)) {
+      report.status = engine_->AddTransaction(a.when, a.spec);
     }
+    if (report.status.ok()) report.status = stream->status();
+    if (!report.status.ok()) return report;
     stream.reset();
   }
   report.setup_s = SecondsSince(&mark);

@@ -73,8 +73,8 @@ struct RunRequest {
   std::optional<std::uint64_t> seed;
 
   // The workload, when not the spec's own (spec->Open()): a replayed
-  // trace, a loaded or generated vector (MakeVectorStream) or one class
-  // opened on its own Rng (OpenClass, sweep_runner's grid cells).
+  // trace (OpenTraceReader) or one class opened on its own Rng
+  // (OpenClass, sweep_runner's grid cells).
   // `forced` carries its forced-protocol set.
   std::unique_ptr<ArrivalStream> arrival_stream;
   std::shared_ptr<const std::unordered_set<TxnId>> forced;
@@ -90,6 +90,8 @@ struct RunReport {
   // the last progress point. Stats/summary then describe the partial run.
   // FailedPrecondition also when a drained run breaks an accounting
   // identity (see CheckAccounting); the message names the identity.
+  // InvalidArgument when the workload stream failed (RunSummary::status):
+  // a closed system then runs nothing, and the stats are left empty.
   Status status = Status::OK();
   // Wall-clock seconds per phase of Run(): setup (workload resolution,
   // engine build, admission), simulate (the event loop, which also feeds

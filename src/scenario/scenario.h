@@ -183,8 +183,8 @@ struct ScenarioSpec {
   };
   OpenWorkload Open() const;
 
-  // The materialized workload (the stream drained into a vector); the
-  // closed-batch paths and trace recording use this form.
+  // The materialized workload (the stream drained into a vector), for
+  // callers that keep every arrival: the benchmark harness and tests.
   struct Workload {
     std::vector<Arrival> arrivals;
     std::shared_ptr<std::unordered_set<TxnId>> forced;

@@ -1,50 +1,60 @@
-// Workload trace record/replay: serialize a generated arrival schedule and
-// load it back, so experiments can be re-run on the exact same workload
-// across engine configurations or library versions.
+// Workload trace record/replay: write an arrival schedule out and read it
+// back, so experiments can be re-run on the exact same workload across
+// engine configurations or library versions. Every format streams: a
+// writer is an ArrivalSink taking one arrival at a time, a reader an
+// ArrivalStream, and arrival times must be nondecreasing in both.
 //
-// Two encodings live here:
-//  - Text (editable, diffable), one record per line:
+//  - Text (editable, diffable), one record per line; blank lines and
+//    lines starting with '#' are skipped:
 //      txn <id> <when_us> <home> <protocol> <compute_us> <backoff_interval>
 //          r <item>... w <item>...
-//  - CSV export (analysis-friendly, write-only): one row per transaction
-//    with ';'-separated access sets, for spreadsheets/pandas.
+//  - CSV export (analysis-friendly, write-only): the header row
+//      txn_id,arrival_us,home,protocol,compute_us,backoff_interval,
+//      reads,writes
+//    then one row per transaction, its access sets ';'-joined.
+//  - UCTC v2, the streaming columnar binary (workload/trace_io.h).
 //
-// The binary format is the streaming columnar "UCTC" v2 in
-// workload/trace_io.h; ReadFile sniffs its magic and routes v2 files
-// through the streaming reader, so text and v2 load through one entry
-// point.
+// The openers own the format decisions: OpenTraceReader follows the
+// file's leading bytes, OpenTraceWriter its name.
 #ifndef UNICC_WORKLOAD_TRACE_H_
 #define UNICC_WORKLOAD_TRACE_H_
 
+#include <cstdint>
+#include <istream>
+#include <memory>
+#include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "workload/stream.h"
 
 namespace unicc {
 
-class WorkloadTrace {
- public:
-  // Serializes arrivals to the trace text format.
-  static std::string Serialize(const std::vector<Arrival>& arrivals);
+enum class LineFormat : std::uint8_t { kText, kCsv };
 
-  // Parses a text trace; rejects malformed input.
-  static StatusOr<std::vector<Arrival>> Parse(const std::string& text);
+// Writes one line per arrival, in `format`, into `sink`, which must
+// outlive the writer (in-memory output, tests).
+std::unique_ptr<ArrivalSink> MakeLineWriter(std::ostream* sink,
+                                            LineFormat format);
 
-  // CSV export with a header row:
-  //   txn_id,arrival_us,home,protocol,compute_us,backoff_interval,reads,writes
-  // where reads/writes are ';'-joined item ids (empty cell when none).
-  static std::string ExportCsv(const std::vector<Arrival>& arrivals);
+// Parses a text trace from `in`, which must outlive the reader, one line
+// per Next(). Malformed input, an invalid spec or an arrival earlier than
+// the one before it ends the stream, and status() names the line.
+std::unique_ptr<ArrivalStream> MakeTextTraceReader(std::istream* in);
 
-  // Convenience file helpers. WriteFile emits text; ReadFile sniffs the
-  // magic and accepts text or UCTC v2 (the latter via the streaming
-  // reader). A retired UCTB v1 file is an InvalidArgument that says how
-  // to convert it.
-  static Status WriteFile(const std::string& path,
-                          const std::vector<Arrival>& arrivals);
-  static StatusOr<std::vector<Arrival>> ReadFile(const std::string& path);
-};
+// Opens a trace for replay in the format its leading bytes name: the
+// UCTC v2 magic, else text. A retired UCTB v1 file is an InvalidArgument
+// that says how to convert it.
+StatusOr<std::unique_ptr<ArrivalStream>> OpenTraceReader(
+    const std::string& path);
+
+// Opens a trace for recording: text when `path` ends in .txt, UCTC v2
+// otherwise.
+StatusOr<std::unique_ptr<ArrivalSink>> OpenTraceWriter(
+    const std::string& path);
+
+// Opens a CSV export.
+StatusOr<std::unique_ptr<ArrivalSink>> OpenCsvExport(const std::string& path);
 
 }  // namespace unicc
 

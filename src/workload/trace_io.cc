@@ -33,11 +33,6 @@ std::uint64_t DecodeLe(const char* p, int bytes) {
 
 }  // namespace
 
-bool LooksLikeTraceV2(const char* bytes, std::size_t len) {
-  return len >= sizeof(kTraceV2Magic) &&
-         std::memcmp(bytes, kTraceV2Magic, sizeof(kTraceV2Magic)) == 0;
-}
-
 std::uint64_t FoldArrivalDigest(std::uint64_t digest, const Arrival& a) {
   auto mix = [&digest](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -58,37 +53,34 @@ std::uint64_t FoldArrivalDigest(std::uint64_t digest, const Arrival& a) {
   return digest;
 }
 
+Status CheckAppend(const Arrival& a, std::uint64_t index, SimTime last_when) {
+  if (index > 0 && a.when < last_when) {
+    return Status::InvalidArgument(
+        "trace arrivals must be in nondecreasing time order (record " +
+        std::to_string(index) + ")");
+  }
+  if (Status s = a.spec.Validate(); !s.ok()) {
+    return Status::InvalidArgument("trace record " + std::to_string(index) +
+                                   ": " + s.message());
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // TraceWriter
 // ---------------------------------------------------------------------------
 
-TraceWriter::TraceWriter(std::unique_ptr<std::ofstream> owned,
+TraceWriter::TraceWriter(std::unique_ptr<std::ostream> owned,
                          std::ostream* sink, Options options)
     : owned_(std::move(owned)), sink_(sink), options_(options) {
   if (options_.block_records == 0) options_.block_records = 1;
 }
 
-StatusOr<std::unique_ptr<TraceWriter>> TraceWriter::Open(
-    const std::string& path, Options options) {
-  auto file = std::make_unique<std::ofstream>(
-      path, std::ios::binary | std::ios::trunc);
-  if (!*file) return Status::Internal("cannot open " + path);
-  std::ostream* sink = file.get();
-  auto writer = std::unique_ptr<TraceWriter>(
-      new TraceWriter(std::move(file), sink, options));
-  std::string header;
-  header.append(kTraceV2Magic, sizeof(kTraceV2Magic));
-  AppendLe(&header, kTraceV2Version, 2);
-  AppendLe(&header, writer->options_.block_records, 4);
-  if (Status s = writer->Emit(header); !s.ok()) return s;
-  return writer;
-}
-
 StatusOr<std::unique_ptr<TraceWriter>> TraceWriter::ToStream(
-    std::ostream* sink, Options options) {
+    std::ostream* sink, Options options, std::unique_ptr<std::ostream> owned) {
   UNICC_CHECK(sink != nullptr);
-  auto writer =
-      std::unique_ptr<TraceWriter>(new TraceWriter(nullptr, sink, options));
+  auto writer = std::unique_ptr<TraceWriter>(
+      new TraceWriter(std::move(owned), sink, options));
   std::string header;
   header.append(kTraceV2Magic, sizeof(kTraceV2Magic));
   AppendLe(&header, kTraceV2Version, 2);
@@ -112,15 +104,7 @@ Status TraceWriter::Append(const Arrival& a) {
   if (finished_) {
     return Status::FailedPrecondition("TraceWriter already finished");
   }
-  if (records_ > 0 && a.when < last_when_) {
-    return Status::InvalidArgument(
-        "trace arrivals must be in nondecreasing time order (record " +
-        std::to_string(records_) + ")");
-  }
-  if (Status s = a.spec.Validate(); !s.ok()) {
-    return Status::InvalidArgument("trace record " + std::to_string(records_) +
-                                   ": " + s.message());
-  }
+  if (Status s = CheckAppend(a, records_, last_when_); !s.ok()) return s;
   last_when_ = a.when;
   AppendLe(&col_id_, a.spec.id, 8);
   AppendLe(&col_when_, a.when, 8);
@@ -175,26 +159,13 @@ Status TraceWriter::Finish() {
 // TraceReader
 // ---------------------------------------------------------------------------
 
-TraceReader::TraceReader(std::unique_ptr<std::ifstream> owned,
+TraceReader::TraceReader(std::unique_ptr<std::istream> owned,
                          std::istream* in, std::uint64_t remaining)
     : owned_(std::move(owned)), in_(in), remaining_(remaining) {}
 
-StatusOr<std::unique_ptr<TraceReader>> TraceReader::Open(
-    const std::string& path) {
-  auto file = std::make_unique<std::ifstream>(path, std::ios::binary);
-  if (!*file) return Status::NotFound("cannot open " + path);
-  std::istream* in = file.get();
-  return Create(std::move(file), in);
-}
-
 StatusOr<std::unique_ptr<TraceReader>> TraceReader::FromStream(
-    std::istream* in) {
+    std::istream* in, std::unique_ptr<std::istream> owned) {
   UNICC_CHECK(in != nullptr);
-  return Create(nullptr, in);
-}
-
-StatusOr<std::unique_ptr<TraceReader>> TraceReader::Create(
-    std::unique_ptr<std::ifstream> owned, std::istream* in) {
   // Size the input up front so per-block counts can be bounded against
   // the real remaining bytes before anything is allocated.
   in->seekg(0, std::ios::end);
@@ -209,7 +180,7 @@ StatusOr<std::unique_ptr<TraceReader>> TraceReader::Create(
   }
   in->read(header, sizeof(header));
   if (!in->good()) return Status::Internal("v2 trace: header read failed");
-  if (!LooksLikeTraceV2(header, sizeof(header))) {
+  if (std::memcmp(header, kTraceV2Magic, sizeof(kTraceV2Magic)) != 0) {
     return Status::InvalidArgument("v2 trace: bad magic");
   }
   const std::uint64_t version = DecodeLe(header + 4, 2);
@@ -362,31 +333,6 @@ bool TraceReader::Next(Arrival* out) {
   *out = std::move(block_[pos_++]);
   ++records_read_;
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Convenience wrappers
-// ---------------------------------------------------------------------------
-
-Status WriteTraceV2File(const std::string& path,
-                        const std::vector<Arrival>& arrivals,
-                        TraceWriterOptions options) {
-  auto writer = TraceWriter::Open(path, options);
-  if (!writer.ok()) return writer.status();
-  for (const Arrival& a : arrivals) {
-    if (Status s = (*writer)->Append(a); !s.ok()) return s;
-  }
-  return (*writer)->Finish();
-}
-
-StatusOr<std::vector<Arrival>> ReadTraceV2File(const std::string& path) {
-  auto reader = TraceReader::Open(path);
-  if (!reader.ok()) return reader.status();
-  std::vector<Arrival> out;
-  Arrival a;
-  while ((*reader)->Next(&a)) out.push_back(std::move(a));
-  if (!(*reader)->status().ok()) return (*reader)->status();
-  return out;
 }
 
 }  // namespace unicc

@@ -5,8 +5,9 @@
 // fixed-capacity blocks and each block is written as contiguous
 // little-endian *columns*, so the writer holds at most one block, the
 // reader decodes one block at a time, and a scan touches each column as a
-// straight memcpy-friendly run of bytes. The editable text format lives
-// in workload/trace.h.
+// straight memcpy-friendly run of bytes. The editable text format, and
+// the openers that pick a format by file name or leading bytes, live in
+// workload/trace.h.
 //
 // File layout (all integers little-endian):
 //
@@ -34,7 +35,7 @@
 #define UNICC_WORKLOAD_TRACE_IO_H_
 
 #include <cstdint>
-#include <fstream>
+#include <istream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,14 +49,16 @@ namespace unicc {
 inline constexpr char kTraceV2Magic[4] = {'U', 'C', 'T', 'C'};
 inline constexpr std::uint16_t kTraceV2Version = 2;
 
-// True when `bytes` begin with the UCTC v2 magic.
-bool LooksLikeTraceV2(const char* bytes, std::size_t len);
-
 // Appends one arrival's deterministic fields into an FNV-1a digest. Seed
 // with kTraceDigestSeed and fold every arrival in order; writer-side and
 // reader-side digests must match after a round trip.
 inline constexpr std::uint64_t kTraceDigestSeed = 1469598103934665603ULL;
 std::uint64_t FoldArrivalDigest(std::uint64_t digest, const Arrival& a);
+
+// What every trace writer checks before taking `a` as its record number
+// `index`: a valid spec, and no arrival earlier than the last one's
+// `last_when`.
+Status CheckAppend(const Arrival& a, std::uint64_t index, SimTime last_when);
 
 // Records buffered per block by default; ~180KB of column builders for
 // typical read/write set sizes.
@@ -72,28 +75,26 @@ struct TraceWriterOptions {
 // block and the footer. Peak memory is one block regardless of trace
 // length. Arrival times must be nondecreasing (the ArrivalStream
 // contract); an out-of-order append fails with a Status.
-class TraceWriter {
+class TraceWriter final : public ArrivalSink {
  public:
   using Options = TraceWriterOptions;
 
-  // Opens `path` (truncating) and writes the file header.
-  static StatusOr<std::unique_ptr<TraceWriter>> Open(const std::string& path,
-                                                     Options options = {});
-  // Writes into a caller-owned sink (in-memory recording, tests). The
-  // sink must outlive the writer.
-  static StatusOr<std::unique_ptr<TraceWriter>> ToStream(std::ostream* sink,
-                                                         Options options = {});
+  // Writes the file header into `sink`, which must outlive the writer
+  // unless `owned` holds it (OpenTraceWriter's file).
+  static StatusOr<std::unique_ptr<TraceWriter>> ToStream(
+      std::ostream* sink, Options options = {},
+      std::unique_ptr<std::ostream> owned = nullptr);
 
   // Finishes implicitly, swallowing any late error — call Finish()
   // explicitly to observe it.
-  ~TraceWriter();
+  ~TraceWriter() override;
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  Status Append(const Arrival& a);
+  Status Append(const Arrival& a) override;
   // Flushes the buffered partial block and the footer. Idempotent; no
   // Append may follow.
-  Status Finish();
+  Status Finish() override;
 
   // Records appended so far (flushed or buffered).
   std::uint64_t records() const { return records_; }
@@ -103,13 +104,13 @@ class TraceWriter {
   std::uint32_t buffered() const { return count_; }
 
  private:
-  TraceWriter(std::unique_ptr<std::ofstream> owned, std::ostream* sink,
+  TraceWriter(std::unique_ptr<std::ostream> owned, std::ostream* sink,
               Options options);
 
   Status FlushBlock();
   Status Emit(const std::string& bytes);
 
-  std::unique_ptr<std::ofstream> owned_;  // null when writing to ToStream
+  std::unique_ptr<std::ostream> owned_;  // null for a caller-owned sink
   std::ostream* sink_;
   Options options_;
   bool finished_ = false;
@@ -132,35 +133,31 @@ class TraceWriter {
 // always check status() after a stream is exhausted.
 class TraceReader final : public ArrivalStream {
  public:
-  // Opens `path` and validates the file header.
-  static StatusOr<std::unique_ptr<TraceReader>> Open(const std::string& path);
-  // Reads from a caller-owned seekable stream (tests). The stream must
-  // outlive the reader.
-  static StatusOr<std::unique_ptr<TraceReader>> FromStream(std::istream* in);
+  // Validates the file header of the seekable stream `in`, which must
+  // outlive the reader unless `owned` holds it (OpenTraceReader's file).
+  static StatusOr<std::unique_ptr<TraceReader>> FromStream(
+      std::istream* in, std::unique_ptr<std::istream> owned = nullptr);
 
   bool Next(Arrival* out) override;
 
   // OK while healthy (including after a clean end-of-trace); the decode
   // error after Next() returned false on corrupt input.
-  const Status& status() const { return status_; }
+  Status status() const override { return status_; }
   std::uint64_t records_read() const { return records_read_; }
   // Arrivals decoded but not yet served; bounded by the writer's block
   // size (exposed so tests can pin the bounded-memory property).
   std::size_t buffered() const { return block_.size() - pos_; }
 
  private:
-  TraceReader(std::unique_ptr<std::ifstream> owned, std::istream* in,
+  TraceReader(std::unique_ptr<std::istream> owned, std::istream* in,
               std::uint64_t remaining);
-
-  static StatusOr<std::unique_ptr<TraceReader>> Create(
-      std::unique_ptr<std::ifstream> owned, std::istream* in);
 
   // Decodes the next block into block_, or marks end-of-trace/corruption.
   void ReadBlock();
   Status DecodeBlock(std::uint32_t n);
   Status Corrupt(const std::string& what);
 
-  std::unique_ptr<std::ifstream> owned_;  // null when FromStream
+  std::unique_ptr<std::istream> owned_;  // null for a caller-owned stream
   std::istream* in_;
   std::uint64_t remaining_ = 0;  // bytes left after the current position
   bool done_ = false;            // clean footer or error seen
@@ -172,13 +169,6 @@ class TraceReader final : public ArrivalStream {
   std::size_t pos_ = 0;
   std::string scratch_;  // raw bytes of the block being decoded
 };
-
-// Convenience wrappers for the batch paths (WorkloadTrace::ReadFile
-// compatibility, tests, tools).
-Status WriteTraceV2File(const std::string& path,
-                        const std::vector<Arrival>& arrivals,
-                        TraceWriterOptions options = {});
-StatusOr<std::vector<Arrival>> ReadTraceV2File(const std::string& path);
 
 }  // namespace unicc
 

@@ -37,7 +37,7 @@
 #include "scenario/ini.h"
 #include "scenario/scenario.h"
 #include "workload/stream.h"
-#include "workload/trace_io.h"
+#include "workload/trace.h"
 
 #if !defined(UNICC_PINNED_SCENARIOS) || \
     !defined(UNICC_PINNED_SCENARIOS_CURRENT)
@@ -229,16 +229,25 @@ TEST_P(ClosedReplayTest, GivesTheLiveRunsPinnedResult) {
   const std::string file = std::filesystem::path(GetParam()).filename();
   auto spec = ScenarioSpec::LoadFile(GetParam());
   ASSERT_TRUE(spec.ok()) << file << ": " << spec.status().ToString();
-  const ScenarioSpec::Workload wl = spec->BuildWorkload();
   const std::string path = ::testing::TempDir() + "/pinned_replay_" +
                            std::to_string(::getpid()) + ".uctc";
-  ASSERT_TRUE(WriteTraceV2File(path, wl.arrivals).ok()) << file;
-  auto replayed = ReadTraceV2File(path);
-  std::remove(path.c_str());
+  ScenarioSpec::OpenWorkload recorded = spec->Open();
+  {
+    auto writer = OpenTraceWriter(path);
+    ASSERT_TRUE(writer.ok()) << file << ": " << writer.status().ToString();
+    Status s;
+    PumpStream(*recorded.stream, [&](const Arrival& a) {
+      if (s.ok()) s = (*writer)->Append(a);
+    });
+    if (s.ok()) s = (*writer)->Finish();
+    ASSERT_TRUE(s.ok()) << file << ": " << s.ToString();
+  }
+  auto replayed = OpenTraceReader(path);
   ASSERT_TRUE(replayed.ok()) << file << ": " << replayed.status().ToString();
   const std::string what = file + " replayed from UCTC v2";
   const runner::RunStats stats = test::RunScenario(
-      what, *spec, MakeVectorStream(std::move(*replayed)), wl.forced);
+      what, *spec, std::move(replayed).value(), recorded.forced);
+  std::remove(path.c_str());
   ExpectPinned(ReadPins(UNICC_PINNED_SCENARIOS), file, what,
                test::Snapshot(stats));
 }

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -105,25 +106,22 @@ TEST(TraceV2Test, MultiBlockRoundTripPreservesEverything) {
   ExpectArrivalsEqual(original, *decoded);
 }
 
-TEST(TraceV2Test, FileRoundTripThroughConvenienceWrappers) {
+TEST(TraceV2Test, MultiBlockFileReadsBackThroughTheOpener) {
+  // OpenTraceReader sniffs the magic and routes UCTC files through the
+  // v2 reader, whatever the file's name.
   const auto original = SampleArrivals();
-  const std::string path = ::testing::TempDir() + "/unicc_trace_io.uctc";
-  ASSERT_TRUE(WriteTraceV2File(path, original, {8}).ok());
-  auto decoded = ReadTraceV2File(path);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ExpectArrivalsEqual(original, *decoded);
-  std::remove(path.c_str());
-}
-
-TEST(TraceV2Test, ReadFileAutodetectsV2) {
-  // WorkloadTrace::ReadFile sniffs the magic and routes UCTC files through
-  // the v2 reader, alongside the text autodetection.
-  const auto original = SampleArrivals();
-  const std::string path = ::testing::TempDir() + "/unicc_autodetect.uctc";
-  ASSERT_TRUE(WriteTraceV2File(path, original).ok());
-  auto parsed = WorkloadTrace::ReadFile(path);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ExpectArrivalsEqual(original, *parsed);
+  const std::string path = ::testing::TempDir() + "/unicc_trace_io.txt";
+  {
+    std::ofstream file(path, std::ios::binary);
+    auto writer = TraceWriter::ToStream(&file, {8});
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const Arrival& a : original) ASSERT_TRUE((*writer)->Append(a).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  auto reader = OpenTraceReader(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ExpectArrivalsEqual(original, Drain(**reader));
+  EXPECT_TRUE((*reader)->status().ok()) << (*reader)->status().ToString();
   std::remove(path.c_str());
 }
 
@@ -349,7 +347,7 @@ TEST(TraceV2RoundTripTest, StreamedFileRoundTripIsBitIdentical) {
   auto stream = OpenClass(c, /*num_items=*/100000, /*num_user_sites=*/8,
                           Rng(0x7ace));
   const std::string path = ::testing::TempDir() + "/unicc_roundtrip.uctc";
-  auto writer = TraceWriter::Open(path);
+  auto writer = OpenTraceWriter(path);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   std::uint64_t write_digest = kTraceDigestSeed;
   Arrival a;
@@ -359,7 +357,8 @@ TEST(TraceV2RoundTripTest, StreamedFileRoundTripIsBitIdentical) {
   }
   ASSERT_TRUE((*writer)->Finish().ok());
 
-  auto reader = TraceReader::Open(path);
+  std::ifstream file(path, std::ios::binary);
+  auto reader = TraceReader::FromStream(&file);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   std::uint64_t read_digest = kTraceDigestSeed;
   std::uint64_t pinned_prefix = 0;
@@ -376,12 +375,6 @@ TEST(TraceV2RoundTripTest, StreamedFileRoundTripIsBitIdentical) {
   if (n >= kPinnedRecords) {
     EXPECT_EQ(pinned_prefix, kPinnedDigest);
   }
-}
-
-TEST(TraceV2ReaderTest, MissingFileIsNotFound) {
-  auto reader = TraceReader::Open("/nonexistent/path/trace.uctc");
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

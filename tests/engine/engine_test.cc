@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,7 @@ namespace unicc {
 namespace {
 
 using test::DrawClass;
+using test::MakeVectorStream;
 using test::RunWorkload;
 using test::SmallEngine;
 using test::SmallWorkload;
@@ -557,11 +559,17 @@ TEST(EngineTest, TraceReplayReproducesRun) {
   ASSERT_TRUE(direct->AddWorkload(arrivals).ok());
   const RunSummary s1 = direct->Run();
 
-  const std::string text = WorkloadTrace::Serialize(arrivals);
-  auto parsed = WorkloadTrace::Parse(text);
-  ASSERT_TRUE(parsed.ok());
+  std::stringstream text;
+  auto writer = MakeLineWriter(&text, LineFormat::kText);
+  for (const Arrival& a : arrivals) ASSERT_TRUE(writer->Append(a).ok());
+  ASSERT_TRUE(writer->Finish().ok());
+  auto reader = MakeTextTraceReader(&text);
   auto replayed = EngineBuilder(eo).Build().value();
-  ASSERT_TRUE(replayed->AddWorkload(*parsed).ok());
+  Arrival a;
+  while (reader->Next(&a)) {
+    ASSERT_TRUE(replayed->AddTransaction(a.when, a.spec).ok());
+  }
+  ASSERT_TRUE(reader->status().ok()) << reader->status().ToString();
   const RunSummary s2 = replayed->Run();
 
   EXPECT_EQ(s1.makespan, s2.makespan);

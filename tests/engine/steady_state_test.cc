@@ -52,6 +52,8 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 namespace unicc {
 namespace {
 
+using test::MakeVectorStream;
+
 TEST(SteadyStateTest, WarmCappedRunAllocatesNothingPerCommit) {
   // 2PL transactions over 16 items, half reads and half writes, every spec
   // with a deadline, offered at about twice what four slots can serve.

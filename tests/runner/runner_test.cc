@@ -5,13 +5,17 @@
 // serializability checker's own books included.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "../test_util.h"
 #include "engine/builder.h"
 #include "runner/runner.h"
 #include "scenario/scenario.h"
 #include "workload/stream.h"
+#include "workload/trace.h"
 
 #ifndef UNICC_SCENARIOS_DIR
 #error "UNICC_SCENARIOS_DIR must point at the shipped scenarios/ directory"
@@ -22,6 +26,7 @@ namespace {
 
 using runner::RunRequest;
 using runner::RunSession;
+using test::MakeVectorStream;
 
 constexpr char kSmallScenario[] = R"(
 [engine]
@@ -135,6 +140,46 @@ TEST(RunSessionTest, ClosedStreamReplayMatchesLiveRun) {
   EXPECT_EQ(rl.stats.reject_restarts, rs.stats.reject_restarts);
   EXPECT_EQ(rl.events_run, rs.events_run);
   EXPECT_TRUE(rs.stats.serializable);
+}
+
+TEST(RunSessionTest, AWorkloadThatFailsIsAnErrorNotAnAbort) {
+  // A replayed workload may name a home site or an item the scenario's
+  // cluster lacks, or end on bad input. The run reports it as its status:
+  // a closed system runs nothing, an open one stops admitting there.
+  for (const bool open : {false, true}) {
+    const ScenarioSpec spec = SmallSpec(open ? "[run]\nmax_inflight = 2\n" : "");
+    auto run = [&spec](std::unique_ptr<ArrivalStream> stream) {
+      RunRequest request;
+      request.spec = &spec;
+      request.arrival_stream = std::move(stream);
+      auto session = RunSession::Create(std::move(request));
+      EXPECT_TRUE(session.ok()) << session.status().ToString();
+      return (*session)->Run();
+    };
+    const std::vector<Arrival> arrivals = spec.BuildWorkload().arrivals;
+    std::vector<Arrival> far_item = arrivals;
+    far_item[5].spec.write_set.push_back(16);  // items = 16
+    runner::RunReport r = run(MakeVectorStream(far_item));
+    EXPECT_EQ(r.status, Status::InvalidArgument(
+                            "txn 6: write_set item 16 is out of range (16 "
+                            "items)"))
+        << r.status.ToString();
+    EXPECT_EQ(r.stats.committed, open ? 5u : 0u);
+
+    std::vector<Arrival> far_home = arrivals;
+    far_home[0].spec.home = 2;  // user_sites = 2
+    r = run(MakeVectorStream(far_home));
+    EXPECT_EQ(r.status, Status::InvalidArgument(
+                            "txn 1: home 2 is not a user site (2 user sites)"))
+        << r.status.ToString();
+
+    std::istringstream text("txn 1 0 0 2pl 0 0 r 1 w 2\nnonsense\n");
+    r = run(MakeTextTraceReader(&text));
+    EXPECT_EQ(r.status,
+              Status::InvalidArgument("trace line 2: malformed header"))
+        << r.status.ToString();
+    EXPECT_EQ(r.stats.committed, open ? 1u : 0u);
+  }
 }
 
 TEST(RunSessionTest, SeedOverrideChangesResults) {

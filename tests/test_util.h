@@ -10,6 +10,7 @@
 #include "engine/builder.h"
 #include "scenario/scenario.h"
 #include "workload/stream.h"
+#include "workload/trace_io.h"
 
 namespace unicc::test {
 
@@ -46,6 +47,33 @@ inline std::vector<Arrival> Drain(ArrivalStream& stream) {
   Arrival a;
   while (stream.Next(&a)) out.push_back(std::move(a));
   return out;
+}
+
+// Streams `arrivals` in order.
+inline std::unique_ptr<ArrivalStream> MakeVectorStream(
+    std::vector<Arrival> arrivals) {
+  class VectorStream final : public ArrivalStream {
+   public:
+    explicit VectorStream(std::vector<Arrival> v) : arrivals_(std::move(v)) {}
+    bool Next(Arrival* out) override {
+      if (pos_ == arrivals_.size()) return false;
+      *out = std::move(arrivals_[pos_++]);
+      return true;
+    }
+
+   private:
+    std::vector<Arrival> arrivals_;
+    std::size_t pos_ = 0;
+  };
+  return std::make_unique<VectorStream>(std::move(arrivals));
+}
+
+// FoldArrivalDigest over `arrivals` in order: equal digests mean equal
+// arrivals in every field a trace carries.
+inline std::uint64_t Digest(const std::vector<Arrival>& arrivals) {
+  std::uint64_t digest = kTraceDigestSeed;
+  for (const Arrival& a : arrivals) digest = FoldArrivalDigest(digest, a);
+  return digest;
 }
 
 // Class `c` drawn over `eo`'s items and user sites from `rng`.

@@ -8,7 +8,9 @@
 //   unicc_sim --scenario=scenarios/phase_shift.ini --timeline-csv=tl.csv
 //   unicc_sim --scenario=scenarios/quickstart.ini --set=run.max_inflight=8
 //
-// Run with --help for the full flag list.
+// Every trace and CSV file streams: a recording, an export and the run
+// each pull their own opening of the workload. Run with --help for the
+// full flag list.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -25,7 +27,6 @@
 #include "stl/estimators.h"
 #include "workload/stream.h"
 #include "workload/trace.h"
-#include "workload/trace_io.h"
 
 namespace {
 
@@ -55,13 +56,14 @@ void PrintHelp() {
       "                      spaces need shell quoting, e.g.\n"
       "                      --set='class main.rate=80'\n"
       "  --record-trace=<file>  write the workload as a trace: text when\n"
-      "                      the name ends in .txt, else the streaming\n"
-      "                      columnar UCTC v2 format\n"
+      "                      the name ends in .txt, else the columnar\n"
+      "                      UCTC v2 format\n"
       "  --replay-trace=<file>  read the workload from a recorded trace\n"
       "                      (text or UCTC v2, auto-detected) instead of\n"
       "                      the scenario's classes; the engine, policy and\n"
       "                      forced protocols still come from --scenario.\n"
-      "                      v2 traces stream block-by-block into admission\n"
+      "                      A trace that does not decode, or does not fit\n"
+      "                      the scenario's sites and items, exits 2\n"
       "  --export-csv=<file>    write the workload as CSV for analysis\n"
       "  --timeline-csv=<file>  write windowed time-series metrics as CSV\n"
       "  --timeline-json=<file> write windowed time-series metrics as JSON;\n"
@@ -92,15 +94,11 @@ bool WriteTimeline(const std::string& path, const TimelineRecorder& tl,
   return true;
 }
 
-// Forwards to a stream the caller keeps alive.
-class BorrowedStream final : public ArrivalStream {
- public:
-  explicit BorrowedStream(ArrivalStream& inner) : inner_(inner) {}
-  bool Next(Arrival* out) override { return inner_.Next(out); }
-
- private:
-  ArrivalStream& inner_;
-};
+// Prints `what: status` to stderr; returns the exit code for bad input.
+int Fail(const std::string& what, const Status& s) {
+  std::fprintf(stderr, "%s: %s\n", what.c_str(), s.ToString().c_str());
+  return 2;
+}
 
 }  // namespace
 
@@ -135,11 +133,7 @@ int main(int argc, char** argv) {
   // The scenario, with the --set overrides applied before validation so a
   // bad override fails exactly like a bad file.
   auto loaded_ini = IniFile::ReadFile(flags.scenario);
-  if (!loaded_ini.ok()) {
-    std::fprintf(stderr, "%s: %s\n", flags.scenario.c_str(),
-                 loaded_ini.status().ToString().c_str());
-    return 2;
-  }
+  if (!loaded_ini.ok()) return Fail(flags.scenario, loaded_ini.status());
   IniFile ini = std::move(loaded_ini).value();
   for (const std::string& s : flags.sets) {
     IniOverride o;
@@ -151,11 +145,7 @@ int main(int argc, char** argv) {
     ini.Set(o.section, o.key, o.value);
   }
   auto loaded = ScenarioSpec::FromIni(ini);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s: %s\n", flags.scenario.c_str(),
-                 loaded.status().ToString().c_str());
-    return 2;
-  }
+  if (!loaded.ok()) return Fail(flags.scenario, loaded.status());
   ScenarioSpec spec = std::move(loaded).value();
   // A timeline export from a scenario without [run] window_ms uses 1 s
   // windows.
@@ -164,108 +154,58 @@ int main(int argc, char** argv) {
     spec.engine.metrics_window = 1000 * kMillisecond;
   }
 
-  // The trace format follows from the file name: .txt records text,
-  // anything else UCTC v2.
-  const bool record_text = flags.record_trace.ends_with(".txt");
-
-  // The workload: the scenario's own, or replayed from a trace.
-  std::vector<Arrival> arrivals;
-  std::shared_ptr<std::unordered_set<TxnId>> forced;
-  // Owned here, not by the engine, which drops its stream once drained:
-  // the decode status is read after the run.
-  std::unique_ptr<TraceReader> replay_reader;
+  // The workload is the scenario's own, or a recorded trace. Each writer
+  // and the run stream a fresh opening of it, so none holds more than
+  // what is in flight.
   const bool replay = !flags.replay_trace.empty();
-  if (!replay) {
-    // The session opens the workload itself. CSV export (and a text
-    // recording) describe the workload definition, which [run] controls
-    // may only partially admit; those still materialize it. A v2
-    // recording streams the scenario into the writer below instead.
-    if (!flags.export_csv.empty() ||
-        (!flags.record_trace.empty() && record_text)) {
-      arrivals = spec.BuildWorkload().arrivals;
-    }
-  } else {
-    // A v2 trace replays as a stream feeding admission block-by-block.
-    // Materialize only when something needs the whole schedule up front
-    // (re-recording or exporting it) or the file is not v2: ReadFile takes
-    // text too, and says why a file is neither.
-    auto reader = TraceReader::Open(flags.replay_trace);
-    if (reader.ok() && flags.record_trace.empty() && flags.export_csv.empty()) {
-      replay_reader = std::move(reader).value();
-    } else {
-      auto trace = WorkloadTrace::ReadFile(flags.replay_trace);
-      if (!trace.ok()) {
-        std::fprintf(stderr, "%s: %s\n", flags.replay_trace.c_str(),
-                     trace.status().ToString().c_str());
-        return 2;
-      }
-      arrivals = std::move(*trace);
-    }
-    // The trace carries no class information; regenerate the scenario's
-    // forced-protocol ids so replaying its own recording reproduces the
-    // original run bit-for-bit (ids line up because generation is
-    // deterministic in the seed).
-    forced = spec.BuildWorkload().forced;
-  }
-
-  if (!flags.record_trace.empty()) {
+  const std::string& source = replay ? flags.replay_trace : flags.scenario;
+  auto open_workload = [&]() -> StatusOr<std::unique_ptr<ArrivalStream>> {
+    if (replay) return OpenTraceReader(flags.replay_trace);
+    return spec.Open().stream;
+  };
+  struct Output {
+    const std::string& path;
+    const char* flag;
+    StatusOr<std::unique_ptr<ArrivalSink>> (*open)(const std::string&);
+    const char* done;
+  };
+  for (const Output& out :
+       {Output{flags.record_trace, "record-trace", OpenTraceWriter,
+               "recorded %llu arrivals to %s\n"},
+        Output{flags.export_csv, "export-csv", OpenCsvExport,
+               "exported %llu rows to %s\n"}}) {
+    if (out.path.empty()) continue;
+    auto from = open_workload();
+    if (!from.ok()) return Fail(source, from.status());
+    auto to = out.open(out.path);
+    if (!to.ok()) return Fail(out.flag, to.status());
     Status s;
-    std::uint64_t recorded = arrivals.size();
-    if (record_text) {
-      s = WorkloadTrace::WriteFile(flags.record_trace, arrivals);
-    } else if (!replay && flags.export_csv.empty()) {
-      // v2 recording of the scenario's workload: stream its definition
-      // straight into the block writer, O(one block) memory.
-      auto writer = TraceWriter::Open(flags.record_trace);
-      if (!writer.ok()) {
-        s = writer.status();
-      } else {
-        ScenarioSpec::OpenWorkload ow = spec.Open();
-        recorded = PumpStream(*ow.stream, [&](const Arrival& a) {
-          if (s.ok()) s = (*writer)->Append(a);
-        });
-        if (s.ok()) s = (*writer)->Finish();
-      }
-    } else {
-      s = WriteTraceV2File(flags.record_trace, arrivals);
-    }
-    if (!s.ok()) {
-      std::fprintf(stderr, "record-trace: %s\n", s.ToString().c_str());
-      return 2;
-    }
-    std::printf("recorded %llu arrivals to %s\n",
-                static_cast<unsigned long long>(recorded),
-                flags.record_trace.c_str());
-  }
-  if (!flags.export_csv.empty()) {
-    std::FILE* f = std::fopen(flags.export_csv.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "export-csv: cannot open %s\n",
-                   flags.export_csv.c_str());
-      return 2;
-    }
-    const std::string csv = WorkloadTrace::ExportCsv(arrivals);
-    std::fwrite(csv.data(), 1, csv.size(), f);
-    std::fclose(f);
-    std::printf("exported %zu rows to %s\n", arrivals.size(),
-                flags.export_csv.c_str());
+    const std::uint64_t n = PumpStream(**from, [&](const Arrival& a) {
+      if (s.ok()) s = (*to)->Append(a);
+    });
+    if (Status read = (*from)->status(); !read.ok()) return Fail(source, read);
+    if (s.ok()) s = (*to)->Finish();
+    if (!s.ok()) return Fail(out.flag, s);
+    std::printf(out.done, static_cast<unsigned long long>(n), out.path.c_str());
   }
 
   runner::RunRequest request;
   request.spec = &spec;
-  if (replay_reader != nullptr) {
-    // Streaming v2 replay: the session pulls arrivals block-by-block.
-    request.arrival_stream = std::make_unique<BorrowedStream>(*replay_reader);
-  } else if (replay) {
-    // A loaded trace, handed over verbatim.
-    request.arrival_stream = MakeVectorStream(std::move(arrivals));
+  if (replay) {
+    auto trace = open_workload();
+    if (!trace.ok()) return Fail(source, trace.status());
+    request.arrival_stream = std::move(trace).value();
+    // The trace carries no class information: pump the scenario's own
+    // stream, keeping none of its arrivals, for its forced-protocol ids.
+    // They line up with the recording's, as generation is deterministic
+    // in the seed, so a replay of the scenario's own trace is the run.
+    ScenarioSpec::OpenWorkload ow = spec.Open();
+    PumpStream(*ow.stream, [](const Arrival&) {});
+    request.forced = std::move(ow.forced);
   }
-  request.forced = forced;
   auto session_or = runner::RunSession::Create(std::move(request));
   if (!session_or.ok()) {
-    std::fprintf(stderr, "invalid configuration: %s\n",
-                 session_or.status().ToString().c_str());
-    return 2;
+    return Fail("invalid configuration", session_or.status());
   }
   std::unique_ptr<runner::RunSession> session = std::move(session_or).value();
 
@@ -275,12 +215,10 @@ int main(int argc, char** argv) {
                 spec.description.c_str());
   }
   const runner::RunReport run_report = session->Run();
-  if (replay_reader != nullptr && !replay_reader->status().ok()) {
-    // The stream ends silently on corrupt input; surface the decode error
-    // instead of reporting a truncated run as a result.
-    std::fprintf(stderr, "replay-trace: %s\n",
-                 replay_reader->status().ToString().c_str());
-    return 2;
+  if (run_report.status.code() == StatusCode::kInvalidArgument) {
+    // The workload failed: a trace that does not decode, or an arrival
+    // that does not fit the scenario's cluster. No result is reported.
+    return Fail(source, run_report.status);
   }
   const RunSummary& summary = run_report.summary;
   const runner::RunStats& stats = run_report.stats;
