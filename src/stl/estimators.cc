@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 
@@ -53,6 +54,8 @@ ClassStl EstimateStl(const StlEvaluator& ev, TxnShape shape,
   };
   const Negative to_neg = negative(to);
   const Negative pa_neg = negative(pa);
+  const double p_abort = ClampProb(twopl.p_abort);
+  const double ps_safe = std::max(to_neg.ps, 0.05);
   const std::array<StlTerm, 6> terms = {{
       {lt, twopl.u_lock},
       {lt, twopl.u_lock_aborted},
@@ -61,15 +64,29 @@ ClassStl EstimateStl(const StlEvaluator& ev, TxnShape shape,
       {lt, pa.u_lock},
       {pa_neg.loss, pa.u_lock_aborted},
   }};
+  // Each failure term's weight in the formulas below. A term of weight
+  // exactly 0 only adds +0 there (a swept STL' is finite and >= 0), so it
+  // is not swept and reads as 0: 2PL without deadlock aborts, or T/O or
+  // PA without negative responses, costs fewer lanes.
+  const std::array<bool, 6> weighted = {
+      true, p_abort != 0, true, 1 - ps_safe != 0, true, 1 - pa_neg.ps != 0};
+  std::array<StlTerm, 6> swept_terms;
+  std::array<std::size_t, 6> term_of{};
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < terms.size(); ++k) {
+    if (!weighted[k]) continue;
+    swept_terms[n] = terms[k];
+    term_of[n++] = k;
+  }
+  std::array<double, 6> swept{};
+  ev.Sweep(std::span(swept_terms).first(n), std::span(swept).first(n));
   std::array<double, 6> stl{};
-  ev.Sweep(terms, stl);
+  for (std::size_t i = 0; i < n; ++i) stl[term_of[i]] = swept[i];
 
   ClassStl out;
   // STL = (1-PA)·STL'(Λt,U) + PA·(STL + STL'(Λt,U')); solve for STL.
-  const double p_abort = ClampProb(twopl.p_abort);
   out.stl_2pl = ((1 - p_abort) * stl[0] + p_abort * stl[1]) / (1 - p_abort);
   // STL = ps·S'(Λt,U) + (1-ps)(S'(Λ*,U') + STL); solve for STL.
-  const double ps_safe = std::max(to_neg.ps, 0.05);
   out.stl_to = (ps_safe * stl[2] + (1 - ps_safe) * stl[3]) / ps_safe;
   // PA backs off at most once (Lemma 1): non-recursive mixture.
   out.stl_pa = pa_neg.ps * stl[4] + (1 - pa_neg.ps) * (stl[5] + stl[4]);

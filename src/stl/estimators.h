@@ -45,8 +45,10 @@ struct ClassStl {
 };
 
 // The three per-protocol estimators of Section 5.2, from one Sweep of
-// their six STL' terms (a success and a failure term per protocol);
-// `params` is indexed by Protocol.
+// their STL' terms: a success term per protocol, and its failure term
+// unless that term's weight is exactly 0 (no 2PL deadlock aborts, or no
+// T/O or PA negative responses), where the result is the same without
+// it; `params` is indexed by Protocol.
 //   2PL: geometric retry over deadlock aborts.
 //   T/O: geometric retry over rejects, with the conditional loss Λ*_t
 //        solved from the balance equation.

@@ -16,22 +16,32 @@ namespace {
 // arithmetic (SSE2 on x86-64), so each lane computes what the scalar code
 // would (see evaluator.h).
 using Vec2 = double __attribute__((vector_size(16)));
-constexpr int kVecs = StlEvaluator::kMaxLanes / 2;
 
-// One level's coefficients per lane (names as in evaluator.h).
+// The terms that sweep, one lane each in term order; an odd count's last
+// vector carries a spare lane with h = 0 and no levels. shares[s] is the
+// first lane with lane s's start loss.
+struct Lanes {
+  int count = 0;
+  std::array<int, StlEvaluator::kMaxLanes> levels{}, shares{};
+  std::array<double, StlEvaluator::kMaxLanes> loss{}, h{};
+};
+
+// One level's coefficients per vector (names as in evaluator.h).
+template <int V>
 struct LevelCoeffs {
-  std::array<Vec2, kVecs> r, l, lh, w, c, w_minus_c;
+  Vec2 r[V], l[V], lh[V], w[V], c[V], w_minus_c[V];
 };
 
 // Advances every lane by one level: `above` and `cur` hold grid point i
-// of vector j at [i * kVecs + j], `ih` the grid abscissae i·h in the same
+// of vector j at [i * V + j], `ih` the grid abscissae i·h in the same
 // layout. The vectors' recurrences are independent, so they overlap.
-void SweepLevel(int m, const LevelCoeffs& k, const Vec2* ih,
+template <int V>
+void SweepLevel(int m, const LevelCoeffs<V>& k, const Vec2* ih,
                 const Vec2* above, Vec2* cur) {
-  Vec2 r_pow[kVecs];  // r^{i-1}, then r^i
-  Vec2 p[kVecs];      // P_{i-1}; P_0 = above[0] = 0
-  Vec2 t[kVecs];      // T_{i-1}
-  for (int j = 0; j < kVecs; ++j) {
+  Vec2 r_pow[V];  // r^{i-1}, then r^i
+  Vec2 p[V];      // P_{i-1}; P_0 = above[0] = 0
+  Vec2 t[V];      // T_{i-1}
+  for (int j = 0; j < V; ++j) {
     r_pow[j] = Vec2{1, 1};
     p[j] = Vec2{0, 0};
     t[j] = Vec2{0, 0};
@@ -39,8 +49,8 @@ void SweepLevel(int m, const LevelCoeffs& k, const Vec2* ih,
   }
   for (int i = 1; i < m; ++i) {
     const double i_prev = static_cast<double>(i - 1);
-    for (int j = 0; j < kVecs; ++j) {
-      const int at = i * kVecs + j;
+    for (int j = 0; j < V; ++j) {
+      const int at = i * V + j;
       t[j] += k.lh[j] * r_pow[j] * (k.w[j] * i_prev + k.c[j]);
       const Vec2 p_i = above[at] + k.r[j] * p[j];
       r_pow[j] *= k.r[j];
@@ -50,6 +60,86 @@ void SweepLevel(int m, const LevelCoeffs& k, const Vec2* ih,
       cur[at] = v;
       p[j] = p_i;
     }
+  }
+}
+
+// Sweeps `lanes` packed into V vectors (lanes 2j and 2j+1 in vector j);
+// out[s] = STL' of lane s.
+template <int V>
+void SweepLanes(const StlEvaluator& ev, int m, const Lanes& lanes,
+                double* out) {
+  const double la = ev.params().lambda_a;
+  const double lnew = ev.LambdaNew();
+  const int top =
+      *std::max_element(lanes.levels.begin(), lanes.levels.begin() + 2 * V);
+  // Every lane starts at the saturated level, λ_A·x_i, and keeps it until
+  // it joins the sweep; the spare lane's is 0.
+  Vec2 h[V];
+  const std::size_t stride = static_cast<std::size_t>(m) * V;
+  std::vector<Vec2> buf(3 * stride, Vec2{0, 0});
+  Vec2* ih = buf.data();
+  Vec2* above = ih + stride;
+  Vec2* cur = above + stride;
+  for (int j = 0; j < V; ++j) h[j] = Vec2{lanes.h[2 * j], lanes.h[2 * j + 1]};
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < V; ++j) {
+      ih[i * V + j] = static_cast<double>(i) * h[j];
+      above[i * V + j] = la * ih[i * V + j];
+    }
+  }
+
+  // Sweep levels from (top-1) down to 0; level n has loss l_n, and lane s
+  // joins at its own top level, levels[s]-1. The convolution against the
+  // exponential first-block density is integrated exactly per grid
+  // interval with g(x) = l*x + S_next(u-x) interpolated linearly, which
+  // keeps STL' <= lambda_a*U for any lambda_block*h (see evaluator.h).
+  LevelCoeffs<V> k;
+  std::array<double, 2 * V> l{}, b{};
+  for (int n = top - 1; n >= 0; --n) {
+    for (int j = 0; j < V; ++j) {
+      // A lane that has not joined runs the saturated level's fixed
+      // point: l = λ_A, b = 0, hence r = 1 and no convolution.
+      double r[2] = {1, 1};
+      for (int s = 2 * j; s < 2 * j + 2; ++s) {
+        if (lanes.levels[s] <= n) {
+          l[s] = la;
+          b[s] = 0;
+          continue;
+        }
+        if (lanes.shares[s] == s) {
+          l[s] = std::min(lanes.loss[s] + n * lnew, la);
+          b[s] = ev.LambdaBlock(l[s]);
+        } else {
+          l[s] = l[lanes.shares[s]];
+          b[s] = b[lanes.shares[s]];
+        }
+        r[s - 2 * j] = std::exp(-b[s] * lanes.h[s]);
+      }
+      const Vec2 rv = {r[0], r[1]};
+      const Vec2 lv = {l[2 * j], l[2 * j + 1]};
+      const Vec2 bv = {b[2 * j], b[2 * j + 1]};
+      // Only lanes with b > 1e-12 convolve: the others get w = c = 0,
+      // which zeroes every term lh multiplies too (and a harmless
+      // divisor for c).
+      const auto blocks = bv > 1e-12;
+      const Vec2 zero = {0, 0};
+      const Vec2 one = {1, 1};
+      const Vec2 bh = blocks ? bv * h[j] : one;
+      const Vec2 w = blocks ? one - rv : zero;
+      // c = \int_0^h b*y*e^{-by} dy / h, normalized slope weight.
+      const Vec2 c = blocks ? (one - rv * (one + bh)) / bh : zero;
+      k.r[j] = rv;
+      k.l[j] = lv;
+      k.lh[j] = lv * h[j];
+      k.w[j] = w;
+      k.c[j] = c;
+      k.w_minus_c[j] = w - c;
+    }
+    SweepLevel<V>(m, k, ih, above, cur);
+    std::swap(above, cur);
+  }
+  for (int s = 0; s < lanes.count; ++s) {
+    out[s] = above[(m - 1) * V + s / 2][s % 2];
   }
 }
 
@@ -89,14 +179,11 @@ void StlEvaluator::Sweep(std::span<const StlTerm> terms,
   UNICC_CHECK(out.size() == terms.size());
   const double la = params_.lambda_a;
   const double lnew = LambdaNew();
-  const int m = grid_points_;
 
-  // Lane k sweeps terms[k] over levels[k] loss levels with step h[k]; a
-  // term that takes an early exit gets no levels. shares[k] is the first
-  // lane with the same start loss.
-  std::array<int, kMaxLanes> levels{}, shares{};
-  std::array<double, kMaxLanes> h{};
-  int top = 0;
+  // A term that takes an early exit is answered here and gets no lane;
+  // each other term gets the next lane. term_of[s] is lane s's term.
+  Lanes lanes;
+  std::array<std::size_t, kMaxLanes> term_of{};
   for (std::size_t k = 0; k < terms.size(); ++k) {
     const double lambda_loss = terms[k].lambda_loss;
     const double u_seconds = terms[k].u_seconds;
@@ -112,90 +199,44 @@ void StlEvaluator::Sweep(std::span<const StlTerm> terms,
     // Number of loss levels until saturation; each new blocking grant adds
     // lnew of loss. With no levels (lnew == 0) nothing escalates and the
     // loss is deterministic.
+    int levels = 0;
     if (lnew > 1e-12) {
-      levels[k] = static_cast<int>(
+      levels = static_cast<int>(
           std::min(std::ceil((la - lambda_loss) / lnew), 4096.0));
     }
-    if (levels[k] == 0) {
+    if (levels == 0) {
       out[k] = lambda_loss * u_seconds;
       continue;
     }
-    h[k] = u_seconds / (m - 1);
-    top = std::max(top, levels[k]);
-    shares[k] = static_cast<int>(k);
-    for (std::size_t j = 0; j < k; ++j) {
-      if (levels[j] > 0 && terms[j].lambda_loss == lambda_loss) {
-        shares[k] = static_cast<int>(j);
+    const int s = lanes.count++;
+    term_of[s] = k;
+    lanes.levels[s] = levels;
+    lanes.loss[s] = lambda_loss;
+    lanes.h[s] = u_seconds / (grid_points_ - 1);
+    lanes.shares[s] = s;
+    for (int j = 0; j < s; ++j) {
+      if (lanes.loss[j] == lambda_loss) {
+        lanes.shares[s] = j;
         break;
       }
     }
   }
-  if (top == 0) return;
 
-  // ih, then the two level buffers, each m grid points of kVecs vectors.
-  // Both level buffers start at the saturated level, λ_A·x_i, which a lane
-  // keeps until it joins the sweep.
-  const std::size_t stride = static_cast<std::size_t>(m) * kVecs;
-  std::vector<Vec2> buf(3 * stride, Vec2{0, 0});
-  Vec2* ih = buf.data();
-  Vec2* above = ih + stride;
-  Vec2* cur = above + stride;
-  for (int i = 0; i < m; ++i) {
-    for (int k = 0; k < kMaxLanes; ++k) {
-      const int at = i * kVecs + k / 2;
-      ih[at][k % 2] = static_cast<double>(i) * h[k];
-      above[at][k % 2] = cur[at][k % 2] = la * ih[at][k % 2];
-    }
+  std::array<double, kMaxLanes> swept{};
+  switch ((lanes.count + 1) / 2) {
+    case 0:
+      return;
+    case 1:
+      SweepLanes<1>(*this, grid_points_, lanes, swept.data());
+      break;
+    case 2:
+      SweepLanes<2>(*this, grid_points_, lanes, swept.data());
+      break;
+    default:
+      SweepLanes<3>(*this, grid_points_, lanes, swept.data());
+      break;
   }
-  // Lanes start as the saturated fixed point: r = 1 and no convolution.
-  LevelCoeffs coeffs;
-  for (int j = 0; j < kVecs; ++j) {
-    coeffs.r[j] = Vec2{1, 1};
-    coeffs.l[j] = Vec2{la, la};
-    coeffs.lh[j] = coeffs.w[j] = coeffs.c[j] = coeffs.w_minus_c[j] =
-        Vec2{0, 0};
-  }
-
-  // Sweep levels from (top-1) down to 0; level n has loss l_n, and lane k
-  // joins at its own top level, levels[k]-1. The convolution against the
-  // exponential first-block density is integrated exactly per grid
-  // interval with g(x) = l*x + S_next(u-x) interpolated linearly, which
-  // keeps STL' <= lambda_a*U for any lambda_block*h (see evaluator.h).
-  std::array<double, kMaxLanes> l{}, b{};
-  for (int n = top - 1; n >= 0; --n) {
-    for (int k = 0; k < kMaxLanes; ++k) {
-      if (levels[k] <= n) continue;
-      if (shares[k] == k) {
-        l[k] = std::min(terms[k].lambda_loss + n * lnew, la);
-        b[k] = LambdaBlock(l[k]);
-      } else {
-        l[k] = l[shares[k]];
-        b[k] = b[shares[k]];
-      }
-      const double r = std::exp(-b[k] * h[k]);
-      const int j = k / 2;
-      const int s = k % 2;
-      coeffs.r[j][s] = r;
-      coeffs.l[j][s] = l[k];
-      if (b[k] > 1e-12) {
-        const double w = 1 - r;
-        // c = \int_0^h b*y*e^{-by} dy / h, normalized slope weight.
-        const double c = (1 - r * (1 + b[k] * h[k])) / (b[k] * h[k]);
-        coeffs.lh[j][s] = l[k] * h[k];
-        coeffs.w[j][s] = w;
-        coeffs.c[j][s] = c;
-        coeffs.w_minus_c[j][s] = w - c;
-      } else {
-        coeffs.lh[j][s] = coeffs.w[j][s] = coeffs.c[j][s] =
-            coeffs.w_minus_c[j][s] = 0;
-      }
-    }
-    SweepLevel(m, coeffs, ih, above, cur);
-    std::swap(above, cur);
-  }
-  for (std::size_t k = 0; k < terms.size(); ++k) {
-    if (levels[k] > 0) out[k] = above[(m - 1) * kVecs + k / 2][k % 2];
-  }
+  for (int s = 0; s < lanes.count; ++s) out[term_of[s]] = swept[s];
 }
 
 }  // namespace unicc

@@ -30,36 +30,40 @@
 // bit for bit (tests/stl/stl_test.cc checks it against a copy of the
 // direct sum).
 //
-// Lockstep sweep. `Sweep` evaluates up to six (λ_loss, U) terms — a
-// selector refresh's success and failure term per protocol — in one pass.
-// Term k runs in lane k, packed two to a 16-byte vector (lanes 2j and
-// 2j+1 in vector j, three vectors). Each lane has its own level count L_k
-// and joins the downward sweep at its own top level: at sweep level n
-// every lane with L_k > n computes its level n, so all lanes reach level
-// 0 together. Lanes with the same start loss have the same l at every
-// level and share one LambdaBlock (`pow`); each lane computes its own
-// r = e^{−b·h}, since h depends on its U. The grid recurrences of the
-// three vectors advance side by side, one grid point at a time, so the
-// loop is bound by arithmetic throughput rather than by the latency of
-// the P_i chain; a lone term costs about what six do. A lane that has
-// not joined yet, or has no term to sweep (fewer than six terms, or an
-// early exit: U = 0, λ_loss ≥ λ_A, no levels), runs the saturated
-// level's fixed point (l = λ_A, b = 0, hence r = 1), which reproduces
-// λ_A·x_i exactly. A lane whose b is at most 1e-12 runs with w, c and lh
-// zeroed, so the convolution term it adds is exactly +0.
+// Lockstep sweep. `Sweep` evaluates up to six (λ_loss, U) terms in one
+// pass; a selector refresh passes its three success terms and those of
+// its three failure terms whose weight is not zero (EstimateStl). A term
+// that takes an early exit (U = 0, λ_loss ≥ λ_A, or no levels) is answered
+// at once and gets no lane. The others get lanes in term order, packed two
+// to a 16-byte vector (lanes 2j and 2j+1 in vector j), so L lanes sweep in
+// ⌈L/2⌉ vectors. Each lane has its own level count and joins the downward
+// sweep at its own top level: at sweep level n every lane with more than
+// n levels computes its level n, so all lanes reach level 0 together.
+// Each level's coefficient vectors are built a lane pair at a time. Lanes
+// with the same start loss have the same l at every level and share one
+// LambdaBlock (`pow`); each lane computes its own r = e^{−b·h} (`exp`),
+// since h depends on its U. The grid recurrences of the vectors advance
+// side by side, one grid point at a time, so the loop is bound by
+// arithmetic throughput rather than by the latency of the P_i chain. A
+// lane that has not joined yet, and the spare lane that fills an odd L's
+// last vector, runs the saturated level's fixed point (l = λ_A, b = 0,
+// hence r = 1), which reproduces λ_A·x_i exactly. A lane whose b is at
+// most 1e-12 runs with w and c zeroed, so the convolution term it adds is
+// exactly +0.
 //
 // Bit-identity condition: every lane performs the scalar recurrence's
 // operations above in the same order and association, each lane-wise
 // vector operation is the IEEE operation on that lane, and nothing is
-// contracted into a fused multiply-add. The build sets no `-march`, and
-// baseline x86-64 has no FMA instruction to contract into; a target that
-// has one would need -ffp-contract=off for the guarantee. Under that
+// contracted into a fused multiply-add. The last holds for any -march:
+// the build passes -ffp-contract=off to every target (unicc_options in
+// the root CMakeLists.txt), since GCC otherwise fuses a*b+c on a target
+// with FMA (x86-64-v3, -march=native), even under -std=c++20. Under that
 // condition a lane's result equals the one-term scalar DP bit for bit,
-// whichever lanes share its sweep, so every STL value, selection and
-// digest is what the scalar DP gave; tests/stl/stl_test.cc checks it
-// against a frozen copy of that DP. λ_loss must be non-negative, which
-// keeps the no-block value r^i·l·x_i from being −0, so adding +0 to it
-// changes no bit.
+// whichever lanes share its sweep and whichever lane it has, so every STL
+// value, selection and digest is what the scalar DP gave;
+// tests/stl/stl_test.cc checks it against a frozen copy of that DP.
+// λ_loss must be non-negative, which keeps the no-block value r^i·l·x_i
+// from being −0, so adding +0 to it changes no bit.
 #ifndef UNICC_STL_EVALUATOR_H_
 #define UNICC_STL_EVALUATOR_H_
 

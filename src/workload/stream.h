@@ -48,7 +48,9 @@ class ArrivalSink {
   // Takes the next arrival; one earlier than the last, or an invalid
   // spec, is refused.
   virtual Status Append(const Arrival& a) = 0;
-  // Flushes everything appended. Idempotent; no Append may follow.
+  // Flushes everything appended. Idempotent; no Append may follow. A
+  // sink destroyed before Finish() is not finished: a UCTC v2 trace then
+  // lacks its footer and reads back as truncated.
   virtual Status Finish() = 0;
 };
 

@@ -71,9 +71,6 @@ class LineWriter final : public ArrivalSink {
                 "reads,writes\n";
     }
   }
-  // Best effort; call Finish() to observe a late error.
-  ~LineWriter() override { Finish(); }
-
   Status Append(const Arrival& a) override {
     if (finished_) {
       return Status::FailedPrecondition("trace writer already finished");

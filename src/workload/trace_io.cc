@@ -89,10 +89,6 @@ StatusOr<std::unique_ptr<TraceWriter>> TraceWriter::ToStream(
   return writer;
 }
 
-TraceWriter::~TraceWriter() {
-  if (!finished_) Finish();  // best effort; errors observable via Finish()
-}
-
 Status TraceWriter::Emit(const std::string& bytes) {
   sink_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!sink_->good()) return Status::Internal("trace write failed");

@@ -85,9 +85,10 @@ class TraceWriter final : public ArrivalSink {
       std::ostream* sink, Options options = {},
       std::unique_ptr<std::ostream> owned = nullptr);
 
-  // Finishes implicitly, swallowing any late error — call Finish()
-  // explicitly to observe it.
-  ~TraceWriter() override;
+  // A writer destroyed before Finish() is discarded: its buffered block
+  // and the footer are never written, so the trace reads back as
+  // truncated rather than as a complete, shorter one.
+  ~TraceWriter() override = default;
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 

@@ -312,6 +312,23 @@ TEST(TraceV2WriterTest, FinishIsIdempotentAndSealsTheWriter) {
   EXPECT_FALSE((*writer)->Append(a).ok()) << "append after Finish";
 }
 
+TEST(TraceV2WriterTest, AWriterDroppedUnfinishedLeavesATruncatedTrace) {
+  // A conversion that fails part-way drops its writer: what it wrote must
+  // not read back as a complete, shorter trace.
+  std::ostringstream sink;
+  {
+    auto writer = TraceWriter::ToStream(&sink, {4});
+    ASSERT_TRUE(writer.ok());
+    for (const Arrival& a : SampleArrivals()) {
+      ASSERT_TRUE((*writer)->Append(a).ok());
+    }
+  }
+  auto decoded = Decode(sink.str());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("truncated"), std::string::npos)
+      << decoded.status().ToString();
+}
+
 TEST(TraceV2Test, DigestMatchesAcrossARoundTrip) {
   // The streamed round trip's correctness check: folding every arrival on
   // the write side and the read side must land on the same digest.

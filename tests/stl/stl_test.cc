@@ -429,6 +429,53 @@ TEST(StlSweepTest, EdgeLanesMatchScalarDpBitForBit) {
   }
 }
 
+// A refresh sweeps only the failure terms that carry weight, so the lanes
+// that share a sweep are any subset of its six terms, with early exits
+// between them taking no lane. Every subset must match the scalar DP.
+TEST(StlSweepTest, EverySubsetOfARefreshsTermsMatchesScalarDpBitForBit) {
+  std::mt19937_64 rng(20261021);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int iter = 0; iter < 40; ++iter) {
+    const SystemParams s = RandomSys(rng);
+    const int m = 2 + static_cast<int>(rng() % 63);
+    // Both 2PL terms and the T/O and PA success terms start at Λ_t; the
+    // T/O and PA failure terms at Λ*_t and Λ†_t.
+    const double lt = 0.9 * s.lambda_a * unit(rng);
+    const std::array<StlTerm, 6> refresh = {{
+        {lt, 0.5 * unit(rng)},
+        {lt, 0.5 * unit(rng)},
+        {lt, 0.5 * unit(rng)},
+        {s.lambda_a * unit(rng), 0.5 * unit(rng)},
+        {lt, 0.5 * unit(rng)},
+        {s.lambda_a * unit(rng), 0.5 * unit(rng)},
+    }};
+    const std::array<StlTerm, 3> exits = {
+        {{lt, 0}, {s.lambda_a, 0.2}, {2 * s.lambda_a, 0.1}}};
+    for (unsigned subset = 1; subset < 64; ++subset) {
+      SCOPED_TRACE(subset);
+      const int chosen = std::popcount(subset);
+      std::vector<StlTerm> terms;
+      // Before each chosen term and after the last, an early exit half
+      // the time, while the batch has room for it.
+      auto maybe_exit = [&](int still_to_add) {
+        const int used = static_cast<int>(terms.size()) + still_to_add;
+        if (used < StlEvaluator::kMaxLanes && rng() % 2 == 0) {
+          terms.push_back(exits[rng() % exits.size()]);
+        }
+      };
+      int added = 0;
+      for (std::size_t k = 0; k < refresh.size(); ++k) {
+        if ((subset >> k & 1) == 0) continue;
+        maybe_exit(chosen - added);
+        terms.push_back(refresh[k]);
+        ++added;
+      }
+      maybe_exit(0);
+      ExpectSweepMatchesScalar(s, m, terms);
+    }
+  }
+}
+
 TEST(StlSweepTest, EstimateStlMatchesScalarFormulasBitForBit) {
   std::mt19937_64 rng(20261018);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -436,20 +483,37 @@ TEST(StlSweepTest, EstimateStlMatchesScalarFormulasBitForBit) {
   // PA's failure terms often share the success terms' start loss.
   auto prob = [&] { return rng() % 4 == 0 ? 0.0 : unit(rng); };
   for (int iter = 0; iter < 2000; ++iter) {
+    // Bit b of `unweighted` gives protocol b's failure term a weight of
+    // exactly 0, which EstimateStl does not sweep: 2PL's p_abort is 0, or
+    // T/O's or PA's ps is 1. Every one of the eight combinations is drawn
+    // 250 times.
+    const unsigned unweighted = static_cast<unsigned>(iter) % 8;
     const SystemParams s = RandomSys(rng);
     const int m = 2 + static_cast<int>(rng() % 63);
-    const TxnShape shape{static_cast<int>(rng() % 7),
-                         static_cast<int>(rng() % 7)};
+    TxnShape shape{static_cast<int>(rng() % 7), static_cast<int>(rng() % 7)};
+    if (shape.m + shape.n == 0) shape.m = 1;  // ps < 1 needs a request
     std::array<ProtocolParams, kNumProtocols> p;
-    for (ProtocolParams& q : p) {
+    for (std::size_t proto = 0; proto < p.size(); ++proto) {
+      ProtocolParams& q = p[proto];
       q.u_lock = 0.5 * unit(rng);
       q.u_lock_aborted = 0.5 * unit(rng);
       q.p_abort = prob();
       q.p_reject_read = prob();
       q.p_reject_write = prob();
+      const bool weighted = (unweighted >> proto & 1) == 0;
+      if (proto == static_cast<std::size_t>(Protocol::kTwoPhaseLocking)) {
+        q.p_abort = weighted ? 0.01 + 0.98 * unit(rng) : 0.0;
+      } else if (!weighted) {
+        q.p_reject_read = q.p_reject_write = 0;
+      } else {
+        // A negative response is possible on an operation the shape has.
+        (shape.m > 0 ? q.p_reject_read : q.p_reject_write) =
+            0.01 + 0.98 * unit(rng);
+      }
     }
     const StlEvaluator ev(s, m);
     const ClassStl got = EstimateStl(ev, shape, p);
+    SCOPED_TRACE(unweighted);
     EXPECT_EQ(Bits(got.stl_2pl), Bits(frozen::Stl2pl(s, m, shape, p[0])));
     EXPECT_EQ(Bits(got.stl_to), Bits(frozen::StlTo(s, m, shape, p[1])));
     EXPECT_EQ(Bits(got.stl_pa), Bits(frozen::StlPa(s, m, shape, p[2])));

@@ -1,7 +1,12 @@
 # Runs TOOL with ARGS (one space-separated string) and fails unless it
 # exits with status EXIT and its combined stdout and stderr match REGEX:
 #   cmake -DTOOL=<path> -DARGS=--txns=abc -DEXIT=2 -DREGEX=--txns -P <this>
+# With -DABSENT=<file>, the file is removed before the run and must not
+# exist after it.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
+if(DEFINED ABSENT)
+  file(REMOVE "${ABSENT}")
+endif()
 execute_process(COMMAND "${TOOL}" ${args}
                 RESULT_VARIABLE code
                 OUTPUT_VARIABLE out
@@ -11,4 +16,7 @@ if(NOT code STREQUAL "${EXIT}")
 endif()
 if(NOT out MATCHES "${REGEX}")
   message(FATAL_ERROR "output does not match '${REGEX}':\n${out}")
+endif()
+if(DEFINED ABSENT AND EXISTS "${ABSENT}")
+  message(FATAL_ERROR "the run left ${ABSENT} behind")
 endif()

@@ -13,6 +13,7 @@
 // full flag list.
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -179,13 +180,29 @@ int main(int argc, char** argv) {
     if (!from.ok()) return Fail(source, from.status());
     auto to = out.open(out.path);
     if (!to.ok()) return Fail(out.flag, to.status());
+    // A conversion that fails part-way leaves no file: a short but
+    // well-formed trace would replay as a silently smaller workload. The
+    // writer is dropped unfinished, and the path removed only when it
+    // names a regular file itself: a symlink such as /dev/stdout, or a
+    // device, stays (a v2 trace written through it has no footer).
+    auto discard = [&](const std::string& what, const Status& s) {
+      to.value().reset();
+      std::error_code ec;
+      if (std::filesystem::symlink_status(out.path, ec).type() ==
+          std::filesystem::file_type::regular) {
+        std::filesystem::remove(out.path, ec);
+      }
+      return Fail(what, s);
+    };
     Status s;
     const std::uint64_t n = PumpStream(**from, [&](const Arrival& a) {
       if (s.ok()) s = (*to)->Append(a);
     });
-    if (Status read = (*from)->status(); !read.ok()) return Fail(source, read);
+    if (Status read = (*from)->status(); !read.ok()) {
+      return discard(source, read);
+    }
     if (s.ok()) s = (*to)->Finish();
-    if (!s.ok()) return Fail(out.flag, s);
+    if (!s.ok()) return discard(out.flag, s);
     std::printf(out.done, static_cast<unsigned long long>(n), out.path.c_str());
   }
 
